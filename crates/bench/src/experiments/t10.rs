@@ -26,7 +26,7 @@ use crate::harness::{random_utilities, scenario_network};
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};
 use wmcs_geom::{LayoutFamily, Scenario, BB_TOL, EPS, VP_TOL};
 use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run_with_stats, NetWorthOracle};
-use wmcs_wireless::{SubstrateBuilder, TreeKind};
+use wmcs_wireless::{NetWorthQueries, SubstrateBuilder, TreeKind};
 
 /// The T10 experiment (registered as `"T10"`).
 pub struct T10;

@@ -7,8 +7,8 @@
 //! mask-based in [`crate::moulin::moulin_shenker`] (capped at 64
 //! players) and station-set-based in the universal-tree Shapley
 //! mechanism — with one EPS convention each; divergence there is a
-//! strategyproofness bug waiting to happen, so both now route through
-//! [`run_drop_loop`].
+//! strategyproofness bug waiting to happen, so every loop now routes
+//! through [`run_drop_loop_from`].
 //!
 //! The driver works on plain index sets, so it has **no 64-player cap**:
 //! a [`DropLoopMethod`] carries its own representation of the active
@@ -30,53 +30,52 @@
 //! uphold: the method's internal coalition already mirrors `initial`
 //! exactly, `initial` is strictly ascending, and players outside
 //! `initial` are never re-admitted (the Moulin–Shenker iteration only
-//! ever shrinks the coalition). Per round the driver costs `O(round
-//! shares)` + `O(|initial|)` bookkeeping; the fixpoint outcome is the
-//! maximal affordable sub-coalition of `initial` whenever the method's
-//! shares are cross-monotonic \[37, 38\].
+//! ever shrinks the coalition). The fixpoint outcome is the maximal
+//! affordable sub-coalition of `initial` whenever the method's shares
+//! are cross-monotonic \[37, 38\].
+//!
+//! The contract is **coalition-indexed**: bids, per-round shares and
+//! drop notices are indexed by position in `initial`, so a round costs
+//! `O(round shares) + O(|initial|)` however large the universe; only the
+//! returned [`MechanismOutcome`] is player-indexed. The fixpoint round's
+//! shares are the shares charged — there is no final-share hook.
 
 use crate::mechanism::MechanismOutcome;
 use wmcs_geom::EPS;
 
-/// A round-based cost-sharing method driven by [`run_drop_loop`].
+/// A round-based cost-sharing method driven by [`run_drop_loop_from`].
 ///
-/// The driver owns the set of active players; the method mirrors it via
-/// [`DropLoopMethod::drop_player`] notifications (players only ever
-/// leave, never re-enter — the Moulin–Shenker invariant).
+/// It speaks positions in the initial coalition and mirrors the driver's
+/// active subset via [`DropLoopMethod::drop_player`] notifications
+/// (players only ever leave, never re-enter — the Moulin–Shenker
+/// invariant).
 pub trait DropLoopMethod {
-    /// Number of players.
+    /// Number of players (the length of the outcome's share vector).
     fn n_players(&self) -> usize;
 
-    /// Write the currently-active coalition's shares into `out`: a
-    /// full-length vector, zero outside the coalition. Called once per
-    /// round with the **same driver-owned buffer** (the method clears
-    /// and refills it), so a warm engine runs the whole iteration
-    /// without a per-round allocation — the hot-loop fix the
-    /// `session_churn` bench leans on.
+    /// Write the active coalition's shares into `out`, one per position
+    /// of the initial coalition (dropped positions are ignored); the
+    /// fixpoint round's are charged as they are. Called once per round
+    /// with the **same driver-owned buffer** (the method clears and
+    /// refills it), so a warm engine runs the whole iteration without a
+    /// per-round allocation.
     fn round_shares_into(&mut self, out: &mut Vec<f64>);
 
-    /// Remove player `p` from the active coalition. Called once per
-    /// dropped player, immediately after the round that dropped it.
-    fn drop_player(&mut self, p: usize);
+    /// Remove the member at position `i`. Called once per dropped
+    /// member, immediately after the round that dropped it.
+    fn drop_player(&mut self, i: usize);
 
     /// Cost of the solution built for the currently-active coalition.
     /// Called once, after the fixpoint round.
     fn served_cost(&mut self) -> f64;
-
-    /// Overwrite `shares` — on entry the fixpoint round's shares — with
-    /// the shares actually charged to the surviving coalition. The
-    /// default keeps the fixpoint shares (exact for methods whose
-    /// `round_shares_into` is already the canonical computation);
-    /// methods whose per-round shares come from a faster equivalent
-    /// computation override this with one exact final evaluation.
-    fn final_shares_into(&mut self, _shares: &mut Vec<f64>) {}
 }
 
 /// Run the Moulin–Shenker iteration `M(ξ)` \[37, 38\] over a
 /// [`DropLoopMethod`]:
 ///
 /// 1. start from all players active;
-/// 2. each round, drop every player `i` with `u_i < ξ(R, i) − EPS`;
+/// 2. each round, drop every player `i` whose bid `u_i` is not
+///    `≥ ξ(R, i) − EPS` (so a NaN bid is always dropped);
 /// 3. at the fixpoint, charge `ξ(R(u), i)` and serve `R(u)`.
 ///
 /// If ξ is cross-monotonic the final set is the unique maximal
@@ -96,10 +95,10 @@ pub fn run_drop_loop(method: &mut impl DropLoopMethod, reported: &[f64]) -> Mech
 /// Contract (callers must uphold, the driver asserts what it can):
 ///
 /// * `initial` is strictly ascending and within `0..n_players`;
+/// * `bids[i]` is the bid of player `initial[i]` (one per member);
 /// * the method's internal coalition state already mirrors `initial`
 ///   exactly (for a warm engine: every join/leave since the last run has
-///   been applied; for a cold start: the engine was built on `initial`);
-/// * `reported` is full length — entries outside `initial` are ignored.
+///   been applied; for a cold start: the engine was built on `initial`).
 ///
 /// Starting from a subset is exact, not approximate: with a
 /// cross-monotonic method the fixpoint is the maximal affordable
@@ -108,52 +107,49 @@ pub fn run_drop_loop(method: &mut impl DropLoopMethod, reported: &[f64]) -> Mech
 /// contract `wmcs-wireless::session` is property-tested against).
 pub fn run_drop_loop_from(
     method: &mut impl DropLoopMethod,
-    reported: &[f64],
+    bids: &[f64],
     initial: &[usize],
 ) -> MechanismOutcome {
     let n = method.n_players();
-    assert_eq!(reported.len(), n, "one reported utility per player");
+    assert_eq!(bids.len(), initial.len(), "one bid per coalition member");
     debug_assert!(
         initial.windows(2).all(|w| w[0] < w[1]),
         "initial coalition must be strictly ascending"
     );
-    let mut active = vec![false; n];
+    assert!(
+        initial.last().is_none_or(|&p| p < n),
+        "initial coalition member out of range"
+    );
+    let mut active = vec![true; initial.len()];
     let mut n_active = initial.len();
-    for &p in initial {
-        assert!(p < n, "initial coalition member {p} out of range");
-        active[p] = true;
-    }
     // One share buffer for the whole run, refilled each round — the
     // driver-side half of the allocation-free warm iteration.
-    let mut shares: Vec<f64> = Vec::with_capacity(n);
+    let mut shares: Vec<f64> = Vec::with_capacity(initial.len());
     loop {
         if n_active == 0 {
             return MechanismOutcome::empty(n);
         }
         method.round_shares_into(&mut shares);
-        debug_assert_eq!(shares.len(), n, "round shares are full length");
+        debug_assert_eq!(shares.len(), initial.len(), "one share per member");
         let mut dropped_any = false;
-        for &p in initial {
-            if active[p] && reported[p] < shares[p] - EPS {
-                active[p] = false;
+        for (i, &bid) in bids.iter().enumerate() {
+            if active[i] && (bid.is_nan() || bid < shares[i] - EPS) {
+                active[i] = false;
                 n_active -= 1;
-                method.drop_player(p);
+                method.drop_player(i);
                 dropped_any = true;
             }
         }
         if !dropped_any {
-            let receivers: Vec<usize> = initial.iter().copied().filter(|&p| active[p]).collect();
-            method.final_shares_into(&mut shares);
-            let mut final_shares = vec![0.0; n];
-            for &p in &receivers {
-                final_shares[p] = shares[p];
+            let mut out = MechanismOutcome::empty(n);
+            for (i, &p) in initial.iter().enumerate() {
+                if active[i] {
+                    out.receivers.push(p);
+                    out.shares[p] = shares[i];
+                }
             }
-            let served_cost = method.served_cost();
-            return MechanismOutcome {
-                receivers,
-                shares: final_shares,
-                served_cost,
-            };
+            out.served_cost = method.served_cost();
+            return out;
         }
     }
 }
@@ -162,39 +158,47 @@ pub fn run_drop_loop_from(
 mod tests {
     use super::*;
 
-    /// An airport game over arbitrarily many players: serving coalition
-    /// `R` costs `max_{i∈R} need_i`, shared by the textbook airport
-    /// (sequential-increment) rule — cross-monotonic, so the drop loop's
-    /// fixpoint is the maximal affordable set.
+    /// An airport game: serving coalition `R` costs `max_{i∈R} need_i`,
+    /// shared by the textbook airport (sequential-increment) rule —
+    /// cross-monotonic, so the drop loop's fixpoint is the maximal
+    /// affordable set. `needs[i]` belongs to position `i` of the
+    /// coalition the driver starts from, in a game of `n` players.
     struct Airport {
+        n: usize,
         needs: Vec<f64>,
         active: Vec<bool>,
     }
 
     impl Airport {
+        /// The game whose coalition is every player.
         fn new(needs: Vec<f64>) -> Self {
+            Self::on(needs.len(), needs)
+        }
+
+        /// A coalition with the given needs inside a game of `n` players.
+        fn on(n: usize, needs: Vec<f64>) -> Self {
             let active = vec![true; needs.len()];
-            Self { needs, active }
+            Self { n, needs, active }
         }
     }
 
     impl DropLoopMethod for Airport {
         fn n_players(&self) -> usize {
-            self.needs.len()
+            self.n
         }
 
         fn round_shares_into(&mut self, out: &mut Vec<f64>) {
             // Airport rule: sort active players by need; the increment
             // between consecutive needs is split among everyone at least
             // as demanding.
-            let mut order: Vec<usize> = (0..self.needs.len()).filter(|&p| self.active[p]).collect();
+            let mut order: Vec<usize> = (0..self.needs.len()).filter(|&i| self.active[i]).collect();
             order.sort_by(|&a, &b| self.needs[a].total_cmp(&self.needs[b]).then(a.cmp(&b)));
             out.clear();
             out.resize(self.needs.len(), 0.0);
             let mut prev = 0.0;
-            for (rank, &p) in order.iter().enumerate() {
-                let delta = self.needs[p] - prev;
-                prev = self.needs[p];
+            for (rank, &i) in order.iter().enumerate() {
+                let delta = self.needs[i] - prev;
+                prev = self.needs[i];
                 let users = (order.len() - rank) as f64;
                 let slice = delta / users;
                 for &q in &order[rank..] {
@@ -203,14 +207,14 @@ mod tests {
             }
         }
 
-        fn drop_player(&mut self, p: usize) {
-            self.active[p] = false;
+        fn drop_player(&mut self, i: usize) {
+            self.active[i] = false;
         }
 
         fn served_cost(&mut self) -> f64 {
             (0..self.needs.len())
-                .filter(|&p| self.active[p])
-                .map(|p| self.needs[p])
+                .filter(|&i| self.active[i])
+                .map(|i| self.needs[i])
                 .fold(0.0, f64::max)
         }
     }
@@ -252,26 +256,23 @@ mod tests {
 
     #[test]
     fn resuming_from_a_subset_matches_a_cold_start_on_that_subset() {
-        // Airport game, needs 1..=6. Starting the loop from {1, 3, 4}
-        // (method state mirrored by dropping the others up front) must
-        // equal running on a 3-player game containing just those needs.
+        // Airport game, needs 1..=6. Starting the loop from {1, 3, 4} of
+        // the 6-player game must equal running the 3-player game that
+        // contains just those needs, lifted back to player ids.
         let needs: Vec<f64> = (1..=6).map(|i| i as f64).collect();
-        let u = vec![0.4, 2.0, 0.4, 3.0, 5.0, 0.4];
+        let u = [0.4, 2.0, 0.4, 3.0, 5.0, 0.4];
         let subset = vec![1usize, 3, 4];
+        let bids: Vec<f64> = subset.iter().map(|&p| u[p]).collect();
 
-        let mut warm = Airport::new(needs.clone());
-        for p in 0..6 {
-            if !subset.contains(&p) {
-                warm.drop_player(p);
-            }
-        }
-        let out = run_drop_loop_from(&mut warm, &u, &subset);
+        let mut warm = Airport::on(6, subset.iter().map(|&p| needs[p]).collect());
+        let out = run_drop_loop_from(&mut warm, &bids, &subset);
 
         // Cold reference: the same airport game restricted to the subset.
         let mut cold = Airport::new(vec![2.0, 4.0, 5.0]);
         let cold_out = run_drop_loop(&mut cold, &[2.0, 3.0, 5.0]);
         let lifted: Vec<usize> = cold_out.receivers.iter().map(|&i| subset[i]).collect();
         assert_eq!(out.receivers, lifted);
+        assert_eq!(out.shares.len(), 6, "the outcome stays player-indexed");
         for (i, &p) in subset.iter().enumerate() {
             assert!((out.shares[p] - cold_out.shares[i]).abs() < 1e-12);
         }
@@ -283,38 +284,34 @@ mod tests {
 
     #[test]
     fn resuming_from_the_empty_set_serves_nobody() {
-        let mut m = Airport::new(vec![1.0, 2.0]);
-        m.drop_player(0);
-        m.drop_player(1);
-        let out = run_drop_loop_from(&mut m, &[10.0, 10.0], &[]);
+        let mut m = Airport::on(2, vec![]);
+        let out = run_drop_loop_from(&mut m, &[], &[]);
         assert!(out.receivers.is_empty());
+        assert_eq!(out.shares, vec![0.0, 0.0]);
         assert_eq!(out.served_cost, 0.0);
     }
 
     #[test]
-    fn final_shares_hook_receives_the_fixpoint_shares() {
-        struct Probe {
-            saw: Option<Vec<f64>>,
-        }
-        impl DropLoopMethod for Probe {
-            fn n_players(&self) -> usize {
-                2
-            }
-            fn round_shares_into(&mut self, out: &mut Vec<f64>) {
-                out.clear();
-                out.extend([1.0, 2.0]);
-            }
-            fn drop_player(&mut self, _p: usize) {}
-            fn served_cost(&mut self) -> f64 {
-                3.0
-            }
-            fn final_shares_into(&mut self, shares: &mut Vec<f64>) {
-                self.saw = Some(shares.clone());
-            }
-        }
-        let mut m = Probe { saw: None };
-        let out = run_drop_loop(&mut m, &[10.0, 10.0]);
-        assert_eq!(m.saw, Some(vec![1.0, 2.0]));
-        assert_eq!(out.shares, vec![1.0, 2.0]);
+    fn a_nan_bid_is_dropped_and_the_rest_served_as_without_it() {
+        // Needs 1..=4, player 2 bids NaN. Every comparison with NaN is
+        // false, so a `bid < share − EPS` test alone would serve and
+        // charge it; it must be dropped in round 1 instead, and the
+        // outcome must equal the same batch without player 2.
+        let needs = vec![1.0, 2.0, 3.0, 4.0];
+        let out = run_drop_loop(&mut Airport::new(needs.clone()), &[5.0, 5.0, f64::NAN, 5.0]);
+        assert!(!out.is_receiver(2));
+        assert_eq!(out.shares[2].to_bits(), 0.0f64.to_bits());
+
+        let rest = [0usize, 1, 3];
+        let mut without = Airport::on(4, rest.iter().map(|&p| needs[p]).collect());
+        let expected = run_drop_loop_from(&mut without, &[5.0, 5.0, 5.0], &rest);
+        assert_eq!(out.receivers, expected.receivers);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.shares), bits(&expected.shares));
+        assert_eq!(out.served_cost.to_bits(), expected.served_cost.to_bits());
+
+        // A lone NaN bidder is never served.
+        let out = run_drop_loop(&mut Airport::new(vec![1.0]), &[f64::NAN]);
+        assert!(out.receivers.is_empty());
     }
 }

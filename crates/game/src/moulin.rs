@@ -25,6 +25,8 @@ use crate::method::CostSharingMethod;
 
 /// Mask-world adapter: mirrors the driver's active set as a `u64`
 /// coalition mask and evaluates the wrapped [`CostSharingMethod`] on it.
+/// It is only driven from the coalition of all players, where the
+/// driver's coalition positions are the player ids themselves.
 struct MaskDropMethod<'m, M: CostSharingMethod> {
     method: &'m M,
     mask: u64,

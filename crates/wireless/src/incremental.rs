@@ -43,12 +43,14 @@
 //! and the drop loop itself is the shared index-set driver
 //! [`wmcs_game::run_drop_loop`] (resumable variant:
 //! [`wmcs_game::run_drop_loop_from`], used by [`shapley_drop_run_from`]
-//! and the sessions) — the same iteration the mask-based
-//! [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so the two
-//! cannot diverge on EPS conventions. [`reference_drop_run`] preserves
-//! the naive per-round recomputation as the correctness reference; the
-//! property suite pins the incremental outcome to it byte for byte.
+//! and the sessions of both layouts) — the same iteration the
+//! mask-based [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so
+//! they cannot diverge on EPS conventions. [`reference_drop_run`]
+//! preserves the naive per-round recomputation as the correctness
+//! oracle; the property suite pins the incremental outcome to it byte
+//! for byte.
 
+use crate::session::NetWorthQueries;
 use crate::substrate::{NodeId, NO_STATION};
 use crate::universal::UniversalTree;
 use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome};
@@ -166,6 +168,9 @@ impl IncrementalShapley {
     /// every receiver whose root path enters `x` through `y_i`.
     /// Returns per-station shares (stale entries outside the active set
     /// are not cleared; callers index by active receivers only).
+    /// Each receiver's entry is [`UniversalTree::shapley_shares`]'s bit
+    /// for bit — the same slices `δ_i / users_i` (`δ ≤ 0` skipped) added
+    /// to `+0.0` root first — so the drop loop charges its fixpoint round.
     pub fn round_shares_by_station(&mut self) -> &[f64] {
         self.rounds += 1;
         let sub = self.ut.substrate().clone();
@@ -317,13 +322,14 @@ impl IncrementalShapley {
     }
 }
 
-/// Player-indexed [`DropLoopMethod`] over a borrowed incremental engine:
-/// the driver speaks player ids, the engine speaks station ids. Borrowing
-/// (rather than owning) the engine is what lets a live session
-/// ([`crate::session::ShapleySession`]) keep the same engine warm across
-/// many drop-loop runs.
+/// Coalition-indexed [`DropLoopMethod`] over a borrowed incremental
+/// engine: position `i` of the driver's coalition is station
+/// `stations[i]`. Borrowing (rather than owning) the engine is what lets
+/// a live session ([`crate::session::ShapleySession`]) keep the same
+/// engine warm across many drop-loop runs.
 pub(crate) struct PlayerAdapter<'e> {
     pub(crate) engine: &'e mut IncrementalShapley,
+    pub(crate) stations: &'e [usize],
 }
 
 impl DropLoopMethod for PlayerAdapter<'_> {
@@ -332,36 +338,19 @@ impl DropLoopMethod for PlayerAdapter<'_> {
     }
 
     fn round_shares_into(&mut self, out: &mut Vec<f64>) {
-        let sub = self.engine.ut.substrate().clone();
-        let net = sub.network();
-        let n = net.n_players();
         let by_station = self.engine.round_shares_by_station();
         out.clear();
-        out.extend((0..n).map(|p| by_station[net.station_of_player(p)]));
+        out.extend(self.stations.iter().map(|&x| by_station[x]));
     }
 
-    fn drop_player(&mut self, p: usize) {
-        let station = self.engine.ut.network().station_of_player(p);
-        self.engine.drop_receiver(station);
+    fn drop_player(&mut self, i: usize) {
+        self.engine.drop_receiver(self.stations[i]);
     }
 
     fn served_cost(&mut self) -> f64 {
         self.engine
             .ut
             .multicast_cost(&self.engine.active_stations())
-    }
-
-    fn final_shares_into(&mut self, shares: &mut Vec<f64>) {
-        // One exact evaluation of the reference share computation on the
-        // surviving set, so the charged shares are byte-identical to the
-        // naive driver's.
-        let net = self.engine.ut.network();
-        let by_station = self
-            .engine
-            .ut
-            .shapley_shares(&self.engine.active_stations());
-        shares.clear();
-        shares.extend((0..net.n_players()).map(|p| by_station[net.station_of_player(p)]));
     }
 }
 
@@ -377,11 +366,13 @@ pub fn shapley_drop_run_with_stats(
     ut: &UniversalTree,
     reported: &[f64],
 ) -> (MechanismOutcome, DropStats) {
-    let receivers = ut.network().non_source_stations();
-    let mut engine = IncrementalShapley::new(ut, &receivers);
+    // Player p's station is the p-th non-source station.
+    let stations = ut.network().non_source_stations();
+    let mut engine = IncrementalShapley::new(ut, &stations);
     let out = run_drop_loop(
         &mut PlayerAdapter {
             engine: &mut engine,
+            stations: &stations,
         },
         reported,
     );
@@ -407,12 +398,14 @@ pub fn shapley_drop_run_from(
 ) -> MechanismOutcome {
     let net = ut.network();
     let stations: Vec<usize> = players.iter().map(|&p| net.station_of_player(p)).collect();
+    let bids: Vec<f64> = players.iter().map(|&p| reported[p]).collect();
     let mut engine = IncrementalShapley::new(ut, &stations);
     run_drop_loop_from(
         &mut PlayerAdapter {
             engine: &mut engine,
+            stations: &stations,
         },
-        reported,
+        &bids,
         players,
     )
 }
@@ -437,7 +430,8 @@ pub fn reference_drop_run(ut: &UniversalTree, reported: &[f64]) -> MechanismOutc
         for p in 0..n {
             if in_set[p] {
                 let share = shares_by_station[net.station_of_player(p)];
-                if reported[p] < share - wmcs_geom::EPS {
+                // Keep only bids ≥ share − EPS: a NaN bid is dropped.
+                if reported[p].is_nan() || reported[p] < share - wmcs_geom::EPS {
                     in_set[p] = false;
                     dropped_any = true;
                 }
@@ -599,11 +593,6 @@ impl NetWorthOracle {
         }
     }
 
-    /// Station `x`'s current utility as stored by the oracle.
-    pub fn utility(&self, x: usize) -> f64 {
-        self.u[x]
-    }
-
     /// The full station-indexed utility vector the oracle currently
     /// holds (what a cold `NetWorthOracle::new` rebuild would consume).
     pub fn utilities(&self) -> &[f64] {
@@ -615,9 +604,24 @@ impl NetWorthOracle {
         self.h[self.ut.network().source()]
     }
 
-    /// The largest welfare-maximising station set and its net worth:
-    /// walk the chosen prefixes down from the source.
-    pub fn efficient_set(&self) -> (Vec<usize>, f64) {
+    /// Heap bytes of this oracle's per-session state (the shared
+    /// substrate is excluded, exactly as in
+    /// [`IncrementalShapley::memory_bytes`]).
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.u.capacity()
+            + self.h.capacity()
+            + self.best.capacity()
+            + self.pre.capacity()
+            + self.suf.capacity())
+            * size_of::<f64>()
+            + self.choice.capacity() * size_of::<u32>()
+    }
+}
+
+impl NetWorthQueries for NetWorthOracle {
+    /// Walks the chosen prefixes down from the source.
+    fn efficient_set(&self) -> (Vec<usize>, f64) {
         let sub = self.ut.substrate();
         let s = sub.network().source();
         let mut reached = Vec::new();
@@ -637,10 +641,9 @@ impl NetWorthOracle {
         (reached, self.net_worth())
     }
 
-    /// `NW(u_{−x})`: maximal net worth with station `x`'s utility set to
-    /// zero, in `O(depth of x)`. Agrees with a full DP on the modified
-    /// profile up to float reassociation (pinned by property tests).
-    pub fn net_worth_zeroing(&self, x: usize) -> f64 {
+    /// Agrees with a full DP on the modified profile up to float
+    /// reassociation (pinned by property tests).
+    fn net_worth_zeroing(&self, x: usize) -> f64 {
         let sub = self.ut.substrate();
         let s = sub.network().source();
         assert!(x != s, "the source has no utility to zero");
@@ -664,18 +667,8 @@ impl NetWorthOracle {
         hv
     }
 
-    /// Heap bytes of this oracle's per-session state (the shared
-    /// substrate is excluded, exactly as in
-    /// [`IncrementalShapley::memory_bytes`]).
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.u.capacity()
-            + self.h.capacity()
-            + self.best.capacity()
-            + self.pre.capacity()
-            + self.suf.capacity())
-            * size_of::<f64>()
-            + self.choice.capacity() * size_of::<u32>()
+    fn utility(&self, x: usize) -> f64 {
+        self.u[x]
     }
 }
 
@@ -684,6 +677,8 @@ mod tests {
     use super::*;
     use crate::builder::{SubstrateBuilder, TreeKind};
     use crate::network::WirelessNetwork;
+    use crate::sparse::SparseShapley;
+    use crate::substrate::Subframe;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{approx_eq, Point, PowerModel};
     use wmcs_graph::RootedTree;
@@ -720,43 +715,135 @@ mod tests {
             .build_universal()
     }
 
-    #[test]
-    fn round_shares_match_the_reference_split() {
+    /// Both warm Shapley engines behind one station-keyed interface, so
+    /// the round-pass identities below pin the dense and the frame-local
+    /// layout alike.
+    trait Engine {
+        fn build(ut: &UniversalTree, receivers: &[usize]) -> Self;
+        fn join(&mut self, station: usize);
+        fn leave(&mut self, station: usize);
+        /// One round pass, read back at `stations`.
+        fn round_at(&mut self, stations: &[usize]) -> Vec<f64>;
+    }
+
+    impl Engine for IncrementalShapley {
+        fn build(ut: &UniversalTree, receivers: &[usize]) -> Self {
+            IncrementalShapley::new(ut, receivers)
+        }
+        fn join(&mut self, station: usize) {
+            self.add_receiver(station);
+        }
+        fn leave(&mut self, station: usize) {
+            self.drop_receiver(station);
+        }
+        fn round_at(&mut self, stations: &[usize]) -> Vec<f64> {
+            let by_station = self.round_shares_by_station();
+            stations.iter().map(|&x| by_station[x]).collect()
+        }
+    }
+
+    /// The frame-local engine plus the local id of every station it has
+    /// framed (stable: the frame is append-only).
+    struct Sparse {
+        engine: SparseShapley,
+        local: Vec<u32>,
+    }
+
+    impl Engine for Sparse {
+        fn build(ut: &UniversalTree, receivers: &[usize]) -> Self {
+            let mut e = Sparse {
+                engine: SparseShapley::new(ut),
+                local: vec![Subframe::NONE; ut.network().n_stations()],
+            };
+            for &x in receivers {
+                e.join(x);
+            }
+            e
+        }
+        fn join(&mut self, station: usize) {
+            self.local[station] = self.engine.add_receiver(station);
+        }
+        fn leave(&mut self, station: usize) {
+            self.engine.drop_receiver_local(self.local[station]);
+        }
+        fn round_at(&mut self, stations: &[usize]) -> Vec<f64> {
+            let by_local = self.engine.round_shares_by_local();
+            stations
+                .iter()
+                .map(|&x| by_local[self.local[x] as usize])
+                .collect()
+        }
+    }
+
+    /// The engine's round pass on `alive` equals the reference split
+    /// [`UniversalTree::shapley_shares`] bit for bit — the identity that
+    /// lets the drop loop charge its fixpoint round.
+    fn assert_round_is_the_split(engine: &mut impl Engine, ut: &UniversalTree, alive: &[usize]) {
+        let fast = engine.round_at(alive);
+        let reference = ut.shapley_shares(alive);
+        for (&r, f) in alive.iter().zip(&fast) {
+            assert_eq!(
+                f.to_bits(),
+                reference[r].to_bits(),
+                "alive {alive:?}, station {r}: {f} ≠ {}",
+                reference[r]
+            );
+        }
+    }
+
+    fn round_split_on_the_chain<E: Engine>() {
         let ut = chain_tree();
         for receivers in [vec![1], vec![2], vec![3], vec![2, 3], vec![1, 2, 3]] {
-            let reference = ut.shapley_shares(&receivers);
-            let mut engine = IncrementalShapley::new(&ut, &receivers);
-            let fast = engine.round_shares_by_station();
-            for &r in &receivers {
-                assert!(
-                    approx_eq(fast[r], reference[r]),
-                    "R = {receivers:?}, station {r}: {} ≠ {}",
-                    fast[r],
-                    reference[r]
-                );
+            assert_round_is_the_split(&mut E::build(&ut, &receivers), &ut, &receivers);
+        }
+    }
+
+    #[test]
+    fn round_shares_match_the_reference_split() {
+        round_split_on_the_chain::<IncrementalShapley>();
+        round_split_on_the_chain::<Sparse>();
+    }
+
+    fn drops_against_scratch<E: Engine>() {
+        for seed in 0..20 {
+            let ut = random_tree(seed, 12);
+            let mut alive: Vec<usize> = ut.network().non_source_stations();
+            let mut engine = E::build(&ut, &alive);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xd0b);
+            while alive.len() > 1 {
+                let victim = alive.remove(rng.gen_range(0..alive.len()));
+                engine.leave(victim);
+                assert_round_is_the_split(&mut engine, &ut, &alive);
             }
         }
     }
 
     #[test]
     fn dropping_matches_recomputation_from_scratch() {
+        drops_against_scratch::<IncrementalShapley>();
+        drops_against_scratch::<Sparse>();
+    }
+
+    fn walk_against_scratch<E: Engine>() {
         for seed in 0..20 {
-            let ut = random_tree(seed, 12);
-            let mut engine = IncrementalShapley::new(&ut, &ut.network().non_source_stations());
-            let mut alive: Vec<usize> = ut.network().non_source_stations();
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xd0b);
-            while alive.len() > 1 {
-                let victim = alive.remove(rng.gen_range(0..alive.len()));
-                engine.drop_receiver(victim);
-                let fast = engine.round_shares_by_station().to_vec();
-                let reference = ut.shapley_shares(&alive);
-                for &r in &alive {
-                    assert!(
-                        approx_eq(fast[r], reference[r]),
-                        "seed {seed}, alive {alive:?}, station {r}: {} ≠ {}",
-                        fast[r],
-                        reference[r]
-                    );
+            let ut = random_tree(seed, 14);
+            let all = ut.network().non_source_stations();
+            let mut engine = E::build(&ut, &[]);
+            let mut alive: Vec<usize> = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xadd);
+            for _step in 0..60 {
+                if alive.is_empty() || (alive.len() < all.len() && rng.gen_bool(0.5)) {
+                    let candidates: Vec<usize> =
+                        all.iter().copied().filter(|v| !alive.contains(v)).collect();
+                    let v = candidates[rng.gen_range(0..candidates.len())];
+                    engine.join(v);
+                    alive.push(v);
+                } else {
+                    let v = alive.remove(rng.gen_range(0..alive.len()));
+                    engine.leave(v);
+                }
+                if !alive.is_empty() {
+                    assert_round_is_the_split(&mut engine, &ut, &alive);
                 }
             }
         }
@@ -765,40 +852,10 @@ mod tests {
     #[test]
     fn add_and_drop_walk_matches_recomputation_from_scratch() {
         // A random join/leave walk over the receiver set: after every
-        // step the engine's round shares must equal the reference split
-        // on the current set, and joins must exactly invert drops.
-        for seed in 0..20 {
-            let ut = random_tree(seed, 14);
-            let all = ut.network().non_source_stations();
-            let mut engine = IncrementalShapley::new(&ut, &[]);
-            let mut alive: Vec<usize> = Vec::new();
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xadd);
-            for _step in 0..60 {
-                if alive.is_empty() || (alive.len() < all.len() && rng.gen_bool(0.5)) {
-                    let candidates: Vec<usize> =
-                        all.iter().copied().filter(|v| !alive.contains(v)).collect();
-                    let v = candidates[rng.gen_range(0..candidates.len())];
-                    engine.add_receiver(v);
-                    alive.push(v);
-                } else {
-                    let v = alive.remove(rng.gen_range(0..alive.len()));
-                    engine.drop_receiver(v);
-                }
-                if alive.is_empty() {
-                    continue;
-                }
-                let fast = engine.round_shares_by_station().to_vec();
-                let reference = ut.shapley_shares(&alive);
-                for &r in &alive {
-                    assert!(
-                        approx_eq(fast[r], reference[r]),
-                        "seed {seed}, alive {alive:?}, station {r}: {} ≠ {}",
-                        fast[r],
-                        reference[r]
-                    );
-                }
-            }
-        }
+        // step the round shares must equal the reference split on the
+        // current set, and joins must exactly invert drops.
+        walk_against_scratch::<IncrementalShapley>();
+        walk_against_scratch::<Sparse>();
     }
 
     #[test]

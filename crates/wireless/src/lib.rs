@@ -80,7 +80,9 @@ pub use service::{
     GroupMechanism, GroupOutcome, GroupSession, MulticastService, SessionLayout,
     SPARSE_AUTO_THRESHOLD,
 };
-pub use session::{vcg_outcome, ChurnEvent, ChurnProcess, ChurnTrace, McSession, ShapleySession};
+pub use session::{
+    vcg_outcome, ChurnEvent, ChurnProcess, ChurnTrace, McSession, NetWorthQueries, ShapleySession,
+};
 pub use sparse::{SparseMcSession, SparseNetWorth, SparseShapley, SparseShapleySession};
 pub use stream::{
     epoch_plan, replay_reference, Admission, EpochOutcome, GroupStreamReport, StreamConfig,

@@ -26,24 +26,24 @@
 //!   and adding `0.0` to a non-negative accumulator is a bitwise no-op —
 //!   the dense pass over all `n` stations and the sparse pass over the
 //!   frame run the *same* float operations;
-//! * the exact final-share pass and the served-cost evaluation call the
-//!   same [`UniversalTree::shapley_shares`] / `multicast_cost` reference
-//!   entry points the dense sessions call.
+//! * after the engine both layouts share one path: Shapley sessions run
+//!   the [`wmcs_game::run_drop_loop_from`] loop and charge its fixpoint
+//!   round, MC sessions evaluate [`vcg_outcome`], and both take the
+//!   served cost from `UniversalTree::multicast_cost`.
 //!
 //! The contract is pinned by `tests/sparse_props.rs` across all five
 //! layout families × both mechanisms × churn traces, and gated at scale
 //! by experiment T15.
 //!
-//! Per-reprice outputs (the full-length share vector of a
-//! [`MechanismOutcome`]) remain `O(n)` *transient* — identical to the
-//! dense path; only the **warm** (retained) state shrinks, which is what
-//! the streaming SLO is bound on.
+//! Per-reprice work on the outcome (its full-length share vector, the
+//! served cost) remains `O(n)` *transient*, as on the dense path; only
+//! the **warm** (retained) state shrinks, which is what the streaming
+//! SLO is bound on.
 
-use crate::session::ChurnEvent;
+use crate::session::{vcg_outcome, ChurnEvent, NetWorthQueries};
 use crate::substrate::{Subframe, TreeSubstrate};
 use crate::universal::UniversalTree;
-use wmcs_game::MechanismOutcome;
-use wmcs_geom::EPS;
+use wmcs_game::{run_drop_loop_from, DropLoopMethod, MechanismOutcome};
 
 /// Local alias for the frame's "no local station" sentinel.
 const NO_LOCAL: u32 = Subframe::NONE;
@@ -253,7 +253,7 @@ impl SparseShapley {
     }
 
     /// The currently-active receiver stations (global ids), ascending —
-    /// what the exact final-share / served-cost reference calls consume.
+    /// the input of the served-cost call `UniversalTree::multicast_cost`.
     pub fn active_stations(&self) -> Vec<usize> {
         let mut out: Vec<usize> = (0..self.frame.len())
             .filter(|&l| self.in_r[l])
@@ -511,80 +511,9 @@ impl SparseNetWorth {
         }
     }
 
-    /// `station`'s current utility (zero for stations that never carried
-    /// a bid — exactly the dense oracle's stored value for them).
-    pub fn utility(&self, station: usize) -> f64 {
-        match self.frame.local_of(station) {
-            Some(l) => self.u[l as usize],
-            None => 0.0,
-        }
-    }
-
     /// Maximal net worth `NW(u)`.
     pub fn net_worth(&self) -> f64 {
         self.h[Subframe::ROOT as usize]
-    }
-
-    /// The largest welfare-maximising station set and its net worth —
-    /// the dense [`NetWorthOracle::efficient_set`](crate::incremental::NetWorthOracle::efficient_set) walk, with the chosen
-    /// prefix of an out-of-frame station reproduced on the fly (its
-    /// leading run of zero-cost children: every `val_j = −c_j`, and only
-    /// `c_j = 0` survives the exact `val ≥ 0.0` tie-break).
-    pub fn efficient_set(&self) -> (Vec<usize>, f64) {
-        let sub = self.ut.substrate();
-        let s = sub.network().source();
-        let mut reached = Vec::new();
-        let mut stack = vec![s];
-        while let Some(x) = stack.pop() {
-            if x != s {
-                reached.push(x);
-            }
-            let kids = sub.sorted_children(x);
-            let take = match self.frame.local_of(x) {
-                Some(l) => self.choice[l as usize] as usize,
-                None => kids
-                    .iter()
-                    .take_while(|&&y| sub.parent_cost(y.index()) == 0.0)
-                    .count(),
-            };
-            stack.extend(kids.iter().take(take).map(|c| c.index()));
-        }
-        reached.sort_unstable();
-        (reached, self.net_worth())
-    }
-
-    /// `NW(u_{−x})` in `O(depth of x)` — the dense
-    /// [`NetWorthOracle::net_worth_zeroing`](crate::incremental::NetWorthOracle::net_worth_zeroing) walk over the frame. An
-    /// out-of-frame station carries zero utility already, so zeroing it
-    /// changes nothing (the dense walk exits on its first step).
-    pub fn net_worth_zeroing(&self, station: usize) -> f64 {
-        let sub = self.ut.substrate();
-        let s = sub.network().source();
-        assert!(station != s, "the source has no utility to zero");
-        let Some(v) = self.frame.local_of(station) else {
-            return self.net_worth();
-        };
-        let mut w = v;
-        let mut hv = self.best[v as usize];
-        while w != Subframe::ROOT {
-            let wi = w as usize;
-            if hv == self.h[wi] {
-                // Nothing changed at w, so nothing changes above it.
-                return self.net_worth();
-            }
-            let p = self.frame.parent_local(w);
-            debug_assert!(p != NO_LOCAL, "non-root local has a parent");
-            let delta = hv - self.h[wi];
-            let b = self.pre[wi].max(self.suf[wi] + delta);
-            let own_p = if p == Subframe::ROOT {
-                0.0
-            } else {
-                self.u[p as usize].max(0.0)
-            };
-            hv = own_p + b;
-            w = p;
-        }
-        hv
     }
 
     /// Closure size (local stations, including the source).
@@ -620,6 +549,77 @@ impl SparseNetWorth {
     }
 }
 
+impl NetWorthQueries for SparseNetWorth {
+    /// The dense oracle's walk, with the chosen prefix of an
+    /// out-of-frame station reproduced on the fly (its leading run of
+    /// zero-cost children: every `val_j = −c_j`, and only `c_j = 0`
+    /// survives the exact `val ≥ 0.0` tie-break).
+    fn efficient_set(&self) -> (Vec<usize>, f64) {
+        let sub = self.ut.substrate();
+        let s = sub.network().source();
+        let mut reached = Vec::new();
+        let mut stack = vec![s];
+        while let Some(x) = stack.pop() {
+            if x != s {
+                reached.push(x);
+            }
+            let kids = sub.sorted_children(x);
+            let take = match self.frame.local_of(x) {
+                Some(l) => self.choice[l as usize] as usize,
+                None => kids
+                    .iter()
+                    .take_while(|&&y| sub.parent_cost(y.index()) == 0.0)
+                    .count(),
+            };
+            stack.extend(kids.iter().take(take).map(|c| c.index()));
+        }
+        reached.sort_unstable();
+        (reached, self.net_worth())
+    }
+
+    /// The dense oracle's walk over the frame. An out-of-frame station
+    /// carries zero utility already, so zeroing it changes nothing (the
+    /// dense walk exits on its first step).
+    fn net_worth_zeroing(&self, station: usize) -> f64 {
+        let sub = self.ut.substrate();
+        let s = sub.network().source();
+        assert!(station != s, "the source has no utility to zero");
+        let Some(v) = self.frame.local_of(station) else {
+            return self.net_worth();
+        };
+        let mut w = v;
+        let mut hv = self.best[v as usize];
+        while w != Subframe::ROOT {
+            let wi = w as usize;
+            if hv == self.h[wi] {
+                // Nothing changed at w, so nothing changes above it.
+                return self.net_worth();
+            }
+            let p = self.frame.parent_local(w);
+            debug_assert!(p != NO_LOCAL, "non-root local has a parent");
+            let delta = hv - self.h[wi];
+            let b = self.pre[wi].max(self.suf[wi] + delta);
+            let own_p = if p == Subframe::ROOT {
+                0.0
+            } else {
+                self.u[p as usize].max(0.0)
+            };
+            hv = own_p + b;
+            w = p;
+        }
+        hv
+    }
+
+    /// Zero for stations that never carried a bid — exactly the dense
+    /// oracle's stored value for them.
+    fn utility(&self, station: usize) -> f64 {
+        match self.frame.local_of(station) {
+            Some(l) => self.u[l as usize],
+            None => 0.0,
+        }
+    }
+}
+
 /// One served member of a [`SparseShapleySession`].
 #[derive(Debug, Clone, Copy)]
 struct Member {
@@ -629,6 +629,36 @@ struct Member {
     local: u32,
     /// Current bid.
     bid: f64,
+}
+
+/// Coalition-indexed [`DropLoopMethod`] over a borrowed frame-local
+/// engine (position `i` is `members[i]`): the sparse twin of the dense
+/// `incremental::PlayerAdapter`, so both layouts run the one driver loop.
+struct LocalAdapter<'e> {
+    engine: &'e mut SparseShapley,
+    members: &'e [Member],
+}
+
+impl DropLoopMethod for LocalAdapter<'_> {
+    fn n_players(&self) -> usize {
+        self.engine.ut.network().n_players()
+    }
+
+    fn round_shares_into(&mut self, out: &mut Vec<f64>) {
+        let by_local = self.engine.round_shares_by_local();
+        out.clear();
+        out.extend(self.members.iter().map(|m| by_local[m.local as usize]));
+    }
+
+    fn drop_player(&mut self, i: usize) {
+        self.engine.drop_receiver_local(self.members[i].local);
+    }
+
+    fn served_cost(&mut self) -> f64 {
+        self.engine
+            .ut
+            .multicast_cost(&self.engine.active_stations())
+    }
 }
 
 /// The sparse-layout twin of [`crate::session::ShapleySession`]: same
@@ -641,8 +671,6 @@ pub struct SparseShapleySession {
     engine: SparseShapley,
     /// Currently-served members, ascending by player.
     members: Vec<Member>,
-    /// Scratch: member-indexed shares of the current drop-loop round.
-    scratch: Vec<f64>,
     batches: usize,
     events: usize,
 }
@@ -655,7 +683,6 @@ impl SparseShapleySession {
             ut: ut.clone(),
             engine: SparseShapley::new(ut),
             members: Vec::new(),
-            scratch: Vec::new(),
             batches: 0,
             events: 0,
         }
@@ -708,72 +735,33 @@ impl SparseShapleySession {
         }
     }
 
-    /// Re-run the Moulin–Shenker drop loop from the current member set —
-    /// the frame-local replica of `wmcs_game::run_drop_loop_from`: same
-    /// round structure, same ascending drop order, same EPS test, and
-    /// the same exact final-share / served-cost reference calls, so the
-    /// outcome is byte-identical to the dense session's. Evicted members
-    /// leave the session (they must `Join` again).
+    /// Re-run the Moulin–Shenker drop loop from the current member set
+    /// through the shared driver ([`run_drop_loop_from`], the loop the
+    /// dense session runs) and charge the fixpoint round's shares, so
+    /// the outcome is byte-identical to the dense session's. Evicted
+    /// members leave the session (they must `Join` again).
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
-        let n = self.ut.network().n_players();
-        let mut active = vec![true; self.members.len()];
-        let mut n_active = self.members.len();
-        let out = loop {
-            if n_active == 0 {
-                break MechanismOutcome::empty(n);
-            }
-            {
-                let shares = self.engine.round_shares_by_local();
-                self.scratch.clear();
-                self.scratch
-                    .extend(self.members.iter().map(|m| shares[m.local as usize]));
-            }
-            let mut dropped_any = false;
-            for (i, m) in self.members.iter().enumerate() {
-                if active[i] && m.bid < self.scratch[i] - EPS {
-                    active[i] = false;
-                    n_active -= 1;
-                    self.engine.drop_receiver_local(m.local);
-                    dropped_any = true;
-                }
-            }
-            if !dropped_any {
-                // One exact evaluation of the reference share computation
-                // on the surviving set — the same call the dense adapter
-                // makes, so the charged floats cannot diverge.
-                let stations = self.engine.active_stations();
-                let by_station = self.ut.shapley_shares(&stations);
-                let mut shares = vec![0.0; n];
-                let mut receivers = Vec::new();
-                for (i, m) in self.members.iter().enumerate() {
-                    if active[i] {
-                        let p = m.player as usize;
-                        receivers.push(p);
-                        shares[p] = by_station[self.ut.network().station_of_player(p)];
-                    }
-                }
-                let served_cost = self.ut.multicast_cost(&stations);
-                break MechanismOutcome {
-                    receivers,
-                    shares,
-                    served_cost,
-                };
-            }
-        };
-        // Evictions persist: drop the members the loop priced out.
-        let mut i = 0;
-        self.members.retain(|_| {
-            let keep = active.get(i).copied().unwrap_or(true);
-            i += 1;
-            keep
-        });
+        let initial = self.active_players();
+        let bids: Vec<f64> = self.members.iter().map(|m| m.bid).collect();
+        let out = run_drop_loop_from(
+            &mut LocalAdapter {
+                engine: &mut self.engine,
+                members: &self.members,
+            },
+            &bids,
+            &initial,
+        );
+        // Evictions persist: keep exactly the members the loop served
+        // (both lists ascend by player).
+        let mut served = out.receivers.iter().copied().peekable();
+        self.members
+            .retain(|m| served.next_if_eq(&(m.player as usize)).is_some());
         // The batch boundary is where warm state rests: return the
         // doubling-growth slack so the retained bytes are the exact
         // closure footprint (no-op unless the frame just grew).
         self.engine.shrink_to_fit();
         self.members.shrink_to_fit();
-        self.scratch.shrink_to_fit();
         out
     }
 
@@ -813,9 +801,7 @@ impl SparseShapleySession {
     /// local arrays) plus the member list.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.engine.memory_bytes()
-            + self.members.capacity() * size_of::<Member>()
-            + self.scratch.capacity() * size_of::<f64>()
+        self.engine.memory_bytes() + self.members.capacity() * size_of::<Member>()
     }
 
     /// Stations in the warm frame (the path closure of every station
@@ -889,35 +875,18 @@ impl SparseMcSession {
         }
     }
 
-    /// Recompute the VCG outcome from the warm sparse oracle —
-    /// byte-identical to [`vcg_outcome`](crate::session::vcg_outcome) over a dense [`NetWorthOracle`](crate::incremental::NetWorthOracle)
-    /// holding the same utilities (same selection walk, same `O(depth)`
-    /// externality queries, same served-cost reference call).
+    /// Recompute the VCG outcome from the warm sparse oracle through the
+    /// one MC evaluation path, [`vcg_outcome`] — byte-identical to the
+    /// dense session holding the same utilities.
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
-        let net = self.ut.network();
-        let (stations, nw) = self.oracle.efficient_set();
-        let mut shares = vec![0.0; net.n_players()];
-        let receivers: Vec<usize> = stations
-            .iter()
-            .filter_map(|&x| net.player_of_station(x))
-            .collect();
-        for &p in &receivers {
-            let x = net.station_of_player(p);
-            let nw_minus = self.oracle.net_worth_zeroing(x);
-            shares[p] = (self.oracle.utility(x) - (nw - nw_minus)).max(0.0);
-        }
-        let served_cost = self.ut.multicast_cost(&stations);
+        let out = vcg_outcome(&self.ut, &self.oracle);
         // The batch boundary is where warm state rests: return the
         // doubling-growth slack so the retained bytes are the exact
         // closure footprint (no-op unless the frame just grew).
         self.oracle.shrink_to_fit();
         self.members.shrink_to_fit();
-        MechanismOutcome {
-            receivers,
-            shares,
-            served_cost,
-        }
+        out
     }
 
     /// Absorb one churn batch and reprice.
@@ -1101,6 +1070,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_nan_bid_is_never_served_on_either_layout() {
+        // Every comparison with NaN is false, so a NaN bid must be caught
+        // by the drop test itself: the bidder is dropped in round 1 and
+        // each layout's outcome equals the same batch without it.
+        let bits = |o: &MechanismOutcome| {
+            let shares: Vec<u64> = o.shares.iter().map(|x| x.to_bits()).collect();
+            (o.receivers.clone(), shares, o.served_cost.to_bits())
+        };
+        let mut served = 0;
+        for seed in 0..8 {
+            let ut = random_tree(seed, 12);
+            let n = ut.network().n_players();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7a7);
+            let nan_player = rng.gen_range(0..n);
+            let batch: Vec<ChurnEvent> = (0..n)
+                .map(|player| ChurnEvent::Join {
+                    player,
+                    utility: if player == nan_player {
+                        f64::NAN
+                    } else {
+                        rng.gen_range(0.0..60.0)
+                    },
+                })
+                .collect();
+            let without: Vec<ChurnEvent> = batch
+                .iter()
+                .copied()
+                .filter(|e| !matches!(e, ChurnEvent::Join { player, .. } if *player == nan_player))
+                .collect();
+            let dense = ShapleySession::new(&ut).apply_batch(&batch);
+            let sparse = SparseShapleySession::new(&ut).apply_batch(&batch);
+            assert!(!dense.is_receiver(nan_player), "seed {seed}");
+            assert!(!sparse.is_receiver(nan_player), "seed {seed}");
+            let dense_without = ShapleySession::new(&ut).apply_batch(&without);
+            let sparse_without = SparseShapleySession::new(&ut).apply_batch(&without);
+            assert_eq!(bits(&dense), bits(&dense_without), "seed {seed}");
+            assert_eq!(bits(&sparse), bits(&sparse_without), "seed {seed}");
+            served += dense.receivers.len();
+        }
+        assert!(served > 0, "the batches must serve someone");
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl UniversalTree {
     /// which additionally answers the zero-one-station queries of the MC
     /// mechanism in `O(depth)` each.
     pub fn largest_efficient_set(&self, u: &[f64]) -> (Vec<usize>, f64) {
+        use crate::session::NetWorthQueries;
         crate::incremental::NetWorthOracle::new(self, u).efficient_set()
     }
 

@@ -1,28 +1,42 @@
 //! Property suite for the incremental Moulin–Shenker engine: on every
 //! registered layout family the incremental outcome — receiver set,
 //! shares, served cost — is **byte-identical** to the naive per-round
-//! `shapley_shares` reference, and budget balance survives at n = 1024.
+//! `shapley_shares` reference, both warm engines' round pass *is* that
+//! reference split bit for bit on any receiver set, and budget balance
+//! survives at n = 1024.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use wmcs_geom::{LayoutFamily, Scenario};
-use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run, NetWorthOracle};
-use wmcs_wireless::{SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork};
+use wmcs_wireless::incremental::{
+    reference_drop_run, shapley_drop_run, IncrementalShapley, NetWorthOracle,
+};
+use wmcs_wireless::{
+    NetWorthQueries, SparseShapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
+};
 
 /// Universal tree of a scenario draw; alternates between both tree
 /// constructions so the engine is pinned on SPT and MST shapes alike.
 fn scenario_tree(family: LayoutFamily, n: usize, alpha: f64, seed: u64) -> UniversalTree {
+    let kind = if seed.is_multiple_of(2) {
+        TreeKind::Spt
+    } else {
+        TreeKind::Mst
+    };
+    scenario_tree_of(family, n, alpha, seed, kind)
+}
+
+/// Universal tree of a scenario draw with an explicit tree kind.
+fn scenario_tree_of(
+    family: LayoutFamily,
+    n: usize,
+    alpha: f64,
+    seed: u64,
+    kind: TreeKind,
+) -> UniversalTree {
     let sc = Scenario::new(family, n, 2, alpha);
     let net = WirelessNetwork::euclidean(sc.points(seed), sc.power_model(), 0);
-    if seed.is_multiple_of(2) {
-        SubstrateBuilder::new(&net)
-            .tree(TreeKind::Spt)
-            .build_universal()
-    } else {
-        SubstrateBuilder::new(&net)
-            .tree(TreeKind::Mst)
-            .build_universal()
-    }
+    SubstrateBuilder::new(&net).tree(kind).build_universal()
 }
 
 /// Utilities spanning the interesting regime: scaled to the per-player
@@ -61,6 +75,61 @@ proptest! {
             "{} n={} seed={}", family.name(), n, seed);
         prop_assert_eq!(fast.served_cost, naive.served_cost,
             "{} n={} seed={}", family.name(), n, seed);
+    }
+
+    /// The identity the drop loop charges on: for an arbitrary receiver
+    /// set — not only a fixpoint — both warm engines' round pass equals
+    /// the reference split `shapley_shares` bit for bit, on every layout
+    /// family and both tree kinds. The dense engine is built on a
+    /// superset and drops the rest; the frame-local engine joins the
+    /// superset in a shuffled order (so its frame layout varies) and
+    /// drops the same stations.
+    #[test]
+    fn round_pass_is_the_reference_split_bit_for_bit(
+        fam_idx in 0usize..5,
+        kind_idx in 0usize..2,
+        n in 2usize..=256,
+        alpha_idx in 0usize..2,
+        seed in 0u64..10_000,
+        keep in 0.05f64..1.0,
+        leave in 0.0f64..0.5,
+    ) {
+        let family = LayoutFamily::ALL[fam_idx];
+        let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
+        let ut = scenario_tree_of(family, n, [2.0, 4.0][alpha_idx], seed, kind);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_5e75);
+        let mut joined: Vec<usize> = ut
+            .network()
+            .non_source_stations()
+            .into_iter()
+            .filter(|_| rng.gen_bool(keep))
+            .collect();
+        let mut dense = IncrementalShapley::new(&ut, &joined);
+        // Shuffle the sparse join order (Fisher–Yates).
+        for i in (1..joined.len()).rev() {
+            joined.swap(i, rng.gen_range(0..=i));
+        }
+        let mut sparse = SparseShapley::new(&ut);
+        let locals: Vec<u32> = joined.iter().map(|&x| sparse.add_receiver(x)).collect();
+        let mut alive = Vec::new();
+        for (&x, &l) in joined.iter().zip(&locals) {
+            if rng.gen_bool(leave) {
+                dense.drop_receiver(x);
+                sparse.drop_receiver_local(l);
+            } else {
+                alive.push((x, l));
+            }
+        }
+        let stations: Vec<usize> = alive.iter().map(|&(x, _)| x).collect();
+        let reference = ut.shapley_shares(&stations);
+        let by_station = dense.round_shares_by_station().to_vec();
+        let by_local = sparse.round_shares_by_local();
+        for &(x, l) in &alive {
+            prop_assert_eq!(by_station[x].to_bits(), reference[x].to_bits(),
+                "dense, {} n={} seed={} station {}", family.name(), n, seed, x);
+            prop_assert_eq!(by_local[l as usize].to_bits(), reference[x].to_bits(),
+                "sparse, {} n={} seed={} station {}", family.name(), n, seed, x);
+        }
     }
 
     /// The MC oracle's O(depth) zeroing query agrees with a full DP on
