@@ -105,7 +105,7 @@ impl Experiment for T10 {
             u_st[net.station_of_player(p)] = v;
         }
         let oracle = NetWorthOracle::new(&ut, &u_st);
-        let (mc_stations, nw) = oracle.efficient_set();
+        let (mc_stations, nw, _) = oracle.efficient_set();
         let mut mc_ok = true;
         for &x in &mc_stations {
             let nw_minus = oracle.net_worth_zeroing(x);

@@ -31,6 +31,7 @@
 //! | [`IncrementalShapley::drop_receiver`] | `O(depth)` | state equals a fresh build on the shrunken set |
 //! | [`IncrementalShapley::add_receiver`] | `O(depth + sibling scans)` | state equals a fresh build on the enlarged set |
 //! | [`IncrementalShapley::round_shares_by_station`] | `O(\|T(R)\|)` | the paper's §2.1 split on the current set |
+//! | [`IncrementalShapley::served_cost`] | `O(\|T(R)\| log \|T(R)\|)` | `UniversalTree::multicast_cost` of the current set, bit for bit |
 //! | [`NetWorthOracle::set_utility`] | `O(Σ deg over the dirty path prefix)` | every stored float equals a fresh DP's |
 //! | [`NetWorthOracle::net_worth_zeroing`] | `O(depth)` | agrees with a full DP on the zeroed profile |
 //!
@@ -50,6 +51,7 @@
 //! oracle; the property suite pins the incremental outcome to it byte
 //! for byte.
 
+use crate::power::PowerAssignment;
 use crate::session::NetWorthQueries;
 use crate::substrate::{NodeId, NO_STATION};
 use crate::universal::UniversalTree;
@@ -291,9 +293,30 @@ impl IncrementalShapley {
         }
     }
 
-    /// The currently-active receiver stations, ascending.
-    pub fn active_stations(&self) -> Vec<usize> {
-        (0..self.in_r.len()).filter(|&v| self.in_r[v]).collect()
+    /// The served cost `C_T(R)` of the current receiver set, read off the
+    /// warm `T(R)`: every station with active children emits the cost of
+    /// the last (costliest) one, and `PowerAssignment::total_cost_of`
+    /// sums those powers in ascending station id — bit for bit
+    /// [`UniversalTree::multicast_cost`] on the active stations.
+    /// `O(|T(R)| log |T(R)|)`.
+    pub fn served_cost(&mut self) -> f64 {
+        let sub = self.ut.substrate();
+        let mut powers = Vec::new();
+        self.stack.clear();
+        self.stack.push(sub.network().source());
+        while let Some(x) = self.stack.pop() {
+            let mut last = NodeId::NONE;
+            let mut y = self.first_child[x];
+            while !y.is_none() {
+                self.stack.push(y.index());
+                last = y;
+                y = self.next_sib[y.index()];
+            }
+            if !last.is_none() {
+                powers.push((x, sub.parent_cost(last.index())));
+            }
+        }
+        PowerAssignment::total_cost_of(&mut powers)
     }
 
     /// Is station `v` currently an active receiver?
@@ -348,9 +371,7 @@ impl DropLoopMethod for PlayerAdapter<'_> {
     }
 
     fn served_cost(&mut self) -> f64 {
-        self.engine
-            .ut
-            .multicast_cost(&self.engine.active_stations())
+        self.engine.served_cost()
     }
 }
 
@@ -620,25 +641,28 @@ impl NetWorthOracle {
 }
 
 impl NetWorthQueries for NetWorthOracle {
-    /// Walks the chosen prefixes down from the source.
-    fn efficient_set(&self) -> (Vec<usize>, f64) {
+    /// Walks the chosen prefixes down from the source; each reached
+    /// station emits the cost of the last child in its prefix.
+    fn efficient_set(&self) -> (Vec<usize>, f64, f64) {
         let sub = self.ut.substrate();
         let s = sub.network().source();
         let mut reached = Vec::new();
         let mut stack = vec![s];
         while let Some(v) = stack.pop() {
-            if v != s {
-                reached.push(v);
+            let mut power = 0.0;
+            for y in sub.sorted_children(v).iter().take(self.choice[v] as usize) {
+                power = sub.parent_cost(y.index());
+                stack.push(y.index());
             }
-            stack.extend(
-                sub.sorted_children(v)
-                    .iter()
-                    .take(self.choice[v] as usize)
-                    .map(|c| c.index()),
-            );
+            reached.push((v, power));
         }
-        reached.sort_unstable();
-        (reached, self.net_worth())
+        let served_cost = PowerAssignment::total_cost_of(&mut reached);
+        let stations = reached
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|&v| v != s)
+            .collect();
+        (stations, self.net_worth(), served_cost)
     }
 
     /// Agrees with a full DP on the modified profile up to float

@@ -64,9 +64,22 @@ impl PowerAssignment {
         }
     }
 
-    /// Total power consumption `cost(π) = Σ_x π(x)` (§1).
+    /// Total power consumption `cost(π) = Σ_x π(x)` (§1), summed in
+    /// ascending station id — the order contract
+    /// `PowerAssignment::total_cost_of` reproduces bit for bit.
     pub fn total_cost(&self) -> f64 {
         self.powers.iter().sum()
+    }
+
+    /// `Σ_x π(x)` over sparse `(station, power)` terms, one per station
+    /// (stations absent from `terms` emit `+0.0`). Sorts `terms` by
+    /// station in place and adds the powers to `+0.0` in ascending
+    /// station id: [`PowerAssignment::total_cost`]'s float sequence with
+    /// its exact `+0.0` terms left out, so the two agree bit for bit.
+    /// This is how the warm engines sum `C_T(R)` over their own `T(R)`.
+    pub(crate) fn total_cost_of(terms: &mut [(usize, f64)]) -> f64 {
+        terms.sort_unstable_by_key(|&(x, _)| x);
+        terms.iter().fold(0.0, |acc, &(_, p)| acc + p)
     }
 
     /// Directed edges of the induced transmission digraph `G_π`.

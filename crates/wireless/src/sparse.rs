@@ -28,18 +28,25 @@
 //!   frame run the *same* float operations;
 //! * after the engine both layouts share one path: Shapley sessions run
 //!   the [`wmcs_game::run_drop_loop_from`] loop and charge its fixpoint
-//!   round, MC sessions evaluate [`vcg_outcome`], and both take the
-//!   served cost from `UniversalTree::multicast_cost`.
+//!   round, MC sessions evaluate [`vcg_outcome`], and every engine sums
+//!   the served cost over its own `T(R)` with
+//!   `PowerAssignment::total_cost_of` — the same cached edge costs,
+//!   added in the same ascending **global** station order, so the frame
+//!   sum equals the dense one and `UniversalTree::multicast_cost` bit
+//!   for bit.
 //!
 //! The contract is pinned by `tests/sparse_props.rs` across all five
 //! layout families × both mechanisms × churn traces, and gated at scale
 //! by experiment T15.
 //!
-//! Per-reprice work on the outcome (its full-length share vector, the
-//! served cost) remains `O(n)` *transient*, as on the dense path; only
-//! the **warm** (retained) state shrinks, which is what the streaming
-//! SLO is bound on.
+//! Per-reprice work stays inside the closure — drop-loop rounds, the VCG
+//! walk and the served cost (a walk of `T(R)` plus a sort of its powers
+//! by station) — except the outcome's full-length share vector, which
+//! remains `O(n)` *transient*, as on the dense path. The **warm**
+//! (retained) state is `O(|frame|)`, which is what the streaming SLO is
+//! bound on.
 
+use crate::power::PowerAssignment;
 use crate::session::{vcg_outcome, ChurnEvent, NetWorthQueries};
 use crate::substrate::{Subframe, TreeSubstrate};
 use crate::universal::UniversalTree;
@@ -252,18 +259,28 @@ impl SparseShapley {
         &self.shares
     }
 
-    /// The currently-active receiver stations (global ids), ascending —
-    /// the input of the served-cost call `UniversalTree::multicast_cost`.
-    pub fn active_stations(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..self.frame.len())
-            .filter(|&l| self.in_r[l])
-            .map(|l| {
-                self.frame
-                    .global_of(u32::try_from(l).expect("frame ids fit u32"))
-            })
-            .collect();
-        out.sort_unstable();
-        out
+    /// The served cost `C_T(R)` over the frame — the dense
+    /// [`crate::incremental::IncrementalShapley::served_cost`] walk on
+    /// local ids: every local station with active children emits the
+    /// cost of the last one, summed by `PowerAssignment::total_cost_of`
+    /// in ascending **global** station id. `O(|T(R)| log |T(R)|)`.
+    pub fn served_cost(&mut self) -> f64 {
+        let mut powers = Vec::new();
+        self.stack.clear();
+        self.stack.push(Subframe::ROOT);
+        while let Some(x) = self.stack.pop() {
+            let mut last = NO_LOCAL;
+            let mut y = self.first_child[x as usize];
+            while y != NO_LOCAL {
+                self.stack.push(y);
+                last = y;
+                y = self.next_sib[y as usize];
+            }
+            if last != NO_LOCAL {
+                powers.push((self.frame.global_of(x), self.frame.parent_cost(last)));
+            }
+        }
+        PowerAssignment::total_cost_of(&mut powers)
     }
 
     /// Rounds executed so far.
@@ -553,16 +570,13 @@ impl NetWorthQueries for SparseNetWorth {
     /// The dense oracle's walk, with the chosen prefix of an
     /// out-of-frame station reproduced on the fly (its leading run of
     /// zero-cost children: every `val_j = −c_j`, and only `c_j = 0`
-    /// survives the exact `val ≥ 0.0` tie-break).
-    fn efficient_set(&self) -> (Vec<usize>, f64) {
+    /// survives the exact `val ≥ 0.0` tie-break — so it emits `+0.0`).
+    fn efficient_set(&self) -> (Vec<usize>, f64, f64) {
         let sub = self.ut.substrate();
         let s = sub.network().source();
         let mut reached = Vec::new();
         let mut stack = vec![s];
         while let Some(x) = stack.pop() {
-            if x != s {
-                reached.push(x);
-            }
             let kids = sub.sorted_children(x);
             let take = match self.frame.local_of(x) {
                 Some(l) => self.choice[l as usize] as usize,
@@ -571,10 +585,20 @@ impl NetWorthQueries for SparseNetWorth {
                     .take_while(|&&y| sub.parent_cost(y.index()) == 0.0)
                     .count(),
             };
-            stack.extend(kids.iter().take(take).map(|c| c.index()));
+            let mut power = 0.0;
+            for y in kids.iter().take(take) {
+                power = sub.parent_cost(y.index());
+                stack.push(y.index());
+            }
+            reached.push((x, power));
         }
-        reached.sort_unstable();
-        (reached, self.net_worth())
+        let served_cost = PowerAssignment::total_cost_of(&mut reached);
+        let stations = reached
+            .iter()
+            .map(|&(x, _)| x)
+            .filter(|&x| x != s)
+            .collect();
+        (stations, self.net_worth(), served_cost)
     }
 
     /// The dense oracle's walk over the frame. An out-of-frame station
@@ -655,9 +679,7 @@ impl DropLoopMethod for LocalAdapter<'_> {
     }
 
     fn served_cost(&mut self) -> f64 {
-        self.engine
-            .ut
-            .multicast_cost(&self.engine.active_stations())
+        self.engine.served_cost()
     }
 }
 

@@ -10,6 +10,9 @@
 //! This module provides:
 //! * builders for natural universal trees (shortest-path tree, MST);
 //! * [`UniversalTreeCost`] — the coalition cost function `C_T`;
+//! * [`UniversalTree::multicast_cost`] — the reference `C_T(R)` the warm
+//!   engines' served cost is pinned to bit for bit; no serving path
+//!   calls it;
 //! * [`UniversalTree::shapley_shares`] — the paper's *efficient* Shapley
 //!   computation (per-station power increments split equally among the
 //!   receivers using them, §2.1), validated against Eq. (4) in tests;
@@ -81,7 +84,14 @@ impl UniversalTree {
         PowerAssignment::from_tree(self.network(), &self.multicast_subtree(receivers))
     }
 
-    /// `C_T(R)` for a receiver station set.
+    /// `C_T(R)` for a receiver station set — the slow, obviously correct
+    /// reference: `T(R)` by root-path walks, the length-n Steiner power
+    /// assignment, and its [`PowerAssignment::total_cost`]. No serving
+    /// path calls it: the warm engines sum `C_T(R)` over their own `T(R)`
+    /// (`IncrementalShapley::served_cost`, `NetWorthQueries::efficient_set`)
+    /// and are pinned to this bit for bit. It stays the oracle of
+    /// `reference_drop_run`, [`UniversalTreeCost`], the tests and the
+    /// experiments.
     pub fn multicast_cost(&self, receivers: &[usize]) -> f64 {
         self.power_assignment(receivers).total_cost()
     }
@@ -173,7 +183,8 @@ impl UniversalTree {
     /// mechanism in `O(depth)` each.
     pub fn largest_efficient_set(&self, u: &[f64]) -> (Vec<usize>, f64) {
         use crate::session::NetWorthQueries;
-        crate::incremental::NetWorthOracle::new(self, u).efficient_set()
+        let (stations, nw, _) = crate::incremental::NetWorthOracle::new(self, u).efficient_set();
+        (stations, nw)
     }
 
     /// Maximal net worth only (used for VCG payments).

@@ -12,7 +12,8 @@ use wmcs_wireless::incremental::{
     reference_drop_run, shapley_drop_run, IncrementalShapley, NetWorthOracle,
 };
 use wmcs_wireless::{
-    NetWorthQueries, SparseShapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
+    NetWorthQueries, SparseNetWorth, SparseShapley, SubstrateBuilder, TreeKind, UniversalTree,
+    WirelessNetwork,
 };
 
 /// Universal tree of a scenario draw; alternates between both tree
@@ -129,6 +130,74 @@ proptest! {
                 "dense, {} n={} seed={} station {}", family.name(), n, seed, x);
             prop_assert_eq!(by_local[l as usize].to_bits(), reference[x].to_bits(),
                 "sparse, {} n={} seed={} station {}", family.name(), n, seed, x);
+        }
+    }
+
+    /// The served cost each warm engine sums over its own `T(R)` is the
+    /// reference `multicast_cost` bit for bit, on every layout family and
+    /// both tree kinds: for both Shapley engines after every step of a
+    /// join/leave walk (from the empty set, draining towards it at the
+    /// end), and for both MC oracles on the set `efficient_set` returns
+    /// after every `set_utility` of a random sequence (zeros included).
+    #[test]
+    fn served_cost_is_the_reference_multicast_cost_bit_for_bit(
+        fam_idx in 0usize..5,
+        kind_idx in 0usize..2,
+        n in 2usize..=256,
+        alpha_idx in 0usize..2,
+        seed in 0u64..10_000,
+        steps in 1usize..48,
+        scale in 0.2f64..4.0,
+    ) {
+        let family = LayoutFamily::ALL[fam_idx];
+        let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
+        let ut = scenario_tree_of(family, n, [2.0, 4.0][alpha_idx], seed, kind);
+        let net = ut.network();
+        let all = net.non_source_stations();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xc057_c057);
+        let mut dense = IncrementalShapley::new(&ut, &[]);
+        let mut sparse = SparseShapley::new(&ut);
+        let mut local = vec![0u32; net.n_stations()];
+        let mut alive: Vec<usize> = Vec::new();
+        for step in 0..=steps {
+            let reference = ut.multicast_cost(&alive).to_bits();
+            prop_assert_eq!(dense.served_cost().to_bits(), reference,
+                "dense, {} n={} seed={} step {}", family.name(), n, seed, step);
+            prop_assert_eq!(sparse.served_cost().to_bits(), reference,
+                "sparse, {} n={} seed={} step {}", family.name(), n, seed, step);
+            if step == steps {
+                break;
+            }
+            let join = alive.is_empty()
+                || (alive.len() < all.len() && alive.len() + step + 1 < steps && rng.gen_bool(0.6));
+            if join {
+                let absent: Vec<usize> =
+                    all.iter().copied().filter(|x| !alive.contains(x)).collect();
+                let x = absent[rng.gen_range(0..absent.len())];
+                dense.add_receiver(x);
+                local[x] = sparse.add_receiver(x);
+                alive.push(x);
+            } else {
+                let x = alive.swap_remove(rng.gen_range(0..alive.len()));
+                dense.drop_receiver(x);
+                sparse.drop_receiver_local(local[x]);
+            }
+            alive.sort_unstable();
+        }
+        let hi = (scale * ut.multicast_cost(&all) / all.len() as f64).max(1e-6);
+        let mut dense_mc = NetWorthOracle::new(&ut, &vec![0.0; net.n_stations()]);
+        let mut sparse_mc = SparseNetWorth::new(&ut);
+        for step in 0..=steps {
+            let (set, _, cost) = dense_mc.efficient_set();
+            prop_assert_eq!(cost.to_bits(), ut.multicast_cost(&set).to_bits(),
+                "dense MC, {} n={} seed={} step {}", family.name(), n, seed, step);
+            let (set, _, cost) = sparse_mc.efficient_set();
+            prop_assert_eq!(cost.to_bits(), ut.multicast_cost(&set).to_bits(),
+                "sparse MC, {} n={} seed={} step {}", family.name(), n, seed, step);
+            let x = all[rng.gen_range(0..all.len())];
+            let utility = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..hi) };
+            dense_mc.set_utility(x, utility);
+            sparse_mc.set_utility(x, utility);
         }
     }
 
