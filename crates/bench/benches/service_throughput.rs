@@ -11,8 +11,9 @@
 //!   byte-identity reference the shard is gated against in T12);
 //! * `per_group_cold` — the pre-service status quo: per batch and per
 //!   group, a cold rebuild on the group's current state
-//!   ([`shapley_drop_run_from`] for Shapley groups, a fresh
-//!   [`NetWorthOracle`] + [`vcg_outcome`] for MC groups), reconstructed
+//!   ([`shapley_drop_run_from`] for Shapley groups, the one-shot
+//!   [`NetWorth::from_utilities`] + [`NetWorth::vcg_outcome`] for MC
+//!   groups), reconstructed
 //!   from sparse recorded states so the recording itself stays in
 //!   memory at G = 1024.
 //!
@@ -32,10 +33,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use wmcs_bench::harness::random_euclidean;
 use wmcs_geom::{ChurnEvent, MultiGroupProcess, MultiGroupTrace};
-use wmcs_wireless::incremental::{shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::vcg_outcome;
+use wmcs_wireless::incremental::shapley_drop_run_from;
 use wmcs_wireless::{
-    GroupMechanism, GroupSession, MulticastService, SessionLayout, SubstrateBuilder, TreeKind,
+    GroupMechanism, GroupSession, MulticastService, NetWorth, SubstrateBuilder, TreeKind,
     UniversalTree,
 };
 
@@ -141,9 +141,6 @@ fn record_cold_states(
                         s.reprice();
                         ColdState::Mc(state)
                     }
-                    GroupSession::SparseShapley(_) | GroupSession::SparseMc(_) => {
-                        unreachable!("GroupSession::new pins the dense layout")
-                    }
                 })
                 .collect()
         })
@@ -170,9 +167,8 @@ fn service_throughput(c: &mut Criterion) {
     let warmed_serial = warmed.clone().with_threads(1);
     let label = format!("G{g}_n{n}");
     eprintln!(
-        "service_throughput: warm session state {} bytes/group ({:?} layout via Auto)",
-        warmed.memory_bytes() / g,
-        SessionLayout::Auto.resolve(n)
+        "service_throughput: warm session state {} bytes/group",
+        warmed.memory_bytes() / g
     );
 
     group.bench_with_input(BenchmarkId::new("sharded", &label), &g, |b, _| {
@@ -230,7 +226,8 @@ fn service_throughput(c: &mut Criterion) {
                             for &(x, u) in stations {
                                 u_st[x] = u;
                             }
-                            served += vcg_outcome(&ut, &NetWorthOracle::new(&ut, &u_st))
+                            served += NetWorth::from_utilities(&ut, &u_st)
+                                .vcg_outcome()
                                 .receivers
                                 .len();
                             for &(x, _) in stations {

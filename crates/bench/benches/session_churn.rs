@@ -33,9 +33,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use wmcs_bench::harness::random_euclidean;
 use wmcs_geom::{ChurnProcess, ChurnTrace};
-use wmcs_wireless::incremental::{shapley_drop_run, shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::{vcg_outcome, McSession, ShapleySession};
-use wmcs_wireless::{SubstrateBuilder, TreeKind, UniversalTree};
+use wmcs_wireless::incremental::{shapley_drop_run, shapley_drop_run_from};
+use wmcs_wireless::session::{McSession, ShapleySession};
+use wmcs_wireless::{NetWorth, SubstrateBuilder, TreeKind, UniversalTree};
 
 /// Instance + trace shared by every variant at a given size: bids scaled
 /// to the per-player broadcast cost (the T10/T11 regime).
@@ -121,7 +121,7 @@ fn session_churn(c: &mut Criterion) {
         let mut profiles = Vec::with_capacity(trace.batches.len() - 1);
         for batch in &trace.batches[1..] {
             recorder.apply_events(batch);
-            profiles.push(recorder.station_utilities().to_vec());
+            profiles.push(recorder.station_utilities());
             recorder.reprice();
         }
         g.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {
@@ -138,7 +138,8 @@ fn session_churn(c: &mut Criterion) {
             b.iter(|| {
                 let mut served = 0usize;
                 for u in &profiles {
-                    served += vcg_outcome(&ut, &NetWorthOracle::new(&ut, u))
+                    served += NetWorth::from_utilities(&ut, u)
+                        .vcg_outcome()
                         .receivers
                         .len();
                 }

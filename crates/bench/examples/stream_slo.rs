@@ -9,16 +9,14 @@
 //! * **throughput** — the timed drive must sustain at least
 //!   `WMCS_STREAM_SLO_MIN` events/s (default 1 000 000; the env override
 //!   exists because CI containers are 1-core and heavily shared, see
-//!   `.github/workflows/ci.yml`). At n = 10⁵ the `SessionLayout::Auto`
-//!   default resolves every group to the **compact-frame (sparse)**
-//!   layout, so warm state is the member path closure (~397 KB/group,
-//!   ~1.6 GB total) instead of universe-sized vectors (~5.3 MB/group,
-//!   ~21 GB at full G — the old dense drive was memory-bound at ~0.65M
-//!   ev/s on the 1-core reference container against ~7.1M sparse on the
-//!   dev box; EXPERIMENTS.md records both sweeps);
+//!   `.github/workflows/ci.yml`). Every session is frame-local, so warm
+//!   state is the member path closure (~0.4 MB/group, ~1.7 GB total)
+//!   instead of universe-sized vectors (~5.3 MB/group, ~21 GB at full G);
+//!   EXPERIMENTS.md records the measured rates;
 //! * **memory** — warm bytes/group (printed from
 //!   [`StreamService::memory_bytes`]) must stay under a 512 KB ceiling,
-//!   pinning the ≥ 10× sparse saving against dense regressions;
+//!   pinning closure-sized warm state against any per-group array that
+//!   grows with n;
 //! * **accounting** — every submission is accepted (capacity 1024 >
 //!   watermark 512 means the queue can never saturate before sealing),
 //!   nothing is rejected or retried, and exactly one epoch seals per
@@ -26,11 +24,17 @@
 //! * **correctness spot-check** — a sampled Shapley group's epoch
 //!   outcome balances its budget, mirroring `examples/large_scale.rs`.
 //!
-//! Every group prices with Shapley: the MC mechanism's warm reprice
-//! re-runs its full selection walk (~8× a Shapley epoch at this n —
-//! EXPERIMENTS.md records the measured ratio), so an alternating mix
-//! would gate the pipeline on the mechanism, not the stream. T14 pins
-//! byte-identity for both mechanisms; this smoke pins the SLO.
+//! Every group prices with Shapley, so the drive gates the pipeline, not
+//! the MC mechanism's selection walk. T14 pins byte-identity for both
+//! mechanisms; this smoke pins the SLO.
+//!
+//! The drive is degenerate, and says so: every bid is at most the
+//! per-player broadcast cost, far below a member's root-path cost at
+//! this n, so warm-up evicts almost every member and the timed rebids
+//! mostly address evicted players (no-ops). The example prints how many
+//! members each group's last epoch serves next to the events/s figure;
+//! `perfbench/`'s served workloads are where served throughput is
+//! measured.
 //!
 //! Wall-clock timing here is informational + SLO gating only — it never
 //! flows into a byte-identity verdict, which is why `Instant` is allowed
@@ -62,10 +66,11 @@ const WATERMARK: usize = 512;
 const CAPACITY: usize = 1024;
 /// Epoch workers on the pool.
 const THREADS: usize = 2;
-/// Warm bytes/group ceiling: the compact-frame layout measures ~397 KB
-/// per group at MEMBERS = 32 (a ~5 200-station path closure — SPT paths
-/// under distance² costs are many-hop), against ~5.3 MB dense. The
-/// ceiling pins the ≥ 10× drop with headroom for deeper member draws.
+/// Warm bytes/group ceiling: a frame-local session holds ~0.4 MB per
+/// group at MEMBERS = 32 (a ~5 200-station path closure — SPT paths
+/// under distance² costs are many-hop), where universe-sized state
+/// would hold ~5.3 MB. The ceiling leaves headroom for deeper member
+/// draws.
 const MEMORY_CEILING: usize = 524_288;
 
 fn main() {
@@ -177,17 +182,15 @@ fn main() {
         );
     }
 
-    // Warm-memory SLO: n = 10⁵ ≥ SPARSE_AUTO_THRESHOLD, so Auto resolves
-    // every session to the compact-frame layout and per-group warm state
-    // tracks the member path closure, not the universe. The dense layout
-    // measures ~5.3 MB/group here (universe-sized vectors); the ceiling
-    // asserts the ≥ 10× drop with generous headroom.
+    // Warm-memory SLO: per-group warm state tracks the member path
+    // closure, not the universe (universe-sized vectors would hold
+    // ~5.3 MB/group here).
     let bytes_per_group = svc.memory_bytes() / G;
     println!("warm session state: {bytes_per_group} bytes/group (G = {G}, n = {N})");
     assert!(
         bytes_per_group <= MEMORY_CEILING,
         "warm state {bytes_per_group} B/group exceeds the {MEMORY_CEILING} B ceiling \
-         (dense-layout regression? Auto must resolve to Sparse at n = {N})"
+         (a per-group array sized by n = {N}?)"
     );
 
     // BB spot-check on the first Shapley group's sealed epoch.
@@ -199,11 +202,30 @@ fn main() {
         out.served_cost
     );
 
+    // What the drive served: the receivers of each group's last epoch,
+    // against the distinct members that joined.
+    let served: usize = report
+        .groups
+        .iter()
+        .filter_map(|gr| gr.epochs.last())
+        .map(|e| e.outcome.receivers.len())
+        .sum();
+    let joined: usize = members
+        .iter()
+        .map(|m| {
+            let mut m = m.clone();
+            m.sort_unstable();
+            m.dedup();
+            m.len()
+        })
+        .sum();
     println!(
         "streamed {EVENTS} events into {} epochs in {secs:.2}s — {:.0} events/s \
-         (SLO floor {slo_min:.0})",
+         (SLO floor {slo_min:.0}); last epochs serve {served} of {joined} joined \
+         members (served fraction {:.6})",
         report.n_epochs(),
-        throughput
+        throughput,
+        served as f64 / joined as f64
     );
     assert!(
         throughput >= slo_min,

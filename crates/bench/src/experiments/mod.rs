@@ -11,7 +11,6 @@ pub mod t11;
 pub mod t12;
 pub mod t13;
 pub mod t14;
-pub mod t15;
 pub mod t2;
 pub mod t3;
 pub mod t4;

@@ -25,8 +25,8 @@
 use crate::harness::{random_utilities, scenario_network};
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};
 use wmcs_geom::{LayoutFamily, Scenario, BB_TOL, EPS, VP_TOL};
-use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run_with_stats, NetWorthOracle};
-use wmcs_wireless::{NetWorthQueries, SubstrateBuilder, TreeKind};
+use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run_with_stats};
+use wmcs_wireless::{NetWorth, SubstrateBuilder, TreeKind};
 
 /// The T10 experiment (registered as `"T10"`).
 pub struct T10;
@@ -104,7 +104,7 @@ impl Experiment for T10 {
         for (p, &v) in u.iter().enumerate() {
             u_st[net.station_of_player(p)] = v;
         }
-        let oracle = NetWorthOracle::new(&ut, &u_st);
+        let mut oracle = NetWorth::from_utilities(&ut, &u_st);
         let (mc_stations, nw, _) = oracle.efficient_set();
         let mut mc_ok = true;
         for &x in &mc_stations {

@@ -15,7 +15,7 @@
 //! * at n ≤ 256, byte-identity of the warm Shapley allocation to a cold
 //!   engine rebuilt from scratch on the session's current receiver set
 //!   ([`shapley_drop_run_from`]), and of the warm MC outcome to a fresh
-//!   [`NetWorthOracle`] on the same bid vector.
+//!   [`NetWorth`] oracle on the same bid vector.
 //!
 //! As with T10, wall-clock is not a table column (rows must be
 //! deterministic); per-cell compute seconds live in the sweep JSON, and
@@ -25,9 +25,9 @@
 use crate::harness::scenario_network;
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};
 use wmcs_geom::{ChurnProcess, LayoutFamily, Scenario, BB_TOL, EPS, VP_TOL};
-use wmcs_wireless::incremental::{shapley_drop_run_from, NetWorthOracle};
-use wmcs_wireless::session::{vcg_outcome, McSession, ShapleySession};
-use wmcs_wireless::{SubstrateBuilder, TreeKind};
+use wmcs_wireless::incremental::shapley_drop_run_from;
+use wmcs_wireless::session::{McSession, ShapleySession};
+use wmcs_wireless::{NetWorth, SubstrateBuilder, TreeKind};
 
 /// Batches per trace (after the warm-up batch that joins half the
 /// universe).
@@ -134,7 +134,7 @@ impl Experiment for T11 {
                     .iter()
                     .all(|&p| eff.shares[p] <= mc_bids[p] + VP_TOL * (1.0 + mc_bids[p].abs()));
                 if scenario.n <= 256 {
-                    let cold = vcg_outcome(&ut, &NetWorthOracle::new(&ut, mc.station_utilities()));
+                    let cold = NetWorth::from_utilities(&ut, &mc.station_utilities()).vcg_outcome();
                     mc_ok &= cold.receivers == eff.receivers
                         && cold.shares == eff.shares
                         && cold.served_cost == eff.served_cost;

@@ -16,6 +16,8 @@
 //!   freshly built substrate** — outcomes must again be byte-identical
 //!   (cross-group isolation: no group's state ever leaks into another's
 //!   prices, and sharing the substrate is observationally invisible).
+//!   This is also the per-batch identity the retired T15 gated on the
+//!   same scenario matrix, now that every session is frame-local.
 //!
 //! On top of the identities the cell gates, after **every** batch:
 //! exact budget balance of each Shapley group's charges against its own

@@ -93,7 +93,6 @@ pub static REGISTRY: &[&dyn Experiment] = &[
     &crate::experiments::t12::T12,
     &crate::experiments::t13::T13,
     &crate::experiments::t14::T14,
-    &crate::experiments::t15::T15,
 ];
 
 /// Resolve an experiment by id (case-insensitive).

@@ -1,16 +1,16 @@
 //! The universal-tree marginal-cost (MC/VCG) mechanism (§2.1): efficient
 //! and strategyproof (not group strategyproof).
 //!
-//! Receiver selection maximises net worth via the `O(n)` bottom-up tree DP
-//! ([`wmcs_wireless::incremental::NetWorthOracle`], the index-set engine
-//! shared with the Shapley drop loop — no 64-player cap); payments are
-//! the VCG externalities `c_i = u_i − (NW(u) − NW(u_{-i}))`, equal under
-//! submodularity to the paper's form (3). The oracle answers each
-//! `NW(u_{-i})` query in `O(depth)` from one base DP, so a full run is
-//! `O(n + Σ depth)` instead of one `O(n)` DP per receiver.
+//! Receiver selection maximises net worth via the bottom-up tree DP
+//! ([`wmcs_wireless::NetWorth`], the warm oracle the live sessions keep,
+//! here over a frame grown to every station — no 64-player cap);
+//! payments are the VCG externalities `c_i = u_i − (NW(u) − NW(u_{-i}))`,
+//! equal under submodularity to the paper's form (3). The oracle answers
+//! each `NW(u_{-i})` query in `O(depth)` from one base DP, so a full run
+//! is `O(n log n + Σ depth)` instead of one `O(n)` DP per receiver.
 
 use wmcs_game::{Mechanism, MechanismOutcome};
-use wmcs_wireless::{vcg_outcome, McSession, NetWorthOracle, UniversalTree};
+use wmcs_wireless::{McSession, NetWorth, UniversalTree};
 
 /// The MC mechanism over a universal broadcast tree.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl UniversalMcMechanism {
     /// the warm-state engine that re-prices the VCG outcome across
     /// `Join`/`Leave`/`Rebid` batches, byte-identical to re-running
     /// [`Mechanism::run`] on the current bid vector after every batch
-    /// (both evaluate [`wmcs_wireless::vcg_outcome`]).
+    /// (both evaluate [`NetWorth::vcg_outcome`]).
     pub fn session(&self) -> McSession {
         McSession::new(&self.tree)
     }
@@ -63,7 +63,7 @@ impl Mechanism for UniversalMcMechanism {
         let u = self.utilities_by_station(reported);
         // The same evaluation path a live McSession's reprice uses, so
         // one-shot runs and warm sessions cannot diverge.
-        vcg_outcome(&self.tree, &NetWorthOracle::new(&self.tree, &u))
+        NetWorth::from_utilities(&self.tree, &u).vcg_outcome()
     }
 }
 

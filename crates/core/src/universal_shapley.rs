@@ -5,10 +5,11 @@
 //! submodular; the Shapley value is then a cross-monotonic method, and the
 //! Moulin–Shenker mechanism `M(Shapley)` is BB, group strategyproof and
 //! meets NPT, VP, CS \[37, 38\]. The run delegates to the incremental
-//! engine ([`wmcs_wireless::incremental`]) through the shared index-set
-//! drop-loop driver (`wmcs_game::run_drop_loop`): subtree receiver
-//! counts and active-children lists are maintained across rounds, so a
-//! full run costs `O(rounds · n + total dropped path length)` instead of
+//! engine ([`wmcs_wireless::incremental`], over a frame grown to every
+//! station) through the shared index-set drop-loop driver
+//! (`wmcs_game::run_drop_loop`): subtree receiver counts and
+//! active-children lists are maintained across rounds, so a full run
+//! costs `O(Σ path + rounds · n + total dropped path length)` instead of
 //! the naive `O(n³)` — there is no 64-player cap, and n ≈ 4096 instances
 //! run routinely (experiment T10).
 

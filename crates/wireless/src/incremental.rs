@@ -1,64 +1,64 @@
-//! Incremental Moulin–Shenker engine for universal-tree cost sharing.
+//! The warm engines behind both §2.1 universal-tree mechanisms, over a
+//! per-group frame of local ids.
 //!
 //! The Moulin–Shenker iteration over a universal tree repeatedly drops
-//! receivers who cannot afford their Shapley share. The naive driver
-//! rebuilds `T(R)` and redistributes every power increment from scratch
-//! each round — `O(n · depth)` per round and `O(n³)` worst case per
-//! mechanism run — which capped every sweep at n ≈ 8–64. This module
-//! keeps the run-long state *incremental*:
+//! receivers who cannot afford their Shapley share; the marginal-cost
+//! (VCG) mechanism needs the largest-efficient-set DP plus one "net worth
+//! with station `x`'s utility zeroed" per receiver. Both engines keep
+//! that state *incremental* and *closure-sized*: every array is indexed
+//! by the local ids of a [`Subframe`] — the grow-only path closure of
+//! every station the engine has seen (`DESIGN.md` §2f) — so a warm
+//! engine costs `O(|frame|)` bytes, never `O(n)`:
 //!
-//! * [`IncrementalShapley`] maintains, per station, the number of active
-//!   receivers in its subtree (`T(R)` membership is exactly
-//!   `rb[v] > 0`), plus the active children of every station as a
-//!   cost-ordered doubly-linked list. Dropping a receiver updates both
-//!   in `O(path to the root)`; a round's shares are one `O(|T(R)|)`
-//!   top-down pass that turns the paper's per-increment split (§2.1)
-//!   into prefix sums `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j`.
-//!   A full run therefore costs `O(rounds · |T(R)| + Σ dropped path
-//!   lengths)` — `O(n log n + total path length)` for the typical
-//!   logarithmic round count, `O(n²)` worst case, versus the naive
-//!   `O(n³)`.
-//! * [`NetWorthOracle`] runs the largest-efficient-set DP once and then
-//!   answers the MC/VCG queries "net worth with station `x`'s utility
-//!   zeroed" in `O(depth)` via per-station prefix/suffix maxima, instead
-//!   of one full `O(n)` DP per receiver.
-//!
-//! Both structures are also **mutable in place** — the substrate of the
-//! live sessions in [`crate::session`]:
+//! * [`Shapley`] keeps, per local station, the number of active receivers
+//!   in its subtree (`T(R)` membership is exactly `rb > 0`) and its
+//!   active children as a cost-ordered doubly-linked list. A round's
+//!   shares are one `O(|T(R)|)` top-down pass that turns the paper's
+//!   per-increment split (§2.1) into prefix sums
+//!   `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j`.
+//! * [`NetWorth`] keeps the bottom-up DP with per-station prefix/suffix
+//!   maxima, so each zeroing query costs `O(depth)` instead of a full
+//!   DP. Utility changes are batched: [`NetWorth::set_utility`] only
+//!   records the bid, and the next query repairs the union of the dirty
+//!   root paths once.
 //!
 //! | operation | cost | invariant |
 //! |---|---|---|
-//! | [`IncrementalShapley::drop_receiver`] | `O(depth)` | state equals a fresh build on the shrunken set |
-//! | [`IncrementalShapley::add_receiver`] | `O(depth + sibling scans)` | state equals a fresh build on the enlarged set |
-//! | [`IncrementalShapley::round_shares_by_station`] | `O(\|T(R)\|)` | the paper's §2.1 split on the current set |
-//! | [`IncrementalShapley::served_cost`] | `O(\|T(R)\| log \|T(R)\|)` | `UniversalTree::multicast_cost` of the current set, bit for bit |
-//! | [`NetWorthOracle::set_utility`] | `O(Σ deg over the dirty path prefix)` | every stored float equals a fresh DP's |
-//! | [`NetWorthOracle::net_worth_zeroing`] | `O(depth)` | agrees with a full DP on the zeroed profile |
+//! | [`Shapley::add_receiver`] | `O(path)` amortised | state equals a fresh engine on the enlarged set |
+//! | [`Shapley::drop_receiver`] | `O(depth)` | state equals a fresh engine on the shrunken set |
+//! | [`Shapley::round_shares_by_local`] | `O(\|T(R)\|)` | [`UniversalTree::shapley_shares`] on the current set, bit for bit |
+//! | [`Shapley::served_cost`] | `O(\|T(R)\| log \|T(R)\|)` | [`UniversalTree::multicast_cost`] of the current set, bit for bit |
+//! | [`NetWorth::set_utility`] | `O(path)` amortised (frame growth) | repair deferred to the next query |
+//! | first query after a batch | one kernel per station on the union of dirty root paths | every read float equals a fresh oracle's |
+//! | [`NetWorth::vcg_outcome`] | `O(\|R*\| log \|R*\|)` + `O(depth)` per bidding receiver | a fresh oracle's outcome, bit for bit |
 //!
-//! The "equals a fresh build" invariants are what make a warm session
+//! The "equals a fresh engine" invariants are what make a warm session
 //! *byte-identical* to a cold rebuild — the property suites
 //! (`tests/incremental_props.rs`, `tests/session_props.rs`) and
-//! experiments T10/T11 pin them.
-//!
-//! Both universal-tree mechanisms in `wmcs-mechanisms` delegate here,
-//! and the drop loop itself is the shared index-set driver
-//! [`wmcs_game::run_drop_loop`] (resumable variant:
+//! experiments T10/T11 pin them. One-shot runs are the same engines over
+//! a frame grown to every station: [`shapley_drop_run`] and
+//! `wmcs-mechanisms`' `UniversalMcMechanism` (via
+//! [`NetWorth::from_utilities`]). The drop loop itself is the shared
+//! index-set driver [`wmcs_game::run_drop_loop`] (resumable variant:
 //! [`wmcs_game::run_drop_loop_from`], used by [`shapley_drop_run_from`]
-//! and the sessions of both layouts) — the same iteration the
-//! mask-based [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so
-//! they cannot diverge on EPS conventions. [`reference_drop_run`]
-//! preserves the naive per-round recomputation as the correctness
-//! oracle; the property suite pins the incremental outcome to it byte
-//! for byte.
+//! and the sessions) — the same iteration the mask-based
+//! [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so they cannot
+//! diverge on EPS conventions. [`reference_drop_run`] preserves the naive
+//! per-round recomputation as the correctness oracle; the property suite
+//! pins the engine's outcome to it byte for byte.
 
 use crate::power::PowerAssignment;
-use crate::session::NetWorthQueries;
-use crate::substrate::{NodeId, NO_STATION};
+use crate::substrate::{grow_to, Subframe, TreeSubstrate};
 use crate::universal::UniversalTree;
 use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome};
 
-/// Local alias for the dense-array sentinel shared with the substrate.
-const NONE: usize = NO_STATION;
+/// Local alias for the frame's "no local station" sentinel.
+const NO_LOCAL: u32 = Subframe::NONE;
+
+/// The local id of a frame index (frames are capped below `u32::MAX`).
+fn local_id(l: usize) -> u32 {
+    u32::try_from(l).expect("frame ids fit u32")
+}
 
 /// Run statistics of one incremental drop-loop execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,94 +70,159 @@ pub struct DropStats {
     pub dropped: usize,
 }
 
-/// Incremental state of a Moulin–Shenker run over a universal tree:
-/// the active receiver set, `T(R)` membership via subtree receiver
-/// counts, and the active children of every station in ascending
-/// edge-cost order.
+/// Incremental state of a Moulin–Shenker run over a universal tree: the
+/// active receiver set, `T(R)` membership via subtree receiver counts,
+/// and the active children of every station in ascending edge-cost
+/// order — all over [`Subframe`] local ids.
+///
+/// Invariant (the byte-identity anchor): every active station is in the
+/// frame (the frame holds every member's root path), and the frame's
+/// child lists are the substrate's cost order restricted to the closure,
+/// so every traversal visits the same floats in the same order as a
+/// walk of the whole tree would.
 #[derive(Debug, Clone)]
-pub struct IncrementalShapley {
-    /// `O(1)`-clone handle on the shared substrate (parent array,
-    /// cost-sorted CSR children and BFS order all live there, once).
+pub struct Shapley {
     ut: UniversalTree,
-    /// Is the station an active receiver?
+    frame: Subframe,
+    /// Is the local station an active receiver?
     in_r: Vec<bool>,
-    /// Active receivers in the station's universal-tree subtree;
-    /// `rb[v] > 0` ⟺ `v ∈ T(R) \ {source}`. `u32` — counts are bounded
-    /// by the substrate's `n < u32::MAX` invariant, so the warm arrays
-    /// ride the same memory diet as the substrate's id state.
+    /// Active receivers in the local station's subtree; `rb[v] > 0` ⟺
+    /// `v ∈ T(R)`.
     rb: Vec<u32>,
-    /// Intrusive cost-ordered list of each station's children with
-    /// `rb > 0` (`first_child[x]` → `next_sib` chain; `prev_sib` makes
-    /// unlinking O(1)). Compact [`NodeId`] links, [`NodeId::NONE`] ends
-    /// a chain — half the bytes of the former `usize` layout.
-    first_child: Vec<NodeId>,
-    next_sib: Vec<NodeId>,
-    prev_sib: Vec<NodeId>,
-    /// Scratch: accumulated root-path share prefix per station.
+    /// Intrusive cost-ordered list of each local station's children with
+    /// `rb > 0`, in local ids ([`Subframe::NONE`] ends a chain).
+    first_child: Vec<u32>,
+    next_sib: Vec<u32>,
+    prev_sib: Vec<u32>,
+    /// Accumulated root-path share prefix per local station; after a
+    /// round pass, an active receiver's entry is its share.
     down: Vec<f64>,
-    /// Scratch: per-station shares of the last round.
-    shares: Vec<f64>,
-    /// Scratch: DFS stack.
-    stack: Vec<usize>,
+    /// Scratch: DFS stack of local ids.
+    stack: Vec<u32>,
     rounds: usize,
 }
 
-impl IncrementalShapley {
-    /// Engine over `receivers` (station indices; the source is not a
-    /// receiver). Construction is `O(n)`; the per-universe state (parent
-    /// array, sorted children, BFS order) is borrowed from the shared
-    /// substrate, so G engines over one universe allocate only their
-    /// per-group vectors.
-    pub fn new(ut: &UniversalTree, receivers: &[usize]) -> Self {
-        let sub = ut.substrate();
-        let net = ut.network();
-        let n = net.n_stations();
-        let s = net.source();
-        let mut in_r = vec![false; n];
-        for &r in receivers {
-            assert!(r != s, "the source cannot be a receiver");
-            in_r[r] = true;
-        }
-        // Subtree receiver counts, children before parents.
-        let mut rb = vec![0u32; n];
-        for &v in sub.bfs_order().iter().rev() {
-            let v = v.index();
-            let mut cnt = u32::from(in_r[v]);
-            for &y in sub.sorted_children(v) {
-                cnt += rb[y.index()];
-            }
-            rb[v] = cnt;
-        }
-        // Link the active children of every station in cost order.
-        let mut first_child = vec![NodeId::NONE; n];
-        let mut next_sib = vec![NodeId::NONE; n];
-        let mut prev_sib = vec![NodeId::NONE; n];
-        for v in 0..n {
-            let mut prev = NodeId::NONE;
-            for &y in sub.sorted_children(v) {
-                if rb[y.index()] == 0 {
-                    continue;
-                }
-                if prev.is_none() {
-                    first_child[v] = y;
-                } else {
-                    next_sib[prev.index()] = y;
-                }
-                prev_sib[y.index()] = prev;
-                prev = y;
-            }
-        }
+impl Shapley {
+    /// An empty engine over `ut` (nobody served; the frame is just the
+    /// source). `O(1)`: no universe-sized allocation ever happens.
+    pub fn new(ut: &UniversalTree) -> Self {
         Self {
             ut: ut.clone(),
-            in_r,
-            rb,
-            first_child,
-            next_sib,
-            prev_sib,
-            down: vec![0.0; n],
-            shares: vec![0.0; n],
-            stack: Vec::with_capacity(n),
+            frame: Subframe::new(ut.substrate()),
+            in_r: vec![false],
+            rb: vec![0],
+            first_child: vec![NO_LOCAL],
+            next_sib: vec![NO_LOCAL],
+            prev_sib: vec![NO_LOCAL],
+            down: vec![0.0],
+            stack: Vec::new(),
             rounds: 0,
+        }
+    }
+
+    /// Grow the parallel arrays to the frame's current length (new locals
+    /// start inactive and unlinked: no receiver below them).
+    fn sync_frame(&mut self) {
+        let len = self.frame.len();
+        if self.in_r.len() < len {
+            grow_to(&mut self.in_r, len, false);
+            grow_to(&mut self.rb, len, 0);
+            grow_to(&mut self.first_child, len, NO_LOCAL);
+            grow_to(&mut self.next_sib, len, NO_LOCAL);
+            grow_to(&mut self.prev_sib, len, NO_LOCAL);
+            grow_to(&mut self.down, len, 0.0);
+        }
+    }
+
+    /// Add receiver `station`, growing the frame by its out-of-frame
+    /// root-path suffix if needed, and return the station's local id
+    /// (stable for the engine's lifetime — the frame is append-only):
+    /// increment the subtree counts on its root path and splice stations
+    /// whose subtree just became non-empty into their parent's active
+    /// children at the cost-ordered position. `O(path + Σ sibling
+    /// scans)`; the state equals a fresh engine on the enlarged set.
+    pub fn add_receiver(&mut self, station: usize) -> u32 {
+        assert!(
+            station != self.ut.network().source(),
+            "the source cannot be a receiver"
+        );
+        let v = self.frame.ensure(self.ut.substrate(), station);
+        self.sync_frame();
+        debug_assert!(
+            !self.in_r[v as usize],
+            "station {station} is already an active receiver"
+        );
+        self.in_r[v as usize] = true;
+        let mut w = v;
+        loop {
+            self.rb[w as usize] += 1;
+            let p = self.frame.parent_local(w);
+            if p == NO_LOCAL {
+                break;
+            }
+            if self.rb[w as usize] == 1 {
+                // w entered T(R): splice it in after its nearest active
+                // cost-order predecessor — the last in-frame sibling
+                // before w's position with rb > 0 (active stations are
+                // always in frame).
+                let wpos = self.frame.pos_in_parent(w);
+                let mut pr = NO_LOCAL;
+                for c in self.frame.children(p) {
+                    if self.frame.pos_in_parent(c) >= wpos {
+                        break;
+                    }
+                    if self.rb[c as usize] > 0 {
+                        pr = c;
+                    }
+                }
+                let nx = if pr == NO_LOCAL {
+                    self.first_child[p as usize]
+                } else {
+                    self.next_sib[pr as usize]
+                };
+                self.prev_sib[w as usize] = pr;
+                self.next_sib[w as usize] = nx;
+                if pr == NO_LOCAL {
+                    self.first_child[p as usize] = w;
+                } else {
+                    self.next_sib[pr as usize] = w;
+                }
+                if nx != NO_LOCAL {
+                    self.prev_sib[nx as usize] = w;
+                }
+            }
+            w = p;
+        }
+        v
+    }
+
+    /// Drop the receiver at local id `v` (obtained from
+    /// [`Shapley::add_receiver`]): decrement the subtree counts on its
+    /// root path and unlink stations whose subtree just emptied.
+    /// `O(depth)`.
+    pub fn drop_receiver(&mut self, v: u32) {
+        debug_assert!(self.in_r[v as usize], "local {v} is not an active receiver");
+        self.in_r[v as usize] = false;
+        let mut w = v;
+        loop {
+            self.rb[w as usize] -= 1;
+            let p = self.frame.parent_local(w);
+            if p == NO_LOCAL {
+                break;
+            }
+            if self.rb[w as usize] == 0 {
+                // w left T(R): unlink it from p's active children.
+                let (pr, nx) = (self.prev_sib[w as usize], self.next_sib[w as usize]);
+                if pr == NO_LOCAL {
+                    self.first_child[p as usize] = nx;
+                } else {
+                    self.next_sib[pr as usize] = nx;
+                }
+                if nx != NO_LOCAL {
+                    self.prev_sib[nx as usize] = pr;
+                }
+            }
+            w = p;
         }
     }
 
@@ -167,33 +232,28 @@ impl IncrementalShapley {
     /// `δ_i = c(x,y_i) − c(x,y_{i−1})` is worth `δ_i / users_i` to every
     /// receiver below `y_i … y_k`, so the accumulated prefix
     /// `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j` *is* the share of
-    /// every receiver whose root path enters `x` through `y_i`.
-    /// Returns per-station shares (stale entries outside the active set
-    /// are not cleared; callers index by active receivers only).
-    /// Each receiver's entry is [`UniversalTree::shapley_shares`]'s bit
-    /// for bit — the same slices `δ_i / users_i` (`δ ≤ 0` skipped) added
-    /// to `+0.0` root first — so the drop loop charges its fixpoint round.
-    pub fn round_shares_by_station(&mut self) -> &[f64] {
+    /// every receiver whose root path enters `x` through `y_i`. Returns
+    /// `down` by **local** id: an active receiver's entry is its share
+    /// (entries outside the active set are stale). Each receiver's entry
+    /// is [`UniversalTree::shapley_shares`]'s bit for bit — the same
+    /// slices `δ_i / users_i` (`δ ≤ 0` skipped) added to `+0.0` root first
+    /// — so the drop loop charges its fixpoint round.
+    pub fn round_shares_by_local(&mut self) -> &[f64] {
         self.rounds += 1;
-        let sub = self.ut.substrate().clone();
-        let net = sub.network();
-        let s = net.source();
-        self.down[s] = 0.0;
+        self.down[Subframe::ROOT as usize] = 0.0;
         self.stack.clear();
-        self.stack.push(s);
+        self.stack.push(Subframe::ROOT);
         while let Some(x) = self.stack.pop() {
-            if self.in_r[x] {
-                self.shares[x] = self.down[x];
-            }
+            let xi = x as usize;
             // Receivers strictly below x: its own subtree count minus x.
-            let mut remaining = self.rb[x] - u32::from(self.in_r[x]);
+            let mut remaining = self.rb[xi] - u32::from(self.in_r[xi]);
             let mut prev_cost = 0.0;
-            let mut acc = self.down[x];
-            let mut y = self.first_child[x];
-            while !y.is_none() {
-                let yi = y.index();
-                // Cached tree-edge cost — bit-identical to net.cost(x, y).
-                let cost = sub.parent_cost(yi);
+            let mut acc = self.down[xi];
+            let mut y = self.first_child[xi];
+            while y != NO_LOCAL {
+                let yi = y as usize;
+                // Frame-cached edge cost — bit-identical to net.cost(x, y).
+                let cost = self.frame.parent_cost(y);
                 let delta = cost - prev_cost;
                 prev_cost = cost;
                 if delta > 0.0 {
@@ -202,126 +262,36 @@ impl IncrementalShapley {
                 }
                 self.down[yi] = acc;
                 remaining -= self.rb[yi];
-                self.stack.push(yi);
+                self.stack.push(y);
                 y = self.next_sib[yi];
             }
         }
-        &self.shares
-    }
-
-    /// Drop receiver `r`: decrement the subtree counts on its root path
-    /// and unlink stations whose subtree just emptied. `O(depth of r)`.
-    pub fn drop_receiver(&mut self, r: usize) {
-        debug_assert!(self.in_r[r], "station {r} is not an active receiver");
-        self.in_r[r] = false;
-        let sub = self.ut.substrate().clone();
-        let mut v = r;
-        loop {
-            self.rb[v] -= 1;
-            let p = sub.parent_of(v);
-            if p == NONE {
-                break;
-            }
-            if self.rb[v] == 0 {
-                // v left T(R): unlink it from p's active children.
-                let (pr, nx) = (self.prev_sib[v], self.next_sib[v]);
-                if pr.is_none() {
-                    self.first_child[p] = nx;
-                } else {
-                    self.next_sib[pr.index()] = nx;
-                }
-                if !nx.is_none() {
-                    self.prev_sib[nx.index()] = pr;
-                }
-            }
-            v = p;
-        }
-    }
-
-    /// Add receiver `r` (the inverse of [`IncrementalShapley::drop_receiver`],
-    /// used by live sessions to serve `Join` events from warm state):
-    /// increment the subtree counts on its root path and splice stations
-    /// whose subtree just became non-empty into their parent's
-    /// active-children list at the cost-ordered position. `O(depth of r +
-    /// Σ sibling scans)`; the resulting state is identical to rebuilding
-    /// the engine from scratch on the enlarged receiver set, which is what
-    /// keeps a warm session byte-identical to a cold start.
-    pub fn add_receiver(&mut self, r: usize) {
-        debug_assert!(!self.in_r[r], "station {r} is already an active receiver");
-        assert!(
-            r != self.ut.network().source(),
-            "the source cannot be a receiver"
-        );
-        let sub = self.ut.substrate().clone();
-        self.in_r[r] = true;
-        let mut v = r;
-        loop {
-            self.rb[v] += 1;
-            let p = sub.parent_of(v);
-            if p == NONE {
-                break;
-            }
-            if self.rb[v] == 1 {
-                // v entered T(R): splice it into p's active children just
-                // after its nearest active cost-order predecessor.
-                let kids = sub.sorted_children(p);
-                let mut pr = NodeId::NONE;
-                for &y in kids[..sub.pos_in_parent(v)].iter().rev() {
-                    if self.rb[y.index()] > 0 {
-                        pr = y;
-                        break;
-                    }
-                }
-                let nx = if pr.is_none() {
-                    self.first_child[p]
-                } else {
-                    self.next_sib[pr.index()]
-                };
-                let vid = NodeId::from_index(v);
-                self.prev_sib[v] = pr;
-                self.next_sib[v] = nx;
-                if pr.is_none() {
-                    self.first_child[p] = vid;
-                } else {
-                    self.next_sib[pr.index()] = vid;
-                }
-                if !nx.is_none() {
-                    self.prev_sib[nx.index()] = vid;
-                }
-            }
-            v = p;
-        }
+        &self.down
     }
 
     /// The served cost `C_T(R)` of the current receiver set, read off the
     /// warm `T(R)`: every station with active children emits the cost of
     /// the last (costliest) one, and `PowerAssignment::total_cost_of`
-    /// sums those powers in ascending station id — bit for bit
+    /// sums those powers in ascending **global** station id — bit for bit
     /// [`UniversalTree::multicast_cost`] on the active stations.
     /// `O(|T(R)| log |T(R)|)`.
     pub fn served_cost(&mut self) -> f64 {
-        let sub = self.ut.substrate();
         let mut powers = Vec::new();
         self.stack.clear();
-        self.stack.push(sub.network().source());
+        self.stack.push(Subframe::ROOT);
         while let Some(x) = self.stack.pop() {
-            let mut last = NodeId::NONE;
-            let mut y = self.first_child[x];
-            while !y.is_none() {
-                self.stack.push(y.index());
+            let mut last = NO_LOCAL;
+            let mut y = self.first_child[x as usize];
+            while y != NO_LOCAL {
+                self.stack.push(y);
                 last = y;
-                y = self.next_sib[y.index()];
+                y = self.next_sib[y as usize];
             }
-            if !last.is_none() {
-                powers.push((x, sub.parent_cost(last.index())));
+            if last != NO_LOCAL {
+                powers.push((self.frame.global_of(x), self.frame.parent_cost(last), ()));
             }
         }
         PowerAssignment::total_cost_of(&mut powers)
-    }
-
-    /// Is station `v` currently an active receiver?
-    pub fn is_active(&self, v: usize) -> bool {
-        self.in_r[v]
     }
 
     /// Rounds executed so far.
@@ -329,45 +299,51 @@ impl IncrementalShapley {
         self.rounds
     }
 
-    /// Heap bytes of this engine's per-session state. The shared
-    /// substrate is *excluded*: it is allocated once per universe, not
-    /// per group, which is exactly the accounting the memory-diet
-    /// experiments need (`G` engines over one universe pay `G ×` this
-    /// figure plus one substrate).
+    /// Closure size (local stations, including the source).
+    pub fn frame_len(&self) -> usize {
+        self.frame.len()
+    }
+
+    /// Heap bytes of the warm state: the frame plus every local-id array
+    /// (the shared substrate is excluded — it is per universe, not per
+    /// group).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.in_r.capacity() * size_of::<bool>()
-            + self.rb.capacity() * size_of::<u32>()
-            + (self.first_child.capacity() + self.next_sib.capacity() + self.prev_sib.capacity())
-                * size_of::<NodeId>()
-            + (self.down.capacity() + self.shares.capacity()) * size_of::<f64>()
-            + self.stack.capacity() * size_of::<usize>()
+        self.frame.memory_bytes()
+            + self.in_r.capacity() * size_of::<bool>()
+            + (self.rb.capacity()
+                + self.first_child.capacity()
+                + self.next_sib.capacity()
+                + self.prev_sib.capacity()
+                + self.stack.capacity())
+                * size_of::<u32>()
+            + self.down.capacity() * size_of::<f64>()
     }
 }
 
-/// Coalition-indexed [`DropLoopMethod`] over a borrowed incremental
-/// engine: position `i` of the driver's coalition is station
-/// `stations[i]`. Borrowing (rather than owning) the engine is what lets
-/// a live session ([`crate::session::ShapleySession`]) keep the same
-/// engine warm across many drop-loop runs.
-pub(crate) struct PlayerAdapter<'e> {
-    pub(crate) engine: &'e mut IncrementalShapley,
-    pub(crate) stations: &'e [usize],
+/// Coalition-indexed [`DropLoopMethod`] over a borrowed engine: position
+/// `i` of the driver's coalition is local station `locals[i]`. Borrowing
+/// (rather than owning) the engine is what lets a live session
+/// ([`crate::session::ShapleySession`]) keep it warm across many
+/// drop-loop runs.
+pub(crate) struct Adapter<'e> {
+    pub(crate) engine: &'e mut Shapley,
+    pub(crate) locals: &'e [u32],
 }
 
-impl DropLoopMethod for PlayerAdapter<'_> {
+impl DropLoopMethod for Adapter<'_> {
     fn n_players(&self) -> usize {
         self.engine.ut.network().n_players()
     }
 
     fn round_shares_into(&mut self, out: &mut Vec<f64>) {
-        let by_station = self.engine.round_shares_by_station();
+        let by_local = self.engine.round_shares_by_local();
         out.clear();
-        out.extend(self.stations.iter().map(|&x| by_station[x]));
+        out.extend(self.locals.iter().map(|&l| by_local[l as usize]));
     }
 
     fn drop_player(&mut self, i: usize) {
-        self.engine.drop_receiver(self.stations[i]);
+        self.engine.drop_receiver(self.locals[i]);
     }
 
     fn served_cost(&mut self) -> f64 {
@@ -375,9 +351,21 @@ impl DropLoopMethod for PlayerAdapter<'_> {
     }
 }
 
-/// Run `M(Shapley)` over a universal tree with the incremental engine.
-/// Equivalent to [`reference_drop_run`] (property-tested byte for byte),
-/// with no 64-player cap.
+/// A fresh engine with `players` joined, and each player's local id.
+fn engine_on(ut: &UniversalTree, players: &[usize]) -> (Shapley, Vec<u32>) {
+    let net = ut.network();
+    let mut engine = Shapley::new(ut);
+    let locals = players
+        .iter()
+        .map(|&p| engine.add_receiver(net.station_of_player(p)))
+        .collect();
+    (engine, locals)
+}
+
+/// Run `M(Shapley)` over a universal tree with the incremental engine
+/// over a frame grown to every station. Equivalent to
+/// [`reference_drop_run`] (property-tested byte for byte), with no
+/// 64-player cap.
 pub fn shapley_drop_run(ut: &UniversalTree, reported: &[f64]) -> MechanismOutcome {
     shapley_drop_run_with_stats(ut, reported).0
 }
@@ -387,13 +375,12 @@ pub fn shapley_drop_run_with_stats(
     ut: &UniversalTree,
     reported: &[f64],
 ) -> (MechanismOutcome, DropStats) {
-    // Player p's station is the p-th non-source station.
-    let stations = ut.network().non_source_stations();
-    let mut engine = IncrementalShapley::new(ut, &stations);
+    let players: Vec<usize> = (0..ut.network().n_players()).collect();
+    let (mut engine, locals) = engine_on(ut, &players);
     let out = run_drop_loop(
-        &mut PlayerAdapter {
+        &mut Adapter {
             engine: &mut engine,
-            stations: &stations,
+            locals: &locals,
         },
         reported,
     );
@@ -417,14 +404,12 @@ pub fn shapley_drop_run_from(
     reported: &[f64],
     players: &[usize],
 ) -> MechanismOutcome {
-    let net = ut.network();
-    let stations: Vec<usize> = players.iter().map(|&p| net.station_of_player(p)).collect();
+    let (mut engine, locals) = engine_on(ut, players);
     let bids: Vec<f64> = players.iter().map(|&p| reported[p]).collect();
-    let mut engine = IncrementalShapley::new(ut, &stations);
     run_drop_loop_from(
-        &mut PlayerAdapter {
+        &mut Adapter {
             engine: &mut engine,
-            stations: &stations,
+            locals: &locals,
         },
         &bids,
         players,
@@ -475,224 +460,397 @@ pub fn reference_drop_run(ut: &UniversalTree, reported: &[f64]) -> MechanismOutc
 }
 
 /// The largest-efficient-set DP (§2.1) with `O(depth)` re-query after
-/// zeroing one station's utility — the inner loop of the MC/VCG
-/// mechanism, which needs `NW(u_{−i})` for every receiver `i`.
+/// zeroing one station's utility — the MC/VCG mechanism, which needs
+/// `NW(u_{−i})` for every receiver `i`, over a frame holding the
+/// grow-only path closure of every station that ever carried a bid.
 ///
-/// The bottom-up pass stores, per station, the prefix sums
-/// `val_j = Σ_{i≤j} h(y_i) − c(x, y_j)` folded into prefix maxima
-/// (`pre[j] = max(0, val_0 … val_{j−1})`) and suffix maxima
-/// (`suf[j] = max(val_j … val_{k−1})`). Zeroing a station shifts every
-/// `val_j` of its parent with `j ≥ pos` by the same `δ = h' − h`, so the
-/// parent's new best prefix is `max(pre[pos], suf[pos] + δ)` — `O(1)`
-/// per ancestor instead of `O(children)`.
+/// Per local station the DP stores `h` (best net worth of the subtree
+/// game), the chosen prefix value `best` and length `choice` over the
+/// **global** cost-sorted child slice, and — at each station's own edge
+/// — the prefix/suffix maxima of its parent's raw values
+/// `val_j = Σ_{i≤j} h(y_i) − c(x, y_j)`: `pre = max(0, val_0 …
+/// val_{pos−1})`, `suf = max(val_pos … val_{k−1})`. Zeroing a station
+/// shifts every `val_j` of its parent with `j ≥ pos` by the same
+/// `δ = h' − h`, so the parent's new best prefix is
+/// `max(pre, suf + δ)` — `O(1)` per ancestor. Comparisons are exact
+/// (total order, larger prefix only on true ties).
 ///
-/// Value comparisons are exact (total order, larger prefix only on true
-/// ties), fixing the EPS drift that could return a set disagreeing with
-/// the reported net worth.
+/// Out-of-frame stations carry zero utility and have no in-frame
+/// descendant, so their DP state is *exactly* `h = best = 0.0`, with
+/// `choice` their leading run of zero-cost children; the kernel scans all
+/// global children of an in-frame station, and out-of-frame ones
+/// contribute an exact `+0.0`. So every stored `h` is the same float
+/// whatever the frame holds.
+///
+/// **Batched repair.** [`NetWorth::set_utility`] stores the bid and marks
+/// the station (and every new frame local) dirty; the first query after
+/// it runs the per-station kernel once per dirty station in descending
+/// local id — children before parents, because [`Subframe::ensure`]
+/// appends path suffixes top-down — and marks a parent only when a
+/// child's `h` changed bits. `h` is never `−0.0` or NaN (prefix sums start
+/// at `+0.0`; `max` drops NaN), so the bit test agrees with `==`. Each
+/// kernel is a pure function of its children's `h`, its utility and the
+/// cached costs, so the flushed state equals a fresh oracle's fed the
+/// same utilities; a `pre`/`suf` pair goes stale only while its station's
+/// `h` is `+0.0`, and the zeroing walk never reads such a pair (see the
+/// argument in `DESIGN.md` §2f).
 #[derive(Debug, Clone)]
-pub struct NetWorthOracle {
-    /// `O(1)`-clone handle on the shared substrate.
+pub struct NetWorth {
     ut: UniversalTree,
-    /// Utilities by station, as given (the DP clamps at 0 on use).
+    frame: Subframe,
+    /// Utilities by local station, as given (the DP clamps at 0 on use).
     u: Vec<f64>,
     /// `h[v]`: best net worth of the subtree game rooted at `v`.
     h: Vec<f64>,
     /// The chosen best prefix value at `v` (`h[v] = own(v) + best[v]`).
     best: Vec<f64>,
-    /// Chosen prefix length at `v` (0 = serve no child branch). `u32` —
-    /// bounded by the station's degree, so it rides the same memory diet
-    /// as the link arrays.
+    /// Chosen prefix length at `v` over its **global** child slice.
     choice: Vec<u32>,
-    /// `pre[offset(v) + j] = max(0, val_0 … val_{j−1})` — flat per-edge
-    /// array indexed through the substrate's CSR offsets (one allocation
-    /// instead of a `Vec<Vec<f64>>` per oracle; the substrate refactor's
-    /// memory layout applied to the DP state).
+    /// `pre[v] = max(0, val_0 … val_{pos(v)−1})` at `v`'s own edge in its
+    /// parent's slice — written by the parent's kernel.
     pre: Vec<f64>,
-    /// `suf[offset(v) + j] = max(val_j … val_{k−1})`, same flat layout.
+    /// `suf[v] = max(val_{pos(v)} … val_{k−1})`, same convention.
     suf: Vec<f64>,
+    /// Locals whose kernel the next query runs first.
+    dirty: Vec<bool>,
+    /// One past the highest dirty local (0: nothing pending).
+    dirty_end: usize,
+    /// Scratch: raw prefix values over one station's global child slice.
+    scratch: Vec<f64>,
+    /// Scratch: one station's in-frame children (the kernel needs them
+    /// indexable while it mutates `pre`/`suf`).
+    fkids: Vec<u32>,
 }
 
-impl NetWorthOracle {
-    /// Run the bottom-up DP once: `O(n)`.
-    pub fn new(ut: &UniversalTree, u: &[f64]) -> Self {
-        let sub = ut.substrate().clone();
-        let n = sub.network().n_stations();
-        assert_eq!(u.len(), n);
-        let n_edges = sub.n_edges();
-        let mut oracle = Self {
+impl NetWorth {
+    /// An empty oracle over `ut` (all utilities zero; the frame is just
+    /// the source, whose kernel the first query runs).
+    pub fn new(ut: &UniversalTree) -> Self {
+        Self {
             ut: ut.clone(),
-            u: u.to_vec(),
-            h: vec![0.0f64; n],
-            best: vec![0.0f64; n],
-            choice: vec![0u32; n],
-            pre: vec![0.0f64; n_edges],
-            suf: vec![f64::NEG_INFINITY; n_edges],
-        };
-        for &v in sub.bfs_order().iter().rev() {
-            oracle.recompute_station(&sub, v.index());
+            frame: Subframe::new(ut.substrate()),
+            u: vec![0.0],
+            h: vec![0.0],
+            best: vec![0.0],
+            choice: vec![0],
+            pre: vec![0.0],
+            suf: vec![f64::NEG_INFINITY],
+            dirty: vec![true],
+            dirty_end: 1,
+            scratch: Vec::new(),
+            fkids: Vec::new(),
+        }
+    }
+
+    /// A cold oracle over a frame grown to every station, fed the
+    /// station-indexed utilities `u` (the source entry is ignored) — the
+    /// one-shot MC run, and the fresh reference a warm session is pinned
+    /// to.
+    pub fn from_utilities(ut: &UniversalTree, u: &[f64]) -> Self {
+        let s = ut.network().source();
+        assert_eq!(
+            u.len(),
+            ut.network().n_stations(),
+            "one utility per station"
+        );
+        let mut oracle = Self::new(ut);
+        for (x, &ux) in u.iter().enumerate() {
+            if x != s {
+                oracle.set_utility(x, ux);
+            }
         }
         oracle
     }
 
-    /// Recompute every stored DP quantity at station `v` from its
-    /// children's current `h` values — the per-station kernel shared by
-    /// the full bottom-up pass ([`NetWorthOracle::new`]) and the `O(path)`
-    /// utility update ([`NetWorthOracle::set_utility`]). Sharing one
-    /// kernel is what makes an updated oracle *byte-identical* to a
-    /// freshly built one: both run the same arithmetic on the same
-    /// inputs. `O(children of v)`.
-    fn recompute_station(&mut self, sub: &crate::substrate::TreeSubstrate, v: usize) {
-        let net = sub.network();
-        let s = net.source();
-        let kids = sub.sorted_children(v);
-        let k = kids.len();
-        let base = sub.csr_offset(v);
-        let own = if v == s { 0.0 } else { self.u[v].max(0.0) };
-        // Raw prefix values go into the suf slice first (it is rewritten
-        // into suffix maxima in place below), so no per-call allocation.
-        let mut acc = 0.0f64;
-        for (j, &y) in kids.iter().enumerate() {
-            let y = y.index();
-            acc += self.h[y];
-            // Cached tree-edge cost — bit-identical to net.cost(v, y).
-            self.suf[base + j] = acc - sub.parent_cost(y);
+    /// Replace `station`'s utility. An unseen station first splices its
+    /// root-path suffix into the frame; the DP repair waits for the next
+    /// query, which runs each dirty kernel once.
+    pub fn set_utility(&mut self, station: usize, utility: f64) {
+        assert!(
+            station != self.ut.network().source(),
+            "the source has no utility"
+        );
+        let v = self.frame.ensure(self.ut.substrate(), station) as usize;
+        let len = self.frame.len();
+        if self.u.len() < len {
+            grow_to(&mut self.u, len, 0.0);
+            grow_to(&mut self.h, len, 0.0);
+            grow_to(&mut self.best, len, 0.0);
+            grow_to(&mut self.choice, len, 0);
+            grow_to(&mut self.pre, len, 0.0);
+            grow_to(&mut self.suf, len, f64::NEG_INFINITY);
+            // New locals run their kernel too.
+            grow_to(&mut self.dirty, len, true);
+            self.dirty_end = len;
         }
+        self.u[v] = utility;
+        self.dirty[v] = true;
+        self.dirty_end = self.dirty_end.max(v + 1);
+    }
+
+    /// Run every pending kernel once, in descending local id — children
+    /// before parents, since a parent's id is below its children's; a
+    /// station whose `h` changed bits marks its parent.
+    fn flush(&mut self) {
+        let ut = self.ut.clone();
+        for v in (0..std::mem::take(&mut self.dirty_end)).rev() {
+            if !std::mem::take(&mut self.dirty[v]) {
+                continue;
+            }
+            let before = self.h[v].to_bits();
+            self.recompute(ut.substrate(), local_id(v));
+            if v != 0 && self.h[v].to_bits() != before {
+                self.dirty[self.frame.parent_local(local_id(v)) as usize] = true;
+            }
+        }
+    }
+
+    /// The per-station kernel: recompute `h`/`best`/`choice` at local `v`
+    /// and write the `pre`/`suf` entries of `v`'s **in-frame** children.
+    /// Scans all global children of `v` — out-of-frame ones contribute
+    /// their exact `h = 0.0`. `O(global degree of v)`.
+    fn recompute(&mut self, sub: &TreeSubstrate, v: u32) {
+        let kids_g = sub.sorted_children(self.frame.global_of(v));
+        let k = kids_g.len();
+        let mut fkids = std::mem::take(&mut self.fkids);
+        fkids.clear();
+        fkids.extend(self.frame.children(v));
+        let nf = fkids.len();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        // Raw prefix values val_j = Σ_{i≤j} h(y_i) − c(v, y_j).
+        let mut acc = 0.0f64;
+        let mut fi = 0usize;
+        for (j, &y) in kids_g.iter().enumerate() {
+            let mut hy = 0.0;
+            if fi < nf {
+                let c = fkids[fi];
+                if self.frame.pos_in_parent(c) as usize == j {
+                    hy = self.h[c as usize];
+                    fi += 1;
+                }
+            }
+            acc += hy;
+            scratch.push(acc - sub.parent_cost(y.index()));
+        }
+        debug_assert_eq!(fi, nf, "every in-frame child sits in the global slice");
         // Exact total order on value; larger prefix on true ties.
         let mut b = 0.0f64;
         let mut bj = 0usize;
-        for j in 0..k {
-            let val = self.suf[base + j];
+        for (j, &val) in scratch.iter().enumerate() {
             if val >= b {
                 b = val;
                 bj = j + 1;
             }
         }
-        // pre[j] = max(0, val_0 … val_{j−1}): running maximum.
+        // pre[c] = max(0, val_0 … val_{pos(c)−1}): running maximum,
+        // recorded at each in-frame child's own slot.
         let mut run = 0.0f64;
-        for j in 0..k {
-            self.pre[base + j] = run;
-            run = run.max(self.suf[base + j]);
-        }
-        // Fold the raw values into suffix maxima, right to left.
-        for j in (0..k.saturating_sub(1)).rev() {
-            self.suf[base + j] = self.suf[base + j].max(self.suf[base + j + 1]);
-        }
-        self.h[v] = own + b;
-        self.best[v] = b;
-        self.choice[v] = u32::try_from(bj).expect("child count fits u32");
-    }
-
-    /// Replace station `x`'s utility and repair the DP along `x`'s root
-    /// path — the warm-state analogue of rebuilding the oracle on the
-    /// modified profile, used by [`crate::session::McSession`] to absorb
-    /// churn events. Costs `O(Σ children over the dirty prefix of the
-    /// path)` and stops as soon as an ancestor's `h` is unchanged (its
-    /// parent only sees `h`). The updated oracle equals
-    /// `NetWorthOracle::new(ut, modified_u)` in every stored float.
-    pub fn set_utility(&mut self, x: usize, utility: f64) {
-        let sub = self.ut.substrate().clone();
-        let s = sub.network().source();
-        assert!(x != s, "the source has no utility");
-        self.u[x] = utility;
-        // x's own prefix arrays depend only on its children, which are
-        // untouched — only own(x) changes.
-        let old = self.h[x];
-        self.h[x] = utility.max(0.0) + self.best[x];
-        if self.h[x] == old {
-            return;
-        }
-        let mut v = x;
-        while v != s {
-            let p = sub.parent_of(v);
-            debug_assert!(p != NONE, "non-source station has a parent");
-            let before = self.h[p];
-            self.recompute_station(&sub, p);
-            if self.h[p] == before {
-                return;
+        let mut fi = 0usize;
+        for (j, &val) in scratch.iter().enumerate() {
+            if fi < nf {
+                let c = fkids[fi];
+                if self.frame.pos_in_parent(c) as usize == j {
+                    self.pre[c as usize] = run;
+                    fi += 1;
+                }
             }
-            v = p;
+            run = run.max(val);
         }
+        // suf[c] = max(val_{pos(c)} … val_{k−1}), folded right to left
+        // (raw value first).
+        let mut cur = f64::NEG_INFINITY;
+        let mut fi = nf;
+        for (j, &val) in scratch.iter().enumerate().rev() {
+            cur = if j + 1 == k { val } else { val.max(cur) };
+            if fi > 0 {
+                let c = fkids[fi - 1];
+                if self.frame.pos_in_parent(c) as usize == j {
+                    self.suf[c as usize] = cur;
+                    fi -= 1;
+                }
+            }
+        }
+        let own = if v == Subframe::ROOT {
+            0.0
+        } else {
+            self.u[v as usize].max(0.0)
+        };
+        self.h[v as usize] = own + b;
+        self.best[v as usize] = b;
+        self.choice[v as usize] = u32::try_from(bj).expect("child count fits u32");
+        self.scratch = scratch;
+        self.fkids = fkids;
     }
 
-    /// The full station-indexed utility vector the oracle currently
-    /// holds (what a cold `NetWorthOracle::new` rebuild would consume).
-    pub fn utilities(&self) -> &[f64] {
-        &self.u
-    }
-
-    /// Maximal net worth `NW(u)`.
-    pub fn net_worth(&self) -> f64 {
-        self.h[self.ut.network().source()]
-    }
-
-    /// Heap bytes of this oracle's per-session state (the shared
-    /// substrate is excluded, exactly as in
-    /// [`IncrementalShapley::memory_bytes`]).
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.u.capacity()
-            + self.h.capacity()
-            + self.best.capacity()
-            + self.pre.capacity()
-            + self.suf.capacity())
-            * size_of::<f64>()
-            + self.choice.capacity() * size_of::<u32>()
-    }
-}
-
-impl NetWorthQueries for NetWorthOracle {
-    /// Walks the chosen prefixes down from the source; each reached
-    /// station emits the cost of the last child in its prefix.
-    fn efficient_set(&self) -> (Vec<usize>, f64, f64) {
+    /// The chosen-prefix walk from the source over the flushed DP: every
+    /// station of `{source} ∪ R*` with its power (the cost of the last
+    /// child in its prefix) and its local id ([`Subframe::NONE`] out of
+    /// frame), sorted by station, and the served cost `C_T(R*)` that
+    /// `PowerAssignment::total_cost_of` folds from those powers — bit for
+    /// bit `UniversalTree::multicast_cost(R*)`. The walk carries each
+    /// child's local id down by merging the frame's position-sorted child
+    /// list against the chosen prefix, so it makes no global→local
+    /// lookup. An out-of-frame station's prefix is its leading run of
+    /// zero-cost children (every `val_j = −c_j`, and only `c_j = 0`
+    /// survives the exact `val ≥ 0.0` tie-break), so it emits `+0.0`.
+    fn selection(&mut self) -> (Vec<(usize, f64, u32)>, f64) {
+        self.flush();
         let sub = self.ut.substrate();
-        let s = sub.network().source();
         let mut reached = Vec::new();
-        let mut stack = vec![s];
-        while let Some(v) = stack.pop() {
+        let mut stack = vec![(sub.network().source(), Subframe::ROOT)];
+        while let Some((x, l)) = stack.pop() {
+            let kids = sub.sorted_children(x);
             let mut power = 0.0;
-            for y in sub.sorted_children(v).iter().take(self.choice[v] as usize) {
-                power = sub.parent_cost(y.index());
-                stack.push(y.index());
+            if l == NO_LOCAL {
+                for y in kids
+                    .iter()
+                    .take_while(|y| sub.parent_cost(y.index()) == 0.0)
+                {
+                    power = sub.parent_cost(y.index());
+                    stack.push((y.index(), NO_LOCAL));
+                }
+            } else {
+                let mut framed = self.frame.children(l).peekable();
+                for (j, y) in kids[..self.choice[l as usize] as usize].iter().enumerate() {
+                    let yl = framed
+                        .next_if(|&c| self.frame.pos_in_parent(c) as usize == j)
+                        .unwrap_or(NO_LOCAL);
+                    power = sub.parent_cost(y.index());
+                    stack.push((y.index(), yl));
+                }
             }
-            reached.push((v, power));
+            reached.push((x, power, l));
         }
         let served_cost = PowerAssignment::total_cost_of(&mut reached);
-        let stations = reached
-            .iter()
-            .map(|&(v, _)| v)
-            .filter(|&v| v != s)
-            .collect();
-        (stations, self.net_worth(), served_cost)
+        (reached, served_cost)
     }
 
-    /// Agrees with a full DP on the modified profile up to float
-    /// reassociation (pinned by property tests).
-    fn net_worth_zeroing(&self, x: usize) -> f64 {
-        let sub = self.ut.substrate();
-        let s = sub.network().source();
-        assert!(x != s, "the source has no utility to zero");
-        // Zeroing only lowers own(x); the subtree below x is unchanged.
-        let mut v = x;
-        let mut hv = self.best[x];
-        while v != s {
-            if hv == self.h[v] {
-                // Nothing changed at v, so nothing changes above it.
-                return self.h[s];
+    /// The largest efficient station set `R*` (ascending, source
+    /// excluded), the maximal net worth `NW(u)`, and the served cost
+    /// `C_T(R*)`.
+    pub fn efficient_set(&mut self) -> (Vec<usize>, f64, f64) {
+        let (reached, served_cost) = self.selection();
+        let s = self.ut.network().source();
+        let stations = reached
+            .iter()
+            .map(|&(x, _, _)| x)
+            .filter(|&x| x != s)
+            .collect();
+        (stations, self.h[Subframe::ROOT as usize], served_cost)
+    }
+
+    /// The marginal-cost (VCG) outcome for the utilities the oracle holds:
+    /// serve the largest efficient set, charge every receiver its
+    /// externality `u_i − (NW(u) − NW(u_{−i}))`, clamped at 0 (the
+    /// paper's form (3) under submodularity). The single evaluation path
+    /// of the MC mechanism — one-shot runs and warm sessions both call
+    /// it.
+    ///
+    /// A receiver out of frame, or whose stored utility is `+0.0` bits,
+    /// is charged `+0.0` without a zeroing walk: zeroing it changes no
+    /// `h`, and `(0.0 − (nw − nw)).max(0.0)` is `+0.0` even for an
+    /// infinite `nw`. (`−0.0` and NaN take the full path.)
+    pub fn vcg_outcome(&mut self) -> MechanismOutcome {
+        let (reached, served_cost) = self.selection();
+        let net = self.ut.network();
+        let nw = self.h[Subframe::ROOT as usize];
+        let mut shares = vec![0.0; net.n_players()];
+        let mut receivers = Vec::new();
+        for &(x, _, l) in &reached {
+            let Some(p) = net.player_of_station(x) else {
+                continue;
+            };
+            receivers.push(p);
+            if l != NO_LOCAL && self.u[l as usize].to_bits() != 0 {
+                let u = self.u[l as usize];
+                shares[p] = (u - (nw - self.zeroing(l))).max(0.0);
             }
-            let p = sub.parent_of(v);
-            debug_assert!(p != NONE, "non-source station has a parent");
-            let j = sub.csr_offset(p) + sub.pos_in_parent(v);
-            let delta = hv - self.h[v];
-            let b = self.pre[j].max(self.suf[j] + delta);
-            let own_p = if p == s { 0.0 } else { self.u[p].max(0.0) };
+        }
+        MechanismOutcome {
+            receivers,
+            shares,
+            served_cost,
+        }
+    }
+
+    /// `NW(u_{−v})` for local `v` on the flushed DP: walk up from `v`,
+    /// re-deriving each ancestor's best prefix from its child's
+    /// `pre`/`suf`, until an ancestor's `h` is unchanged.
+    fn zeroing(&self, v: u32) -> f64 {
+        let mut w = v;
+        let mut hv = self.best[v as usize];
+        while w != Subframe::ROOT {
+            let wi = w as usize;
+            if hv == self.h[wi] {
+                // Nothing changed at w, so nothing changes above it.
+                return self.h[Subframe::ROOT as usize];
+            }
+            let p = self.frame.parent_local(w);
+            let delta = hv - self.h[wi];
+            let b = self.pre[wi].max(self.suf[wi] + delta);
+            let own_p = if p == Subframe::ROOT {
+                0.0
+            } else {
+                self.u[p as usize].max(0.0)
+            };
             hv = own_p + b;
-            v = p;
+            w = p;
         }
         hv
     }
 
-    fn utility(&self, x: usize) -> f64 {
-        self.u[x]
+    /// Maximal net worth `NW(u)`.
+    pub fn net_worth(&mut self) -> f64 {
+        self.flush();
+        self.h[Subframe::ROOT as usize]
+    }
+
+    /// `NW(u_{−x})`: the maximal net worth with station `x`'s utility
+    /// zeroed. Agrees with a full DP on the modified profile up to float
+    /// reassociation (pinned by property tests). An out-of-frame station
+    /// carries zero utility already, so zeroing it changes nothing.
+    pub fn net_worth_zeroing(&mut self, station: usize) -> f64 {
+        assert!(
+            station != self.ut.network().source(),
+            "the source has no utility to zero"
+        );
+        self.flush();
+        match self.frame.local_of(station) {
+            Some(v) => self.zeroing(v),
+            None => self.h[Subframe::ROOT as usize],
+        }
+    }
+
+    /// The full station-indexed utility vector (what
+    /// [`NetWorth::from_utilities`] would be fed for a cold rebuild) —
+    /// `O(n)` transient.
+    pub fn utilities(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.ut.network().n_stations()];
+        for (l, &ul) in self.u.iter().enumerate() {
+            out[self.frame.global_of(local_id(l))] = ul;
+        }
+        out
+    }
+
+    /// Closure size (local stations, including the source).
+    pub fn frame_len(&self) -> usize {
+        self.frame.len()
+    }
+
+    /// Heap bytes of the warm state: frame plus local arrays.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.frame.memory_bytes()
+            + (self.u.capacity()
+                + self.h.capacity()
+                + self.best.capacity()
+                + self.pre.capacity()
+                + self.suf.capacity()
+                + self.scratch.capacity())
+                * size_of::<f64>()
+            + (self.choice.capacity() + self.fkids.capacity()) * size_of::<u32>()
+            + self.dirty.capacity() * size_of::<bool>()
     }
 }
 
@@ -701,10 +859,8 @@ mod tests {
     use super::*;
     use crate::builder::{SubstrateBuilder, TreeKind};
     use crate::network::WirelessNetwork;
-    use crate::sparse::SparseShapley;
-    use crate::substrate::Subframe;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{approx_eq, Point, PowerModel};
+    use wmcs_geom::{Point, PowerModel};
     use wmcs_graph::RootedTree;
 
     fn random_tree(seed: u64, n: usize) -> UniversalTree {
@@ -739,44 +895,17 @@ mod tests {
             .build_universal()
     }
 
-    /// Both warm Shapley engines behind one station-keyed interface, so
-    /// the round-pass identities below pin the dense and the frame-local
-    /// layout alike.
-    trait Engine {
-        fn build(ut: &UniversalTree, receivers: &[usize]) -> Self;
-        fn join(&mut self, station: usize);
-        fn leave(&mut self, station: usize);
-        /// One round pass, read back at `stations`.
-        fn round_at(&mut self, stations: &[usize]) -> Vec<f64>;
-    }
-
-    impl Engine for IncrementalShapley {
-        fn build(ut: &UniversalTree, receivers: &[usize]) -> Self {
-            IncrementalShapley::new(ut, receivers)
-        }
-        fn join(&mut self, station: usize) {
-            self.add_receiver(station);
-        }
-        fn leave(&mut self, station: usize) {
-            self.drop_receiver(station);
-        }
-        fn round_at(&mut self, stations: &[usize]) -> Vec<f64> {
-            let by_station = self.round_shares_by_station();
-            stations.iter().map(|&x| by_station[x]).collect()
-        }
-    }
-
-    /// The frame-local engine plus the local id of every station it has
-    /// framed (stable: the frame is append-only).
-    struct Sparse {
-        engine: SparseShapley,
+    /// The engine plus the local id of every station it has framed
+    /// (stable: the frame is append-only).
+    struct Engine {
+        engine: Shapley,
         local: Vec<u32>,
     }
 
-    impl Engine for Sparse {
+    impl Engine {
         fn build(ut: &UniversalTree, receivers: &[usize]) -> Self {
-            let mut e = Sparse {
-                engine: SparseShapley::new(ut),
+            let mut e = Engine {
+                engine: Shapley::new(ut),
                 local: vec![Subframe::NONE; ut.network().n_stations()],
             };
             for &x in receivers {
@@ -788,24 +917,18 @@ mod tests {
             self.local[station] = self.engine.add_receiver(station);
         }
         fn leave(&mut self, station: usize) {
-            self.engine.drop_receiver_local(self.local[station]);
-        }
-        fn round_at(&mut self, stations: &[usize]) -> Vec<f64> {
-            let by_local = self.engine.round_shares_by_local();
-            stations
-                .iter()
-                .map(|&x| by_local[self.local[x] as usize])
-                .collect()
+            self.engine.drop_receiver(self.local[station]);
         }
     }
 
     /// The engine's round pass on `alive` equals the reference split
     /// [`UniversalTree::shapley_shares`] bit for bit — the identity that
     /// lets the drop loop charge its fixpoint round.
-    fn assert_round_is_the_split(engine: &mut impl Engine, ut: &UniversalTree, alive: &[usize]) {
-        let fast = engine.round_at(alive);
+    fn assert_round_is_the_split(e: &mut Engine, ut: &UniversalTree, alive: &[usize]) {
+        let by_local = e.engine.round_shares_by_local();
         let reference = ut.shapley_shares(alive);
-        for (&r, f) in alive.iter().zip(&fast) {
+        for &r in alive {
+            let f = by_local[e.local[r] as usize];
             assert_eq!(
                 f.to_bits(),
                 reference[r].to_bits(),
@@ -815,24 +938,20 @@ mod tests {
         }
     }
 
-    fn round_split_on_the_chain<E: Engine>() {
+    #[test]
+    fn round_shares_match_the_reference_split() {
         let ut = chain_tree();
         for receivers in [vec![1], vec![2], vec![3], vec![2, 3], vec![1, 2, 3]] {
-            assert_round_is_the_split(&mut E::build(&ut, &receivers), &ut, &receivers);
+            assert_round_is_the_split(&mut Engine::build(&ut, &receivers), &ut, &receivers);
         }
     }
 
     #[test]
-    fn round_shares_match_the_reference_split() {
-        round_split_on_the_chain::<IncrementalShapley>();
-        round_split_on_the_chain::<Sparse>();
-    }
-
-    fn drops_against_scratch<E: Engine>() {
+    fn dropping_matches_recomputation_from_scratch() {
         for seed in 0..20 {
             let ut = random_tree(seed, 12);
             let mut alive: Vec<usize> = ut.network().non_source_stations();
-            let mut engine = E::build(&ut, &alive);
+            let mut engine = Engine::build(&ut, &alive);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xd0b);
             while alive.len() > 1 {
                 let victim = alive.remove(rng.gen_range(0..alive.len()));
@@ -843,16 +962,14 @@ mod tests {
     }
 
     #[test]
-    fn dropping_matches_recomputation_from_scratch() {
-        drops_against_scratch::<IncrementalShapley>();
-        drops_against_scratch::<Sparse>();
-    }
-
-    fn walk_against_scratch<E: Engine>() {
+    fn add_and_drop_walk_matches_recomputation_from_scratch() {
+        // A random join/leave walk over the receiver set: after every
+        // step the round shares must equal the reference split on the
+        // current set, and joins must exactly invert drops.
         for seed in 0..20 {
             let ut = random_tree(seed, 14);
             let all = ut.network().non_source_stations();
-            let mut engine = E::build(&ut, &[]);
+            let mut engine = Engine::build(&ut, &[]);
             let mut alive: Vec<usize> = Vec::new();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xadd);
             for _step in 0..60 {
@@ -871,15 +988,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn add_and_drop_walk_matches_recomputation_from_scratch() {
-        // A random join/leave walk over the receiver set: after every
-        // step the round shares must equal the reference split on the
-        // current set, and joins must exactly invert drops.
-        walk_against_scratch::<IncrementalShapley>();
-        walk_against_scratch::<Sparse>();
     }
 
     #[test]
@@ -907,16 +1015,20 @@ mod tests {
 
     #[test]
     fn set_utility_repairs_the_oracle_byte_for_byte() {
+        // A warm oracle absorbing random events — zeros included, several
+        // per flush — equals a cold oracle fed the same utilities in
+        // every query, bit for bit.
         for seed in 0..20 {
-            let ut = random_tree(seed, 12);
+            let ut = random_tree(seed, 13);
             let n = ut.network().n_stations();
+            let s = ut.network().source();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e7);
-            let mut u: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..8.0)).collect();
-            let mut warm = NetWorthOracle::new(&ut, &u);
-            for _event in 0..25 {
+            let mut u = vec![0.0f64; n];
+            let mut warm = NetWorth::new(&ut);
+            for _event in 0..30 {
                 let x = loop {
                     let x = rng.gen_range(0..n);
-                    if x != ut.network().source() {
+                    if x != s {
                         break x;
                     }
                 };
@@ -927,13 +1039,16 @@ mod tests {
                 };
                 u[x] = v;
                 warm.set_utility(x, v);
-                let cold = NetWorthOracle::new(&ut, &u);
+                if rng.gen_bool(0.4) {
+                    continue; // batch this event with the next
+                }
+                let mut cold = NetWorth::from_utilities(&ut, &u);
                 assert_eq!(warm.net_worth(), cold.net_worth(), "seed {seed}");
                 assert_eq!(warm.efficient_set(), cold.efficient_set(), "seed {seed}");
-                for y in ut.network().non_source_stations() {
+                for y in (0..n).filter(|&y| y != s) {
                     assert_eq!(
-                        warm.net_worth_zeroing(y),
-                        cold.net_worth_zeroing(y),
+                        warm.net_worth_zeroing(y).to_bits(),
+                        cold.net_worth_zeroing(y).to_bits(),
                         "seed {seed}, station {y}"
                     );
                 }
@@ -981,9 +1096,10 @@ mod tests {
             let n = ut.network().n_stations();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xace);
             let u: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..8.0)).collect();
-            let oracle = NetWorthOracle::new(&ut, &u);
-            assert!(
-                approx_eq(oracle.net_worth(), ut.net_worth(&u)),
+            let mut oracle = NetWorth::from_utilities(&ut, &u);
+            assert_eq!(
+                oracle.net_worth().to_bits(),
+                ut.net_worth(&u).to_bits(),
                 "seed {seed}"
             );
             for x in (0..n).filter(|&x| x != ut.network().source()) {
@@ -1001,8 +1117,9 @@ mod tests {
 
     #[test]
     fn oracle_efficient_set_net_worth_is_consistent_with_its_set() {
-        // The satellite invariant: the returned net worth must be the
-        // welfare of the returned set (exact tie-break, no EPS drift).
+        // The returned net worth must be the welfare of the returned set
+        // (exact tie-break, no EPS drift), and the oracle's selection is
+        // the plain DP's.
         for seed in 0..20 {
             let ut = random_tree(seed, 10);
             let n = ut.network().n_stations();
@@ -1015,6 +1132,9 @@ mod tests {
                 (welfare - nw).abs() < 1e-9 * (1.0 + nw.abs()),
                 "seed {seed}: set welfare {welfare} ≠ net worth {nw}"
             );
+            let (oracle_set, oracle_nw, _) = NetWorth::from_utilities(&ut, &u).efficient_set();
+            assert_eq!(oracle_set, set, "seed {seed}");
+            assert_eq!(oracle_nw.to_bits(), nw.to_bits(), "seed {seed}");
         }
     }
 }

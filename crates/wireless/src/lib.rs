@@ -14,18 +14,20 @@
 //! * [`universal`] — universal broadcast trees (§2.1): the submodular cost
 //!   function of Lemma 2.1, the paper's efficient Shapley split, and the
 //!   largest-efficient-set tree DP for the MC mechanism;
-//! * [`incremental`] — the incremental Moulin–Shenker engine and the
-//!   `O(depth)`-per-query VCG net-worth oracle that scale both §2.1
-//!   mechanisms to thousands of stations;
+//! * [`incremental`] — the warm engines of both §2.1 mechanisms: the
+//!   incremental Moulin–Shenker engine and the `O(depth)`-per-query VCG
+//!   net-worth oracle, each over a frame of local ids
+//!   ([`substrate::Subframe`]) so per-group memory is
+//!   `O(|closure(R_g)|)`, not `O(n)`;
 //! * [`substrate`] — the shared universal-tree substrate: network +
 //!   cost-sorted CSR children behind an `Arc`, built once and shared by
 //!   every engine, session and group;
 //! * [`session`] — live multicast sessions: both §2.1 mechanisms served
 //!   across a churn stream (join/leave/rebid) from warm state,
 //!   byte-identical to a cold rebuild after every batch;
-//! * [`sparse`] — compact-frame warm sessions: per-group memory
-//!   `O(|closure(R_g)|)` instead of `O(n)` via [`substrate::Subframe`]
-//!   local ids, byte-identical in outcomes to the dense sessions;
+//! * [`sparse`] — names of the retired layout switch, kept only for the
+//!   served-workload benchmark (they select nothing), and the tests that
+//!   pin the frame-local sessions to universe-indexed references;
 //! * [`service`] — the sharded multi-group service layer: G concurrent
 //!   groups, each a warm session, priced over one substrate by a
 //!   work-stealing worker pool with per-group byte-determinism;
@@ -70,20 +72,15 @@ pub use builder::{Backend, SubstrateBuilder, TreeKind, SPATIAL_AUTO_THRESHOLD};
 pub use euclidean::{AlphaOneCost, AlphaOneSolver, LineCost, LineSolver};
 pub use incremental::{
     reference_drop_run, shapley_drop_run, shapley_drop_run_from, shapley_drop_run_with_stats,
-    DropStats, IncrementalShapley, NetWorthOracle,
+    DropStats, NetWorth, Shapley,
 };
 pub use memt::{memt_exact, MemtCostTable, OptimalMulticastCost, MAX_EXACT_STATIONS};
 pub use mst_heuristic::{mst_broadcast, mst_multicast, steiner_multicast};
 pub use network::WirelessNetwork;
 pub use power::PowerAssignment;
-pub use service::{
-    GroupMechanism, GroupOutcome, GroupSession, MulticastService, SessionLayout,
-    SPARSE_AUTO_THRESHOLD,
-};
-pub use session::{
-    vcg_outcome, ChurnEvent, ChurnProcess, ChurnTrace, McSession, NetWorthQueries, ShapleySession,
-};
-pub use sparse::{SparseMcSession, SparseNetWorth, SparseShapley, SparseShapleySession};
+pub use service::{GroupMechanism, GroupOutcome, GroupSession, MulticastService};
+pub use session::{ChurnEvent, ChurnProcess, ChurnTrace, McSession, ShapleySession};
+pub use sparse::{SessionLayout, SparseMcSession, SparseShapleySession, SPARSE_AUTO_THRESHOLD};
 pub use stream::{
     epoch_plan, replay_reference, Admission, EpochOutcome, GroupStreamReport, StreamConfig,
     StreamHandle, StreamLatencies, StreamReport, StreamService,

@@ -5,24 +5,26 @@
 //! allocation out, all engine state discarded. Real multicast groups
 //! *churn*: receivers join and leave mid-session and prices must be
 //! recomputed after every batch of events. This module keeps the state
-//! the incremental engine of [`crate::incremental`] already maintains
-//! (subtree receiver counts, cost-ordered active-children lists, the
-//! net-worth base DP) alive *across* mechanism runs:
+//! the frame-local engines of [`crate::incremental`] maintain (subtree
+//! receiver counts, cost-ordered active-children lists, the net-worth
+//! DP) alive *across* mechanism runs:
 //!
 //! * [`ShapleySession`] — the Moulin–Shenker `M(Shapley)` mechanism over
-//!   a warm [`IncrementalShapley`] engine. Each churn batch is absorbed
-//!   in `O(path)` per event and the drop loop restarts **from the
-//!   surviving set** (via [`wmcs_game::run_drop_loop_from`]) instead of
-//!   from `U`.
+//!   a warm [`Shapley`] engine. Each churn event is absorbed in `O(path)`
+//!   and the drop loop restarts **from the surviving set** (via
+//!   [`wmcs_game::run_drop_loop_from`]) instead of from `U`.
 //! * [`McSession`] — the marginal-cost (VCG) mechanism over a warm
-//!   [`NetWorthOracle`]. Each event repairs the base DP along one root
-//!   path; repricing re-runs only the `O(depth)` VCG queries.
+//!   [`NetWorth`] oracle. Events only record bids; the reprice repairs
+//!   the DP once over the union of the epoch's dirty root paths and
+//!   re-runs the selection walk plus the `O(depth)` VCG queries.
 //!
 //! Both are **byte-identical** to rebuilding the mechanism from scratch
 //! on the current receiver set after every event — not approximately,
 //! but in every float of the outcome — because warm state equals freshly
 //! built state (property-tested in `tests/session_props.rs` and gated at
-//! scale by experiment T11).
+//! scale by experiment T11). The warm state is `O(|frame|)`: the frame is
+//! the path closure of every station that ever joined, and no array of a
+//! session is sized by the universe.
 //!
 //! # Event semantics
 //!
@@ -48,57 +50,67 @@
 //! | operation | warm session | cold rebuild |
 //! |---|---|---|
 //! | absorb one event | `O(path)` | — |
-//! | Shapley reprice | `O(n)` + `O(rounds · (\|T(R)\| + \|R\|))` + `O(\|T(R)\| log \|T(R)\|)` served cost | `O(n)` build + the same reprice |
-//! | MC reprice | `O(n)` + `O(\|R*\| log \|R*\|)` selection and served cost + `O(depth)` per receiver | `O(n)` DP rebuild + the same queries |
+//! | Shapley reprice | `O(rounds · (\|T(R)\| + \|R\|))` + `O(\|T(R)\| log \|T(R)\|)` served cost + `O(n)` outcome | a fresh engine on `R` + the same reprice |
+//! | MC reprice | one kernel per dirty station + `O(\|R*\| log \|R*\|)` selection and served cost + `O(depth)` per bidding receiver + `O(n)` outcome | a fresh oracle + the same queries |
 //!
 //! A Shapley reprice charges the drop loop's fixpoint round; there is no
 //! separate share pass. The served cost `C_T(R)` is summed over the
-//! engine's own `T(R)` ([`IncrementalShapley::served_cost`], or the
-//! powers [`NetWorthQueries::efficient_set`] collects on its selection
-//! walk), bit for bit the reference `UniversalTree::multicast_cost`,
-//! which no serving path calls. A reprice stays `Ω(n)` on both sides —
-//! the outcome's full-length share vector is shared — so
-//! warm-vs-cold-rebuild is a constant-factor win (the engine
-//! build). The big win is against the pre-session status quo, the
+//! engine's own `T(R)` ([`Shapley::served_cost`], or the powers
+//! [`NetWorth::vcg_outcome`] collects on its selection walk), bit for bit
+//! the reference `UniversalTree::multicast_cost`, which no serving path
+//! calls. What stays `Ω(n)` per reprice is the outcome's full-length
+//! share vector. The big win is against the pre-session status quo, the
 //! one-shot run from `U` that re-cascades every unaffordable player out
-//! on every batch: ≥ 10× per event at n = 4096, ~29× at n = 1024
-//! (`session_churn` criterion bench, recorded in `EXPERIMENTS.md`).
+//! on every batch (`session_churn` criterion bench, recorded in
+//! `EXPERIMENTS.md`).
 
-use crate::incremental::{IncrementalShapley, NetWorthOracle, PlayerAdapter};
+use crate::incremental::{Adapter, NetWorth, Shapley};
 use crate::universal::UniversalTree;
 use wmcs_game::{run_drop_loop_from, MechanismOutcome};
 
 pub use wmcs_geom::churn::{ChurnEvent, ChurnProcess, ChurnTrace};
 
+/// The player id as stored (players are a subset of stations, which fit
+/// `u32`).
+fn player_id(player: usize) -> u32 {
+    u32::try_from(player).expect("player ids fit u32")
+}
+
+/// One served member of a [`ShapleySession`].
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    player: u32,
+    /// The member's station as a frame-local id (stable: append-only).
+    local: u32,
+    /// Current bid.
+    bid: f64,
+}
+
 /// A live Moulin–Shenker (Shapley) session over a universal tree.
 ///
-/// Holds the warm [`IncrementalShapley`] engine, the per-player bids and
-/// the served set across churn batches. See the module docs for the
-/// event semantics and the byte-identity contract.
+/// Holds the warm [`Shapley`] engine plus the served members and their
+/// bids across churn batches. See the module docs for the event
+/// semantics and the byte-identity contract.
 #[derive(Debug, Clone)]
 pub struct ShapleySession {
     ut: UniversalTree,
-    engine: IncrementalShapley,
-    /// Served membership by player (mirrors the engine's receiver set).
-    active: Vec<bool>,
-    /// Current bid by player (stale while inactive; the drop loop only
-    /// reads entries of the initial coalition).
-    bids: Vec<f64>,
+    engine: Shapley,
+    /// Currently-served members, ascending by player (mirrors the
+    /// engine's receiver set).
+    members: Vec<Member>,
     batches: usize,
     events: usize,
 }
 
 impl ShapleySession {
     /// An empty session over `ut` (nobody served; receivers arrive via
-    /// [`ChurnEvent::Join`]). `O(n)` — the only `O(n)` step a session
-    /// ever pays (the substrate itself is shared, not copied).
+    /// [`ChurnEvent::Join`]). `O(1)`: the substrate is shared, not
+    /// copied, and the frame grows with the members.
     pub fn new(ut: &UniversalTree) -> Self {
-        let n = ut.network().n_players();
         Self {
             ut: ut.clone(),
-            engine: IncrementalShapley::new(ut, &[]),
-            active: vec![false; n],
-            bids: vec![0.0; n],
+            engine: Shapley::new(ut),
+            members: Vec::new(),
             batches: 0,
             events: 0,
         }
@@ -114,27 +126,38 @@ impl ShapleySession {
     /// `O(path)` per event. Call [`ShapleySession::reprice`] afterwards —
     /// or use [`ShapleySession::apply_batch`] for both at once.
     pub fn apply_events(&mut self, events: &[ChurnEvent]) {
-        let sub = self.ut.substrate().clone();
-        let net = sub.network();
         for ev in events {
             self.events += 1;
             match *ev {
                 ChurnEvent::Join { player, utility } => {
-                    self.bids[player] = utility;
-                    if !self.active[player] {
-                        self.active[player] = true;
-                        self.engine.add_receiver(net.station_of_player(player));
+                    let p = player_id(player);
+                    match self.members.binary_search_by_key(&p, |m| m.player) {
+                        Ok(i) => self.members[i].bid = utility,
+                        Err(i) => {
+                            let station = self.ut.network().station_of_player(player);
+                            let local = self.engine.add_receiver(station);
+                            self.members.insert(
+                                i,
+                                Member {
+                                    player: p,
+                                    local,
+                                    bid: utility,
+                                },
+                            );
+                        }
                     }
                 }
                 ChurnEvent::Leave { player } => {
-                    if self.active[player] {
-                        self.active[player] = false;
-                        self.engine.drop_receiver(net.station_of_player(player));
+                    let p = player_id(player);
+                    if let Ok(i) = self.members.binary_search_by_key(&p, |m| m.player) {
+                        let m = self.members.remove(i);
+                        self.engine.drop_receiver(m.local);
                     }
                 }
                 ChurnEvent::Rebid { player, utility } => {
-                    if self.active[player] {
-                        self.bids[player] = utility;
+                    let p = player_id(player);
+                    if let Ok(i) = self.members.binary_search_by_key(&p, |m| m.player) {
+                        self.members[i].bid = utility;
                     }
                 }
             }
@@ -144,28 +167,26 @@ impl ShapleySession {
     /// Re-run the Moulin–Shenker drop loop **from the current receiver
     /// set** with the warm engine and charge the fixpoint round's Shapley
     /// shares. Players the loop drops are evicted from the session.
-    /// Byte-identical to
-    /// [`crate::incremental::shapley_drop_run_from`] on the same set and
-    /// bids.
+    /// Byte-identical to [`crate::incremental::shapley_drop_run_from`] on
+    /// the same set and bids.
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
         let initial = self.active_players();
-        let net = self.ut.network();
-        let stations: Vec<usize> = initial.iter().map(|&p| net.station_of_player(p)).collect();
-        let bids: Vec<f64> = initial.iter().map(|&p| self.bids[p]).collect();
+        let bids: Vec<f64> = self.members.iter().map(|m| m.bid).collect();
+        let locals: Vec<u32> = self.members.iter().map(|m| m.local).collect();
         let out = run_drop_loop_from(
-            &mut PlayerAdapter {
+            &mut Adapter {
                 engine: &mut self.engine,
-                stations: &stations,
+                locals: &locals,
             },
             &bids,
             &initial,
         );
-        for &p in &initial {
-            if !out.is_receiver(p) {
-                self.active[p] = false;
-            }
-        }
+        // Evictions persist: keep exactly the members the loop served
+        // (both lists ascend by player).
+        let mut served = out.receivers.iter().copied().peekable();
+        self.members
+            .retain(|m| served.next_if_eq(&(m.player as usize)).is_some());
         out
     }
 
@@ -178,21 +199,18 @@ impl ShapleySession {
 
     /// Currently-served players, ascending.
     pub fn active_players(&self) -> Vec<usize> {
-        (0..self.active.len()).filter(|&p| self.active[p]).collect()
-    }
-
-    /// Is player `p` currently served?
-    pub fn is_active(&self, p: usize) -> bool {
-        self.active[p]
+        self.members.iter().map(|m| m.player as usize).collect()
     }
 
     /// The full-length bid profile the next reprice would use (zero for
     /// players outside the session — what a cold rebuild on the current
-    /// receiver set consumes as its reported profile).
+    /// receiver set consumes as its reported profile). `O(n)` transient.
     pub fn reported_profile(&self) -> Vec<f64> {
-        (0..self.bids.len())
-            .map(|p| if self.active[p] { self.bids[p] } else { 0.0 })
-            .collect()
+        let mut out = vec![0.0; self.ut.network().n_players()];
+        for m in &self.members {
+            out[m.player as usize] = m.bid;
+        }
+        out
     }
 
     /// Batches repriced so far.
@@ -205,43 +223,44 @@ impl ShapleySession {
         self.events
     }
 
-    /// Warm heap bytes retained between reprices: the dense engine's
-    /// universe-sized arrays plus the session's own membership/bid
-    /// vectors (the shared substrate is excluded — it is per-universe).
-    /// The sparse twin ([`crate::sparse::SparseShapleySession`]) is the
-    /// `O(|frame|)` answer to this figure.
+    /// Warm heap bytes retained between reprices: the engine (frame +
+    /// local arrays) plus the member list (the shared substrate is
+    /// excluded — it is per universe).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.engine.memory_bytes()
-            + self.active.capacity() * size_of::<bool>()
-            + self.bids.capacity() * size_of::<f64>()
+        self.engine.memory_bytes() + self.members.capacity() * size_of::<Member>()
+    }
+
+    /// Stations in the warm frame (the path closure of every station
+    /// that ever joined) — the `|frame|` the session's memory scales
+    /// with.
+    pub fn frame_len(&self) -> usize {
+        self.engine.frame_len()
     }
 }
 
 /// A live marginal-cost (VCG) session over a universal tree.
 ///
-/// Holds the warm [`NetWorthOracle`] base DP across churn batches; each
-/// event repairs one root path, each reprice re-runs only the selection
-/// walk and the `O(depth)` externality queries.
+/// Holds the warm [`NetWorth`] oracle across churn batches; events only
+/// record bids, and each reprice repairs the DP once and re-runs the
+/// selection walk plus the `O(depth)` externality queries.
 #[derive(Debug, Clone)]
 pub struct McSession {
     ut: UniversalTree,
-    oracle: NetWorthOracle,
-    /// Has a live bid, by player.
-    active: Vec<bool>,
+    oracle: NetWorth,
+    /// Players with a live bid, ascending.
+    members: Vec<u32>,
     batches: usize,
     events: usize,
 }
 
 impl McSession {
-    /// An empty session over `ut` (all bids zero). `O(n)` once.
+    /// An empty session over `ut` (all bids zero). `O(1)`.
     pub fn new(ut: &UniversalTree) -> Self {
-        let n_stations = ut.network().n_stations();
-        let n = ut.network().n_players();
         Self {
             ut: ut.clone(),
-            oracle: NetWorthOracle::new(ut, &vec![0.0; n_stations]),
-            active: vec![false; n],
+            oracle: NetWorth::new(ut),
+            members: Vec::new(),
             batches: 0,
             events: 0,
         }
@@ -253,27 +272,28 @@ impl McSession {
     }
 
     /// Absorb events (total semantics): a `Join`/`Rebid` installs the
-    /// bid, a `Leave` zeroes it; the base DP is repaired along the
-    /// station's root path per event.
+    /// bid, a `Leave` zeroes it; the DP repair waits for the reprice.
     pub fn apply_events(&mut self, events: &[ChurnEvent]) {
-        let sub = self.ut.substrate().clone();
-        let net = sub.network();
         for ev in events {
             self.events += 1;
+            let net = self.ut.network();
             match *ev {
                 ChurnEvent::Join { player, utility } => {
-                    self.active[player] = true;
+                    let p = player_id(player);
+                    if let Err(i) = self.members.binary_search(&p) {
+                        self.members.insert(i, p);
+                    }
                     self.oracle
                         .set_utility(net.station_of_player(player), utility);
                 }
                 ChurnEvent::Leave { player } => {
-                    if self.active[player] {
-                        self.active[player] = false;
+                    if let Ok(i) = self.members.binary_search(&player_id(player)) {
+                        self.members.remove(i);
                         self.oracle.set_utility(net.station_of_player(player), 0.0);
                     }
                 }
                 ChurnEvent::Rebid { player, utility } => {
-                    if self.active[player] {
+                    if self.members.binary_search(&player_id(player)).is_ok() {
                         self.oracle
                             .set_utility(net.station_of_player(player), utility);
                     }
@@ -283,14 +303,13 @@ impl McSession {
     }
 
     /// Recompute the VCG outcome on the current bid vector from the warm
-    /// oracle. Byte-identical to a fresh
-    /// `UniversalMcMechanism`-style run on the same bids (both evaluate
-    /// [`vcg_outcome`]). Note that the largest efficient set may serve
-    /// zero-bid stations that ride a served path for free — exactly as
-    /// the one-shot mechanism does.
+    /// oracle ([`NetWorth::vcg_outcome`], the path one-shot
+    /// `UniversalMcMechanism` runs also take). Note that the largest
+    /// efficient set may serve zero-bid stations that ride a served path
+    /// for free — exactly as the one-shot mechanism does.
     pub fn reprice(&mut self) -> MechanismOutcome {
         self.batches += 1;
-        vcg_outcome(&self.ut, &self.oracle)
+        self.oracle.vcg_outcome()
     }
 
     /// Absorb one churn batch and reprice.
@@ -301,22 +320,23 @@ impl McSession {
 
     /// Players with a live bid, ascending.
     pub fn active_players(&self) -> Vec<usize> {
-        (0..self.active.len()).filter(|&p| self.active[p]).collect()
+        self.members.iter().map(|&p| p as usize).collect()
     }
 
     /// The full-length bid profile the next reprice uses (zero outside
-    /// the session).
+    /// the session). `O(n)` transient.
     pub fn reported_profile(&self) -> Vec<f64> {
         let net = self.ut.network();
+        let u = self.oracle.utilities();
         (0..net.n_players())
-            .map(|p| self.oracle.utility(net.station_of_player(p)))
+            .map(|p| u[net.station_of_player(p)])
             .collect()
     }
 
-    /// The station-indexed utility vector the warm oracle currently
-    /// holds — exactly what `NetWorthOracle::new` would be given for a
-    /// cold rebuild (relay stations and the source carry 0).
-    pub fn station_utilities(&self) -> &[f64] {
+    /// The station-indexed utility vector the warm oracle holds — what
+    /// [`NetWorth::from_utilities`] is fed for a cold rebuild (relay
+    /// stations and the source carry 0). `O(n)` transient.
+    pub fn station_utilities(&self) -> Vec<f64> {
         self.oracle.utilities()
     }
 
@@ -334,53 +354,14 @@ impl McSession {
     /// see [`ShapleySession::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.oracle.memory_bytes() + self.active.capacity() * size_of::<bool>()
+        self.oracle.memory_bytes() + self.members.capacity() * size_of::<u32>()
     }
-}
 
-/// The queries [`vcg_outcome`] asks of a net-worth oracle; the dense
-/// [`NetWorthOracle`] and the frame-local `SparseNetWorth` answer them
-/// bit for bit alike, on global station ids.
-pub trait NetWorthQueries {
-    /// The largest efficient station set `R*` (ascending), `NW(u)`, and
-    /// the served cost `C_T(R*)` — each reached station's power is the
-    /// cost of the last child in its chosen prefix, summed by
-    /// `PowerAssignment::total_cost_of`, so it equals
-    /// `UniversalTree::multicast_cost(R*)` bit for bit.
-    fn efficient_set(&self) -> (Vec<usize>, f64, f64);
-    /// `NW(u_{−x})`: the maximal net worth with `x`'s utility zeroed.
-    fn net_worth_zeroing(&self, x: usize) -> f64;
-    /// Station `x`'s current utility as stored by the oracle.
-    fn utility(&self, x: usize) -> f64;
-}
-
-/// The marginal-cost (VCG) outcome for the utilities currently held by
-/// `oracle`: serve the largest efficient set, charge every receiver its
-/// externality `u_i − (NW(u) − NW(u_{−i}))`, clamped at 0 (the paper's
-/// form (3) under submodularity).
-///
-/// This is the **single** evaluation path for the MC mechanism — the
-/// one-shot `wmcs-mechanisms::UniversalMcMechanism` and both layouts'
-/// warm MC sessions call it, so they cannot diverge. The served cost is
-/// the one [`NetWorthQueries::efficient_set`] sums on its selection walk;
-/// the reference `UniversalTree::multicast_cost` is not called.
-pub fn vcg_outcome(ut: &UniversalTree, oracle: &impl NetWorthQueries) -> MechanismOutcome {
-    let net = ut.network();
-    let (stations, nw, served_cost) = oracle.efficient_set();
-    let mut shares = vec![0.0; net.n_players()];
-    let receivers: Vec<usize> = stations
-        .iter()
-        .filter_map(|&x| net.player_of_station(x))
-        .collect();
-    for &p in &receivers {
-        let x = net.station_of_player(p);
-        let nw_minus = oracle.net_worth_zeroing(x);
-        shares[p] = (oracle.utility(x) - (nw - nw_minus)).max(0.0);
-    }
-    MechanismOutcome {
-        receivers,
-        shares,
-        served_cost,
+    /// Stations in the warm frame (the path closure of every station
+    /// that ever had a bid) — the `|frame|` the session's memory scales
+    /// with.
+    pub fn frame_len(&self) -> usize {
+        self.oracle.frame_len()
     }
 }
 
@@ -413,7 +394,7 @@ mod tests {
     #[test]
     fn shapley_session_matches_cold_start_after_every_batch() {
         for seed in 0..10 {
-            let ut = random_tree(seed, 12);
+            let ut = random_tree(seed, 14);
             let process = ChurnProcess::new(ut.network().n_players(), 12, 3, 20.0, seed ^ 0xc4);
             let mut session = ShapleySession::new(&ut);
             for batch in &process.generate().batches {
@@ -435,12 +416,13 @@ mod tests {
     #[test]
     fn mc_session_matches_a_fresh_oracle_after_every_batch() {
         for seed in 0..10 {
-            let ut = random_tree(seed, 12);
+            let ut = random_tree(seed, 14);
             let process = ChurnProcess::new(ut.network().n_players(), 10, 4, 15.0, seed ^ 0x3c);
             let mut session = McSession::new(&ut);
             for batch in &process.generate().batches {
                 let warm = session.apply_batch(batch);
-                let cold = vcg_outcome(&ut, &NetWorthOracle::new(&ut, session.station_utilities()));
+                let cold =
+                    NetWorth::from_utilities(&ut, &session.station_utilities()).vcg_outcome();
                 assert_eq!(warm.receivers, cold.receivers, "seed {seed}");
                 assert_eq!(warm.shares, cold.shares, "seed {seed}");
                 assert_eq!(warm.served_cost, cold.served_cost, "seed {seed}");
@@ -519,5 +501,71 @@ mod tests {
             utility: 1e6,
         }]);
         assert_eq!(out.receivers, vec![0, 1], "an explicit rejoin re-admits");
+    }
+
+    #[test]
+    fn a_nan_bid_is_never_served() {
+        // Every comparison with NaN is false, so a NaN bid must be caught
+        // by the drop test itself: the bidder is dropped in round 1 and
+        // the outcome equals the same batch without it.
+        let bits = |o: &MechanismOutcome| {
+            let shares: Vec<u64> = o.shares.iter().map(|x| x.to_bits()).collect();
+            (o.receivers.clone(), shares, o.served_cost.to_bits())
+        };
+        let mut served = 0;
+        for seed in 0..8 {
+            let ut = random_tree(seed, 12);
+            let n = ut.network().n_players();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7a7);
+            let nan_player = rng.gen_range(0..n);
+            let batch: Vec<ChurnEvent> = (0..n)
+                .map(|player| ChurnEvent::Join {
+                    player,
+                    utility: if player == nan_player {
+                        f64::NAN
+                    } else {
+                        rng.gen_range(0.0..60.0)
+                    },
+                })
+                .collect();
+            let without: Vec<ChurnEvent> = batch
+                .iter()
+                .copied()
+                .filter(|e| !matches!(e, ChurnEvent::Join { player, .. } if *player == nan_player))
+                .collect();
+            let with = ShapleySession::new(&ut).apply_batch(&batch);
+            assert!(!with.is_receiver(nan_player), "seed {seed}");
+            let without = ShapleySession::new(&ut).apply_batch(&without);
+            assert_eq!(bits(&with), bits(&without), "seed {seed}");
+            served += with.receivers.len();
+        }
+        assert!(served > 0, "the batches must serve someone");
+    }
+
+    #[test]
+    fn memory_tracks_the_closure_not_the_universe() {
+        // One small group in a larger universe: the warm footprint is far
+        // below one f64 per universe station, for both mechanisms.
+        let ut = random_tree(2, 400);
+        let n = ut.network().n_stations();
+        let batch: Vec<ChurnEvent> = (1..5)
+            .map(|p| ChurnEvent::Join {
+                player: p,
+                utility: 1e6,
+            })
+            .collect();
+        let mut shapley = ShapleySession::new(&ut);
+        let mut mc = McSession::new(&ut);
+        let s = shapley.apply_batch(&batch);
+        let m = mc.apply_batch(&batch);
+        assert_eq!(s.receivers, vec![1, 2, 3, 4]);
+        assert!(m.receivers.len() >= 4);
+        for (bytes, frame) in [
+            (shapley.memory_bytes(), shapley.frame_len()),
+            (mc.memory_bytes(), mc.frame_len()),
+        ] {
+            assert!(frame < 50, "frame {frame}");
+            assert!(bytes < n * 8, "{bytes} bytes for a {frame}-station frame");
+        }
     }
 }

@@ -20,6 +20,9 @@
 //!   as [`MulticastService`] would absorb the same events as one batch,
 //!   and the outcome is placed in a per-epoch `OnceLock` slot (the
 //!   sanctioned slot pattern — scheduling order can never reach a float).
+//!   A session's retained state is frame-local — `O(|frame|)`, the path
+//!   closure of the group's members — so G groups over a large universe
+//!   hold G closures, not G copies of the universe.
 //!
 //! # Determinism contract
 //!
@@ -56,7 +59,7 @@
 //! submission tick) — the exact-percentile harness in
 //! `wmcs-bench::latency` consumes these via [`StreamLatencies`].
 
-use crate::service::{GroupMechanism, GroupSession, MulticastService, SessionLayout};
+use crate::service::{GroupMechanism, GroupSession, MulticastService};
 use crate::universal::UniversalTree;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,10 +80,6 @@ pub struct StreamConfig {
     /// Worker threads servicing sealed epochs (≥ 1). Outcomes are
     /// byte-identical for every value — see the module docs.
     pub threads: usize,
-    /// Warm-state layout for group sessions ([`SessionLayout::Auto`] by
-    /// default). Outcomes are byte-identical for every value — only
-    /// memory and per-event cost differ.
-    pub layout: SessionLayout,
 }
 
 impl StreamConfig {
@@ -99,7 +98,6 @@ impl StreamConfig {
             watermark,
             capacity,
             threads,
-            layout: SessionLayout::Auto,
         }
     }
 
@@ -108,13 +106,6 @@ impl StreamConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "the epoch pool needs at least one worker");
         self.threads = threads;
-        self
-    }
-
-    /// The same config with a pinned warm-state layout — the knob the
-    /// sparse≡dense identity proptests sweep.
-    pub fn with_layout(mut self, layout: SessionLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -342,8 +333,8 @@ struct TaskState {
 /// Epoch-pipelined streaming ingestion over one shared substrate — see
 /// the module docs for the determinism and backpressure contracts.
 ///
-/// Cloning copies every group's warm session (`O(G·n)`) but shares the
-/// substrate and starts with fresh, empty stream accounting — the
+/// Cloning copies every group's warm session (`O(G·|frame|)`) but shares
+/// the substrate and starts with fresh, empty stream accounting — the
 /// `stream_throughput` bench clones a warmed service inside its timers
 /// to replay identical steady states.
 #[derive(Debug)]
@@ -423,11 +414,7 @@ impl StreamService {
         self.groups.push(GroupSlot {
             queue: Mutex::new(GroupQueue::default()),
             idle: Condvar::new(),
-            session: Mutex::new(GroupSession::with_layout(
-                mechanism,
-                &self.ut,
-                self.config.layout,
-            )),
+            session: Mutex::new(GroupSession::new(mechanism, &self.ut)),
             mechanism,
         });
         self.groups.len() - 1
@@ -774,9 +761,7 @@ pub fn replay_reference(
     events: &[ChurnEvent],
     config: &StreamConfig,
 ) -> Vec<MechanismOutcome> {
-    let mut svc = MulticastService::new(ut)
-        .with_threads(1)
-        .with_layout(config.layout);
+    let mut svc = MulticastService::new(ut).with_threads(1);
     for &m in mechanisms {
         svc.add_group(m);
     }

@@ -45,11 +45,27 @@
 //! [`UniversalTree`]: crate::universal::UniversalTree
 
 use crate::network::WirelessNetwork;
-use std::collections::BTreeMap;
 use wmcs_graph::RootedTree;
 
 /// Sentinel for "no station" in dense `usize` parent/sibling arrays.
 pub const NO_STATION: usize = usize::MAX;
+
+/// Make room for `len` entries in a grow-only warm array, leaving at
+/// most `len / 8` spare capacity (doubling growth would leave up to
+/// `len`, and a shrink pass per reprice would reallocate on every
+/// growth epoch).
+pub(crate) fn reserve_bounded<T>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        v.reserve_exact(len + len / 8 - v.len());
+    }
+}
+
+/// Resize a grow-only warm array to `len` entries, new ones `fill`, with
+/// [`reserve_bounded`]'s slack.
+pub(crate) fn grow_to<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    reserve_bounded(v, len);
+    v.resize(len, fill);
+}
 
 /// A 4-byte station id — the unit of the substrate's memory diet.
 ///
@@ -241,8 +257,7 @@ impl TreeSubstrate {
         &self.child_array[self.offsets[x] as usize..self.offsets[x + 1] as usize]
     }
 
-    /// Parent of `v` as a `usize`, or [`NO_STATION`] for the source —
-    /// the sentinel convention of the dense engine arrays.
+    /// Parent of `v` as a `usize`, or [`NO_STATION`] for the source.
     #[inline]
     pub fn parent_of(&self, v: usize) -> usize {
         let p = self.parent[v];
@@ -259,14 +274,6 @@ impl TreeSubstrate {
     #[inline]
     pub fn parent_cost(&self, v: usize) -> f64 {
         self.parent_cost[v]
-    }
-
-    /// Start of `v`'s child slice in the flat child array — the base
-    /// index for per-edge side arrays of [`TreeSubstrate::n_edges`]
-    /// entries (the net-worth oracle's prefix/suffix maxima layout).
-    #[inline]
-    pub fn csr_offset(&self, v: usize) -> usize {
-        self.offsets[v] as usize
     }
 
     /// Index of `v` within its parent's cost-sorted child slice (0 for
@@ -314,7 +321,8 @@ impl TreeSubstrate {
 }
 
 /// A compact **local-id frame** over the path closure of a station
-/// subset — the per-group half of the sparse session layout.
+/// subset — the index space of every warm engine
+/// ([`crate::incremental`]).
 ///
 /// A multicast group touches only the union of its members' root paths
 /// in the shared [`TreeSubstrate`] (the Steiner subtree `T(R_g)` plus
@@ -329,27 +337,33 @@ impl TreeSubstrate {
 /// * local id 0 is always the source (the frame's root);
 /// * ids are **append-only**: [`Subframe::ensure`] splices the
 ///   out-of-frame suffix of a station's root path top-down, so new ids
-///   are always deeper than existing ones and engines grow their
-///   parallel arrays by comparing `len()` before/after — the frame never
-///   shrinks (a group's closure is grow-only; leaves just zero state);
+///   are always deeper than existing ones (a parent's id is below its
+///   children's) and engines grow their parallel arrays by comparing
+///   `len()` before/after — the frame never shrinks (a group's closure
+///   is grow-only; leaves just zero state). Every frame and engine array
+///   grows with at most 1/8 spare capacity (`grow_to`), so warm bytes
+///   stay near the exact closure footprint without a shrink pass;
 /// * per local station the frame caches the parent link, the global
 ///   cost-sorted child *position* and the tree-edge cost bit-for-bit
 ///   from the substrate, and the **in-frame children in ascending global
 ///   cost order** — the restriction of the substrate's cost-sorted child
 ///   slice to the closure, which is what keeps every local traversal
-///   order-identical to its dense counterpart (the byte-identity
+///   order-identical to a walk of the whole tree (the byte-identity
 ///   argument in DESIGN.md §2f).
 ///
-/// Building the closure of a member set costs `O(Σ path · log |frame|)`
-/// (the `log` is the global→local [`BTreeMap`]; no `HashMap`, per the
-/// audit's determinism rules). The sentinel for "no local station" is
-/// [`Subframe::NONE`].
+/// Building the closure of a member set costs `O(Σ new path)` expected:
+/// the global→local index is a closure-sized open-addressing table of
+/// local ids (a fixed multiplicative hash and no iteration, so it is
+/// deterministic; no `HashMap`, per the audit's determinism rules). The
+/// sentinel for "no local station" is [`Subframe::NONE`].
 #[derive(Debug, Clone)]
 pub struct Subframe {
     /// Local → global station id; index = local id, `global[0]` = source.
     global: Vec<NodeId>,
-    /// Global → local id (sparse; only closure stations are present).
-    local: BTreeMap<NodeId, u32>,
+    /// Global → local index: a power-of-two table of local ids keyed by
+    /// `global[local]`, linear probing, at most 3/4 full
+    /// ([`Subframe::NONE`] marks an empty slot).
+    index: Vec<u32>,
     /// Local parent id ([`Subframe::NONE`] for the source at local 0).
     parent: Vec<u32>,
     /// Cached tree-edge cost `c(parent(v), v)` per local id — copied
@@ -377,11 +391,11 @@ impl Subframe {
     /// An empty frame over `sub`: just the source at local id 0.
     pub fn new(sub: &TreeSubstrate) -> Self {
         let s = NodeId::from_index(sub.network().source());
-        let mut local = BTreeMap::new();
-        local.insert(s, 0u32);
+        let mut index = vec![Self::NONE; 4];
+        index[Self::home(s, 4)] = Self::ROOT;
         Self {
             global: vec![s],
-            local,
+            index,
             parent: vec![Self::NONE],
             parent_cost: vec![0.0],
             pos: vec![0],
@@ -390,14 +404,43 @@ impl Subframe {
         }
     }
 
+    /// The home slot of `station` in an index of `slots` (a power of
+    /// two): Fibonacci hashing, the top bits of a 64-bit product.
+    fn home(station: NodeId, slots: usize) -> usize {
+        let h = (station.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// Record local `l` in the index, doubling the table first when it
+    /// would pass 3/4 full.
+    fn index_insert(&mut self, l: u32) {
+        if 4 * self.global.len() > 3 * self.index.len() {
+            self.index = vec![Self::NONE; 2 * self.index.len()];
+            for k in 0..self.global.len() - 1 {
+                self.index_place(u32::try_from(k).expect("frame ids fit in u32"));
+            }
+        }
+        self.index_place(l);
+    }
+
+    /// Put local `l` in the first free slot from its home.
+    fn index_place(&mut self, l: u32) {
+        let mask = self.index.len() - 1;
+        let mut i = Self::home(self.global[l as usize], self.index.len());
+        while self.index[i] != Self::NONE {
+            i = (i + 1) & mask;
+        }
+        self.index[i] = l;
+    }
+
     /// Bring `station`'s whole root path into the frame and return the
-    /// station's local id. Already-present stations return in
-    /// `O(log |frame|)`; otherwise the out-of-frame path suffix is
-    /// spliced in **top-down** (so appended ids are always below existing
-    /// ones), each new station inserted into its parent's in-frame child
-    /// list at its global cost-order position. `O(path · log |frame|)`.
+    /// station's local id. Already-present stations return in `O(1)`
+    /// expected; otherwise the out-of-frame path suffix is spliced in
+    /// **top-down** (so appended ids are always below existing ones),
+    /// each new station inserted into its parent's in-frame child list at
+    /// its global cost-order position. `O(path)` expected.
     pub fn ensure(&mut self, sub: &TreeSubstrate, station: usize) -> u32 {
-        if let Some(&l) = self.local.get(&NodeId::from_index(station)) {
+        if let Some(l) = self.local_of(station) {
             return l;
         }
         // Collect the out-of-frame suffix of the root path, deepest
@@ -406,17 +449,24 @@ impl Subframe {
         let anchor = loop {
             let p = sub.parent_of(*suffix.last().expect("suffix is non-empty"));
             debug_assert!(p != NO_STATION, "the source is always in the frame");
-            if let Some(&l) = self.local.get(&NodeId::from_index(p)) {
+            if let Some(l) = self.local_of(p) {
                 break l;
             }
             suffix.push(p);
         };
+        let len = self.global.len() + suffix.len();
+        reserve_bounded(&mut self.global, len);
+        reserve_bounded(&mut self.parent, len);
+        reserve_bounded(&mut self.parent_cost, len);
+        reserve_bounded(&mut self.pos, len);
+        reserve_bounded(&mut self.first_kid, len);
+        reserve_bounded(&mut self.next_kid, len);
         let mut parent = anchor;
         for &w in suffix.iter().rev() {
             let l = u32::try_from(self.global.len())
                 .expect("frame ids fit in u32 (the universe is capped below u32::MAX)");
             self.global.push(NodeId::from_index(w));
-            self.local.insert(NodeId::from_index(w), l);
+            self.index_insert(l);
             self.parent.push(parent);
             self.parent_cost.push(sub.parent_cost(w));
             let pos = u32::try_from(sub.pos_in_parent(w))
@@ -456,7 +506,16 @@ impl Subframe {
 
     /// Local id of a global station, if it is in the closure.
     pub fn local_of(&self, station: usize) -> Option<u32> {
-        self.local.get(&NodeId::from_index(station)).copied()
+        let key = NodeId::from_index(station);
+        let mask = self.index.len() - 1;
+        let mut i = Self::home(key, self.index.len());
+        loop {
+            match self.index[i] {
+                Self::NONE => return None,
+                l if self.global[l as usize] == key => return Some(l),
+                _ => i = (i + 1) & mask,
+            }
+        }
     }
 
     /// Global station index of a local id.
@@ -500,31 +559,17 @@ impl Subframe {
         })
     }
 
-    /// Drop the slack capacity the doubling growth strategy left behind
-    /// — engines call this at batch boundaries so steady-state warm
-    /// bytes equal the exact closure footprint. No-op when tight.
-    pub fn shrink_to_fit(&mut self) {
-        self.global.shrink_to_fit();
-        self.parent.shrink_to_fit();
-        self.parent_cost.shrink_to_fit();
-        self.pos.shrink_to_fit();
-        self.first_kid.shrink_to_fit();
-        self.next_kid.shrink_to_fit();
-    }
-
-    /// Resident heap bytes of the frame (arrays plus a conservative
-    /// per-entry estimate for the global→local B-tree nodes).
+    /// Resident heap bytes of the frame: its arrays and the index.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let bytes = self.global.capacity() * size_of::<NodeId>()
-            + self.parent.capacity() * size_of::<u32>()
-            + self.pos.capacity() * size_of::<u32>()
+        self.global.capacity() * size_of::<NodeId>()
+            + (self.parent.capacity()
+                + self.pos.capacity()
+                + self.first_kid.capacity()
+                + self.next_kid.capacity()
+                + self.index.capacity())
+                * size_of::<u32>()
             + self.parent_cost.capacity() * size_of::<f64>()
-            + self.first_kid.capacity() * size_of::<u32>()
-            + self.next_kid.capacity() * size_of::<u32>();
-        // B-tree nodes pack up to 11 entries; 16 bytes/entry covers the
-        // key/value pair plus amortised node overhead.
-        bytes + self.local.len() * (size_of::<(NodeId, u32)>() + 8)
     }
 }
 
@@ -643,6 +688,10 @@ mod tests {
                 }
             }
             assert_eq!(frame.len(), closure.iter().filter(|&&b| b).count());
+            // The index misses exactly the stations outside the closure.
+            for (g, &inside) in closure.iter().enumerate() {
+                assert_eq!(frame.local_of(g).is_some(), inside, "station {g}");
+            }
             for l in 0..frame.len() {
                 let l = u32::try_from(l).expect("test frame is small");
                 let g = frame.global_of(l);

@@ -16,8 +16,9 @@
 //! * [`UniversalTree::shapley_shares`] — the paper's *efficient* Shapley
 //!   computation (per-station power increments split equally among the
 //!   receivers using them, §2.1), validated against Eq. (4) in tests;
-//! * [`UniversalTree::largest_efficient_set`] — a linear-time bottom-up DP
-//!   for the welfare-maximising receiver set, powering the MC mechanism.
+//! * [`UniversalTree::largest_efficient_set`] — the plain linear-time
+//!   bottom-up DP for the welfare-maximising receiver set, the reference
+//!   the MC mechanism's warm oracle is pinned to.
 
 use crate::network::WirelessNetwork;
 use crate::power::PowerAssignment;
@@ -88,8 +89,8 @@ impl UniversalTree {
     /// reference: `T(R)` by root-path walks, the length-n Steiner power
     /// assignment, and its [`PowerAssignment::total_cost`]. No serving
     /// path calls it: the warm engines sum `C_T(R)` over their own `T(R)`
-    /// (`IncrementalShapley::served_cost`, `NetWorthQueries::efficient_set`)
-    /// and are pinned to this bit for bit. It stays the oracle of
+    /// (`Shapley::served_cost`, the `NetWorth` selection walk) and are
+    /// pinned to this bit for bit. It stays the oracle of
     /// `reference_drop_run`, [`UniversalTreeCost`], the tests and the
     /// experiments.
     pub fn multicast_cost(&self, receivers: &[usize]) -> f64 {
@@ -178,13 +179,42 @@ impl UniversalTree {
     /// disagree with the returned net worth that VCG payments consume.
     /// Returns `(stations, net_worth)`.
     ///
-    /// The DP itself lives in [`crate::incremental::NetWorthOracle`],
-    /// which additionally answers the zero-one-station queries of the MC
-    /// mechanism in `O(depth)` each.
+    /// The plain `O(n)` reference: the warm [`crate::incremental::NetWorth`]
+    /// oracle runs the same per-station arithmetic over its frame and is
+    /// pinned to it.
     pub fn largest_efficient_set(&self, u: &[f64]) -> (Vec<usize>, f64) {
-        use crate::session::NetWorthQueries;
-        let (stations, nw, _) = crate::incremental::NetWorthOracle::new(self, u).efficient_set();
-        (stations, nw)
+        let sub = &self.sub;
+        let s = self.network().source();
+        let mut h = vec![0.0f64; self.network().n_stations()];
+        let mut choice = vec![0usize; h.len()];
+        for &v in sub.bfs_order().iter().rev() {
+            let v = v.index();
+            let (mut acc, mut b) = (0.0f64, 0.0f64);
+            for (j, &y) in sub.sorted_children(v).iter().enumerate() {
+                acc += h[y.index()];
+                let val = acc - sub.parent_cost(y.index());
+                if val >= b {
+                    b = val;
+                    choice[v] = j + 1;
+                }
+            }
+            let own = if v == s { 0.0 } else { u[v].max(0.0) };
+            h[v] = own + b;
+        }
+        let mut stations = Vec::new();
+        let mut stack = vec![s];
+        while let Some(v) = stack.pop() {
+            if v != s {
+                stations.push(v);
+            }
+            stack.extend(
+                sub.sorted_children(v)[..choice[v]]
+                    .iter()
+                    .map(|y| y.index()),
+            );
+        }
+        stations.sort_unstable();
+        (stations, h[s])
     }
 
     /// Maximal net worth only (used for VCG payments).

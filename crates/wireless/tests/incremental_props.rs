@@ -1,19 +1,17 @@
-//! Property suite for the incremental Moulin–Shenker engine: on every
-//! registered layout family the incremental outcome — receiver set,
-//! shares, served cost — is **byte-identical** to the naive per-round
-//! `shapley_shares` reference, both warm engines' round pass *is* that
-//! reference split bit for bit on any receiver set, and budget balance
-//! survives at n = 1024.
+//! Property suite for the warm engines: on every registered layout
+//! family the incremental outcome — receiver set, shares, served cost —
+//! is **byte-identical** to the naive per-round `shapley_shares`
+//! reference, the Shapley engine's round pass *is* that reference split
+//! bit for bit on any receiver set, the MC oracle's batched repair leaves
+//! it equal to a cold oracle bit for bit, and budget balance survives at
+//! n = 1024.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use wmcs_geom::{LayoutFamily, Scenario};
-use wmcs_wireless::incremental::{
-    reference_drop_run, shapley_drop_run, IncrementalShapley, NetWorthOracle,
-};
+use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run};
 use wmcs_wireless::{
-    NetWorthQueries, SparseNetWorth, SparseShapley, SubstrateBuilder, TreeKind, UniversalTree,
-    WirelessNetwork,
+    NetWorth, Shapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
 };
 
 /// Universal tree of a scenario draw; alternates between both tree
@@ -79,12 +77,10 @@ proptest! {
     }
 
     /// The identity the drop loop charges on: for an arbitrary receiver
-    /// set — not only a fixpoint — both warm engines' round pass equals
-    /// the reference split `shapley_shares` bit for bit, on every layout
-    /// family and both tree kinds. The dense engine is built on a
-    /// superset and drops the rest; the frame-local engine joins the
-    /// superset in a shuffled order (so its frame layout varies) and
-    /// drops the same stations.
+    /// set — not only a fixpoint — the engine's round pass equals the
+    /// reference split `shapley_shares` bit for bit, on every layout
+    /// family and both tree kinds. The engine joins a superset in a
+    /// shuffled order (so its frame layout varies) and drops the rest.
     #[test]
     fn round_pass_is_the_reference_split_bit_for_bit(
         fam_idx in 0usize..5,
@@ -105,39 +101,34 @@ proptest! {
             .into_iter()
             .filter(|_| rng.gen_bool(keep))
             .collect();
-        let mut dense = IncrementalShapley::new(&ut, &joined);
-        // Shuffle the sparse join order (Fisher–Yates).
+        // Shuffle the join order (Fisher–Yates).
         for i in (1..joined.len()).rev() {
             joined.swap(i, rng.gen_range(0..=i));
         }
-        let mut sparse = SparseShapley::new(&ut);
-        let locals: Vec<u32> = joined.iter().map(|&x| sparse.add_receiver(x)).collect();
+        let mut engine = Shapley::new(&ut);
+        let locals: Vec<u32> = joined.iter().map(|&x| engine.add_receiver(x)).collect();
         let mut alive = Vec::new();
         for (&x, &l) in joined.iter().zip(&locals) {
             if rng.gen_bool(leave) {
-                dense.drop_receiver(x);
-                sparse.drop_receiver_local(l);
+                engine.drop_receiver(l);
             } else {
                 alive.push((x, l));
             }
         }
         let stations: Vec<usize> = alive.iter().map(|&(x, _)| x).collect();
         let reference = ut.shapley_shares(&stations);
-        let by_station = dense.round_shares_by_station().to_vec();
-        let by_local = sparse.round_shares_by_local();
+        let by_local = engine.round_shares_by_local();
         for &(x, l) in &alive {
-            prop_assert_eq!(by_station[x].to_bits(), reference[x].to_bits(),
-                "dense, {} n={} seed={} station {}", family.name(), n, seed, x);
             prop_assert_eq!(by_local[l as usize].to_bits(), reference[x].to_bits(),
-                "sparse, {} n={} seed={} station {}", family.name(), n, seed, x);
+                "{} n={} seed={} station {}", family.name(), n, seed, x);
         }
     }
 
     /// The served cost each warm engine sums over its own `T(R)` is the
     /// reference `multicast_cost` bit for bit, on every layout family and
-    /// both tree kinds: for both Shapley engines after every step of a
+    /// both tree kinds: for the Shapley engine after every step of a
     /// join/leave walk (from the empty set, draining towards it at the
-    /// end), and for both MC oracles on the set `efficient_set` returns
+    /// end), and for the MC oracle on the set `efficient_set` returns
     /// after every `set_utility` of a random sequence (zeros included).
     #[test]
     fn served_cost_is_the_reference_multicast_cost_bit_for_bit(
@@ -155,16 +146,13 @@ proptest! {
         let net = ut.network();
         let all = net.non_source_stations();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xc057_c057);
-        let mut dense = IncrementalShapley::new(&ut, &[]);
-        let mut sparse = SparseShapley::new(&ut);
+        let mut engine = Shapley::new(&ut);
         let mut local = vec![0u32; net.n_stations()];
         let mut alive: Vec<usize> = Vec::new();
         for step in 0..=steps {
             let reference = ut.multicast_cost(&alive).to_bits();
-            prop_assert_eq!(dense.served_cost().to_bits(), reference,
-                "dense, {} n={} seed={} step {}", family.name(), n, seed, step);
-            prop_assert_eq!(sparse.served_cost().to_bits(), reference,
-                "sparse, {} n={} seed={} step {}", family.name(), n, seed, step);
+            prop_assert_eq!(engine.served_cost().to_bits(), reference,
+                "Shapley, {} n={} seed={} step {}", family.name(), n, seed, step);
             if step == steps {
                 break;
             }
@@ -174,30 +162,92 @@ proptest! {
                 let absent: Vec<usize> =
                     all.iter().copied().filter(|x| !alive.contains(x)).collect();
                 let x = absent[rng.gen_range(0..absent.len())];
-                dense.add_receiver(x);
-                local[x] = sparse.add_receiver(x);
+                local[x] = engine.add_receiver(x);
                 alive.push(x);
             } else {
                 let x = alive.swap_remove(rng.gen_range(0..alive.len()));
-                dense.drop_receiver(x);
-                sparse.drop_receiver_local(local[x]);
+                engine.drop_receiver(local[x]);
             }
             alive.sort_unstable();
         }
         let hi = (scale * ut.multicast_cost(&all) / all.len() as f64).max(1e-6);
-        let mut dense_mc = NetWorthOracle::new(&ut, &vec![0.0; net.n_stations()]);
-        let mut sparse_mc = SparseNetWorth::new(&ut);
+        let mut oracle = NetWorth::new(&ut);
         for step in 0..=steps {
-            let (set, _, cost) = dense_mc.efficient_set();
+            let (set, _, cost) = oracle.efficient_set();
             prop_assert_eq!(cost.to_bits(), ut.multicast_cost(&set).to_bits(),
-                "dense MC, {} n={} seed={} step {}", family.name(), n, seed, step);
-            let (set, _, cost) = sparse_mc.efficient_set();
-            prop_assert_eq!(cost.to_bits(), ut.multicast_cost(&set).to_bits(),
-                "sparse MC, {} n={} seed={} step {}", family.name(), n, seed, step);
+                "MC, {} n={} seed={} step {}", family.name(), n, seed, step);
             let x = all[rng.gen_range(0..all.len())];
             let utility = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..hi) };
-            dense_mc.set_utility(x, utility);
-            sparse_mc.set_utility(x, utility);
+            oracle.set_utility(x, utility);
+        }
+    }
+
+    /// The MC oracle's batched repair: epochs of `set_utility` calls —
+    /// repeated stations within an epoch, zeros (as a `Leave` sets),
+    /// `+0.0` and `−0.0` bids, and stations new to the frame — leave the
+    /// warm oracle equal, after every epoch, to a cold oracle fed the same
+    /// utilities: net worth, efficient set, served cost, every station's
+    /// zeroing query and the VCG outcome, bit for bit. A `+0.0` bidder is
+    /// charged exactly `+0.0`.
+    #[test]
+    fn batched_mc_repair_equals_a_cold_oracle_bit_for_bit(
+        fam_idx in 0usize..5,
+        kind_idx in 0usize..2,
+        n in 2usize..=256,
+        alpha_idx in 0usize..2,
+        seed in 0u64..10_000,
+        epochs in 1usize..8,
+        scale in 0.2f64..4.0,
+    ) {
+        let family = LayoutFamily::ALL[fam_idx];
+        let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
+        let ut = scenario_tree_of(family, n, [2.0, 4.0][alpha_idx], seed, kind);
+        let net = ut.network();
+        let all = net.non_source_stations();
+        let hi = (scale * ut.multicast_cost(&all) / all.len() as f64).max(1e-6);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xba7c_4ed0);
+        let mut u = vec![0.0f64; net.n_stations()];
+        let mut warm = NetWorth::new(&ut);
+        for epoch in 0..epochs {
+            // A small pool per epoch, so stations repeat within it; the
+            // pool is drawn afresh, so later epochs reach new stations.
+            let pool: Vec<usize> = (0..1 + all.len() / 8)
+                .map(|_| all[rng.gen_range(0..all.len())])
+                .collect();
+            for _ in 0..rng.gen_range(1..=2 * pool.len()) {
+                let x = pool[rng.gen_range(0..pool.len())];
+                let utility = match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(0.0..hi),
+                };
+                u[x] = utility;
+                warm.set_utility(x, utility);
+            }
+            let mut cold = NetWorth::from_utilities(&ut, &u);
+            let label = format!("{} n={} seed={} epoch {}", family.name(), n, seed, epoch);
+            prop_assert_eq!(warm.net_worth().to_bits(), cold.net_worth().to_bits(), "{}", &label);
+            let (wset, wnw, wcost) = warm.efficient_set();
+            let (cset, cnw, ccost) = cold.efficient_set();
+            prop_assert_eq!(&wset, &cset, "{}", &label);
+            prop_assert_eq!(wnw.to_bits(), cnw.to_bits(), "{}", &label);
+            prop_assert_eq!(wcost.to_bits(), ccost.to_bits(), "{}", &label);
+            for &x in &all {
+                prop_assert_eq!(warm.net_worth_zeroing(x).to_bits(),
+                    cold.net_worth_zeroing(x).to_bits(), "{} station {}", &label, x);
+            }
+            let (w, c) = (warm.vcg_outcome(), cold.vcg_outcome());
+            prop_assert_eq!(&w.receivers, &c.receivers, "{}", &label);
+            let bits = |o: &wmcs_game::MechanismOutcome| -> Vec<u64> {
+                o.shares.iter().map(|x| x.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&w), bits(&c), "{}", &label);
+            prop_assert_eq!(w.served_cost.to_bits(), c.served_cost.to_bits(), "{}", &label);
+            for &p in &w.receivers {
+                if u[net.station_of_player(p)].to_bits() == 0 {
+                    prop_assert_eq!(w.shares[p].to_bits(), 0, "{} player {}", &label, p);
+                }
+            }
         }
     }
 
@@ -216,7 +266,7 @@ proptest! {
         for (p, &v) in u.iter().enumerate() {
             u_st[ut.network().station_of_player(p)] = v;
         }
-        let oracle = NetWorthOracle::new(&ut, &u_st);
+        let mut oracle = NetWorth::from_utilities(&ut, &u_st);
         for x in ut.network().non_source_stations() {
             let mut u_minus = u_st.clone();
             u_minus[x] = 0.0;

@@ -22,8 +22,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// G overlapping groups, alternating mechanisms, random layout
-    /// family and seed: the shared-substrate service is byte-identical,
-    /// per group and per batch, to isolated own-substrate sessions.
+    /// family and seed, a full service on the default worker count: the
+    /// shared-substrate service is byte-identical, per group and per
+    /// batch, to isolated own-substrate sessions, and its warm bytes are
+    /// theirs.
     #[test]
     fn service_groups_match_isolated_single_group_sessions(
         seed in 0u64..10_000,
@@ -85,5 +87,10 @@ proptest! {
                 );
             }
         }
+        // Sharing the substrate adds no per-group state: the service's
+        // warm bytes are exactly its groups' isolated footprints.
+        let isolated_bytes: usize = isolated.iter().map(GroupSession::memory_bytes).sum();
+        prop_assert_eq!(svc.memory_bytes(), isolated_bytes);
+        prop_assert!(isolated_bytes > 0);
     }
 }

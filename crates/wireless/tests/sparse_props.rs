@@ -1,18 +1,19 @@
-//! Sparse ≡ dense identity suite (the T15 contract, randomised): a
-//! compact-frame warm session ([`SessionLayout::Sparse`]) must produce
-//! **byte-identical** outcomes to the universe-sized dense reference
-//! ([`SessionLayout::Dense`]) — receivers, shares (`==` on every `f64`
-//! bit), served cost and reported profile — for all five layout
-//! families, both mechanisms, and churn traces with mid-session joins.
-//! (The ≥ 10× warm-memory saving itself is pinned at realistic scale by
-//! the `sparse` module's unit tests — universes here are too small for
-//! the frame bookkeeping to win.)
+//! Frame-local ("sparse") service ≡ universe-indexed ("dense")
+//! references, randomised: a [`MulticastService`], whose groups are warm
+//! sessions framed over their members' path closures on one shared
+//! substrate, prices every group after every batch byte-identically to
+//! references indexed by the whole universe and fed an independent model
+//! of the event semantics — the drop loop over
+//! `UniversalTree::shapley_shares` for Shapley groups, and for MC groups
+//! the plain DP's largest efficient set and multicast cost, charged the
+//! VCG shares of an oracle framed over every station.
 
 use proptest::prelude::*;
-use wmcs_geom::{ChurnProcess, LayoutFamily, MultiGroupProcess, Scenario};
+use wmcs_game::MechanismOutcome;
+use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario, EPS};
 use wmcs_wireless::{
-    GroupMechanism, GroupSession, MulticastService, SessionLayout, SubstrateBuilder, TreeKind,
-    UniversalTree, WirelessNetwork,
+    GroupMechanism, MulticastService, NetWorth, SubstrateBuilder, TreeKind, UniversalTree,
+    WirelessNetwork,
 };
 
 /// The network of a scenario draw (station 0 as source).
@@ -21,74 +22,83 @@ fn scenario_net(family: LayoutFamily, n: usize, alpha: f64, seed: u64) -> Wirele
     WirelessNetwork::euclidean(sc.points(seed), sc.power_model(), 0)
 }
 
-fn build_tree(net: &WirelessNetwork, mst: bool) -> UniversalTree {
-    if mst {
-        SubstrateBuilder::new(net)
-            .tree(TreeKind::Mst)
-            .build_universal()
-    } else {
-        SubstrateBuilder::new(net)
-            .tree(TreeKind::Spt)
-            .build_universal()
+/// Receivers, every share bit and the served cost.
+fn outcome_bits(o: &MechanismOutcome) -> (Vec<usize>, Vec<u64>, u64) {
+    let shares = o.shares.iter().map(|x| x.to_bits()).collect();
+    (o.receivers.clone(), shares, o.served_cost.to_bits())
+}
+
+/// The event semantics, modelled apart from the service: each player's
+/// live bid (`None` = absent) after `batch`.
+fn apply_model(model: &mut [Option<f64>], batch: &[ChurnEvent]) {
+    for ev in batch {
+        match *ev {
+            ChurnEvent::Join { player, utility } => model[player] = Some(utility),
+            ChurnEvent::Leave { player } => model[player] = None,
+            ChurnEvent::Rebid { player, utility } => {
+                if let Some(bid) = &mut model[player] {
+                    *bid = utility;
+                }
+            }
+        }
+    }
+}
+
+/// The universe-indexed Moulin–Shenker run from `players`: every round
+/// recomputes `UniversalTree::shapley_shares` on the surviving stations
+/// and drops each bid that is not ≥ share − EPS.
+fn dense_drop_run_from(ut: &UniversalTree, bids: &[f64], players: &[usize]) -> MechanismOutcome {
+    let net = ut.network();
+    let mut alive = players.to_vec();
+    loop {
+        let stations: Vec<usize> = alive.iter().map(|&p| net.station_of_player(p)).collect();
+        let by_station = ut.shapley_shares(&stations);
+        let share = |p: usize| by_station[net.station_of_player(p)];
+        let kept: Vec<usize> = alive
+            .iter()
+            .copied()
+            .filter(|&p| !(bids[p].is_nan() || bids[p] < share(p) - EPS))
+            .collect();
+        if kept.len() == alive.len() {
+            let mut shares = vec![0.0; bids.len()];
+            for &p in &alive {
+                shares[p] = share(p);
+            }
+            return MechanismOutcome {
+                receivers: alive,
+                shares,
+                served_cost: ut.multicast_cost(&stations),
+            };
+        }
+        alive = kept;
+    }
+}
+
+/// The MC reference on station utilities `u`: the plain DP's largest
+/// efficient set and its multicast cost, charged the VCG shares of an
+/// oracle whose frame is the whole universe.
+fn dense_vcg(ut: &UniversalTree, u: &[f64]) -> MechanismOutcome {
+    let net = ut.network();
+    let (set, _) = ut.largest_efficient_set(u);
+    let mut oracle = NetWorth::from_utilities(ut, u);
+    assert_eq!(oracle.frame_len(), net.n_stations());
+    MechanismOutcome {
+        receivers: set
+            .iter()
+            .filter_map(|&x| net.player_of_station(x))
+            .collect(),
+        shares: oracle.vcg_outcome().shares,
+        served_cost: ut.multicast_cost(&set),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Single group, every family × both mechanisms: the sparse session
-    /// replays the same churn trace as the dense session — joins, leaves,
-    /// rebids, and mid-session re-joins — and every batch outcome is
-    /// byte-identical (`==` on the `f64` shares, not approximate).
-    #[test]
-    fn sparse_session_is_byte_identical_to_dense(
-        seed in 0u64..10_000,
-        family_ix in 0usize..5,
-        n in 10usize..30,
-        alpha_ix in 0usize..2,
-        tree_ix in 0usize..2,
-        mech_ix in 0usize..2,
-    ) {
-        let family = LayoutFamily::ALL[family_ix];
-        let alpha = [2.0, 4.0][alpha_ix];
-        let net = scenario_net(family, n, alpha, seed);
-        let ut = build_tree(&net, tree_ix == 1);
-        let broadcast = ut.multicast_cost(&ut.network().non_source_stations());
-        let hi = (2.0 * broadcast / (n - 1) as f64).max(1e-9);
-        // 6 batches of churn: enough for leave-then-rejoin traffic, the
-        // case that exercises the frame splice after warm-up.
-        let trace = ChurnProcess::new(n - 1, 6, 5, hi, seed ^ 0x5a12).generate();
-        let mech = [GroupMechanism::Shapley, GroupMechanism::MarginalCost][mech_ix];
-
-        let mut dense = GroupSession::with_layout(mech, &ut, SessionLayout::Dense);
-        let mut sparse = GroupSession::with_layout(mech, &ut, SessionLayout::Sparse);
-        prop_assert_eq!(dense.layout(), SessionLayout::Dense);
-        prop_assert_eq!(sparse.layout(), SessionLayout::Sparse);
-
-        for (b, batch) in trace.batches.iter().enumerate() {
-            let want = dense.apply_batch(batch);
-            let got = sparse.apply_batch(batch);
-            prop_assert_eq!(
-                &got.receivers, &want.receivers,
-                "receiver drift at batch {}", b
-            );
-            prop_assert_eq!(&got.shares, &want.shares, "share drift at batch {}", b);
-            prop_assert_eq!(
-                got.served_cost, want.served_cost,
-                "served-cost drift at batch {}", b
-            );
-            prop_assert_eq!(
-                sparse.reported_profile(),
-                dense.reported_profile(),
-                "reported-profile drift at batch {}",
-                b
-            );
-        }
-    }
-
-    /// Auto resolution: a sparse-layout service over a shared substrate
-    /// is byte-identical to a dense-layout service, group by group and
-    /// batch by batch, and its warm state is never larger.
+    /// G overlapping groups, alternating mechanisms, a full service on
+    /// the default worker count: every group's outcome after every batch
+    /// is the universe-indexed reference's on the modelled bids (Shapley
+    /// evictions leave the model as they leave the session).
     #[test]
     fn sparse_service_matches_dense_service(
         seed in 0u64..10_000,
@@ -98,21 +108,16 @@ proptest! {
     ) {
         let family = LayoutFamily::ALL[family_ix];
         let net = scenario_net(family, n, 2.0, seed);
-        let ut = build_tree(&net, false);
+        let ut = SubstrateBuilder::new(&net).tree(TreeKind::Spt).build_universal();
         let broadcast = ut.multicast_cost(&ut.network().non_source_stations());
         let hi = (2.0 * broadcast / (n - 1) as f64).max(1e-9);
         let trace = MultiGroupProcess::new(n - 1, g, 4, hi, seed ^ 0x15e).generate();
 
-        let mut dense = MulticastService::new(&ut)
-            .with_threads(1)
-            .with_layout(SessionLayout::Dense);
-        let mut sparse = MulticastService::new(&ut)
-            .with_threads(0)
-            .with_layout(SessionLayout::Sparse);
+        let mut svc = MulticastService::new(&ut).with_threads(0);
         for i in 0..g {
-            dense.add_group(GroupMechanism::alternating(i));
-            sparse.add_group(GroupMechanism::alternating(i));
+            svc.add_group(GroupMechanism::alternating(i));
         }
+        let mut models: Vec<Vec<Option<f64>>> = vec![vec![None; n - 1]; g];
 
         for b in 0..trace.n_batches() {
             let batches: Vec<Vec<_>> = trace
@@ -120,28 +125,37 @@ proptest! {
                 .iter()
                 .map(|gr| gr.trace.batches[b].clone())
                 .collect();
-            let want = dense.step_all(&batches);
-            let got = sparse.step_all(&batches);
-            for (i, (s, d)) in got.iter().zip(&want).enumerate() {
+            let outs = svc.step_all(&batches);
+            for (i, out) in outs.iter().enumerate() {
+                let model = &mut models[i];
+                apply_model(model, &batches[i]);
+                let bids: Vec<f64> = model.iter().map(|bid| bid.unwrap_or(0.0)).collect();
+                let want = match GroupMechanism::alternating(i) {
+                    GroupMechanism::Shapley => {
+                        let members: Vec<usize> =
+                            (0..n - 1).filter(|&p| model[p].is_some()).collect();
+                        let want = dense_drop_run_from(&ut, &bids, &members);
+                        for &p in &members {
+                            if !want.is_receiver(p) {
+                                model[p] = None;
+                            }
+                        }
+                        want
+                    }
+                    GroupMechanism::MarginalCost => {
+                        let mut u = vec![0.0; net.n_stations()];
+                        for (p, &bid) in bids.iter().enumerate() {
+                            u[net.station_of_player(p)] = bid;
+                        }
+                        dense_vcg(&ut, &u)
+                    }
+                };
                 prop_assert_eq!(
-                    &s.outcome.receivers, &d.outcome.receivers,
-                    "receiver drift: group {} batch {}", i, b
-                );
-                prop_assert_eq!(
-                    &s.outcome.shares, &d.outcome.shares,
-                    "share drift: group {} batch {}", i, b
-                );
-                prop_assert_eq!(
-                    s.outcome.served_cost, d.outcome.served_cost,
-                    "cost drift: group {} batch {}", i, b
+                    outcome_bits(&out.outcome), outcome_bits(&want),
+                    "{} n={} seed={}: group {} batch {}", family.name(), n, seed, i, b
                 );
             }
         }
-        // Both accountings are live (the ≥ 10× sparse *saving* is pinned
-        // at realistic scale by `sparse::tests::
-        // sparse_memory_tracks_the_closure_not_the_universe` — at these
-        // toy universes the frame bookkeeping can dominate).
-        prop_assert!(dense.memory_bytes() > 0);
-        prop_assert!(sparse.memory_bytes() > 0);
+        prop_assert!(svc.memory_bytes() > 0);
     }
 }
