@@ -1,21 +1,32 @@
 //! Uniform grid-bucket spatial index for near-neighbour candidate
 //! generation.
 //!
-//! The O(n log n) universal-tree construction path (`wmcs-graph`'s
-//! spatial Prim/Dijkstra) replaces the dense "relax all n − 1
-//! neighbours" loop with *candidate streams*: each station asks for its
-//! neighbours in ascending distance order and stops early. A
-//! [`GridIndex`] is the geometry half of that contract — it buckets the
-//! stations into a uniform grid (~[`TARGET_PER_CELL`] points per cell)
-//! and exposes **expanding shells**: the cells at Chebyshev ring `r`
-//! around a station's cell, together with an exact lower bound
-//! ([`GridIndex::shell_min_dist`]) on the distance to *every* point in
-//! rings `≥ r`. A consumer that has seen rings `< r` and holds a
-//! candidate closer than that bound knows no unseen point can beat it.
+//! The spatial universal-tree growth (`wmcs-graph`'s `spatial` module)
+//! replaces the dense "relax all n − 1 neighbours" loop with *candidate
+//! streams*: each station asks for its neighbours in ascending distance
+//! order and stops early. A [`GridIndex`] is the geometry half of that
+//! contract — it buckets the stations into a uniform grid
+//! (~[`TARGET_PER_CELL`] points per cell) and exposes **expanding
+//! shells**: the cells at Chebyshev ring `r` around a station's cell,
+//! together with an exact lower bound ([`GridIndex::shell_min_dist`]) on
+//! the distance to *every* point in rings `≥ r`. A consumer that has seen
+//! rings `< r` and holds a candidate closer than that bound knows no
+//! unseen point can beat it.
+//!
+//! The ring walk is **live**: [`GridIndex::for_live_shell`] takes a
+//! caller-owned bitset over linear cell ids and visits only the ring's
+//! cells whose bit is set (the growth clears a cell's bit once every
+//! station in it is finalised). Along the last axis a ring's full-width
+//! runs are contiguous in linear id, so the walk tests them a 64-bit word
+//! at a time; the ring's other cells are single bit tests. Whole dead
+//! rings are skipped with [`GridIndex::live_distance`], a two-pass raster
+//! transform that gives every cell its chessboard distance, in cells, to
+//! the nearest live cell: no closer ring holds a live cell.
 //!
 //! Determinism contract: for a fixed point set the index layout, the
-//! ring enumeration order (lexicographic cell offsets, ascending point
-//! ids within a cell) and every bound are pure functions of the input —
+//! ring enumeration order (ascending linear cell id, which is
+//! lexicographic offset order, and ascending point ids within a cell)
+//! and every bound are pure functions of the input and the mask —
 //! nothing here can perturb the byte-identity gates the tree builders
 //! are held to.
 //!
@@ -29,6 +40,12 @@ use crate::point::Point;
 /// candidate heaps short while the cell count (≈ n / 2) stays well
 /// below the point count's memory footprint.
 pub const TARGET_PER_CELL: f64 = 2.0;
+
+/// Linear id of a cell from its per-axis indices: row-major, last axis
+/// fastest, so ascending ids are lexicographic offset order.
+fn linear_id(res: usize, cell: &[u32]) -> usize {
+    cell.iter().fold(0, |c, &x| c * res + x as usize)
+}
 
 /// A uniform grid-bucket index over a fixed set of points in `R^d`.
 ///
@@ -115,16 +132,10 @@ impl GridIndex {
         // CSR bucket fill (counting sort over linear cell ids); iterating
         // points in ascending id keeps each bucket's ids ascending.
         let n_cells = res.pow(u32::try_from(dim).expect("dimension fits in u32"));
-        let linear = |i: usize, cell_idx: &[u32]| -> usize {
-            let mut c = 0usize;
-            for a in 0..dim {
-                c = c * res + cell_idx[i * dim + a] as usize;
-            }
-            c
-        };
+        let linear = |i: usize| linear_id(res, &cell_idx[i * dim..(i + 1) * dim]);
         let mut starts = vec![0u32; n_cells + 1];
         for i in 0..n {
-            starts[linear(i, &cell_idx) + 1] += 1;
+            starts[linear(i) + 1] += 1;
         }
         for c in 0..n_cells {
             starts[c + 1] += starts[c];
@@ -132,7 +143,7 @@ impl GridIndex {
         let mut cursor: Vec<u32> = starts.clone();
         let mut items = vec![0u32; n];
         for i in 0..n {
-            let c = linear(i, &cell_idx);
+            let c = linear(i);
             items[cursor[c] as usize] = u32::try_from(i).expect("point id fits in u32");
             cursor[c] += 1;
         }
@@ -175,6 +186,18 @@ impl GridIndex {
         self.coords[i * self.dim + a]
     }
 
+    /// Number of cells, `resolution()^dim()`: a live mask carries one bit
+    /// per cell.
+    pub fn n_cells(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Linear id of point `i`'s cell, the id [`GridIndex::cell_points`]
+    /// and the live masks use.
+    pub fn cell_of(&self, i: usize) -> usize {
+        linear_id(self.res, &self.cell_idx[i * self.dim..(i + 1) * self.dim])
+    }
+
     /// The point ids bucketed in the linear cell `c`, ascending.
     pub fn cell_points(&self, c: usize) -> &[u32] {
         &self.items[self.starts[c] as usize..self.starts[c + 1] as usize]
@@ -215,75 +238,167 @@ impl GridIndex {
         best.max(0.0)
     }
 
-    /// Visit every point bucketed in the cells of Chebyshev ring exactly
-    /// `r` around point `i`'s cell (ring 0 is `i`'s own cell; `i` itself
-    /// is **included** — callers filter). Cells are visited in
-    /// lexicographic offset order and each cell's ids ascend, so the
-    /// visit order is a pure function of the point set.
-    pub fn for_shell(&self, i: usize, r: usize, mut visit: impl FnMut(u32)) {
-        let center: Vec<isize> = (0..self.dim)
-            .map(|a| self.cell_idx[i * self.dim + a] as isize)
-            .collect();
-        let mut offset = vec![0isize; self.dim];
-        self.shell_rec(&center, r as isize, 0, false, &mut offset, &mut visit);
+    /// Visit every live cell of Chebyshev ring exactly `r` around point
+    /// `i`'s cell (ring 0 is `i`'s own cell), in ascending linear id —
+    /// lexicographic offset order, so the visit order is a pure function
+    /// of the point set and the mask. Cell `c` is live when bit `c % 64`
+    /// of `live[c / 64]` is set; the mask covers [`GridIndex::n_cells`]
+    /// bits. A full-width run along the last axis is tested a word at a
+    /// time, every other cell of the ring with a single bit test.
+    pub fn for_live_shell(&self, i: usize, r: usize, live: &[u64], mut visit: impl FnMut(usize)) {
+        let center = &self.cell_idx[i * self.dim..(i + 1) * self.dim];
+        self.shell_runs(center, r, 0, false, 0, &mut |start, end| {
+            let mut c = start;
+            while c < end {
+                let span = (end - c).min(64 - c % 64);
+                let mut bits = live[c / 64] >> (c % 64);
+                if span < 64 {
+                    bits &= (1u64 << span) - 1;
+                }
+                while bits != 0 {
+                    visit(c + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+                c += span;
+            }
+        });
     }
 
-    /// Recursive shell walk: axis by axis, enumerating offsets in
-    /// `[-r, r]`; once the last axis is reached without any `|off| = r`
-    /// axis yet, only the two extreme offsets are taken, so the walk
-    /// touches the ring's surface cells only (O(surface), not O(volume)).
-    fn shell_rec(
+    /// Recursive ring walk reporting half-open runs `[start, end)` of
+    /// linear cell ids, in ascending order: axis by axis over the clipped
+    /// offsets `[-r, r]`; once the last axis is reached without any
+    /// `|off| = r` axis yet, only the two extreme offsets are taken (two
+    /// one-cell runs), otherwise the clipped span is one contiguous run.
+    /// The walk touches the ring's surface only (O(surface), not
+    /// O(volume)).
+    fn shell_runs(
         &self,
-        center: &[isize],
-        r: isize,
+        center: &[u32],
+        r: usize,
         axis: usize,
         have_extreme: bool,
-        offset: &mut Vec<isize>,
-        visit: &mut impl FnMut(u32),
+        prefix: usize,
+        run: &mut impl FnMut(usize, usize),
     ) {
-        if axis == self.dim {
-            // All axes chosen; clip was done per axis.
-            let mut c = 0usize;
-            for a in 0..self.dim {
-                c = c * self.res + (center[a] + offset[a]) as usize;
+        let c = center[axis] as usize;
+        let lo = c.saturating_sub(r);
+        let hi = (c + r).min(self.res - 1);
+        let base = prefix * self.res;
+        if axis + 1 < self.dim {
+            for x in lo..=hi {
+                let extreme = have_extreme || x.abs_diff(c) == r;
+                self.shell_runs(center, r, axis + 1, extreme, base + x, run);
             }
-            for &p in self.cell_points(c) {
-                visit(p);
+        } else if have_extreme {
+            run(base + lo, base + hi + 1);
+        } else {
+            // Must realise the ring radius on this axis.
+            if c >= r {
+                run(base + c - r, base + c - r + 1);
             }
+            if r > 0 && c + r < self.res {
+                run(base + c + r, base + c + r + 1);
+            }
+        }
+    }
+
+    /// Chessboard distance, in cells, from every cell to the nearest live
+    /// cell of `live` (the [`GridIndex::for_live_shell`] mask), written to
+    /// `near` (one slot per cell); `u32::MAX` when no cell is live. Every
+    /// ring around cell `c` closer than `near[c]` holds dead cells only.
+    ///
+    /// Two raster passes over the `3^d − 1` neighbourhood, one code path
+    /// for every `d`: the forward pass relaxes each cell from its
+    /// neighbours with smaller linear ids, the backward pass from those
+    /// with larger ones. The result is exact, not just a bound: a
+    /// shortest chessboard path from the nearest live cell moves
+    /// monotonically on every axis, so its unit steps can be reordered to
+    /// take every id-increasing step (the forward pass, in order) before
+    /// every id-decreasing one (the backward pass) without leaving the
+    /// grid.
+    pub fn live_distance(&self, live: &[u64], near: &mut [u32]) {
+        let (dim, res) = (self.dim, self.res);
+        assert_eq!(near.len(), self.n_cells(), "one distance slot per cell");
+        let is_live = |c: usize| (live[c / 64] >> (c % 64)) & 1 == 1;
+        if res == 1 {
+            // One cell and no neighbours (d may also exceed the axis
+            // masks below: res ≥ 2 needs 2^d ≤ n / 2, so d < 32).
+            near[0] = if is_live(0) { 0 } else { u32::MAX };
             return;
         }
-        let last_axis = axis + 1 == self.dim;
-        let take = |off: isize| {
-            let idx = center[axis] + off;
-            idx >= 0 && idx < self.res as isize
-        };
-        if last_axis && !have_extreme {
-            // Must realise the ring radius on this axis.
-            if r == 0 {
-                offset[axis] = 0;
-                if take(0) {
-                    self.shell_rec(center, r, axis + 1, true, offset, visit);
+        // Neighbour offsets in {-1, 0, 1}^d \ {0}, as (id distance, axes
+        // stepped down, axes stepped up), split by the side of the cell
+        // they lie on in linear order. With res ≥ 2 an offset's first
+        // non-zero axis outweighs all later ones, so the id steps up
+        // (`plus`) and down (`minus`) never cancel.
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        let offsets = 3usize.pow(u32::try_from(dim).expect("d < 32 when res ≥ 2"));
+        for code in 0..offsets {
+            let (mut rest, mut stride) = (code, 1usize);
+            let (mut plus, mut minus, mut down, mut up) = (0usize, 0usize, 0u32, 0u32);
+            for a in (0..dim).rev() {
+                match rest % 3 {
+                    0 => (minus, down) = (minus + stride, down | (1 << a)),
+                    2 => (plus, up) = (plus + stride, up | (1 << a)),
+                    _ => {}
                 }
-            } else {
-                for off in [-r, r] {
-                    if take(off) {
-                        offset[axis] = off;
-                        self.shell_rec(center, r, axis + 1, true, offset, visit);
+                rest /= 3;
+                stride *= res;
+            }
+            match plus.cmp(&minus) {
+                std::cmp::Ordering::Less => before.push((minus - plus, down, up)),
+                std::cmp::Ordering::Greater => after.push((plus - minus, down, up)),
+                std::cmp::Ordering::Equal => {} // the zero offset
+            }
+        }
+        // Axes on which the cell sits at the low / high grid edge.
+        let edges = |coord: &[usize]| {
+            let (mut lo, mut hi) = (0u32, 0u32);
+            for (a, &x) in coord.iter().enumerate() {
+                if x == 0 {
+                    lo |= 1 << a;
+                }
+                if x == res - 1 {
+                    hi |= 1 << a;
+                }
+            }
+            (lo, hi)
+        };
+        let mut coord = vec![0usize; dim];
+        for c in 0..near.len() {
+            near[c] = if is_live(c) { 0 } else { u32::MAX };
+            if near[c] > 0 {
+                let (lo, hi) = edges(&coord);
+                for &(dist, down, up) in &before {
+                    if down & lo == 0 && up & hi == 0 {
+                        near[c] = near[c].min(near[c - dist].saturating_add(1));
                     }
                 }
             }
-        } else {
-            for off in -r..=r {
-                if take(off) {
-                    offset[axis] = off;
-                    self.shell_rec(
-                        center,
-                        r,
-                        axis + 1,
-                        have_extreme || off.abs() == r,
-                        offset,
-                        visit,
-                    );
+            // Odometer step to cell c + 1 (wraps to all zeros at the end).
+            for x in coord.iter_mut().rev() {
+                *x += 1;
+                if *x < res {
+                    break;
+                }
+                *x = 0;
+            }
+        }
+        for c in (0..near.len()).rev() {
+            // Odometer step back to cell c (the wrap lands on the last cell).
+            for x in coord.iter_mut().rev() {
+                if *x > 0 {
+                    *x -= 1;
+                    break;
+                }
+                *x = res - 1;
+            }
+            if near[c] > 0 {
+                let (lo, hi) = edges(&coord);
+                for &(dist, down, up) in &after {
+                    if down & lo == 0 && up & hi == 0 {
+                        near[c] = near[c].min(near[c + dist].saturating_add(1));
+                    }
                 }
             }
         }
@@ -316,6 +431,50 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The points of ring `r` around point `i`, walked with every cell live.
+    fn shell_points(idx: &GridIndex, i: usize, r: usize) -> Vec<u32> {
+        let all_live = vec![u64::MAX; idx.n_cells().div_ceil(64)];
+        let mut out = Vec::new();
+        idx.for_live_shell(i, r, &all_live, |c| {
+            out.extend_from_slice(idx.cell_points(c))
+        });
+        out
+    }
+
+    /// Per-axis indices of the linear cell `c`.
+    fn cell_coords(idx: &GridIndex, c: usize) -> Vec<usize> {
+        let mut coords = vec![0; idx.dim()];
+        let mut rest = c;
+        for x in coords.iter_mut().rev() {
+            *x = rest % idx.resolution();
+            rest /= idx.resolution();
+        }
+        coords
+    }
+
+    fn chessboard(a: &[usize], b: &[usize]) -> usize {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.abs_diff(*y))
+            .max()
+            .expect("dim >= 1")
+    }
+
+    /// A mask with roughly `keep` of every 8 cells live, from `seed`.
+    fn random_mask(idx: &GridIndex, seed: u64, keep: u64) -> Vec<u64> {
+        let mut mask = vec![0u64; idx.n_cells().div_ceil(64)];
+        let mut state = seed;
+        for c in 0..idx.n_cells() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            if (state >> 61) < keep {
+                mask[c / 64] |= 1 << (c % 64);
+            }
+        }
+        mask
     }
 
     fn deterministic_points(seed: u64, n: usize, dim: usize) -> Vec<Point> {
@@ -356,8 +515,7 @@ mod tests {
             for i in [0usize, 13, 79] {
                 let mut seen: Vec<u32> = Vec::new();
                 for r in 0..=idx.last_shell(i) {
-                    let mut ring = Vec::new();
-                    idx.for_shell(i, r, |p| ring.push(p));
+                    let ring = shell_points(&idx, i, r);
                     let mut brute = shell_brute(&idx, i, r);
                     let mut ring_sorted = ring.clone();
                     ring_sorted.sort_unstable();
@@ -385,13 +543,65 @@ mod tests {
                     let bound = idx.shell_min_dist(i, r);
                     assert!(bound >= prev - 1e-15, "bound must be monotone in r");
                     prev = bound;
-                    idx.for_shell(i, r, |p| {
+                    for p in shell_points(&idx, i, r) {
                         let d = pts[i].dist(&pts[p as usize]);
                         assert!(
                             d >= bound - 1e-12,
                             "d = {dim}, i = {i}, r = {r}: point {p} at {d} < bound {bound}"
                         );
-                    });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_walk_visits_exactly_the_live_ring_cells_in_order() {
+        for dim in [1usize, 2, 3] {
+            // n large enough for rings that span several mask words.
+            let pts = deterministic_points(5 + dim as u64, 3000, dim);
+            let idx = GridIndex::new(&pts);
+            for (seed, keep) in [(1u64, 0u64), (2, 1), (3, 4), (4, 8)] {
+                let mask = random_mask(&idx, seed, keep);
+                for i in [0usize, 1234, 2999] {
+                    let center = cell_coords(&idx, idx.cell_of(i));
+                    for r in 0..=idx.last_shell(i) {
+                        let mut walked = Vec::new();
+                        idx.for_live_shell(i, r, &mask, |c| walked.push(c));
+                        let brute: Vec<usize> = (0..idx.n_cells())
+                            .filter(|&c| (mask[c / 64] >> (c % 64)) & 1 == 1)
+                            .filter(|&c| chessboard(&center, &cell_coords(&idx, c)) == r)
+                            .collect();
+                        assert_eq!(walked, brute, "d = {dim}, mask {seed}, i = {i}, r = {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_distance_is_the_exact_chessboard_distance() {
+        for dim in [1usize, 2, 3] {
+            let pts = deterministic_points(17 + dim as u64, 2000, dim);
+            let idx = GridIndex::new(&pts);
+            for (seed, keep) in [(1u64, 0u64), (2, 1), (3, 3), (4, 8)] {
+                let mut mask = random_mask(&idx, seed, keep);
+                if seed == 2 {
+                    // A single live cell, away from the grid corners.
+                    mask.iter_mut().for_each(|w| *w = 0);
+                    let c = idx.n_cells() / 3;
+                    mask[c / 64] |= 1 << (c % 64);
+                }
+                let mut near = vec![0u32; idx.n_cells()];
+                idx.live_distance(&mask, &mut near);
+                for c in 0..idx.n_cells() {
+                    let here = cell_coords(&idx, c);
+                    let brute = (0..idx.n_cells())
+                        .filter(|&l| (mask[l / 64] >> (l % 64)) & 1 == 1)
+                        .map(|l| chessboard(&here, &cell_coords(&idx, l)))
+                        .min()
+                        .map_or(u32::MAX, |d| u32::try_from(d).expect("small grid"));
+                    assert_eq!(near[c], brute, "d = {dim}, mask {seed}, cell {c}");
                 }
             }
         }
@@ -427,8 +637,7 @@ mod tests {
     fn duplicate_points_share_a_cell_and_bound_zero() {
         let pts = pts_2d(&[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (4.0, 4.0), (9.0, 2.0)]);
         let idx = GridIndex::new(&pts);
-        let mut ring0 = Vec::new();
-        idx.for_shell(0, 0, |p| ring0.push(p));
+        let ring0 = shell_points(&idx, 0, 0);
         assert!(ring0.contains(&0) && ring0.contains(&1) && ring0.contains(&2));
         assert_eq!(idx.shell_min_dist(0, 0), 0.0);
     }
@@ -444,7 +653,7 @@ mod tests {
         // Shells still cover everything.
         let mut seen = Vec::new();
         for r in 0..=idx.last_shell(0) {
-            idx.for_shell(0, r, |p| seen.push(p));
+            seen.extend(shell_points(&idx, 0, r));
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
@@ -455,9 +664,12 @@ mod tests {
         let idx = GridIndex::new(&[Point::xyz(1.0, 2.0, 3.0)]);
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.last_shell(0), 0);
-        let mut seen = Vec::new();
-        idx.for_shell(0, 0, |p| seen.push(p));
-        assert_eq!(seen, vec![0]);
+        assert_eq!(shell_points(&idx, 0, 0), vec![0]);
+        let mut near = [7];
+        idx.live_distance(&[1], &mut near);
+        assert_eq!(near, [0]);
+        idx.live_distance(&[0], &mut near);
+        assert_eq!(near, [u32::MAX]);
     }
 
     #[test]

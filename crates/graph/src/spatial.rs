@@ -1,5 +1,5 @@
-//! Canonical universal-tree growth: a dense `O(n²)` reference and an
-//! `~O(n log n)` spatial-index path that is **byte-identical** to it.
+//! Canonical universal-tree growth: a dense `O(n²)` reference and a
+//! spatial-index path that is **byte-identical** to it.
 //!
 //! [`crate::shortest_path::dijkstra`] and [`crate::mst::prim_mst`] leave
 //! their tie-breaking to heap pop order, so no sub-quadratic
@@ -37,11 +37,20 @@
 //! on both sides because both sides break them with the same total
 //! order.
 //!
-//! Two prunings keep the replay cheap without touching that order:
+//! Three prunings keep the replay cheap without touching that order:
 //!
 //! * **Finalised targets are skipped.** A candidate aimed at an
 //!   already-finalised vertex would pop as a no-op, so streams drop
 //!   such points at shell expansion and again at the local heap top.
+//! * **Finalised cells and rings are skipped whole.** The growth counts
+//!   the unfinalised stations of every grid cell and keeps a bitset of
+//!   the *live* cells (count > 0); a shell expansion walks only the
+//!   ring's live cells ([`GridIndex::for_live_shell`]). Every ⌈n/32⌉
+//!   finalisations a raster transform ([`GridIndex::live_distance`])
+//!   refreshes each cell's chessboard distance to the nearest live cell,
+//!   and before a stream computes its bound it raises its ring cursor to
+//!   that distance — or marks itself exhausted when the distance lies
+//!   past its last shell.
 //! * **Shell expansion is marker-driven.** When a stream cannot yet
 //!   certify its local head (an unexpanded shell might contain
 //!   something cheaper), it queues a *bound marker* at the shell's
@@ -52,6 +61,32 @@
 //!   bound on everything its expansion can produce, so deferral never
 //!   changes which candidate pops next — only how much work was spent
 //!   to certify it.
+//!
+//! Why skipping cells and rings is exact:
+//!
+//! * A cell with no unfinalised station contributes nothing to an
+//!   expansion: skipping it applies the first pruning's per-point rule
+//!   to the whole cell at once.
+//! * Cells only die, so a ring whose cells are all finalised stays that
+//!   way; expanding it would insert nothing, now or later, and jumping
+//!   past it leaves the stream's heap exactly as expanding it would. A
+//!   stale distance is below the true one, so it only ever skips such
+//!   rings.
+//! * A higher ring cursor only raises the stream's
+//!   [`GridIndex::shell_min_dist`] bound, which still lower-bounds every
+//!   unexpanded unfinalised point. Held heads are still certified
+//!   correctly and markers still sort after real candidates at an equal
+//!   `(key, via)`, so the queue finalises the same `(key, via, vertex)`
+//!   sequence and the parent array does not change.
+//!
+//! Measured on a 2-vCPU host (release build, uniform stations at
+//! constant density, free space): the live walk and the ring skip cut
+//! the points an SPT growth visits from ~397 to ~18 per station at
+//! n = 16,384 (the pinned-work unit test), the n = 10⁵ SPT growth from
+//! ~2.6 s to ~0.7 s, and the n = 10⁶ one from ~129 s to ~14–17 s. The
+//! remaining superlinearity of SPT growth
+//! comes from its keys: low-distance streams must certify candidates
+//! far from their own cell before the frontier moves.
 
 use crate::dense::CostMatrix;
 use std::cmp::Reverse;
@@ -159,15 +194,76 @@ enum StreamStep {
     Dead,
 }
 
+/// Which grid cells still hold an unfinalised station, and how far each
+/// cell is from the nearest one that does.
+#[derive(Debug)]
+struct LiveCells {
+    /// Unfinalised stations per cell.
+    count: Vec<u32>,
+    /// Bit `c` is set while `count[c] > 0`: the mask
+    /// [`GridIndex::for_live_shell`] walks.
+    bits: Vec<u64>,
+    /// Chessboard distance, in cells, from each cell to the nearest live
+    /// cell as of the last [`LiveCells::refresh`]. Cells only die, so a
+    /// stale value is still a lower bound.
+    near: Vec<u32>,
+}
+
+impl LiveCells {
+    fn new(idx: &GridIndex) -> Self {
+        let count: Vec<u32> = (0..idx.n_cells())
+            .map(|c| u32::try_from(idx.cell_points(c).len()).expect("cell size fits in u32"))
+            .collect();
+        let mut bits = vec![0u64; count.len().div_ceil(64)];
+        for (c, _) in count.iter().enumerate().filter(|(_, &k)| k > 0) {
+            bits[c / 64] |= 1 << (c % 64);
+        }
+        let mut live = Self {
+            near: vec![0; count.len()],
+            count,
+            bits,
+        };
+        live.refresh(idx);
+        live
+    }
+
+    /// Station `v` was finalised: its cell dies with its last station.
+    fn finalise(&mut self, idx: &GridIndex, v: usize) {
+        let c = idx.cell_of(v);
+        self.count[c] -= 1;
+        if self.count[c] == 0 {
+            self.bits[c / 64] &= !(1 << (c % 64));
+        }
+    }
+
+    /// Recompute every cell's distance to the nearest live cell.
+    fn refresh(&mut self, idx: &GridIndex) {
+        idx.live_distance(&self.bits, &mut self.near);
+    }
+}
+
+/// Work done by one spatial growth, for the tests that pin it: the
+/// growth only ever increments these counts, it never reads them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct GrowthWork {
+    /// Entries popped from the global queue (candidates and markers).
+    pub(crate) pops: u64,
+    /// Shells expanded.
+    pub(crate) expansions: u64,
+    /// Points bucketed in the cells the ring walks visited, finalised
+    /// ones included.
+    pub(crate) points_visited: u64,
+}
+
 /// A lazy neighbour stream: emits the not-yet-finalised points in
 /// ascending `(cost, id)` order by expanding grid shells on demand,
 /// holding the already-expanded candidates in a local min-heap.
 ///
-/// Two laziness levels keep total work near-linear on the swept
-/// layouts: finalised vertices are skipped (at insertion and again at
-/// the heap top, for entries that were finalised while pending), and a
-/// shell is only expanded when the stream's lower bound is the *global*
-/// queue minimum — not eagerly whenever the local head is uncertain.
+/// Finalised vertices are skipped (at insertion and again at the heap
+/// top, for entries that were finalised while pending), dead cells and
+/// rings are skipped whole, and a shell is only expanded when the
+/// stream's lower bound is the *global* queue minimum — not eagerly
+/// whenever the local head is uncertain.
 #[derive(Debug)]
 struct NeighborStream {
     ring: usize,
@@ -184,8 +280,26 @@ impl NeighborStream {
         }
     }
 
-    /// The stream's next move, without expanding anything.
-    fn step(&mut self, idx: &GridIndex, model: &PowerModel, done: &[bool], u: usize) -> StreamStep {
+    /// The stream's next move, without expanding anything (it may move
+    /// its ring cursor past rings that hold only finalised stations).
+    fn step(
+        &mut self,
+        idx: &GridIndex,
+        model: &PowerModel,
+        done: &[bool],
+        live: &LiveCells,
+        u: usize,
+    ) -> StreamStep {
+        // Rings closer than the nearest live cell hold finalised stations
+        // only: expanding them would insert nothing, now or later.
+        let first_live = live.near[idx.cell_of(u)] as usize;
+        if !self.exhausted && first_live > self.ring {
+            if first_live > idx.last_shell(u) {
+                self.exhausted = true;
+            } else {
+                self.ring = first_live;
+            }
+        }
         loop {
             let top = self.heap.peek().map(|&Reverse((OrdF64(c), y))| (c, y));
             if let Some((_, y)) = top {
@@ -219,33 +333,40 @@ impl NeighborStream {
         }
     }
 
-    /// Expand the next shell, inserting its not-yet-finalised points.
+    /// Expand the next shell, inserting the not-yet-finalised points of
+    /// its live cells. Returns how many points those cells hold.
     fn expand(
         &mut self,
         idx: &GridIndex,
         points: &[Point],
         model: &PowerModel,
         done: &[bool],
+        live: &LiveCells,
         u: usize,
-    ) {
+    ) -> u64 {
         debug_assert!(!self.exhausted, "markers are only queued for live streams");
-        idx.for_shell(u, self.ring, |p| {
-            if p as usize != u && !done[p as usize] {
-                let c = model.cost(&points[u], &points[p as usize]);
-                self.heap.push(Reverse((OrdF64(c), p)));
+        let mut visited = 0u64;
+        idx.for_live_shell(u, self.ring, &live.bits, |c| {
+            let cell = idx.cell_points(c);
+            visited += cell.len() as u64;
+            for &p in cell {
+                if p as usize != u && !done[p as usize] {
+                    let c = model.cost(&points[u], &points[p as usize]);
+                    self.heap.push(Reverse((OrdF64(c), p)));
+                }
             }
         });
         if self.ring >= idx.last_shell(u) {
             self.exhausted = true;
         }
         self.ring += 1;
+        visited
     }
 }
 
 /// Canonical spatial growth over a Euclidean point set: the same
 /// abstract process as [`grow_tree_dense`] on
-/// `CostMatrix::from_points(points, model)`, run in `~O(n log n)` for
-/// the layout families the workspace sweeps, without materialising any
+/// `CostMatrix::from_points(points, model)`, without materialising any
 /// `O(n²)` state. Returns a byte-identical parent array.
 pub fn grow_tree_spatial(
     points: &[Point],
@@ -253,14 +374,31 @@ pub fn grow_tree_spatial(
     source: usize,
     kind: GrowthKind,
 ) -> Vec<Option<usize>> {
+    grow_tree_spatial_counted(points, model, source, kind).0
+}
+
+/// [`grow_tree_spatial`], also returning the work it did.
+pub(crate) fn grow_tree_spatial_counted(
+    points: &[Point],
+    model: &PowerModel,
+    source: usize,
+    kind: GrowthKind,
+) -> (Vec<Option<usize>>, GrowthWork) {
     let n = points.len();
     assert!(source < n, "source out of range");
     u32::try_from(n).expect("spatial growth point count fits in u32");
     let mut parent: Vec<Option<usize>> = vec![None; n];
+    let mut work = GrowthWork::default();
     if n == 1 {
-        return parent;
+        return (parent, work);
     }
     let idx = GridIndex::new(points);
+    let mut live = LiveCells::new(&idx);
+    // Refresh the dead-ring distances 32 times over the growth. Each
+    // refresh costs O(cells · 3^d); at n = 10⁵ (uniform, d = 2, 2-vCPU
+    // host) refreshing every n/8, n/32, n/128 and n/512 finalisations
+    // measured 0.91, 0.73, 0.90 and 1.11 s of SPT growth.
+    let refresh_every = n.div_ceil(32);
     let mut dist = vec![0.0f64; n];
     let mut done = vec![false; n];
     let mut streams: Vec<Option<NeighborStream>> = (0..n).map(|_| None).collect();
@@ -275,9 +413,10 @@ pub fn grow_tree_spatial(
                streams: &mut Vec<Option<NeighborStream>>,
                pq: &mut BinaryHeap<Reverse<(OrdF64, u32, u32)>>,
                dist: &[f64],
-               done: &[bool]| {
+               done: &[bool],
+               live: &LiveCells| {
         let s = streams[v].get_or_insert_with(NeighborStream::new);
-        let (c, y) = match s.step(&idx, model, done, v) {
+        let (c, y) = match s.step(&idx, model, done, live, v) {
             StreamStep::Candidate(c, y) => (c, y),
             StreamStep::Bound(b) => (b, MARKER),
             StreamStep::Dead => return,
@@ -294,27 +433,30 @@ pub fn grow_tree_spatial(
     };
 
     done[source] = true;
+    live.finalise(&idx, source);
     let mut finalized = 1usize;
-    arm(source, &mut streams, &mut pq, &dist, &done);
+    arm(source, &mut streams, &mut pq, &dist, &done, &live);
 
     while finalized < n {
         let Reverse((OrdF64(k), u, y)) = pq
             .pop()
             .expect("complete Euclidean graphs keep a candidate pending until spanning");
+        work.pops += 1;
         let u = u as usize;
         if y == MARKER {
             // The stream's unexpanded bound reached the global minimum:
             // now (and only now) expand the next shell and re-offer.
-            streams[u]
+            work.expansions += 1;
+            work.points_visited += streams[u]
                 .as_mut()
                 .expect("markers come from armed streams")
-                .expand(&idx, points, model, &done, u);
-            arm(u, &mut streams, &mut pq, &dist, &done);
+                .expand(&idx, points, model, &done, &live, u);
+            arm(u, &mut streams, &mut pq, &dist, &done, &live);
             continue;
         }
         let y = y as usize;
         // Re-arm the popped stream so its next head re-enters the queue.
-        arm(u, &mut streams, &mut pq, &dist, &done);
+        arm(u, &mut streams, &mut pq, &dist, &done, &live);
         if done[y] {
             continue;
         }
@@ -322,9 +464,13 @@ pub fn grow_tree_spatial(
         parent[y] = Some(u);
         dist[y] = k;
         finalized += 1;
-        arm(y, &mut streams, &mut pq, &dist, &done);
+        live.finalise(&idx, y);
+        if finalized.is_multiple_of(refresh_every) {
+            live.refresh(&idx);
+        }
+        arm(y, &mut streams, &mut pq, &dist, &done, &live);
     }
-    parent
+    (parent, work)
 }
 
 #[cfg(test)]
@@ -333,6 +479,9 @@ mod tests {
     use crate::mst::prim_mst;
     use crate::shortest_path::dijkstra;
     use crate::tree::RootedTree;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use wmcs_geom::{LayoutFamily, Scenario};
 
     fn deterministic_points(seed: u64, n: usize, dim: usize) -> Vec<Point> {
         let mut state = seed;
@@ -379,6 +528,90 @@ mod tests {
                 grow_tree_dense(&m, 0, kind),
                 grow_tree_spatial(&pts, &model, 0, kind),
                 "{kind:?}"
+            );
+        }
+    }
+
+    /// Skipping dead cells and rings only matters once the grid is large
+    /// and much of it is finalised, so this pins identity well past the
+    /// property suites' n ≤ 512: every registered family in each
+    /// dimension it supports, both exponents, both tree kinds, and a
+    /// point set with duplicates. The cases run one after another, since
+    /// each dense reference holds a 33 MB matrix.
+    #[test]
+    fn spatial_equals_dense_at_n_2048_on_every_family() {
+        let n = 2048;
+        let mut cases: Vec<(String, Vec<Point>, PowerModel)> = Vec::new();
+        for family in LayoutFamily::ALL {
+            for dim in [1usize, 2, 3] {
+                for alpha in [2.0, 4.0] {
+                    let sc = Scenario::new(family, n, dim, alpha);
+                    if sc.dim == dim {
+                        cases.push((sc.label(), sc.points(2048 + dim as u64), sc.power_model()));
+                    }
+                }
+            }
+        }
+        let mut dup = Scenario::new(LayoutFamily::UniformBox, n, 2, 2.0).points(5);
+        for i in (0..n).step_by(7) {
+            dup[i] = dup[(i * 31 + 3) % n].clone();
+        }
+        cases.push((
+            "uniform n=2048 d=2 α=2 with duplicates".into(),
+            dup,
+            PowerModel::free_space(),
+        ));
+        assert_eq!(
+            cases.len(),
+            19,
+            "9 (family, d) pairs × 2 exponents + duplicates"
+        );
+        for (label, pts, model) in cases {
+            let m = CostMatrix::from_points(&pts, &model);
+            for kind in [GrowthKind::ShortestPath, GrowthKind::Mst] {
+                assert_eq!(
+                    grow_tree_dense(&m, 0, kind),
+                    grow_tree_spatial(&pts, &model, 0, kind),
+                    "{label} {kind:?}"
+                );
+            }
+        }
+    }
+
+    /// Pins the growth's work, not its clock: points visited per station
+    /// at n = 16,384 (uniform in a square of side √n·10, α = 2, source 0,
+    /// `SmallRng` seed 7) may not exceed 1.25× what the live-cell walk and
+    /// the dead-ring skip measure here. Measured per station:
+    ///
+    /// | count | SPT | MST |
+    /// |---|---|---|
+    /// | points visited | 17.72 | 10.81 |
+    /// | shell expansions | 4.88 | 2.70 |
+    /// | queue pops | 7.93 | 4.89 |
+    ///
+    /// The growth before those two mechanisms measured, on this instance,
+    /// 396.5 / 49.0 points visited, 7.62 / 2.97 shell expansions and
+    /// 10.67 / 5.15 queue pops per station (SPT / MST); another uniform
+    /// instance of the same size measured 373.6 / 49.6, 7.40 / 2.98 and
+    /// 10.45 / 5.16.
+    #[test]
+    fn growth_work_per_station_is_pinned() {
+        let n = 16_384;
+        let side = (n as f64).sqrt() * 10.0;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::xy(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+            .collect();
+        let model = PowerModel::free_space();
+        for (kind, measured) in [(GrowthKind::ShortestPath, 17.72), (GrowthKind::Mst, 10.81)] {
+            let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
+            let per_station = work.points_visited as f64 / n as f64;
+            assert!(
+                per_station <= 1.25 * measured,
+                "{kind:?}: {per_station:.2} points visited per station, pinned at {measured} \
+                 ({:.2} expansions, {:.2} pops per station)",
+                work.expansions as f64 / n as f64,
+                work.pops as f64 / n as f64
             );
         }
     }

@@ -77,9 +77,11 @@ pub enum Backend {
     /// The canonical `O(n²)` scan over pairwise costs — the pinned
     /// reference, and the only backend for non-Euclidean networks.
     Dense,
-    /// Grid-index candidate-stream growth, `~O(n log n)` on the swept
-    /// layout families; byte-identical to [`Backend::Dense`]. Panics on
-    /// networks without Euclidean geometry.
+    /// Grid-index candidate-stream growth that skips finalised grid
+    /// cells and rings whole; byte-identical to [`Backend::Dense`].
+    /// Measured on a 2-vCPU host with uniform stations at constant
+    /// density: n = 10⁵ in ~0.7 s (SPT) / ~0.4 s (MST), n = 10⁶ in
+    /// ~14–17 s / ~5.5 s. Panics on networks without Euclidean geometry.
     Spatial,
 }
 

@@ -4,8 +4,9 @@
 //! This is the release-mode CI gate for the million-station substrate
 //! path (see `.github/workflows/ci.yml`): the network stays **lazy** (no
 //! `O(n²)` cost matrix is ever materialised), `Backend::Spatial` grows
-//! the universal tree through the grid index, and one warm churn session
-//! over the result must keep the paper's §2.1 guarantees — exact budget
+//! the SPT and MST universal trees through the grid index, both parent
+//! arrays must hash to their pinned digests, and one warm churn session
+//! over the SPT must keep the paper's §2.1 guarantees — exact budget
 //! balance of the charged Shapley shares and voluntary participation —
 //! at a station count one hundred times past the seed's experiment
 //! tables.
@@ -19,6 +20,33 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const N: usize = 100_000;
+
+/// FNV-1a digests of the two n = 10⁵ parent arrays (see [`parent_digest`]).
+/// Spatial growth replays the dense scan's selection order exactly, so
+/// these change only when a change means to change trees; such a change
+/// updates the pins and records why in CHANGES.md.
+const SPT_DIGEST: u64 = 0x1f59_4e13_bbec_0204;
+const MST_DIGEST: u64 = 0x5c42_10f8_6fbd_d6d6;
+
+/// FNV-1a over 64-bit little-endian words, one per station in id order:
+/// the parent's id, or `u64::MAX` at the source (the word rule of the
+/// served-workload benchmark's outcome digest).
+fn parent_digest(ut: &UniversalTree) -> u64 {
+    let source = ut.network().source();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in 0..ut.network().n_stations() {
+        let word = if v == source {
+            u64::MAX
+        } else {
+            ut.substrate().parent_of(v) as u64
+        };
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
 
 fn main() {
     // Constant-density uniform stations: the regime the grid index is
@@ -38,10 +66,28 @@ fn main() {
         .backend(Backend::Spatial)
         .build_universal();
     println!(
-        "built n = {N} substrate via Backend::Spatial in {:.2?} ({:.1} bytes/station)",
+        "built n = {N} SPT substrate via Backend::Spatial in {:.2?} ({:.1} bytes/station)",
         t.elapsed(),
         ut.substrate().memory_bytes() as f64 / N as f64
     );
+    #[allow(clippy::disallowed_methods)]
+    let t = std::time::Instant::now();
+    let mst = SubstrateBuilder::new(ut.network())
+        .tree(TreeKind::Mst)
+        .backend(Backend::Spatial)
+        .build_universal();
+    println!(
+        "built n = {N} MST substrate via Backend::Spatial in {:.2?}",
+        t.elapsed()
+    );
+    for (kind, tree, pin) in [("SPT", &ut, SPT_DIGEST), ("MST", &mst, MST_DIGEST)] {
+        let digest = parent_digest(tree);
+        println!("{kind} parent digest {digest:016x}");
+        assert_eq!(
+            digest, pin,
+            "{kind} parent digest {digest:016x} drifted from the pinned {pin:016x}"
+        );
+    }
 
     // One warm session: an opening join wave, then a churn batch, each
     // repriced from warm state by the incremental Moulin–Shenker engine.
