@@ -173,9 +173,9 @@ fn unbounded_channel_fixture_fails_but_bounded_stays_legal() {
 /// convention: the virtual-clock sources feeding T14's latency
 /// percentiles (`wmcs-wireless::stream`, `wmcs-bench::latency`) must
 /// carry no `Instant`/`SystemTime` (nor any other lib-scope violation)
-/// under the real token scanner. Timing may appear in benches and the
-/// `stream_slo` example — those are `Test`-class files — but never in
-/// these two libraries.
+/// under the real token scanner. Timing may appear in benches and
+/// examples — those are `Test`-class files — but never in these two
+/// libraries.
 #[test]
 fn stream_and_latency_sources_carry_no_wall_clock() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

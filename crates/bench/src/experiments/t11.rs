@@ -19,8 +19,8 @@
 //!
 //! As with T10, wall-clock is not a table column (rows must be
 //! deterministic); per-cell compute seconds live in the sweep JSON, and
-//! the warm-vs-cold per-event costs are measured by the `session_churn`
-//! criterion bench (see EXPERIMENTS.md).
+//! the warm sessions' per-layer costs on served workloads are measured
+//! by the served-workload benchmark (`perfbench/`).
 
 use crate::harness::scenario_network;
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};

@@ -24,9 +24,10 @@
 //! served subtree, and voluntary participation of every group's charges.
 //!
 //! The scenario matrix stays at n ≤ 256 / G ≤ 64 so the per-batch cold
-//! references stay tractable at 20 seeds; the G = 1024 × n = 4096 scale
-//! point is covered by the `service_throughput` criterion bench (see
-//! EXPERIMENTS.md).
+//! references stay tractable at 20 seeds. Wall-clock service throughput
+//! is measured by the served-workload benchmark (`perfbench/`'s
+//! `crowded_steps` workload, which serves through
+//! [`MulticastService::step`]), not in this table.
 
 use crate::harness::scenario_network;
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};

@@ -27,10 +27,9 @@
 //! nearest-rank percentile harness ([`crate::latency`]): p50/p99/p999
 //! per event class (join, leave, rebid, reprice) land in the table and
 //! the sweep JSON as informational cells — deterministic integer math,
-//! identical on every machine and thread count. The ≥ 1M events/s
-//! throughput SLO at G = 4096 × n = 10⁵ lives in the release-mode
-//! `stream_slo` example and the `stream_throughput` criterion bench
-//! (see EXPERIMENTS.md), not in this table.
+//! identical on every machine and thread count. Wall-clock throughput of
+//! the stream path is measured by the served-workload benchmark
+//! (`perfbench/`'s `served_stream` workload), not in this table.
 
 use crate::harness::scenario_network;
 use crate::latency::{EventClass, LatencyRecorder};
@@ -159,8 +158,8 @@ impl Experiment for T14 {
                 // Busy exactly at the saturation boundaries (each retried
                 // once by submit_blocking), nothing in the wide regime.
                 busy_ok &= gr.accepted == events.len() as u64;
-                let expect_busy = if config.capacity < config.watermark && !events.is_empty() {
-                    ((events.len() - 1) / config.capacity) as u64
+                let expect_busy = if config.capacity() < config.watermark() && !events.is_empty() {
+                    ((events.len() - 1) / config.capacity()) as u64
                 } else {
                     0
                 };

@@ -25,15 +25,13 @@
 //!   with exact latency percentiles) — each a thin [`cli::table_main`]
 //!   shim — plus `all_experiments` to sweep the whole registry and
 //!   `bench_compare` to diff two summary files;
-//! * criterion benches (`cargo bench`): timing/scaling of every
-//!   mechanism and substrate (T8), plus `drop_engine` pitting the naive
-//!   drop loop against the incremental engine, `session_churn` pitting
-//!   warm live sessions against cold per-batch rebuilds,
-//!   `service_throughput` pitting the sharded multi-group service
-//!   against single-thread and per-group cold servings at
-//!   G = 1024 × n = 4096, and `stream_throughput` pitting the
-//!   epoch-pipelined streaming layer against single-worker streaming
-//!   and batch replay on the same interleaved workload.
+//! * four criterion benches (`cargo bench`): `scaling` and `substrates`
+//!   time every mechanism and substrate (T8), `drop_engine` pits the
+//!   naive drop loop against the incremental engine, and
+//!   `substrate_build` pits the spatial backend against the dense one
+//!   up to n = 10⁶. The serving stack — `MulticastService::step` and
+//!   `StreamService::drive` — is timed only by the served-workload
+//!   benchmark (`perfbench/`, specified by `BENCHMARK.json`).
 
 // Every public item carries rustdoc: substrate crates feed the
 // mechanism layers above them, and undocumented invariants become

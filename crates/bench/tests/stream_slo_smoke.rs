@@ -1,12 +1,13 @@
-//! Smoke test pinning the core code path of `examples/stream_slo.rs`
-//! at a scale `cargo test` can afford (the full G = 4096 × n = 10⁵ run
-//! is the release-mode CI gate): every load-bearing assertion the
-//! example makes as a binary — warm-up and stream accounting close,
-//! exactly one watermark seal per group, sealed epochs hold exactly
-//! `WATERMARK` events, and the sampled Shapley epoch balances its
-//! budget — is re-asserted here, minus the wall-clock SLO floor (timing
-//! never gates under `cargo test`; `WMCS_STREAM_SLO_MIN` covers the
-//! binary).
+//! Stream accounting and budget balance on a many-group drive: G Shapley
+//! groups on one `StreamService` over a lazy spatial substrate, warmed by
+//! a join wave, then fed a round-robin rebid stream sized so that every
+//! group seals exactly one watermark epoch. Asserted: warm-up and stream
+//! accounting close (every submission accepted, none rejected or
+//! retried), each group seals exactly one epoch of exactly `WATERMARK`
+//! events, and a sampled Shapley epoch balances its budget. Nothing here
+//! is timed: served throughput is measured by the served-workload
+//! benchmark (`perfbench/`), and warm bytes per group at n = 10⁵ are
+//! gated by `examples/large_scale.rs`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,9 +17,8 @@ use wmcs_wireless::{
     WirelessNetwork,
 };
 
-// The example's constants, scaled down ~250× (same shape: capacity >
-// watermark so nothing saturates, EVENTS / G = WATERMARK so each group
-// seals exactly once).
+// Capacity > watermark, so nothing saturates; EVENTS / G = WATERMARK, so
+// each group seals exactly once.
 const N: usize = 400;
 const G: usize = 16;
 const MEMBERS: usize = 8;

@@ -43,9 +43,10 @@
 //! [`wmcs_game::run_drop_loop_from`], used by [`shapley_drop_run_from`]
 //! and the sessions) — the same iteration the mask-based
 //! [`wmcs_game::moulin_shenker`] (n ≤ 64) routes through, so they cannot
-//! diverge on EPS conventions. [`reference_drop_run`] preserves the naive
-//! per-round recomputation as the correctness oracle; the property suite
-//! pins the engine's outcome to it byte for byte.
+//! diverge on EPS conventions. [`reference_drop_run_from`] (and its
+//! all-players case [`reference_drop_run`]) preserves the naive per-round
+//! recomputation as the correctness oracle; the unit and property suites
+//! pin the engine's and the sessions' outcomes to it byte for byte.
 
 use crate::power::PowerAssignment;
 use crate::substrate::{grow_to, Subframe, TreeSubstrate};
@@ -395,7 +396,7 @@ pub fn shapley_drop_run_with_stats(
 /// build a fresh engine on exactly those receivers and run the drop loop
 /// from them (not from `U`). This is the from-scratch reference a warm
 /// [`crate::session::ShapleySession`] must match byte for byte after
-/// every churn batch, and the "cold" side of the `session_churn` bench.
+/// every churn batch.
 ///
 /// `players` must be strictly ascending; `reported` is full length
 /// (entries outside `players` are ignored).
@@ -416,46 +417,55 @@ pub fn shapley_drop_run_from(
     )
 }
 
-/// The naive pre-incremental driver: every round recomputes the full
-/// [`UniversalTree::shapley_shares`] on the surviving station set —
-/// `O(n · depth)` per round. Kept verbatim as the correctness reference
-/// for the engine (tests, T10's n = 64 identity column, and the
-/// `drop_engine` criterion bench).
+/// The naive pre-incremental driver from every player:
+/// [`reference_drop_run_from`] with `players = 0..n`. Kept as the
+/// correctness reference for [`shapley_drop_run`] (tests, T10's n = 64
+/// identity column, and the `drop_engine` criterion bench).
 pub fn reference_drop_run(ut: &UniversalTree, reported: &[f64]) -> MechanismOutcome {
+    let players: Vec<usize> = (0..ut.network().n_players()).collect();
+    reference_drop_run_from(ut, reported, &players)
+}
+
+/// The naive per-round driver from an explicit **player** subset, with
+/// the contract of [`shapley_drop_run_from`]: every round recomputes the
+/// full [`UniversalTree::shapley_shares`] on the surviving stations —
+/// `O(n · depth)` per round — and drops each bid that is not
+/// ≥ share − EPS. The one slow, obviously correct oracle the engines and
+/// sessions are pinned to byte for byte.
+///
+/// `players` must be strictly ascending; `reported` is full length
+/// (entries outside `players` are ignored).
+pub fn reference_drop_run_from(
+    ut: &UniversalTree,
+    reported: &[f64],
+    players: &[usize],
+) -> MechanismOutcome {
     let net = ut.network();
     let n = net.n_players();
     assert_eq!(reported.len(), n);
-    let mut in_set: Vec<bool> = vec![true; n];
+    let mut alive = players.to_vec();
     loop {
-        let stations: Vec<usize> = (0..n)
-            .filter(|&p| in_set[p])
-            .map(|p| net.station_of_player(p))
-            .collect();
+        let stations: Vec<usize> = alive.iter().map(|&p| net.station_of_player(p)).collect();
         let shares_by_station = ut.shapley_shares(&stations);
-        let mut dropped_any = false;
-        for p in 0..n {
-            if in_set[p] {
-                let share = shares_by_station[net.station_of_player(p)];
-                // Keep only bids ≥ share − EPS: a NaN bid is dropped.
-                if reported[p].is_nan() || reported[p] < share - wmcs_geom::EPS {
-                    in_set[p] = false;
-                    dropped_any = true;
-                }
-            }
-        }
-        if !dropped_any {
-            let receivers: Vec<usize> = (0..n).filter(|&p| in_set[p]).collect();
+        let share = |p: usize| shares_by_station[net.station_of_player(p)];
+        // Keep only bids ≥ share − EPS: a NaN bid is dropped.
+        let kept: Vec<usize> = alive
+            .iter()
+            .copied()
+            .filter(|&p| !(reported[p].is_nan() || reported[p] < share(p) - wmcs_geom::EPS))
+            .collect();
+        if kept.len() == alive.len() {
             let mut shares = vec![0.0; n];
-            for &p in &receivers {
-                shares[p] = shares_by_station[net.station_of_player(p)];
+            for &p in &alive {
+                shares[p] = share(p);
             }
-            let served_cost = ut.multicast_cost(&stations);
             return MechanismOutcome {
-                receivers,
+                receivers: alive,
                 shares,
-                served_cost,
+                served_cost: ut.multicast_cost(&stations),
             };
         }
+        alive = kept;
     }
 }
 

@@ -53,9 +53,9 @@ pub enum GroupMechanism {
 impl GroupMechanism {
     /// The canonical alternating assignment (`Shapley` on even ids, `MC`
     /// on odd) used whenever a workload wants both mechanisms to face
-    /// every shape — T12, the `service_throughput` bench, the isolation
-    /// proptests and `examples/multi_group.rs` all share this one rule,
-    /// so their byte-identity references cannot drift out of lockstep.
+    /// every shape — T12, T14, the isolation proptests and
+    /// `examples/multi_group.rs` all share this one rule, so their
+    /// byte-identity references cannot drift out of lockstep.
     pub fn alternating(group: usize) -> Self {
         if group.is_multiple_of(2) {
             GroupMechanism::Shapley
@@ -136,8 +136,8 @@ pub struct GroupOutcome {
 /// A sharded multi-group serving engine over one shared substrate.
 ///
 /// Cloning copies every group's warm per-group state (`O(G·|frame|)`)
-/// but shares the substrate — the `service_throughput` bench clones a warmed
-/// service inside its timers to replay identical steady states.
+/// but shares the substrate, so a warmed service can be replayed from
+/// the same steady state more than once.
 #[derive(Debug)]
 pub struct MulticastService {
     ut: UniversalTree,

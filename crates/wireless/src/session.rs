@@ -61,8 +61,8 @@
 //! calls. What stays `Ω(n)` per reprice is the outcome's full-length
 //! share vector. The big win is against the pre-session status quo, the
 //! one-shot run from `U` that re-cascades every unaffordable player out
-//! on every batch (`session_churn` criterion bench, recorded in
-//! `EXPERIMENTS.md`).
+//! on every batch (11× per event at n = 4096 in the last warm-vs-cold
+//! measurement, kept in `EXPERIMENTS.md`).
 
 use crate::incremental::{Adapter, NetWorth, Shapley};
 use crate::universal::UniversalTree;

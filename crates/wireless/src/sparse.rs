@@ -10,7 +10,8 @@
 //!
 //! The unit tests drive the sessions and the net-worth oracle, whose
 //! arrays cover only the members' path closure, and compare them bit for
-//! bit with references indexed by the whole universe: the drop loop over
+//! bit with references indexed by the whole universe:
+//! [`crate::incremental::reference_drop_run_from`], the drop loop over
 //! [`crate::universal::UniversalTree::shapley_shares`], the plain DP
 //! behind [`crate::universal::UniversalTree::largest_efficient_set`],
 //! [`crate::universal::UniversalTree::multicast_cost`], and a
@@ -68,13 +69,13 @@ pub type SparseMcSession = McSession;
 mod tests {
     use super::*;
     use crate::builder::{SubstrateBuilder, TreeKind};
-    use crate::incremental::{shapley_drop_run_from, NetWorth};
+    use crate::incremental::{reference_drop_run_from, shapley_drop_run_from, NetWorth};
     use crate::network::WirelessNetwork;
     use crate::session::{ChurnEvent, ChurnProcess};
     use crate::universal::UniversalTree;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_game::MechanismOutcome;
-    use wmcs_geom::{Point, PowerModel, EPS};
+    use wmcs_geom::{Point, PowerModel};
 
     fn random_tree(seed: u64, n: usize) -> UniversalTree {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -115,40 +116,6 @@ mod tests {
         }
     }
 
-    /// The universe-indexed Moulin–Shenker run from `players`: every
-    /// round recomputes `UniversalTree::shapley_shares` on the surviving
-    /// stations and drops each bid that is not ≥ share − EPS.
-    fn dense_drop_run_from(
-        ut: &UniversalTree,
-        bids: &[f64],
-        players: &[usize],
-    ) -> MechanismOutcome {
-        let net = ut.network();
-        let mut alive = players.to_vec();
-        loop {
-            let stations: Vec<usize> = alive.iter().map(|&p| net.station_of_player(p)).collect();
-            let by_station = ut.shapley_shares(&stations);
-            let share = |p: usize| by_station[net.station_of_player(p)];
-            let kept: Vec<usize> = alive
-                .iter()
-                .copied()
-                .filter(|&p| !(bids[p].is_nan() || bids[p] < share(p) - EPS))
-                .collect();
-            if kept.len() == alive.len() {
-                let mut shares = vec![0.0; bids.len()];
-                for &p in &alive {
-                    shares[p] = share(p);
-                }
-                return MechanismOutcome {
-                    receivers: alive,
-                    shares,
-                    served_cost: ut.multicast_cost(&stations),
-                };
-            }
-            alive = kept;
-        }
-    }
-
     /// The MC reference on station utilities `u`: the plain DP's largest
     /// efficient set and its multicast cost, charged the VCG shares of an
     /// oracle whose frame is the whole universe.
@@ -182,7 +149,7 @@ mod tests {
                 apply_model(&mut model, batch);
                 let bids: Vec<f64> = model.iter().map(|b| b.unwrap_or(0.0)).collect();
                 let members: Vec<usize> = (0..n).filter(|&p| model[p].is_some()).collect();
-                let dense = dense_drop_run_from(&ut, &bids, &members);
+                let dense = reference_drop_run_from(&ut, &bids, &members);
                 let s = sparse.apply_batch(batch);
                 assert_eq!(bits(&s), bits(&dense), "seed {seed}");
                 for &p in &members {

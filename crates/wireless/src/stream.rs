@@ -68,22 +68,31 @@ use wmcs_game::MechanismOutcome;
 use wmcs_geom::churn::ChurnEvent;
 
 /// Shape of a streaming run: seal watermark, queue bound, worker count.
+///
+/// The fields are private, so [`StreamConfig::new`] and
+/// [`StreamConfig::with_threads`] are the only constructors and their
+/// checks always run. A literal would skip them: with no worker a
+/// group's second seal waits forever, and with capacity 0
+/// [`StreamHandle::submit_blocking`] never returns. So it does not
+/// compile:
+///
+/// ```compile_fail,E0451
+/// use wmcs_wireless::StreamConfig;
+///
+/// let config = StreamConfig { watermark: 2, capacity: 8, threads: 0 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Seal a group's pending events as an epoch once this many are
-    /// queued (count-based — never wall clock).
-    pub watermark: usize,
-    /// Bounded per-group queue capacity; a submission beyond it is
-    /// rejected with [`Admission::Busy`] (and saturation-seals the
-    /// backlog).
-    pub capacity: usize,
-    /// Worker threads servicing sealed epochs (≥ 1). Outcomes are
-    /// byte-identical for every value — see the module docs.
-    pub threads: usize,
+    watermark: usize,
+    capacity: usize,
+    threads: usize,
 }
 
 impl StreamConfig {
     /// A config with the given watermark, capacity and worker count.
+    ///
+    /// # Panics
+    /// If any of the three is zero.
     pub fn new(watermark: usize, capacity: usize, threads: usize) -> Self {
         assert!(
             watermark >= 1,
@@ -103,10 +112,32 @@ impl StreamConfig {
 
     /// The same config with a different worker count (≥ 1) — the knob
     /// the determinism proptests sweep.
+    ///
+    /// # Panics
+    /// If `threads` is zero.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "the epoch pool needs at least one worker");
         self.threads = threads;
         self
+    }
+
+    /// Seal a group's pending events as an epoch once this many are
+    /// queued (count-based — never wall clock).
+    pub fn watermark(&self) -> usize {
+        self.watermark
+    }
+
+    /// Bounded per-group queue capacity; a submission beyond it is
+    /// rejected with [`Admission::Busy`] (and saturation-seals the
+    /// backlog).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Worker threads servicing sealed epochs (≥ 1). Outcomes are
+    /// byte-identical for every value — see the module docs.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The effective epoch size: `min(watermark, capacity)`. With
@@ -334,9 +365,9 @@ struct TaskState {
 /// the module docs for the determinism and backpressure contracts.
 ///
 /// Cloning copies every group's warm session (`O(G·|frame|)`) but shares
-/// the substrate and starts with fresh, empty stream accounting — the
-/// `stream_throughput` bench clones a warmed service inside its timers
-/// to replay identical steady states.
+/// the substrate and starts with fresh, empty stream accounting, so a
+/// warmed service can be replayed from the same steady state more than
+/// once.
 #[derive(Debug)]
 pub struct StreamService {
     ut: UniversalTree,
@@ -478,7 +509,7 @@ impl StreamService {
         }
         let this: &StreamService = self;
         let result = crossbeam::thread::scope(|scope| {
-            for _ in 0..this.config.threads {
+            for _ in 0..this.config.threads() {
                 scope.spawn(move |_| loop {
                     // Pop the next sealed epoch; exit only once the
                     // queue is drained *and* shutdown is flagged.
@@ -558,7 +589,7 @@ impl StreamService {
             .queue
             .lock()
             .expect("a group queue mutex is never poisoned");
-        if queue.pending.len() >= self.config.capacity {
+        if queue.pending.len() >= self.config.capacity() {
             let depth = queue.pending.len();
             queue.rejected += 1;
             // Saturation seal: the overflowing submission is rejected,
@@ -571,7 +602,7 @@ impl StreamService {
         queue.pending.push((event, tick));
         queue.accepted += 1;
         let depth = queue.pending.len();
-        let sealed = if depth >= self.config.watermark {
+        let sealed = if depth >= self.config.watermark() {
             let (guard, epoch) = self.seal(group, slot, queue, tick);
             drop(guard);
             Some(epoch)

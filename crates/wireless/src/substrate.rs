@@ -33,8 +33,9 @@
 //! handle (`Arc<TreeSubstrate>`), so cloning one is `O(1)` and the
 //! multi-group service layer ([`crate::service`]) runs thousands of warm
 //! per-group sessions against a single allocation of the expensive
-//! state. Experiment T12 and the `service_throughput` bench pin the
-//! resulting per-group byte-identity and throughput.
+//! state. Experiment T12 pins the resulting per-group byte-identity,
+//! and the served-workload benchmark (`perfbench/`) measures the
+//! throughput.
 //!
 //! Construction goes through [`crate::builder::SubstrateBuilder`] — the
 //! single place a network is moved or cloned and the single choice

@@ -3,17 +3,17 @@
 //! sessions framed over their members' path closures on one shared
 //! substrate, prices every group after every batch byte-identically to
 //! references indexed by the whole universe and fed an independent model
-//! of the event semantics — the drop loop over
-//! `UniversalTree::shapley_shares` for Shapley groups, and for MC groups
+//! of the event semantics — `reference_drop_run_from`, the drop loop over
+//! `UniversalTree::shapley_shares`, for Shapley groups, and for MC groups
 //! the plain DP's largest efficient set and multicast cost, charged the
 //! VCG shares of an oracle framed over every station.
 
 use proptest::prelude::*;
 use wmcs_game::MechanismOutcome;
-use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario, EPS};
+use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
-    GroupMechanism, MulticastService, NetWorth, SubstrateBuilder, TreeKind, UniversalTree,
-    WirelessNetwork,
+    reference_drop_run_from, GroupMechanism, MulticastService, NetWorth, SubstrateBuilder,
+    TreeKind, UniversalTree, WirelessNetwork,
 };
 
 /// The network of a scenario draw (station 0 as source).
@@ -41,36 +41,6 @@ fn apply_model(model: &mut [Option<f64>], batch: &[ChurnEvent]) {
                 }
             }
         }
-    }
-}
-
-/// The universe-indexed Moulin–Shenker run from `players`: every round
-/// recomputes `UniversalTree::shapley_shares` on the surviving stations
-/// and drops each bid that is not ≥ share − EPS.
-fn dense_drop_run_from(ut: &UniversalTree, bids: &[f64], players: &[usize]) -> MechanismOutcome {
-    let net = ut.network();
-    let mut alive = players.to_vec();
-    loop {
-        let stations: Vec<usize> = alive.iter().map(|&p| net.station_of_player(p)).collect();
-        let by_station = ut.shapley_shares(&stations);
-        let share = |p: usize| by_station[net.station_of_player(p)];
-        let kept: Vec<usize> = alive
-            .iter()
-            .copied()
-            .filter(|&p| !(bids[p].is_nan() || bids[p] < share(p) - EPS))
-            .collect();
-        if kept.len() == alive.len() {
-            let mut shares = vec![0.0; bids.len()];
-            for &p in &alive {
-                shares[p] = share(p);
-            }
-            return MechanismOutcome {
-                receivers: alive,
-                shares,
-                served_cost: ut.multicast_cost(&stations),
-            };
-        }
-        alive = kept;
     }
 }
 
@@ -134,7 +104,7 @@ proptest! {
                     GroupMechanism::Shapley => {
                         let members: Vec<usize> =
                             (0..n - 1).filter(|&p| model[p].is_some()).collect();
-                        let want = dense_drop_run_from(&ut, &bids, &members);
+                        let want = reference_drop_run_from(&ut, &bids, &members);
                         for &p in &members {
                             if !want.is_receiver(p) {
                                 model[p] = None;

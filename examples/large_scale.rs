@@ -5,11 +5,12 @@
 //! path (see `.github/workflows/ci.yml`): the network stays **lazy** (no
 //! `O(n²)` cost matrix is ever materialised), `Backend::Spatial` grows
 //! the SPT and MST universal trees through the grid index, both parent
-//! arrays must hash to their pinned digests, and one warm churn session
-//! over the SPT must keep the paper's §2.1 guarantees — exact budget
-//! balance of the charged Shapley shares and voluntary participation —
-//! at a station count one hundred times past the seed's experiment
-//! tables.
+//! arrays must hash to their pinned digests, warm session state must
+//! stay under a per-group ceiling on a many-group [`MulticastService`],
+//! and one warm churn session over the SPT must keep the paper's §2.1
+//! guarantees — exact budget balance of the charged Shapley shares and
+//! voluntary participation — at a station count one hundred times past
+//! the seed's experiment tables.
 //!
 //! ```text
 //! cargo run --release --example large_scale
@@ -27,6 +28,16 @@ const N: usize = 100_000;
 /// updates the pins and records why in CHANGES.md.
 const SPT_DIGEST: u64 = 0x1f59_4e13_bbec_0204;
 const MST_DIGEST: u64 = 0x5c42_10f8_6fbd_d6d6;
+
+/// Shapley groups sharing the substrate in the warm-state check.
+const GROUPS: usize = 64;
+/// Members joined per group.
+const MEMBERS: usize = 32;
+/// Warm bytes/group ceiling. A frame-local session holds its members'
+/// path closure (SPT paths under distance² costs are many-hop: ~5k
+/// stations here), never an array sized by n — one `f64` per station
+/// alone is 800 KB at this n.
+const WARM_BYTES_CEILING: usize = 524_288;
 
 /// FNV-1a over 64-bit little-endian words, one per station in id order:
 /// the parent's id, or `u64::MAX` at the source (the word rule of the
@@ -89,10 +100,42 @@ fn main() {
         );
     }
 
-    // One warm session: an opening join wave, then a churn batch, each
-    // repriced from warm state by the incremental Moulin–Shenker engine.
+    // Bids are at most `hi`: twice the broadcast cost split over every player.
     let broadcast = ut.multicast_cost(&ut.network().non_source_stations());
     let hi = 2.0 * broadcast / (N - 1) as f64;
+
+    // Warm-state ceiling: GROUPS Shapley groups on one service, each
+    // joining MEMBERS players drawn from its own generator (a repeated
+    // draw just re-joins).
+    let mut svc = MulticastService::new(&ut);
+    for _ in 0..GROUPS {
+        svc.add_group(GroupMechanism::Shapley);
+    }
+    let joins: Vec<Vec<ChurnEvent>> = (0..GROUPS)
+        .map(|g| {
+            let mut r = SmallRng::seed_from_u64(0x51_0000 + g as u64);
+            (0..MEMBERS)
+                .map(|_| ChurnEvent::Join {
+                    player: r.gen_range(0..N - 1),
+                    utility: hi,
+                })
+                .collect()
+        })
+        .collect();
+    svc.step_all(&joins);
+    let bytes_per_group = svc.memory_bytes() / GROUPS;
+    println!(
+        "warm session state: {bytes_per_group} bytes/group \
+         ({GROUPS} Shapley groups × {MEMBERS} members)"
+    );
+    assert!(
+        bytes_per_group <= WARM_BYTES_CEILING,
+        "warm state {bytes_per_group} B/group exceeds the {WARM_BYTES_CEILING} B ceiling \
+         (a per-group array sized by n = {N}?)"
+    );
+
+    // One warm session: an opening join wave, then a churn batch, each
+    // repriced from warm state by the incremental Moulin–Shenker engine.
     let trace = ChurnProcess::new(N - 1, 2, N / 4, hi, 11).generate();
     let mech = UniversalShapleyMechanism::new(ut);
     let mut session = mech.session();
@@ -126,5 +169,8 @@ fn main() {
             out.served_cost
         );
     }
-    println!("large-scale smoke passed: BB and VP hold on a warm n = {N} session");
+    println!(
+        "large-scale smoke passed: warm state within its ceiling, BB and VP hold \
+         on a warm n = {N} session"
+    );
 }
