@@ -27,10 +27,10 @@
 //! | [`Shapley::add_receiver`] | `O(path)` amortised | state equals a fresh engine on the enlarged set |
 //! | [`Shapley::drop_receiver`] | `O(depth)` | state equals a fresh engine on the shrunken set |
 //! | [`Shapley::round_shares_by_local`] | `O(\|T(R)\|)` | [`UniversalTree::shapley_shares`] on the current set, bit for bit |
-//! | [`Shapley::served_cost`] | `O(\|T(R)\| log \|T(R)\|)` | [`UniversalTree::multicast_cost`] of the current set, bit for bit |
+//! | [`Shapley::served_cost`] | `O(\|frame\|)`, no sort | [`UniversalTree::multicast_cost`] of the current set, bit for bit |
 //! | [`NetWorth::set_utility`] | `O(path)` amortised (frame growth) | repair deferred to the next query |
-//! | first query after a batch | one kernel per station on the union of dirty root paths | every read float equals a fresh oracle's |
-//! | [`NetWorth::vcg_outcome`] | `O(\|R*\| log \|R*\|)` + `O(depth)` per bidding receiver | a fresh oracle's outcome, bit for bit |
+//! | first query after a batch | one `O(frame degree)` kernel per station on the union of dirty root paths | every read float equals a fresh oracle's |
+//! | [`NetWorth::vcg_outcome`] | `O(\|frame\|)` + a sort of `R*`'s out-of-frame stations + `O(depth)` per bidding receiver | a fresh oracle's outcome, bit for bit |
 //!
 //! The "equals a fresh engine" invariants are what make a warm session
 //! *byte-identical* to a cold rebuild — the property suites
@@ -48,8 +48,9 @@
 //! recomputation as the correctness oracle; the unit and property suites
 //! pin the engine's and the sessions' outcomes to it byte for byte.
 
-use crate::power::PowerAssignment;
-use crate::substrate::{grow_to, Subframe, TreeSubstrate};
+use crate::substrate::{
+    grow_to, merge_by_key, reserve_bounded, NodeId, Subframe, TreeSubstrate, NO_STATION,
+};
 use crate::universal::UniversalTree;
 use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome};
 
@@ -271,28 +272,26 @@ impl Shapley {
     }
 
     /// The served cost `C_T(R)` of the current receiver set, read off the
-    /// warm `T(R)`: every station with active children emits the cost of
-    /// the last (costliest) one, and `PowerAssignment::total_cost_of`
-    /// sums those powers in ascending **global** station id — bit for bit
-    /// [`UniversalTree::multicast_cost`] on the active stations.
-    /// `O(|T(R)| log |T(R)|)`.
+    /// warm `T(R)` in one scan of the frame in ascending **global**
+    /// station id: every station with active children adds the cost of
+    /// the last (costliest) one to a sum started at `+0.0`. That is
+    /// [`UniversalTree::multicast_cost`]'s ascending-id float sequence on
+    /// the active stations minus its exact `+0.0` terms, so the two agree
+    /// bit for bit. `O(|frame|)`, no sort.
     pub fn served_cost(&mut self) -> f64 {
-        let mut powers = Vec::new();
-        self.stack.clear();
-        self.stack.push(Subframe::ROOT);
-        while let Some(x) = self.stack.pop() {
-            let mut last = NO_LOCAL;
-            let mut y = self.first_child[x as usize];
-            while y != NO_LOCAL {
-                self.stack.push(y);
-                last = y;
-                y = self.next_sib[y as usize];
+        self.frame.merge_by_station();
+        let mut cost = 0.0;
+        for &x in self.frame.by_station() {
+            let mut last = self.first_child[x as usize];
+            if last == NO_LOCAL {
+                continue;
             }
-            if last != NO_LOCAL {
-                powers.push((self.frame.global_of(x), self.frame.parent_cost(last), ()));
+            while self.next_sib[last as usize] != NO_LOCAL {
+                last = self.next_sib[last as usize];
             }
+            cost += self.frame.parent_cost(last);
         }
-        PowerAssignment::total_cost_of(&mut powers)
+        cost
     }
 
     /// Rounds executed so far.
@@ -474,23 +473,32 @@ pub fn reference_drop_run_from(
 /// `NW(u_{−i})` for every receiver `i`, over a frame holding the
 /// grow-only path closure of every station that ever carried a bid.
 ///
-/// Per local station the DP stores `h` (best net worth of the subtree
-/// game), the chosen prefix value `best` and length `choice` over the
-/// **global** cost-sorted child slice, and — at each station's own edge
-/// — the prefix/suffix maxima of its parent's raw values
-/// `val_j = Σ_{i≤j} h(y_i) − c(x, y_j)`: `pre = max(0, val_0 …
-/// val_{pos−1})`, `suf = max(val_pos … val_{k−1})`. Zeroing a station
+/// Over a station's **global** cost-sorted child slice `y_0 … y_{k−1}`
+/// the DP's raw prefix values are `val_j = Σ_{i≤j} h(y_i) − c(x, y_j)`.
+/// Per local station it stores `h` (best net worth of the subtree game),
+/// the chosen prefix length `choice` (one past the last `j` whose value
+/// is `max(0, val_0 … val_{k−1})`), and — at each station's own edge —
+/// the prefix/suffix maxima of its parent's values: `pre = max(0, val_0
+/// … val_{pos−1})`, `suf = max(val_pos … val_{k−1})`. Zeroing a station
 /// shifts every `val_j` of its parent with `j ≥ pos` by the same
-/// `δ = h' − h`, so the parent's new best prefix is
-/// `max(pre, suf + δ)` — `O(1)` per ancestor. Comparisons are exact
-/// (total order, larger prefix only on true ties).
+/// `δ = h' − h`, so the parent's new best prefix is `max(pre, suf + δ)`
+/// — `O(1)` per ancestor. Comparisons are exact (total order, larger
+/// prefix only on true ties).
 ///
-/// Out-of-frame stations carry zero utility and have no in-frame
-/// descendant, so their DP state is *exactly* `h = best = 0.0`, with
-/// `choice` their leading run of zero-cost children; the kernel scans all
-/// global children of an in-frame station, and out-of-frame ones
-/// contribute an exact `+0.0`. So every stored `h` is the same float
-/// whatever the frame holds.
+/// **Frame-local kernel.** An out-of-frame station carries zero utility
+/// and has no in-frame descendant, so its `h` is exactly `+0.0`. An
+/// out-of-frame child's value `acc − c_j` is then never above the value
+/// of the in-frame child before it (costs ascend and `acc` is unchanged),
+/// nor above `+0.0` before the first one. So the kernel folds in-frame
+/// children only, and every maximum it stores is the float the global
+/// slice gives. Only the chosen *length* can reach past the last in-frame
+/// winner, over out-of-frame siblings whose value ties the maximum
+/// exactly: equal costs, or a cost difference that `acc − c` absorbs. Two
+/// static facts cached when a station is framed settle that: the next
+/// global sibling's cost (the slice is read on only after it ties), and
+/// the station's count of leading zero-cost children (the prefix when no
+/// in-frame child reaches `+0.0`). So every stored `h` and `choice` is
+/// the same whatever the frame holds.
 ///
 /// **Batched repair.** [`NetWorth::set_utility`] stores the bid and marks
 /// the station (and every new frame local) dirty; the first query after
@@ -512,8 +520,6 @@ pub struct NetWorth {
     u: Vec<f64>,
     /// `h[v]`: best net worth of the subtree game rooted at `v`.
     h: Vec<f64>,
-    /// The chosen best prefix value at `v` (`h[v] = own(v) + best[v]`).
-    best: Vec<f64>,
     /// Chosen prefix length at `v` over its **global** child slice.
     choice: Vec<u32>,
     /// `pre[v] = max(0, val_0 … val_{pos(v)−1})` at `v`'s own edge in its
@@ -521,35 +527,50 @@ pub struct NetWorth {
     pre: Vec<f64>,
     /// `suf[v] = max(val_{pos(v)} … val_{k−1})`, same convention.
     suf: Vec<f64>,
+    /// Static: the cost of the global sibling right after `v` in its
+    /// parent's slice (`+∞` when `v` is the last child).
+    next_cost: Vec<f64>,
+    /// Static: how many of `v`'s global children cost exactly `0.0` (they
+    /// lead its slice).
+    zero_lead: Vec<u32>,
     /// Locals whose kernel the next query runs first.
     dirty: Vec<bool>,
     /// One past the highest dirty local (0: nothing pending).
     dirty_end: usize,
-    /// Scratch: raw prefix values over one station's global child slice.
-    scratch: Vec<f64>,
-    /// Scratch: one station's in-frame children (the kernel needs them
-    /// indexable while it mutates `pre`/`suf`).
+    /// Scratch: is the local station in the last selection's `{s} ∪ R*`?
+    reached: Vec<bool>,
+    /// Scratch: the out-of-frame stations of the last selection's `R*`,
+    /// ascending.
+    outside: Vec<NodeId>,
+    /// Scratch: one station's in-frame children and their raw prefix
+    /// values (the kernel folds `suf` right to left).
     fkids: Vec<u32>,
+    vals: Vec<f64>,
 }
 
 impl NetWorth {
     /// An empty oracle over `ut` (all utilities zero; the frame is just
     /// the source, whose kernel the first query runs).
     pub fn new(ut: &UniversalTree) -> Self {
-        Self {
+        let mut oracle = Self {
             ut: ut.clone(),
             frame: Subframe::new(ut.substrate()),
-            u: vec![0.0],
-            h: vec![0.0],
-            best: vec![0.0],
-            choice: vec![0],
-            pre: vec![0.0],
-            suf: vec![f64::NEG_INFINITY],
-            dirty: vec![true],
-            dirty_end: 1,
-            scratch: Vec::new(),
+            u: Vec::new(),
+            h: Vec::new(),
+            choice: Vec::new(),
+            pre: Vec::new(),
+            suf: Vec::new(),
+            next_cost: Vec::new(),
+            zero_lead: Vec::new(),
+            dirty: Vec::new(),
+            dirty_end: 0,
+            reached: Vec::new(),
+            outside: Vec::new(),
             fkids: Vec::new(),
-        }
+            vals: Vec::new(),
+        };
+        oracle.sync_frame();
+        oracle
     }
 
     /// A cold oracle over a frame grown to every station, fed the
@@ -581,21 +602,49 @@ impl NetWorth {
             "the source has no utility"
         );
         let v = self.frame.ensure(self.ut.substrate(), station) as usize;
-        let len = self.frame.len();
-        if self.u.len() < len {
-            grow_to(&mut self.u, len, 0.0);
-            grow_to(&mut self.h, len, 0.0);
-            grow_to(&mut self.best, len, 0.0);
-            grow_to(&mut self.choice, len, 0);
-            grow_to(&mut self.pre, len, 0.0);
-            grow_to(&mut self.suf, len, f64::NEG_INFINITY);
-            // New locals run their kernel too.
-            grow_to(&mut self.dirty, len, true);
-            self.dirty_end = len;
-        }
+        self.sync_frame();
         self.u[v] = utility;
         self.dirty[v] = true;
         self.dirty_end = self.dirty_end.max(v + 1);
+    }
+
+    /// Grow the local arrays to the frame's length. New locals start at
+    /// zero utility, cache their two static facts from the substrate and
+    /// are dirty: their kernels run on the next query.
+    fn sync_frame(&mut self) {
+        let (old, len) = (self.u.len(), self.frame.len());
+        if old == len {
+            return;
+        }
+        grow_to(&mut self.u, len, 0.0);
+        grow_to(&mut self.h, len, 0.0);
+        grow_to(&mut self.choice, len, 0);
+        grow_to(&mut self.pre, len, 0.0);
+        grow_to(&mut self.suf, len, f64::NEG_INFINITY);
+        grow_to(&mut self.dirty, len, true);
+        grow_to(&mut self.reached, len, false);
+        reserve_bounded(&mut self.next_cost, len);
+        reserve_bounded(&mut self.zero_lead, len);
+        let sub = self.ut.substrate();
+        for l in old..len {
+            let x = self.frame.global_of(local_id(l));
+            let p = sub.parent_of(x);
+            let next = if p == NO_STATION {
+                None
+            } else {
+                sub.sorted_children(p).get(sub.pos_in_parent(x) + 1)
+            };
+            self.next_cost
+                .push(next.map_or(f64::INFINITY, |y| sub.parent_cost(y.index())));
+            let lead = sub
+                .sorted_children(x)
+                .iter()
+                .take_while(|y| sub.parent_cost(y.index()) == 0.0)
+                .count();
+            self.zero_lead
+                .push(u32::try_from(lead).expect("child counts fit u32"));
+        }
+        self.dirty_end = len;
     }
 
     /// Run every pending kernel once, in descending local id — children
@@ -615,136 +664,164 @@ impl NetWorth {
         }
     }
 
-    /// The per-station kernel: recompute `h`/`best`/`choice` at local `v`
-    /// and write the `pre`/`suf` entries of `v`'s **in-frame** children.
-    /// Scans all global children of `v` — out-of-frame ones contribute
-    /// their exact `h = 0.0`. `O(global degree of v)`.
+    /// The per-station kernel: fold local `v`'s **in-frame** children into
+    /// `h[v]` and `choice[v]`, and write their `pre`/`suf` entries.
+    /// `O(frame degree of v)`; `v`'s global child slice is read only when
+    /// the chosen prefix runs on over out-of-frame siblings that tie the
+    /// maximum.
     fn recompute(&mut self, sub: &TreeSubstrate, v: u32) {
-        let kids_g = sub.sorted_children(self.frame.global_of(v));
-        let k = kids_g.len();
+        let vi = v as usize;
         let mut fkids = std::mem::take(&mut self.fkids);
+        let mut vals = std::mem::take(&mut self.vals);
         fkids.clear();
-        fkids.extend(self.frame.children(v));
-        let nf = fkids.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        // Raw prefix values val_j = Σ_{i≤j} h(y_i) − c(v, y_j).
-        let mut acc = 0.0f64;
-        let mut fi = 0usize;
-        for (j, &y) in kids_g.iter().enumerate() {
-            let mut hy = 0.0;
-            if fi < nf {
-                let c = fkids[fi];
-                if self.frame.pos_in_parent(c) as usize == j {
-                    hy = self.h[c as usize];
-                    fi += 1;
-                }
-            }
-            acc += hy;
-            scratch.push(acc - sub.parent_cost(y.index()));
-        }
-        debug_assert_eq!(fi, nf, "every in-frame child sits in the global slice");
-        // Exact total order on value; larger prefix on true ties.
-        let mut b = 0.0f64;
-        let mut bj = 0usize;
-        for (j, &val) in scratch.iter().enumerate() {
+        vals.clear();
+        // Raw prefix values; the running maximum `b` (from +0.0, larger
+        // prefix on exact ties) before each child is its `pre`.
+        let (mut acc, mut b) = (0.0f64, 0.0f64);
+        let (mut winner, mut winner_acc) = (NO_LOCAL, 0.0f64);
+        for c in self.frame.children(v) {
+            self.pre[c as usize] = b;
+            acc += self.h[c as usize];
+            let val = acc - self.frame.parent_cost(c);
             if val >= b {
                 b = val;
-                bj = j + 1;
+                winner = c;
+                winner_acc = acc;
             }
+            fkids.push(c);
+            vals.push(val);
         }
-        // pre[c] = max(0, val_0 … val_{pos(c)−1}): running maximum,
-        // recorded at each in-frame child's own slot.
-        let mut run = 0.0f64;
-        let mut fi = 0usize;
-        for (j, &val) in scratch.iter().enumerate() {
-            if fi < nf {
-                let c = fkids[fi];
-                if self.frame.pos_in_parent(c) as usize == j {
-                    self.pre[c as usize] = run;
-                    fi += 1;
-                }
-            }
-            run = run.max(val);
-        }
-        // suf[c] = max(val_{pos(c)} … val_{k−1}), folded right to left
-        // (raw value first).
+        // suf[c] = max(val_{pos(c)} … val_{k−1}), folded right to left.
         let mut cur = f64::NEG_INFINITY;
-        let mut fi = nf;
-        for (j, &val) in scratch.iter().enumerate().rev() {
-            cur = if j + 1 == k { val } else { val.max(cur) };
-            if fi > 0 {
-                let c = fkids[fi - 1];
-                if self.frame.pos_in_parent(c) as usize == j {
-                    self.suf[c as usize] = cur;
-                    fi -= 1;
+        for (&c, &val) in fkids.iter().zip(&vals).rev() {
+            cur = val.max(cur);
+            self.suf[c as usize] = cur;
+        }
+        let choice = if winner == NO_LOCAL {
+            // No in-frame child reaches +0.0: the prefix is the leading
+            // run of zero-cost children (`0.0 − 0.0` ties at +0.0), none
+            // of which is in frame.
+            self.zero_lead[vi]
+        } else {
+            // Out-of-frame siblings after the winner keep its `acc`; the
+            // prefix runs on while their value still equals `b`.
+            let mut end = self.frame.pos_in_parent(winner) as usize + 1;
+            if winner_acc - self.next_cost[winner as usize] == b {
+                let kids = sub.sorted_children(self.frame.global_of(v));
+                end += 1;
+                while end < kids.len() && winner_acc - sub.parent_cost(kids[end].index()) == b {
+                    end += 1;
                 }
             }
-        }
+            u32::try_from(end).expect("child counts fit u32")
+        };
         let own = if v == Subframe::ROOT {
             0.0
         } else {
-            self.u[v as usize].max(0.0)
+            self.u[vi].max(0.0)
         };
-        self.h[v as usize] = own + b;
-        self.best[v as usize] = b;
-        self.choice[v as usize] = u32::try_from(bj).expect("child count fits u32");
-        self.scratch = scratch;
+        self.h[vi] = own + b;
+        self.choice[vi] = choice;
         self.fkids = fkids;
+        self.vals = vals;
     }
 
-    /// The chosen-prefix walk from the source over the flushed DP: every
-    /// station of `{source} ∪ R*` with its power (the cost of the last
-    /// child in its prefix) and its local id ([`Subframe::NONE`] out of
-    /// frame), sorted by station, and the served cost `C_T(R*)` that
-    /// `PowerAssignment::total_cost_of` folds from those powers — bit for
-    /// bit `UniversalTree::multicast_cost(R*)`. The walk carries each
-    /// child's local id down by merging the frame's position-sorted child
-    /// list against the chosen prefix, so it makes no global→local
-    /// lookup. An out-of-frame station's prefix is its leading run of
-    /// zero-cost children (every `val_j = −c_j`, and only `c_j = 0`
-    /// survives the exact `val ≥ 0.0` tie-break), so it emits `+0.0`.
-    fn selection(&mut self) -> (Vec<(usize, f64, u32)>, f64) {
+    /// The chosen-prefix selection over the flushed DP: marks `reached`
+    /// for the in-frame stations of `{source} ∪ R*`, gathers the
+    /// out-of-frame ones into `outside` (ascending), and returns the
+    /// served cost `C_T(R*)` — bit for bit
+    /// `UniversalTree::multicast_cost(R*)`.
+    ///
+    /// A forward pass in local-id order (a parent's id is below its
+    /// children's) sets `reached[l] = reached[parent] && pos[l] <
+    /// choice[parent]`. A pass in ascending station id then adds each
+    /// reached station's power — the cost of the last child of its prefix
+    /// — to `+0.0`, and merges its in-frame children against the prefix
+    /// positions: a gap is an out-of-frame child. An out-of-frame
+    /// station's prefix is its leading run of zero-cost children (every
+    /// `val_j = −c_j`, and only `c_j = 0` survives the exact `val ≥ 0.0`
+    /// tie-break), so it and its reached subtree add exactly `+0.0`, and
+    /// the sum is the reference's ascending-id float sequence minus exact
+    /// `+0.0` terms. Only the out-of-frame stations are sorted.
+    fn selection(&mut self) -> f64 {
         self.flush();
-        let sub = self.ut.substrate();
-        let mut reached = Vec::new();
-        let mut stack = vec![(sub.network().source(), Subframe::ROOT)];
-        while let Some((x, l)) = stack.pop() {
-            let kids = sub.sorted_children(x);
-            let mut power = 0.0;
-            if l == NO_LOCAL {
-                for y in kids
-                    .iter()
-                    .take_while(|y| sub.parent_cost(y.index()) == 0.0)
-                {
-                    power = sub.parent_cost(y.index());
-                    stack.push((y.index(), NO_LOCAL));
-                }
-            } else {
-                let mut framed = self.frame.children(l).peekable();
-                for (j, y) in kids[..self.choice[l as usize] as usize].iter().enumerate() {
-                    let yl = framed
-                        .next_if(|&c| self.frame.pos_in_parent(c) as usize == j)
-                        .unwrap_or(NO_LOCAL);
-                    power = sub.parent_cost(y.index());
-                    stack.push((y.index(), yl));
-                }
-            }
-            reached.push((x, power, l));
+        self.reached[Subframe::ROOT as usize] = true;
+        for l in 1..local_id(self.frame.len()) {
+            let p = self.frame.parent_local(l) as usize;
+            self.reached[l as usize] =
+                self.reached[p] && self.frame.pos_in_parent(l) < self.choice[p];
         }
-        let served_cost = PowerAssignment::total_cost_of(&mut reached);
-        (reached, served_cost)
+        self.frame.merge_by_station();
+        let sub = self.ut.substrate();
+        self.outside.clear();
+        let mut cost = 0.0;
+        for &x in self.frame.by_station() {
+            let end = self.choice[x as usize] as usize;
+            if !self.reached[x as usize] || end == 0 {
+                continue;
+            }
+            // Prefix positions no in-frame child holds (`next..pos`, then
+            // `next..end`) hold out-of-frame children.
+            let (mut next, mut power) = (0, 0.0);
+            for c in self.frame.children(x) {
+                let pos = self.frame.pos_in_parent(c) as usize;
+                if pos >= end {
+                    break;
+                }
+                if next < pos {
+                    let kids = sub.sorted_children(self.frame.global_of(x));
+                    self.outside.extend_from_slice(&kids[next..pos]);
+                }
+                next = pos + 1;
+                power = self.frame.parent_cost(c);
+            }
+            if next < end {
+                let kids = sub.sorted_children(self.frame.global_of(x));
+                self.outside.extend_from_slice(&kids[next..end]);
+                power = sub.parent_cost(kids[end - 1].index());
+            }
+            cost += power;
+        }
+        // Below an out-of-frame station everything is out of frame, and
+        // its prefix is its zero-cost lead.
+        let mut i = 0;
+        while i < self.outside.len() {
+            let x = self.outside[i].index();
+            self.outside.extend(
+                sub.sorted_children(x)
+                    .iter()
+                    .take_while(|y| sub.parent_cost(y.index()) == 0.0),
+            );
+            i += 1;
+        }
+        self.outside.sort_unstable();
+        cost
+    }
+
+    /// The stations of `{source} ∪ R*` the last selection reached,
+    /// ascending, each with its local id ([`Subframe::NONE`] out of
+    /// frame): the frame's station order, filtered by `reached`, merged
+    /// with the sorted out-of-frame stations.
+    fn reached_by_station(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let inside = self
+            .frame
+            .by_station()
+            .iter()
+            .filter(|&&l| self.reached[l as usize])
+            .map(|&l| (self.frame.global_of(l), l));
+        let outside = self.outside.iter().map(|x| (x.index(), NO_LOCAL));
+        merge_by_key(inside, outside, |&(x, _)| x)
     }
 
     /// The largest efficient station set `R*` (ascending, source
     /// excluded), the maximal net worth `NW(u)`, and the served cost
     /// `C_T(R*)`.
     pub fn efficient_set(&mut self) -> (Vec<usize>, f64, f64) {
-        let (reached, served_cost) = self.selection();
+        let served_cost = self.selection();
         let s = self.ut.network().source();
-        let stations = reached
-            .iter()
-            .map(|&(x, _, _)| x)
+        let stations = self
+            .reached_by_station()
+            .map(|(x, _)| x)
             .filter(|&x| x != s)
             .collect();
         (stations, self.h[Subframe::ROOT as usize], served_cost)
@@ -762,12 +839,12 @@ impl NetWorth {
     /// `h`, and `(0.0 − (nw − nw)).max(0.0)` is `+0.0` even for an
     /// infinite `nw`. (`−0.0` and NaN take the full path.)
     pub fn vcg_outcome(&mut self) -> MechanismOutcome {
-        let (reached, served_cost) = self.selection();
+        let served_cost = self.selection();
         let net = self.ut.network();
         let nw = self.h[Subframe::ROOT as usize];
         let mut shares = vec![0.0; net.n_players()];
         let mut receivers = Vec::new();
-        for &(x, _, l) in &reached {
+        for (x, l) in self.reached_by_station() {
             let Some(p) = net.player_of_station(x) else {
                 continue;
             };
@@ -784,12 +861,17 @@ impl NetWorth {
         }
     }
 
-    /// `NW(u_{−v})` for local `v` on the flushed DP: walk up from `v`,
-    /// re-deriving each ancestor's best prefix from its child's
-    /// `pre`/`suf`, until an ancestor's `h` is unchanged.
+    /// `NW(u_{−v})` for local `v` on the flushed DP: re-derive `v`'s best
+    /// prefix value from its in-frame children (out-of-frame ones never
+    /// raise it), then walk up, re-deriving each ancestor's best prefix
+    /// from its child's `pre`/`suf`, until an ancestor's `h` is unchanged.
     fn zeroing(&self, v: u32) -> f64 {
+        let (mut acc, mut hv) = (0.0f64, 0.0f64);
+        for c in self.frame.children(v) {
+            acc += self.h[c as usize];
+            hv = hv.max(acc - self.frame.parent_cost(c));
+        }
         let mut w = v;
-        let mut hv = self.best[v as usize];
         while w != Subframe::ROOT {
             let wi = w as usize;
             if hv == self.h[wi] {
@@ -848,19 +930,22 @@ impl NetWorth {
         self.frame.len()
     }
 
-    /// Heap bytes of the warm state: frame plus local arrays.
+    /// Heap bytes of the warm state: frame plus local arrays, scratch
+    /// included.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.frame.memory_bytes()
             + (self.u.capacity()
                 + self.h.capacity()
-                + self.best.capacity()
                 + self.pre.capacity()
                 + self.suf.capacity()
-                + self.scratch.capacity())
+                + self.next_cost.capacity()
+                + self.vals.capacity())
                 * size_of::<f64>()
-            + (self.choice.capacity() + self.fkids.capacity()) * size_of::<u32>()
-            + self.dirty.capacity() * size_of::<bool>()
+            + (self.choice.capacity() + self.zero_lead.capacity() + self.fkids.capacity())
+                * size_of::<u32>()
+            + self.outside.capacity() * size_of::<NodeId>()
+            + (self.dirty.capacity() + self.reached.capacity()) * size_of::<bool>()
     }
 }
 
@@ -1123,6 +1208,96 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Stations at `pts` (free-space costs), every one a child of the
+    /// source at station 0 unless `parents` says otherwise.
+    fn explicit_tree(pts: &[(f64, f64)], parents: Vec<Option<usize>>) -> UniversalTree {
+        let pts = pts.iter().map(|&(x, y)| Point::xy(x, y)).collect();
+        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
+        SubstrateBuilder::from_owned(net)
+            .explicit_tree(RootedTree::from_parents(0, parents))
+            .build_universal()
+    }
+
+    /// A warm oracle fed only `bids` — so the stations off their root
+    /// paths stay out of frame — equals a cold oracle framed on every
+    /// station (no out-of-frame child, so no shortcut) and the plain DP,
+    /// bit for bit: net worth, efficient set, served cost, every zeroing
+    /// query and the VCG outcome. Returns the efficient set.
+    fn assert_partial_frame_is_exact(ut: &UniversalTree, bids: &[(usize, f64)]) -> Vec<usize> {
+        let n = ut.network().n_stations();
+        let mut u = vec![0.0; n];
+        let mut warm = NetWorth::new(ut);
+        for &(x, bid) in bids {
+            u[x] = bid;
+            warm.set_utility(x, bid);
+        }
+        assert!(warm.frame_len() < n, "a station must stay out of frame");
+        let mut cold = NetWorth::from_utilities(ut, &u);
+        let (set, nw) = ut.largest_efficient_set(&u);
+        let cost = ut.multicast_cost(&set);
+        for oracle in [&mut warm, &mut cold] {
+            let (got, got_nw, got_cost) = oracle.efficient_set();
+            assert_eq!(got, set);
+            assert_eq!(got_nw.to_bits(), nw.to_bits());
+            assert_eq!(oracle.net_worth().to_bits(), ut.net_worth(&u).to_bits());
+            assert_eq!(got_cost.to_bits(), cost.to_bits());
+        }
+        for x in 1..n {
+            assert_eq!(
+                warm.net_worth_zeroing(x).to_bits(),
+                cold.net_worth_zeroing(x).to_bits(),
+                "station {x}"
+            );
+        }
+        let (w, c) = (warm.vcg_outcome(), cold.vcg_outcome());
+        assert_eq!(w.receivers, c.receivers);
+        let bits =
+            |o: &MechanismOutcome| -> Vec<u64> { o.shares.iter().map(|s| s.to_bits()).collect() };
+        assert_eq!(bits(&w), bits(&c));
+        assert_eq!(w.served_cost.to_bits(), c.served_cost.to_bits());
+        set
+    }
+
+    #[test]
+    fn prefix_runs_on_over_an_equal_cost_sibling_out_of_frame() {
+        // Source children by cost: 1 (0.25, loses), 2 (1.0, the winner),
+        // 3 (1.0, never bids), 4 (4.0). Station 3's value ties the
+        // winner's exactly, so the efficient set reaches it for free.
+        let ut = explicit_tree(
+            &[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 2.0)],
+            vec![None, Some(0), Some(0), Some(0), Some(0)],
+        );
+        let set = assert_partial_frame_is_exact(&ut, &[(1, 0.1), (2, 5.0)]);
+        assert_eq!(set, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn prefix_runs_on_over_a_sibling_the_prefix_sum_absorbs() {
+        // A bid near 1e17 (one ulp is 16) makes 1e17 − 1.0 and 1e17 − 2.25
+        // the same float: the costlier out-of-frame sibling ties, joins
+        // the set and sets the source's power.
+        let ut = explicit_tree(
+            &[(0.0, 0.0), (1.0, 0.0), (0.0, 1.5)],
+            vec![None, Some(0), Some(0)],
+        );
+        let set = assert_partial_frame_is_exact(&ut, &[(1, 1e17)]);
+        assert_eq!(set, vec![1, 2]);
+        assert_eq!(ut.multicast_cost(&set), 2.25);
+    }
+
+    #[test]
+    fn a_duplicate_point_child_is_chosen_when_every_framed_child_loses() {
+        // Station 2 sits on station 1 (cost 0.0); station 3 costs 9.0
+        // from station 1 and bids too little to win. Station 1's prefix
+        // is then its zero-cost lead: out-of-frame station 2 alone.
+        let ut = explicit_tree(
+            &[(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (4.0, 0.0)],
+            vec![None, Some(0), Some(1), Some(1)],
+        );
+        let set = assert_partial_frame_is_exact(&ut, &[(1, 5.0), (3, 0.5)]);
+        assert_eq!(set, vec![1, 2]);
     }
 
     #[test]

@@ -65,22 +65,12 @@ impl PowerAssignment {
     }
 
     /// Total power consumption `cost(π) = Σ_x π(x)` (§1), summed in
-    /// ascending station id — the order contract
-    /// `PowerAssignment::total_cost_of` reproduces bit for bit.
+    /// ascending station id — the order contract the warm engines'
+    /// served cost reproduces bit for bit, scanning their frames in
+    /// station order and leaving out exact `+0.0` terms
+    /// (`Shapley::served_cost`, `NetWorth::vcg_outcome`).
     pub fn total_cost(&self) -> f64 {
         self.powers.iter().sum()
-    }
-
-    /// `Σ_x π(x)` over sparse `(station, power, payload)` terms, one per
-    /// station (stations absent from `terms` emit `+0.0`). Sorts `terms`
-    /// by station in place — the payload rides along — and adds the
-    /// powers to `+0.0` in ascending station id:
-    /// [`PowerAssignment::total_cost`]'s float sequence with its exact
-    /// `+0.0` terms left out, so the two agree bit for bit. This is how
-    /// the warm engines sum `C_T(R)` over their own `T(R)`.
-    pub(crate) fn total_cost_of<T>(terms: &mut [(usize, f64, T)]) -> f64 {
-        terms.sort_unstable_by_key(|t| t.0);
-        terms.iter().fold(0.0, |acc, t| acc + t.1)
     }
 
     /// Directed edges of the induced transmission digraph `G_π`.

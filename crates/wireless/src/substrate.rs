@@ -68,6 +68,21 @@ pub(crate) fn grow_to<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     v.resize(len, fill);
 }
 
+/// Merge two sequences, each ascending by `key`, into one ascending
+/// sequence (`a` first on equal keys).
+pub(crate) fn merge_by_key<T, K: Ord>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if key(y) < key(x) => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
 /// A 4-byte station id — the unit of the substrate's memory diet.
 ///
 /// All substrate-resident arrays store `NodeId` (or raw `u32` offsets)
@@ -350,7 +365,12 @@ impl TreeSubstrate {
 ///   cost order** — the restriction of the substrate's cost-sorted child
 ///   slice to the closure, which is what keeps every local traversal
 ///   order-identical to a walk of the whole tree (the byte-identity
-///   argument in DESIGN.md §2f).
+///   argument in DESIGN.md §2f);
+/// * the frame also keeps its locals in **ascending global station id**
+///   ([`Subframe::by_station`]), the order in which the engines sum
+///   `C_T(R)`, and MC lists its in-frame receivers, with no sort.
+///   Appended locals are merged in by the first ordered pass after
+///   growth ([`Subframe::merge_by_station`]), not per `ensure`.
 ///
 /// Building the closure of a member set costs `O(Σ new path)` expected:
 /// the global→local index is a closure-sized open-addressing table of
@@ -381,6 +401,10 @@ pub struct Subframe {
     first_kid: Vec<u32>,
     /// Next in-frame sibling per local id in the parent's cost order.
     next_kid: Vec<u32>,
+    /// Locals in ascending global station id. Covers locals
+    /// `0..order.len()`; locals appended since are merged in by the next
+    /// [`Subframe::merge_by_station`].
+    order: Vec<u32>,
 }
 
 impl Subframe {
@@ -402,6 +426,7 @@ impl Subframe {
             pos: vec![0],
             first_kid: vec![Self::NONE],
             next_kid: vec![Self::NONE],
+            order: Vec::new(),
         }
     }
 
@@ -560,6 +585,44 @@ impl Subframe {
         })
     }
 
+    /// Merge the locals appended since the last call into the station
+    /// order: sort the new ones by station, then merge the two sorted
+    /// runs. `O(|frame| + k log k)` after `k` new locals, `O(1)` when the
+    /// frame has not grown — so a growing frame pays it once, on its
+    /// first ordered pass after growth, not per [`Subframe::ensure`].
+    pub fn merge_by_station(&mut self) {
+        let (merged, len) = (self.order.len(), self.global.len());
+        if merged == len {
+            return;
+        }
+        let global = &self.global;
+        let station = |&l: &u32| global[l as usize];
+        let mut fresh: Vec<u32> = (merged..len)
+            .map(|l| u32::try_from(l).expect("frame ids fit in u32"))
+            .collect();
+        fresh.sort_unstable_by_key(station);
+        let mut order = Vec::new();
+        reserve_bounded(&mut order, len);
+        order.extend(merge_by_key(
+            self.order.drain(..),
+            fresh.into_iter(),
+            station,
+        ));
+        self.order = order;
+    }
+
+    /// Every local in ascending global station id, the source included —
+    /// as of the last [`Subframe::merge_by_station`], which an ordered
+    /// pass calls first.
+    pub fn by_station(&self) -> &[u32] {
+        debug_assert_eq!(
+            self.order.len(),
+            self.global.len(),
+            "merge_by_station before an ordered pass"
+        );
+        &self.order
+    }
+
     /// Resident heap bytes of the frame: its arrays and the index.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -568,6 +631,7 @@ impl Subframe {
                 + self.pos.capacity()
                 + self.first_kid.capacity()
                 + self.next_kid.capacity()
+                + self.order.capacity()
                 + self.index.capacity())
                 * size_of::<u32>()
             + self.parent_cost.capacity() * size_of::<f64>()
@@ -719,6 +783,42 @@ mod tests {
                 assert_eq!(got, expect, "seed {seed}, station {g}");
             }
             assert!(frame.memory_bytes() > 0);
+        }
+    }
+
+    #[test]
+    fn station_order_merges_every_appended_local_once() {
+        // Random growth with ordered passes interleaved: after each merge
+        // the order is exactly the locals sorted by station — each local
+        // once, the appended ones included — and the frame's byte count
+        // grows by exactly the order array's.
+        for seed in 0..8 {
+            let net = random_net(seed, 64);
+            let kind = [TreeKind::Spt, TreeKind::Mst][seed as usize % 2];
+            let sub = SubstrateBuilder::new(&net).tree(kind).build();
+            let mut frame = Subframe::new(&sub);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x0bde);
+            for _ in 0..40 {
+                for _ in 0..rng.gen_range(0..4) {
+                    frame.ensure(&sub, rng.gen_range(1..64));
+                }
+                if rng.gen_bool(0.6) {
+                    let (bytes, order_cap) = (frame.memory_bytes(), frame.order.capacity());
+                    frame.merge_by_station();
+                    let mut expect: Vec<u32> = (0..frame.len())
+                        .map(|l| u32::try_from(l).expect("test frame is small"))
+                        .collect();
+                    expect.sort_by_key(|&l| frame.global_of(l));
+                    assert_eq!(frame.by_station(), &expect[..], "seed {seed}");
+                    assert_eq!(
+                        frame.memory_bytes() - bytes,
+                        (frame.order.capacity() - order_cap) * std::mem::size_of::<u32>()
+                    );
+                    // A pass with no growth in between changes nothing.
+                    frame.merge_by_station();
+                    assert_eq!(frame.by_station(), &expect[..], "seed {seed}");
+                }
+            }
         }
     }
 

@@ -3,12 +3,13 @@
 //! is **byte-identical** to the naive per-round `shapley_shares`
 //! reference, the Shapley engine's round pass *is* that reference split
 //! bit for bit on any receiver set, the MC oracle's batched repair leaves
-//! it equal to a cold oracle bit for bit, and budget balance survives at
+//! it equal to a cold oracle bit for bit — on lattice layouts whose
+//! ties reach past the frame too — and budget balance survives at
 //! n = 1024.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use wmcs_geom::{LayoutFamily, Scenario};
+use wmcs_geom::{LayoutFamily, Point, PowerModel, Scenario};
 use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run};
 use wmcs_wireless::{
     NetWorth, Shapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
@@ -248,6 +249,75 @@ proptest! {
                     prop_assert_eq!(w.shares[p].to_bits(), 0, "{} player {}", &label, p);
                 }
             }
+        }
+    }
+
+    /// The MC kernel's tie path. Stations snapped to a small integer
+    /// lattice collide (zero-cost children) and share costs (equal-cost
+    /// siblings); bids mix exact lattice costs, which tie a prefix value
+    /// at `+0.0` or at a sibling's, fractional values and bids near 1e17,
+    /// whose prefix sums absorb small cost differences. Frames grow only
+    /// by random partial bidder sets, over epochs of `set_utility`, so
+    /// unframed siblings keep tying the framed winners. After each epoch
+    /// the warm oracle equals a cold oracle framed on every station (no
+    /// out-of-frame child, so no shortcut) and the plain DP — net worth,
+    /// efficient set and its `multicast_cost` — bit for bit, zeroing
+    /// queries and the VCG outcome included.
+    #[test]
+    fn frame_local_kernel_is_exact_on_lattice_ties(
+        kind_idx in 0usize..2,
+        n in 3usize..=72,
+        side in 2u32..=6,
+        alpha_idx in 0usize..2,
+        seed in 0u64..10_000,
+        epochs in 1usize..6,
+    ) {
+        let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1a77_1ce5);
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::xy(f64::from(rng.gen_range(0..side)), f64::from(rng.gen_range(0..side))))
+            .collect();
+        let power = PowerModel::with_alpha([2.0, 4.0][alpha_idx]);
+        let net = WirelessNetwork::euclidean(pts, power, 0);
+        let ut = SubstrateBuilder::new(&net).tree(kind).build_universal();
+        let all = net.non_source_stations();
+        let mut u = vec![0.0f64; n];
+        let mut warm = NetWorth::new(&ut);
+        for epoch in 0..epochs {
+            let bidders: Vec<usize> = all.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+            for &x in &bidders {
+                let bid = match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    1 | 2 => ut.substrate().parent_cost(x) * f64::from(rng.gen_range(1..4)),
+                    3 => 1e17 + f64::from(rng.gen_range(0..64)),
+                    _ => rng.gen_range(0.0..8.0),
+                };
+                u[x] = bid;
+                warm.set_utility(x, bid);
+            }
+            let label = format!("{kind:?} n={n} side={side} seed={seed} epoch {epoch}");
+            let mut cold = NetWorth::from_utilities(&ut, &u);
+            let (set, nw) = ut.largest_efficient_set(&u);
+            let cost = ut.multicast_cost(&set).to_bits();
+            prop_assert_eq!(ut.net_worth(&u).to_bits(), nw.to_bits(), "{}", &label);
+            for (name, oracle) in [("warm", &mut warm), ("cold", &mut cold)] {
+                prop_assert_eq!(oracle.net_worth().to_bits(), nw.to_bits(), "{} {}", name, &label);
+                let (got, got_nw, got_cost) = oracle.efficient_set();
+                prop_assert_eq!(&got, &set, "{} {}", name, &label);
+                prop_assert_eq!(got_nw.to_bits(), nw.to_bits(), "{} {}", name, &label);
+                prop_assert_eq!(got_cost.to_bits(), cost, "{} {}", name, &label);
+            }
+            for &x in &all {
+                prop_assert_eq!(warm.net_worth_zeroing(x).to_bits(),
+                    cold.net_worth_zeroing(x).to_bits(), "{} station {}", &label, x);
+            }
+            let (w, c) = (warm.vcg_outcome(), cold.vcg_outcome());
+            prop_assert_eq!(&w.receivers, &c.receivers, "{}", &label);
+            let bits = |o: &wmcs_game::MechanismOutcome| -> Vec<u64> {
+                o.shares.iter().map(|x| x.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&w), bits(&c), "{}", &label);
+            prop_assert_eq!(w.served_cost.to_bits(), cost, "{}", &label);
         }
     }
 

@@ -6,8 +6,8 @@
 //! `O(n²)` cost matrix is ever materialised), `Backend::Spatial` grows
 //! the SPT and MST universal trees through the grid index, both parent
 //! arrays must hash to their pinned digests, warm session state must
-//! stay under a per-group ceiling on a many-group [`MulticastService`],
-//! and one warm churn session over the SPT must keep the paper's §2.1
+//! stay under a per-group ceiling on a many-group [`MulticastService`]
+//! for both mechanisms, and one warm churn session over the SPT must keep the paper's §2.1
 //! guarantees — exact budget balance of the charged Shapley shares and
 //! voluntary participation — at a station count one hundred times past
 //! the seed's experiment tables.
@@ -29,7 +29,8 @@ const N: usize = 100_000;
 const SPT_DIGEST: u64 = 0x1f59_4e13_bbec_0204;
 const MST_DIGEST: u64 = 0x5c42_10f8_6fbd_d6d6;
 
-/// Shapley groups sharing the substrate in the warm-state check.
+/// Groups of each mechanism sharing the substrate in the warm-state
+/// check.
 const GROUPS: usize = 64;
 /// Members joined per group.
 const MEMBERS: usize = 32;
@@ -104,13 +105,9 @@ fn main() {
     let broadcast = ut.multicast_cost(&ut.network().non_source_stations());
     let hi = 2.0 * broadcast / (N - 1) as f64;
 
-    // Warm-state ceiling: GROUPS Shapley groups on one service, each
-    // joining MEMBERS players drawn from its own generator (a repeated
-    // draw just re-joins).
-    let mut svc = MulticastService::new(&ut);
-    for _ in 0..GROUPS {
-        svc.add_group(GroupMechanism::Shapley);
-    }
+    // Warm-state ceiling, per mechanism: GROUPS groups on one service,
+    // each joining MEMBERS players drawn from its own generator (a
+    // repeated draw just re-joins) — the same joins for both mechanisms.
     let joins: Vec<Vec<ChurnEvent>> = (0..GROUPS)
         .map(|g| {
             let mut r = SmallRng::seed_from_u64(0x51_0000 + g as u64);
@@ -122,17 +119,23 @@ fn main() {
                 .collect()
         })
         .collect();
-    svc.step_all(&joins);
-    let bytes_per_group = svc.memory_bytes() / GROUPS;
-    println!(
-        "warm session state: {bytes_per_group} bytes/group \
-         ({GROUPS} Shapley groups × {MEMBERS} members)"
-    );
-    assert!(
-        bytes_per_group <= WARM_BYTES_CEILING,
-        "warm state {bytes_per_group} B/group exceeds the {WARM_BYTES_CEILING} B ceiling \
-         (a per-group array sized by n = {N}?)"
-    );
+    for mechanism in [GroupMechanism::Shapley, GroupMechanism::MarginalCost] {
+        let mut svc = MulticastService::new(&ut);
+        for _ in 0..GROUPS {
+            svc.add_group(mechanism);
+        }
+        svc.step_all(&joins);
+        let bytes_per_group = svc.memory_bytes() / GROUPS;
+        println!(
+            "warm session state: {bytes_per_group} bytes/group \
+             ({GROUPS} {mechanism:?} groups × {MEMBERS} members)"
+        );
+        assert!(
+            bytes_per_group <= WARM_BYTES_CEILING,
+            "{mechanism:?}: warm state {bytes_per_group} B/group exceeds the \
+             {WARM_BYTES_CEILING} B ceiling (a per-group array sized by n = {N}?)"
+        );
+    }
 
     // One warm session: an opening join wave, then a churn batch, each
     // repriced from warm state by the incremental Moulin–Shenker engine.
