@@ -8,8 +8,10 @@
 //! `wmcs-wireless::euclidean::line` for the documented deviation of
 //! Lemma 3.1's second case discovered during reproduction.
 
-use wmcs_game::{moulin_shenker, CachedCost, Mechanism, MechanismOutcome, ShapleyMethod};
-use wmcs_geom::EPS;
+use wmcs_game::{
+    moulin_shenker, run_drop_loop, CachedCost, Mechanism, MechanismOutcome, Recompute,
+    ShapleyMethod,
+};
 use wmcs_wireless::{AlphaOneSolver, LineCost, LineSolver};
 
 /// `M(Shapley)` for `α = 1` networks, using the closed-form airport-game
@@ -39,35 +41,20 @@ impl Mechanism for AlphaOneShapleyMechanism {
     fn run(&self, reported: &[f64]) -> MechanismOutcome {
         let net = self.solver.network();
         let n = self.n_players();
-        assert_eq!(reported.len(), n);
-        let mut in_set = vec![true; n];
-        loop {
-            let stations: Vec<usize> = (0..n)
-                .filter(|&p| in_set[p])
-                .map(|p| net.station_of_player(p))
-                .collect();
-            let by_station = self.solver.shapley_shares(&stations);
-            let mut dropped = false;
-            for p in 0..n {
-                if in_set[p] && reported[p] < by_station[net.station_of_player(p)] - EPS {
-                    in_set[p] = false;
-                    dropped = true;
-                }
-            }
-            if !dropped {
-                let receivers: Vec<usize> = (0..n).filter(|&p| in_set[p]).collect();
-                let mut shares = vec![0.0; n];
-                for &p in &receivers {
-                    shares[p] = by_station[net.station_of_player(p)];
-                }
-                let served_cost = self.solver.optimal_cost(&stations);
-                return MechanismOutcome {
-                    receivers,
-                    shares,
-                    served_cost,
-                };
-            }
-        }
+        let stations = |players: &[usize]| -> Vec<usize> {
+            players.iter().map(|&p| net.station_of_player(p)).collect()
+        };
+        let mut adapter = Recompute::new(
+            n,
+            |players| {
+                let by_station = self.solver.shapley_shares(&stations(players));
+                (0..n)
+                    .map(|p| by_station[net.station_of_player(p)])
+                    .collect()
+            },
+            |players| self.solver.optimal_cost(&stations(players)),
+        );
+        run_drop_loop(&mut adapter, reported)
     }
 }
 

@@ -10,8 +10,8 @@
 //! shares recover the built assignment and stay within `2(3^d − 1) · C*`
 //! (12 for d = 2, via Ambühl's constant 6).
 
-use wmcs_game::{Mechanism, MechanismOutcome};
-use wmcs_geom::EPS;
+use std::cell::Cell;
+use wmcs_game::{run_drop_loop, Mechanism, MechanismOutcome, Recompute};
 use wmcs_graph::{jv_steiner_shares, JvSharing, RootedTree};
 use wmcs_wireless::{PowerAssignment, WirelessNetwork};
 
@@ -56,50 +56,33 @@ impl EuclideanSteinerMechanism {
     /// Full run, also returning the built power assignment.
     pub fn run_full(&self, reported: &[f64]) -> SteinerOutcome {
         let net = &self.net;
-        let n = net.n_players();
-        assert_eq!(reported.len(), n);
-        let s = net.source();
-        let mut in_set = vec![true; n];
-        loop {
-            let stations: Vec<usize> = (0..n)
-                .filter(|&p| in_set[p])
-                .map(|p| net.station_of_player(p))
-                .collect();
-            if stations.is_empty() {
-                return SteinerOutcome {
-                    outcome: MechanismOutcome::empty(n),
-                    assignment: PowerAssignment::zero(net.n_stations()),
-                };
-            }
-            let jv = jv_steiner_shares(net.costs(), s, &stations, JvSharing::Equal, None);
-            let mut dropped = false;
-            for p in 0..n {
-                if in_set[p] && reported[p] < jv.share[net.station_of_player(p)] - EPS {
-                    in_set[p] = false;
-                    dropped = true;
-                }
-            }
-            if dropped {
-                continue;
-            }
-            let receivers: Vec<usize> = (0..n).filter(|&p| in_set[p]).collect();
-            let mut shares = vec![0.0; n];
-            for &p in &receivers {
-                shares[p] = jv.share[net.station_of_player(p)];
-            }
-            // Steiner heuristic: orient the tree downward from the source.
-            let rooted = RootedTree::from_undirected_edges(net.n_stations(), s, &jv.tree.edges);
-            let assignment = PowerAssignment::from_tree(net, &rooted);
-            debug_assert!(assignment.multicasts_to(net, &stations));
-            let served_cost = assignment.total_cost();
-            return SteinerOutcome {
-                outcome: MechanismOutcome {
-                    receivers,
-                    shares,
-                    served_cost,
-                },
-                assignment,
-            };
+        let (n, s) = (net.n_players(), net.source());
+        let stations = |players: &[usize]| -> Vec<usize> {
+            players.iter().map(|&p| net.station_of_player(p)).collect()
+        };
+        // Each round's JV tree; the fixpoint round's is the one built.
+        let tree = Cell::new(Vec::new());
+        let mut assignment = PowerAssignment::zero(net.n_stations());
+        let mut adapter = Recompute::new(
+            n,
+            |players| {
+                let jv =
+                    jv_steiner_shares(net.costs(), s, &stations(players), JvSharing::Equal, None);
+                tree.set(jv.tree.edges);
+                (0..n).map(|p| jv.share[net.station_of_player(p)]).collect()
+            },
+            |players| {
+                // Steiner heuristic: orient the tree downward from the source.
+                let rooted = RootedTree::from_undirected_edges(net.n_stations(), s, &tree.take());
+                assignment = PowerAssignment::from_tree(net, &rooted);
+                debug_assert!(assignment.multicasts_to(net, &stations(players)));
+                assignment.total_cost()
+            },
+        );
+        let outcome = run_drop_loop(&mut adapter, reported);
+        SteinerOutcome {
+            outcome,
+            assignment,
         }
     }
 }

@@ -3,18 +3,20 @@
 //! Every Moulin–Shenker-style mechanism in the workspace runs the same
 //! iteration: compute the active players' shares, drop everyone who
 //! cannot afford theirs, repeat until a fixpoint, charge the fixpoint
-//! shares. Before this module existed the loop was open-coded twice —
-//! mask-based in [`crate::moulin::moulin_shenker`] (capped at 64
-//! players) and station-set-based in the universal-tree Shapley
-//! mechanism — with one EPS convention each; divergence there is a
-//! strategyproofness bug waiting to happen, so every loop now routes
-//! through [`run_drop_loop_from`].
+//! shares. That loop lives in one place, [`run_drop_loop_from`], so every
+//! mechanism drops by the same test — one written for NaN: every
+//! comparison with NaN is false, so a `bid < share − EPS` test alone
+//! would serve and charge a NaN bidder.
 //!
 //! The driver works on plain index sets, so it has **no 64-player cap**:
 //! a [`DropLoopMethod`] carries its own representation of the active
-//! coalition (a `u64` mask, an incremental tree engine, …) and is told
-//! exactly which players drop, which lets incremental implementations
-//! update in `O(affected path)` instead of recomputing from scratch.
+//! coalition and is told exactly which players drop, which lets
+//! incremental implementations (the warm tree engines of
+//! `wmcs-wireless`) update in `O(affected path)` instead of recomputing
+//! from scratch. Methods that do price each coalition from scratch —
+//! the mask-based [`crate::moulin::moulin_shenker`], the `α = 1` airport
+//! shares and the Jain–Vazirani Steiner shares of `wmcs-mechanisms` —
+//! share one adapter, [`Recompute`].
 //!
 //! Two entry points share one loop body:
 //!
@@ -68,6 +70,62 @@ pub trait DropLoopMethod {
     /// Cost of the solution built for the currently-active coalition.
     /// Called once, after the fixpoint round.
     fn served_cost(&mut self) -> f64;
+}
+
+/// The index-set adapter for a method priced from scratch on each
+/// coalition: it mirrors the driver's active players, and each round
+/// `shares` is called on them (ascending player ids) and returns
+/// player-indexed shares, whose entries for inactive players are
+/// ignored. After the fixpoint round, `served_cost` prices the same
+/// coalition. It starts from every player, so drive it with
+/// [`run_drop_loop`], where coalition positions are player ids.
+pub struct Recompute<S, C> {
+    active: Vec<bool>,
+    shares: S,
+    served_cost: C,
+}
+
+impl<S, C> Recompute<S, C>
+where
+    S: FnMut(&[usize]) -> Vec<f64>,
+    C: FnMut(&[usize]) -> f64,
+{
+    /// The adapter over `n_players` players, all active.
+    pub fn new(n_players: usize, shares: S, served_cost: C) -> Self {
+        Self {
+            active: vec![true; n_players],
+            shares,
+            served_cost,
+        }
+    }
+
+    fn active_players(&self) -> Vec<usize> {
+        (0..self.active.len()).filter(|&p| self.active[p]).collect()
+    }
+}
+
+impl<S, C> DropLoopMethod for Recompute<S, C>
+where
+    S: FnMut(&[usize]) -> Vec<f64>,
+    C: FnMut(&[usize]) -> f64,
+{
+    fn n_players(&self) -> usize {
+        self.active.len()
+    }
+
+    fn round_shares_into(&mut self, out: &mut Vec<f64>) {
+        let players = self.active_players();
+        *out = (self.shares)(&players);
+    }
+
+    fn drop_player(&mut self, p: usize) {
+        self.active[p] = false;
+    }
+
+    fn served_cost(&mut self) -> f64 {
+        let players = self.active_players();
+        (self.served_cost)(&players)
+    }
 }
 
 /// Run the Moulin–Shenker iteration `M(ξ)` \[37, 38\] over a

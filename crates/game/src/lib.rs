@@ -37,7 +37,7 @@ pub use checks::{
     cross_monotonicity_violation, is_nondecreasing, is_submodular, submodularity_violation,
 };
 pub use cost::{CachedCost, CostFunction, ExplicitGame};
-pub use driver::{run_drop_loop, run_drop_loop_from, DropLoopMethod};
+pub use driver::{run_drop_loop, run_drop_loop_from, DropLoopMethod, Recompute};
 pub use mc::{marginal_cost_mechanism, McOutcome};
 pub use mechanism::{
     find_group_deviation, find_unilateral_deviation, verify_budget_balance,

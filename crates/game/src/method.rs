@@ -58,9 +58,12 @@ impl<C: CostFunction> CostSharingMethod for ShapleyMethod<C> {
     }
 }
 
-/// A method given by an explicit closure (used by mechanisms whose shares
-/// come from an algorithm rather than a game-theoretic formula, e.g. the
-/// Jain–Vazirani Steiner shares of Theorem 3.6).
+/// A method given by explicit closures over coalition masks, for shares
+/// that come from an algorithm rather than a game-theoretic formula.
+/// Like every mask method it covers at most 64 players; the mechanisms
+/// whose shares are algorithmic (the Jain–Vazirani Steiner shares of
+/// Theorem 3.6, say) price index sets through
+/// [`crate::driver::Recompute`] instead.
 pub struct FnMethod<F: Fn(u64) -> Vec<f64>, G: Fn(u64) -> f64> {
     n: usize,
     shares_fn: F,

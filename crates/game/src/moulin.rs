@@ -19,36 +19,10 @@
 //! directly (as the universal-tree mechanisms do through the incremental
 //! engine) for instances beyond 64 players.
 
-use crate::driver::{run_drop_loop, DropLoopMethod};
+use crate::driver::{run_drop_loop, Recompute};
 use crate::mechanism::MechanismOutcome;
 use crate::method::CostSharingMethod;
-
-/// Mask-world adapter: mirrors the driver's active set as a `u64`
-/// coalition mask and evaluates the wrapped [`CostSharingMethod`] on it.
-/// It is only driven from the coalition of all players, where the
-/// driver's coalition positions are the player ids themselves.
-struct MaskDropMethod<'m, M: CostSharingMethod> {
-    method: &'m M,
-    mask: u64,
-}
-
-impl<M: CostSharingMethod> DropLoopMethod for MaskDropMethod<'_, M> {
-    fn n_players(&self) -> usize {
-        self.method.n_players()
-    }
-
-    fn round_shares_into(&mut self, out: &mut Vec<f64>) {
-        *out = self.method.shares(self.mask);
-    }
-
-    fn drop_player(&mut self, p: usize) {
-        self.mask &= !(1u64 << p);
-    }
-
-    fn served_cost(&mut self) -> f64 {
-        self.method.served_cost(self.mask)
-    }
-}
+use crate::subset::mask_of;
 
 /// Run `M(ξ)` on a reported utility profile.
 ///
@@ -65,8 +39,11 @@ pub fn moulin_shenker(method: &impl CostSharingMethod, reported: &[f64]) -> Mech
         "moulin_shenker is mask-based and supports at most 64 players (got {n}); \
          use wmcs_game::run_drop_loop with an index-set DropLoopMethod instead"
     );
-    let mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut adapter = MaskDropMethod { method, mask };
+    let mut adapter = Recompute::new(
+        n,
+        |players| method.shares(mask_of(players)),
+        |players| method.served_cost(mask_of(players)),
+    );
     run_drop_loop(&mut adapter, reported)
 }
 

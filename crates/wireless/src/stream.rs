@@ -14,8 +14,11 @@
 //!   [`StreamConfig::capacity`], never more);
 //! * an **epoch sealer** deterministically cuts each group's stream into
 //!   epochs by an event-count watermark ([`StreamConfig::watermark`]) —
-//!   never by wall clock — and hands sealed epochs to a crossbeam worker
-//!   pool;
+//!   never by wall clock — and sends sealed epochs to a crossbeam worker
+//!   pool over one bounded `sync_channel` of G slots. A group has at most
+//!   one epoch queued or running, so a send never blocks; and the
+//!   producer side owns the only sender, so when the producer returns or
+//!   unwinds, the workers drain the channel and their `recv` ends;
 //! * each epoch is absorbed by the group's warm [`GroupSession`] exactly
 //!   as [`MulticastService`] would absorb the same events as one batch,
 //!   and the outcome is placed in a per-epoch `OnceLock` slot (the
@@ -61,8 +64,8 @@
 
 use crate::service::{GroupMechanism, GroupSession, MulticastService};
 use crate::universal::UniversalTree;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::churn::ChurnEvent;
@@ -344,21 +347,13 @@ struct GroupSlot {
     mechanism: GroupMechanism,
 }
 
-/// A sealed epoch handed to the worker pool.
+/// A sealed epoch sent to the worker pool.
 #[derive(Debug)]
 struct Epoch {
     group: usize,
     epoch: u64,
     events: Vec<ChurnEvent>,
     slot: Arc<OnceLock<EpochOutcome>>,
-}
-
-/// The shared task queue (bounded by construction: at most one epoch
-/// per group, pipeline depth 1).
-#[derive(Debug, Default)]
-struct TaskState {
-    queue: VecDeque<Epoch>,
-    shutdown: bool,
 }
 
 /// Epoch-pipelined streaming ingestion over one shared substrate — see
@@ -373,8 +368,6 @@ pub struct StreamService {
     ut: UniversalTree,
     config: StreamConfig,
     groups: Vec<GroupSlot>,
-    tasks: Mutex<TaskState>,
-    task_cv: Condvar,
     /// The virtual clock: one tick per submission attempt.
     clock: AtomicU64,
 }
@@ -403,25 +396,8 @@ impl Clone for StreamService {
                     mechanism: slot.mechanism,
                 })
                 .collect(),
-            tasks: Mutex::new(TaskState::default()),
-            task_cv: Condvar::new(),
             clock: AtomicU64::new(0),
         }
-    }
-}
-
-/// Sets the worker shutdown flag on drop, so a panicking producer can
-/// never leave the pool waiting on the task condvar forever (the scope
-/// join would then deadlock). Workers drain the queued epochs before
-/// honoring shutdown, so the normal-path flush still completes.
-struct ShutdownGuard<'a>(&'a StreamService);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        let mut tasks = self.0.tasks.lock().unwrap_or_else(PoisonError::into_inner);
-        tasks.shutdown = true;
-        drop(tasks);
-        self.0.task_cv.notify_all();
     }
 }
 
@@ -433,8 +409,6 @@ impl StreamService {
             ut: ut.clone(),
             config,
             groups: Vec::new(),
-            tasks: Mutex::new(TaskState::default()),
-            task_cv: Condvar::new(),
             clock: AtomicU64::new(0),
         }
     }
@@ -499,47 +473,30 @@ impl StreamService {
         producer: impl FnOnce(&StreamHandle<'_>) -> R + Send,
     ) -> (R, StreamReport) {
         self.clock.store(0, Ordering::Relaxed);
-        {
-            let mut tasks = self
-                .tasks
-                .lock()
-                .expect("the task queue mutex is never poisoned");
-            tasks.shutdown = false;
-            debug_assert!(tasks.queue.is_empty(), "stale epochs from a previous drive");
-        }
         let this: &StreamService = self;
+        // Pipeline depth 1 keeps at most one epoch per group queued or
+        // running, so a channel of G slots never blocks a send.
+        let (sender, receiver) = sync_channel::<Epoch>(this.groups.len());
+        let receiver = &Mutex::new(receiver);
         let result = crossbeam::thread::scope(|scope| {
             for _ in 0..this.config.threads() {
                 scope.spawn(move |_| loop {
-                    // Pop the next sealed epoch; exit only once the
-                    // queue is drained *and* shutdown is flagged.
-                    let task = {
-                        let mut tasks = this
-                            .tasks
-                            .lock()
-                            .expect("the task queue mutex is never poisoned");
-                        loop {
-                            if let Some(task) = tasks.queue.pop_front() {
-                                break Some(task);
-                            }
-                            if tasks.shutdown {
-                                break None;
-                            }
-                            tasks = this
-                                .task_cv
-                                .wait(tasks)
-                                .expect("the task queue mutex is never poisoned");
-                        }
-                    };
-                    let Some(task) = task else { break };
+                    // Bound before it is matched: a `while let` scrutinee
+                    // would hold the receiver lock across the epoch and
+                    // serialise the workers.
+                    let next = receiver
+                        .lock()
+                        .expect("the epoch receiver mutex is never poisoned")
+                        .recv();
+                    // `recv` fails once the sender is gone and every
+                    // queued epoch has been taken.
+                    let Ok(task) = next else { break };
                     let slot = &this.groups[task.group];
-                    let outcome = {
-                        let mut session = slot
-                            .session
-                            .lock()
-                            .expect("a group session mutex is never poisoned");
-                        session.apply_batch(&task.events)
-                    };
+                    let outcome = slot
+                        .session
+                        .lock()
+                        .expect("a group session mutex is never poisoned")
+                        .apply_batch(&task.events);
                     // The slot pattern: the epoch's outcome goes into its
                     // per-epoch OnceLock; the single-threaded drain after
                     // the pool joins folds the slots in seal order.
@@ -561,28 +518,39 @@ impl StreamService {
                     slot.idle.notify_all();
                 });
             }
-            let guard = ShutdownGuard(this);
-            let handle = StreamHandle { svc: this };
+            // Moves the only sender into this closure: returning or
+            // unwinding drops it, which releases the workers.
+            let sender = sender;
+            let handle = StreamHandle {
+                svc: this,
+                epochs: &sender,
+            };
             let out = producer(&handle);
             for g in 0..this.groups.len() {
                 handle.flush(g);
             }
-            // Normal path: residual epochs are queued before the guard
-            // flags shutdown; workers drain them before exiting.
-            drop(guard);
             out
         })
         // Re-raise the original payload (a producer assertion, say)
-        // instead of wrapping it — the shutdown guard has already
-        // released the workers, so the join behind us was clean.
+        // instead of wrapping it.
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         let report = self.drain_report();
         (result, report)
     }
 
     /// One submission attempt (see [`StreamHandle::submit`]).
-    fn submit_inner(&self, group: usize, event: ChurnEvent) -> Admission {
+    fn submit_inner(
+        &self,
+        epochs: &SyncSender<Epoch>,
+        group: usize,
+        event: ChurnEvent,
+    ) -> Admission {
         assert!(group < self.groups.len(), "unknown group id {group}");
+        let (player, n_players) = (event.player(), self.ut.network().n_players());
+        assert!(
+            player < n_players,
+            "unknown player id {player}: the universe has {n_players} players"
+        );
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = &self.groups[group];
         let mut queue = slot
@@ -595,20 +563,14 @@ impl StreamService {
             // Saturation seal: the overflowing submission is rejected,
             // but it forces the backlog out as a partial epoch — the
             // immediate retry is guaranteed to be admitted.
-            let (guard, _) = self.seal(group, slot, queue, tick);
-            drop(guard);
+            self.seal(epochs, group, slot, queue, tick);
             return Admission::Busy { group, depth };
         }
         queue.pending.push((event, tick));
         queue.accepted += 1;
         let depth = queue.pending.len();
-        let sealed = if depth >= self.config.watermark() {
-            let (guard, epoch) = self.seal(group, slot, queue, tick);
-            drop(guard);
-            Some(epoch)
-        } else {
-            None
-        };
+        let sealed =
+            (depth >= self.config.watermark()).then(|| self.seal(epochs, group, slot, queue, tick));
         Admission::Accepted {
             group,
             depth,
@@ -618,15 +580,16 @@ impl StreamService {
 
     /// Seal `slot`'s pending events as the group's next epoch: wait for
     /// the previous epoch to complete (pipeline depth 1), record latency
-    /// samples, hand the epoch to the pool. Called with the group queue
-    /// locked; returns the guard and the sealed epoch number.
-    fn seal<'a>(
-        &'a self,
+    /// samples, send the epoch to the pool. Called with the group queue
+    /// locked; returns the sealed epoch number.
+    fn seal(
+        &self,
+        epochs: &SyncSender<Epoch>,
         group: usize,
-        slot: &'a GroupSlot,
-        mut queue: MutexGuard<'a, GroupQueue>,
+        slot: &GroupSlot,
+        mut queue: MutexGuard<'_, GroupQueue>,
         seal_tick: u64,
-    ) -> (MutexGuard<'a, GroupQueue>, u64) {
+    ) -> u64 {
         while queue.in_flight {
             queue = slot
                 .idle
@@ -647,36 +610,31 @@ impl StreamService {
         let out_slot = Arc::new(OnceLock::new());
         queue.slots.push(Arc::clone(&out_slot));
         queue.in_flight = true;
-        {
-            // Lock order is always group queue → task queue (workers
-            // take them disjointly), so this nesting cannot deadlock.
-            let mut tasks = self
-                .tasks
-                .lock()
-                .expect("the task queue mutex is never poisoned");
-            tasks.queue.push_back(Epoch {
+        epochs
+            .send(Epoch {
                 group,
                 epoch,
                 events,
                 slot: out_slot,
-            });
-        }
-        self.task_cv.notify_one();
-        (queue, epoch)
+            })
+            .expect("the epoch receiver outlives every seal");
+        epoch
     }
 
-    /// Collect and reset every group's stream accounting after the pool
-    /// has joined (exclusive access makes the drain single-threaded).
+    /// Collect every group's stream accounting after the pool has joined
+    /// (exclusive access makes the drain single-threaded); taking each
+    /// queue whole leaves it fresh for the next drive.
     fn drain_report(&mut self) -> StreamReport {
         let groups = self
             .groups
             .iter_mut()
             .enumerate()
             .map(|(g, slot)| {
-                let queue = slot.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
+                let queue =
+                    std::mem::take(slot.queue.get_mut().unwrap_or_else(PoisonError::into_inner));
                 debug_assert!(!queue.in_flight, "an epoch is still in flight after join");
-                let slots = std::mem::take(&mut queue.slots);
-                let epochs: Vec<EpochOutcome> = slots
+                let epochs: Vec<EpochOutcome> = queue
+                    .slots
                     .into_iter()
                     .map(|slot| {
                         Arc::try_unwrap(slot)
@@ -685,23 +643,15 @@ impl StreamService {
                             .expect("every sealed epoch completed")
                     })
                     .collect();
-                let report = GroupStreamReport {
+                GroupStreamReport {
                     group: g,
                     mechanism: slot.mechanism,
                     accepted: queue.accepted,
                     rejected: queue.rejected,
                     retries: queue.retries,
-                    latencies: std::mem::take(&mut queue.lat),
+                    latencies: queue.lat,
                     epochs,
-                };
-                // A panicking producer may abandon admitted-but-unsealed
-                // events; a fresh drive starts clean either way.
-                queue.pending.clear();
-                queue.accepted = 0;
-                queue.rejected = 0;
-                queue.retries = 0;
-                queue.epochs_sealed = 0;
-                report
+                }
             })
             .collect();
         StreamReport { groups }
@@ -716,6 +666,8 @@ impl StreamService {
 #[derive(Debug, Clone, Copy)]
 pub struct StreamHandle<'a> {
     svc: &'a StreamService,
+    /// The sending end of the drive's epoch channel.
+    epochs: &'a SyncSender<Epoch>,
 }
 
 impl StreamHandle<'_> {
@@ -725,9 +677,10 @@ impl StreamHandle<'_> {
     /// admitted).
     ///
     /// # Panics
-    /// On an unknown group id.
+    /// On an unknown group id, or when `event`'s player id is not below
+    /// the universe's player count.
     pub fn submit(&self, group: usize, event: ChurnEvent) -> Admission {
-        self.svc.submit_inner(group, event)
+        self.svc.submit_inner(self.epochs, group, event)
     }
 
     /// Submit with retry-on-busy until admitted; returns the number of
@@ -770,9 +723,7 @@ impl StreamHandle<'_> {
             return None;
         }
         let tick = self.svc.clock.load(Ordering::Relaxed);
-        let (guard, epoch) = self.svc.seal(group, slot, queue, tick);
-        drop(guard);
-        Some(epoch)
+        Some(self.svc.seal(self.epochs, group, slot, queue, tick))
     }
 
     /// Number of registered groups.

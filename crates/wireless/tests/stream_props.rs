@@ -6,9 +6,11 @@
 //! families, every worker count in {1, 2, 4, 8} and every queue
 //! capacity in {1, 2, 64} (both the watermark-seal and saturation-seal
 //! regimes) — plus the admission-control integration tests: the
-//! rejection point is deterministic across runs and worker counts, and
-//! a fully saturated service (every bounded queue at capacity) never
-//! deadlocks (watchdog-guarded).
+//! rejection point is deterministic across runs and worker counts, a
+//! fully saturated service (every bounded queue at capacity) never
+//! deadlocks, and a producer that panics — its own assertion, or an
+//! unknown player id caught at `submit` — unwinds out of `drive` with
+//! its own message (all three watchdog-guarded).
 //!
 //! [`MulticastService`]: wmcs_wireless::MulticastService
 //! [`epoch_plan`]: wmcs_wireless::epoch_plan
@@ -17,8 +19,8 @@ use proptest::prelude::*;
 use std::time::Duration;
 use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
-    replay_reference, Admission, GroupMechanism, StreamConfig, StreamService, SubstrateBuilder,
-    TreeKind, WirelessNetwork,
+    replay_reference, Admission, GroupMechanism, StreamConfig, StreamHandle, StreamService,
+    SubstrateBuilder, TreeKind, WirelessNetwork,
 };
 
 /// The network of a scenario draw (station 0 as source, matching the
@@ -238,6 +240,99 @@ fn saturated_queues_never_deadlock() {
             gr.epochs.iter().all(|e| e.n_events == 1),
             "group {}: capacity-1 epochs hold exactly one event",
             gr.group
+        );
+    }
+}
+
+/// Drive `svc` on a thread of its own and return the message of the
+/// panic `drive` re-raised. The watchdog fails the test if the drive
+/// neither returns nor unwinds in time: a hang surfaces as a failure,
+/// not as a stuck CI job.
+fn panic_message_under_watchdog(
+    mut svc: StreamService,
+    producer: impl FnOnce(&StreamHandle<'_>) + Send + 'static,
+) -> String {
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
+    let driver = std::thread::spawn(move || {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.drive(producer);
+        }));
+        let message = unwound.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        });
+        tx.send(message).expect("the watchdog gave up on us");
+    });
+    let message = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("hang: the drive neither returned nor unwound under the watchdog");
+    driver
+        .join()
+        .expect("the driving thread panicked outside drive");
+    message.expect("the drive returned instead of panicking")
+}
+
+/// A join for a player the universe does not have is refused at
+/// `submit`, in the producer: `drive` re-raises that panic. Were the id
+/// admitted, the worker absorbing the epoch would panic instead, leave
+/// the group in flight, and the next seal of that group would wait
+/// forever.
+#[test]
+fn an_unknown_player_id_panics_in_the_producer_and_drive_unwinds() {
+    for threads in [1usize, 2] {
+        let net = scenario_net(LayoutFamily::UniformBox, 8, 2.0, 5);
+        let ut = SubstrateBuilder::new(&net)
+            .tree(TreeKind::Spt)
+            .build_universal();
+        let mut svc = StreamService::new(&ut, StreamConfig::new(1, 8, threads));
+        svc.add_group(GroupMechanism::alternating(0));
+        let message = panic_message_under_watchdog(svc, |h| {
+            for player in [100, 3] {
+                h.submit(
+                    0,
+                    ChurnEvent::Join {
+                        player,
+                        utility: 5.0,
+                    },
+                );
+            }
+        });
+        assert_eq!(
+            message, "unknown player id 100: the universe has 7 players",
+            "{threads} worker(s)"
+        );
+    }
+}
+
+/// A producer that panics after sealing epochs on several groups (and
+/// leaving events pending on others) releases the workers as it unwinds,
+/// so `drive` re-raises the producer's own message instead of waiting
+/// on the pool forever.
+#[test]
+fn a_panicking_producer_unwinds_out_of_drive_with_its_own_message() {
+    const GROUPS: usize = 4;
+    for threads in [1usize, 4] {
+        let svc = small_service(GROUPS, StreamConfig::new(2, 8, threads));
+        let message = panic_message_under_watchdog(svc, |h| {
+            for round in 0..5 {
+                for g in 0..GROUPS {
+                    h.submit(
+                        g,
+                        ChurnEvent::Join {
+                            player: (round + g) % 11,
+                            utility: 2.0 + round as f64,
+                        },
+                    );
+                }
+            }
+            panic!("the producer gave up mid-stream");
+        });
+        assert_eq!(
+            message, "the producer gave up mid-stream",
+            "{threads} worker(s)"
         );
     }
 }

@@ -172,3 +172,80 @@ fn power_model_extreme_alpha_six() {
     assert!((opt - 2.0 * 1.5f64.powi(6)).abs() < 1e-6);
     assert!(pa.multicasts_to(&net, &[2]));
 }
+
+#[test]
+fn a_nan_bid_is_never_served_and_prices_like_a_negative_bid() {
+    // Every comparison with NaN is false, so a drop test written as
+    // `bid < share − EPS` alone would serve and charge a NaN bidder. The
+    // Moulin–Shenker mechanisms share one driver, which drops it in the
+    // first round, exactly as it drops a bid of −1.0.
+    let bits = |out: &MechanismOutcome| {
+        let shares: Vec<u64> = out.shares.iter().map(|s| s.to_bits()).collect();
+        (out.receivers.clone(), shares, out.served_cost.to_bits())
+    };
+    for seed in 0..20u64 {
+        let cfg = InstanceConfig {
+            n: 9,
+            dim: 2,
+            kind: InstanceKind::UniformBox { side: 10.0 },
+            seed,
+        };
+        let pts = cfg.generate();
+        let plane = WirelessNetwork::euclidean(pts.clone(), PowerModel::free_space(), 0);
+        let linear = WirelessNetwork::euclidean(pts.clone(), PowerModel::linear(), 0);
+        let line_pts = pts.iter().map(|p| Point::on_line(p.coord(0))).collect();
+        let line = WirelessNetwork::euclidean(line_pts, PowerModel::free_space(), 0);
+        let mechanisms: Vec<(&str, &WirelessNetwork, Box<dyn Mechanism>)> = vec![
+            (
+                "alpha-one Shapley",
+                &linear,
+                Box::new(AlphaOneShapleyMechanism::new(AlphaOneSolver::new(&linear))),
+            ),
+            (
+                "JV Steiner",
+                &plane,
+                Box::new(EuclideanSteinerMechanism::new(&plane)),
+            ),
+            (
+                "line Shapley",
+                &line,
+                Box::new(LineShapleyMechanism::new(LineSolver::new(&line))),
+            ),
+            (
+                "universal-tree Shapley",
+                &plane,
+                Box::new(UniversalShapleyMechanism::new(
+                    SubstrateBuilder::new(&plane)
+                        .tree(TreeKind::Spt)
+                        .build_universal(),
+                )),
+            ),
+        ];
+        for (name, net, m) in &mechanisms {
+            // Bids of 0.6×, 1.2× and 3× each player's stand-alone cost, so
+            // that some players are served and some dropped.
+            let u: Vec<f64> = (0..net.n_players())
+                .map(|p| {
+                    let alone = net.cost(net.source(), net.station_of_player(p));
+                    alone * [0.6, 1.2, 3.0][p % 3]
+                })
+                .collect();
+            for p in 0..net.n_players() {
+                let mut nan = u.clone();
+                nan[p] = f64::NAN;
+                let mut negative = u.clone();
+                negative[p] = -1.0;
+                let out = m.run(&nan);
+                assert!(
+                    !out.is_receiver(p),
+                    "{name}, seed {seed}: the NaN bidder {p} is served"
+                );
+                assert_eq!(
+                    bits(&out),
+                    bits(&m.run(&negative)),
+                    "{name}, seed {seed}: a NaN bid by player {p} prices unlike −1.0"
+                );
+            }
+        }
+    }
+}
