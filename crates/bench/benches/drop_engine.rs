@@ -1,7 +1,7 @@
 //! Naive vs incremental Moulin–Shenker drop engine (criterion).
 //!
 //! Pits [`wmcs_wireless::incremental::shapley_drop_run`] (subtree
-//! counts + active-children lists maintained across rounds) against
+//! counts maintained across rounds over the frame's child lists) against
 //! [`wmcs_wireless::incremental::reference_drop_run`] (full
 //! `shapley_shares` recomputation per round) on identical instances and
 //! utility profiles. The naive driver is only benched at n ≤ 256 — it

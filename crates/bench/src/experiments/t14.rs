@@ -32,12 +32,12 @@
 //! (`perfbench/`'s `served_stream` workload), not in this table.
 
 use crate::harness::scenario_network;
-use crate::latency::{EventClass, LatencyRecorder};
+use crate::latency::LatencySummary;
 use crate::registry::{all_true, fmax, mean, Experiment, Obs, RowSummary};
 use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario, BB_TOL, EPS, VP_TOL};
 use wmcs_wireless::{
-    epoch_plan, GroupMechanism, MulticastService, StreamConfig, StreamReport, StreamService,
-    SubstrateBuilder, TreeKind, UniversalTree,
+    epoch_plan, GroupMechanism, MulticastService, StreamConfig, StreamLatencies, StreamReport,
+    StreamService, SubstrateBuilder, TreeKind, UniversalTree,
 };
 
 /// Churn batches per group (after the per-group warm-up batch).
@@ -130,7 +130,7 @@ impl Experiment for T14 {
         let mut vp_ok = true;
         let mut max_bb = 0.0f64;
         let mut epochs_watermark = 0usize;
-        let mut rec = LatencyRecorder::new();
+        let mut lat = StreamLatencies::default();
 
         for (wide, config) in [
             (true, StreamConfig::new(WATERMARK, WIDE_CAPACITY, 2)),
@@ -139,7 +139,7 @@ impl Experiment for T14 {
             let report = run_stream(&ut, &mechanisms, &stream, config);
             if wide {
                 epochs_watermark = report.n_epochs();
-                rec.record_stream(&report.latencies());
+                lat = report.latencies();
             }
             // The single-threaded pinned reference, replayed per group
             // along the pure epoch plan. Groups are independent, so one
@@ -208,8 +208,8 @@ impl Experiment for T14 {
             max_bb,
             f64::from(vp_ok),
         ];
-        for class in EventClass::ALL {
-            let s = rec.summary(class);
+        for samples in [&lat.join, &lat.leave, &lat.rebid, &lat.reprice] {
+            let s = LatencySummary::of(samples);
             obs.extend([s.p50 as f64, s.p99 as f64, s.p999 as f64]);
         }
         obs

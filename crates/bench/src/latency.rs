@@ -3,7 +3,8 @@
 //! The streaming layer (`wmcs-wireless::stream`) stamps every event with
 //! a **virtual clock** — one tick per submission attempt, never
 //! `Instant`/`SystemTime` — and reports per-class queueing delays in a
-//! [`StreamLatencies`]. This module turns those samples into **exact**
+//! [`StreamLatencies`](wmcs_wireless::stream::StreamLatencies).
+//! [`LatencySummary::of`] turns one class's samples into **exact**
 //! p50/p99/p999 figures with deterministic integer quantile math (sort +
 //! nearest-rank, no interpolation, no floats), so the percentile cells
 //! emitted into the sweep JSON by experiment T14 can never drift across
@@ -14,41 +15,6 @@
 //! least 1) — the smallest value with at least a `p` fraction of the
 //! samples at or below it. For `n = 1` every percentile is the sample;
 //! duplicates need no special casing (the rank formula is order-only).
-
-use wmcs_wireless::stream::StreamLatencies;
-
-/// The event classes the streaming layer distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventClass {
-    /// `ChurnEvent::Join` queueing delays.
-    Join,
-    /// `ChurnEvent::Leave` queueing delays.
-    Leave,
-    /// `ChurnEvent::Rebid` queueing delays.
-    Rebid,
-    /// Per-epoch residence times (seal tick − first submission tick).
-    Reprice,
-}
-
-impl EventClass {
-    /// All four classes, in reporting order.
-    pub const ALL: [EventClass; 4] = [
-        EventClass::Join,
-        EventClass::Leave,
-        EventClass::Rebid,
-        EventClass::Reprice,
-    ];
-
-    /// The class name as printed in table cells and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventClass::Join => "join",
-            EventClass::Leave => "leave",
-            EventClass::Rebid => "rebid",
-            EventClass::Reprice => "reprice",
-        }
-    }
-}
 
 /// Exact nearest-rank percentiles of one sample class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +32,18 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// The `p50/p99/p999` cell as printed in T14 rows.
-    pub fn cell(&self) -> String {
-        format!("{}/{}/{}", self.p50, self.p99, self.p999)
+    /// The exact percentiles of `samples`, in any order (a sorted copy
+    /// is summarised).
+    pub fn of(samples: &[u64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        Self {
+            n: sorted.len(),
+            p50: nearest_rank(&sorted, 1, 2),
+            p99: nearest_rank(&sorted, 99, 100),
+            p999: nearest_rank(&sorted, 999, 1000),
+            max: sorted.last().copied().unwrap_or(0),
+        }
     }
 }
 
@@ -85,158 +60,52 @@ fn nearest_rank(sorted: &[u64], num: usize, den: usize) -> u64 {
     sorted[rank - 1]
 }
 
-/// A per-class latency recorder: collects virtual-clock samples and
-/// summarizes them with exact nearest-rank percentiles.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    join: Vec<u64>,
-    leave: Vec<u64>,
-    rebid: Vec<u64>,
-    reprice: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// File one sample under `class`.
-    pub fn record(&mut self, class: EventClass, delay: u64) {
-        self.samples_mut(class).push(delay);
-    }
-
-    /// Absorb a streaming report's samples (class by class, in order).
-    pub fn record_stream(&mut self, lat: &StreamLatencies) {
-        self.join.extend_from_slice(&lat.join);
-        self.leave.extend_from_slice(&lat.leave);
-        self.rebid.extend_from_slice(&lat.rebid);
-        self.reprice.extend_from_slice(&lat.reprice);
-    }
-
-    /// A recorder holding exactly a streaming report's samples.
-    pub fn from_stream(lat: &StreamLatencies) -> Self {
-        let mut rec = Self::new();
-        rec.record_stream(lat);
-        rec
-    }
-
-    /// Number of samples filed under `class`.
-    pub fn n_samples(&self, class: EventClass) -> usize {
-        self.samples(class).len()
-    }
-
-    /// Exact percentiles of `class` (sorts a copy; the recorder keeps
-    /// insertion order so repeated summaries are stable).
-    pub fn summary(&self, class: EventClass) -> LatencySummary {
-        let mut sorted = self.samples(class).to_vec();
-        sorted.sort_unstable();
-        LatencySummary {
-            n: sorted.len(),
-            p50: nearest_rank(&sorted, 1, 2),
-            p99: nearest_rank(&sorted, 99, 100),
-            p999: nearest_rank(&sorted, 999, 1000),
-            max: sorted.last().copied().unwrap_or(0),
-        }
-    }
-
-    fn samples(&self, class: EventClass) -> &[u64] {
-        match class {
-            EventClass::Join => &self.join,
-            EventClass::Leave => &self.leave,
-            EventClass::Rebid => &self.rebid,
-            EventClass::Reprice => &self.reprice,
-        }
-    }
-
-    fn samples_mut(&mut self, class: EventClass) -> &mut Vec<u64> {
-        match class {
-            EventClass::Join => &mut self.join,
-            EventClass::Leave => &mut self.leave,
-            EventClass::Rebid => &mut self.rebid,
-            EventClass::Reprice => &mut self.reprice,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(samples: &[u64]) -> LatencyRecorder {
-        let mut r = LatencyRecorder::new();
-        for &s in samples {
-            r.record(EventClass::Join, s);
-        }
-        r
-    }
+    use wmcs_wireless::stream::StreamLatencies;
 
     #[test]
     fn percentiles_match_hand_computed_fixtures() {
         // 1..=100: rank(p50) = 50 → 50; rank(p99) = 99 → 99;
         // rank(p999) = ⌈100·999/1000⌉ = 100 → 100.
         let hundred: Vec<u64> = (1..=100).collect();
-        let s = rec(&hundred).summary(EventClass::Join);
+        let s = LatencySummary::of(&hundred);
         assert_eq!((s.n, s.p50, s.p99, s.p999, s.max), (100, 50, 99, 100, 100));
 
         // Ten samples, unsorted on input: sorted = [1,2,3,4,5,6,7,9,12,40].
         // rank(p50) = 5 → 5; rank(p99) = ⌈9.9⌉ = 10 → 40; p999 → 40.
-        let s = rec(&[12, 3, 1, 40, 5, 7, 2, 9, 4, 6]).summary(EventClass::Join);
+        let s = LatencySummary::of(&[12, 3, 1, 40, 5, 7, 2, 9, 4, 6]);
         assert_eq!((s.p50, s.p99, s.p999, s.max), (5, 40, 40, 40));
 
         // 1000 samples 0..1000: rank(p999) = 999 → sorted[998] = 998.
         let thousand: Vec<u64> = (0..1000).collect();
-        let s = rec(&thousand).summary(EventClass::Join);
+        let s = LatencySummary::of(&thousand);
         assert_eq!((s.p50, s.p99, s.p999, s.max), (499, 989, 998, 999));
     }
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let s = rec(&[7]).summary(EventClass::Join);
+        let s = LatencySummary::of(&[7]);
         assert_eq!((s.n, s.p50, s.p99, s.p999, s.max), (1, 7, 7, 7, 7));
     }
 
     #[test]
     fn duplicate_samples_need_no_special_case() {
-        let s = rec(&[4, 4, 4, 4, 4, 4]).summary(EventClass::Join);
+        let s = LatencySummary::of(&[4, 4, 4, 4, 4, 4]);
         assert_eq!((s.p50, s.p99, s.p999, s.max), (4, 4, 4, 4));
         // Half zeros, half nines: p50 lands on the last zero (rank 3 of
         // [0,0,0,9,9,9]), the tail percentiles on the nines.
-        let s = rec(&[9, 0, 9, 0, 9, 0]).summary(EventClass::Join);
+        let s = LatencySummary::of(&[9, 0, 9, 0, 9, 0]);
         assert_eq!((s.p50, s.p99, s.p999), (0, 9, 9));
     }
 
     #[test]
     fn empty_classes_summarize_to_zero() {
-        let r = LatencyRecorder::new();
-        for class in EventClass::ALL {
-            let s = r.summary(class);
+        let lat = StreamLatencies::default();
+        for samples in [&lat.join, &lat.leave, &lat.rebid, &lat.reprice] {
+            let s = LatencySummary::of(samples);
             assert_eq!((s.n, s.p50, s.p99, s.p999, s.max), (0, 0, 0, 0, 0));
-            assert_eq!(r.n_samples(class), 0);
         }
-    }
-
-    #[test]
-    fn stream_latencies_land_in_their_classes() {
-        let lat = StreamLatencies {
-            join: vec![3, 1],
-            leave: vec![5],
-            rebid: vec![2, 2, 8],
-            reprice: vec![10, 20],
-        };
-        let r = LatencyRecorder::from_stream(&lat);
-        assert_eq!(r.n_samples(EventClass::Join), 2);
-        assert_eq!(r.n_samples(EventClass::Leave), 1);
-        assert_eq!(r.n_samples(EventClass::Rebid), 3);
-        assert_eq!(r.n_samples(EventClass::Reprice), 2);
-        // Two samples [10, 20]: p50 rank = ⌈2·1/2⌉ = 1 → 10.
-        assert_eq!(r.summary(EventClass::Reprice).cell(), "10/20/20");
-        assert_eq!(r.summary(EventClass::Join).max, 3);
-    }
-
-    #[test]
-    fn class_names_are_stable() {
-        let names: Vec<&str> = EventClass::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["join", "leave", "rebid", "reprice"]);
     }
 }

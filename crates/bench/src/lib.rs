@@ -51,5 +51,5 @@ pub use harness::{
     random_euclidean, random_euclidean_d, random_line, random_nwst, random_utilities, OutputMode,
     Table,
 };
-pub use latency::{EventClass, LatencyRecorder, LatencySummary};
+pub use latency::LatencySummary;
 pub use registry::{Experiment, REGISTRY};

@@ -7,11 +7,11 @@
 //! meets NPT, VP, CS \[37, 38\]. The run delegates to the incremental
 //! engine ([`wmcs_wireless::incremental`], over a frame grown to every
 //! station) through the shared index-set drop-loop driver
-//! (`wmcs_game::run_drop_loop`): subtree receiver counts and
-//! active-children lists are maintained across rounds, so a full run
-//! costs `O(Σ path + rounds · n + total dropped path length)` instead of
-//! the naive `O(n³)` — there is no 64-player cap, and n ≈ 4096 instances
-//! run routinely (experiment T10).
+//! (`wmcs_game::run_drop_loop`): subtree receiver counts over the
+//! frame's cost-ordered child lists are maintained across rounds, so a
+//! full run costs `O(Σ path + rounds · n + total dropped path length)`
+//! instead of the naive `O(n³)` — there is no 64-player cap, and
+//! n ≈ 4096 instances run routinely (experiment T10).
 
 use wmcs_game::{Mechanism, MechanismOutcome};
 use wmcs_wireless::{incremental, PowerAssignment, ShapleySession, UniversalTree};

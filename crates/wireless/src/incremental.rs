@@ -11,10 +11,11 @@
 //! engine costs `O(|frame|)` bytes, never `O(n)`:
 //!
 //! * [`Shapley`] keeps, per local station, the number of active receivers
-//!   in its subtree (`T(R)` membership is exactly `rb > 0`) and its
-//!   active children as a cost-ordered doubly-linked list. A round's
-//!   shares are one `O(|T(R)|)` top-down pass that turns the paper's
-//!   per-increment split (§2.1) into prefix sums
+//!   in its subtree (`T(R)` membership is exactly `rb > 0`); a station's
+//!   children in cost order are the frame's own child list. A round's
+//!   shares are one top-down pass over `T(R)` that walks each station's
+//!   in-frame children, skips those with `rb == 0`, and turns the
+//!   paper's per-increment split (§2.1) into prefix sums
 //!   `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j`.
 //! * [`NetWorth`] keeps the bottom-up DP with per-station prefix/suffix
 //!   maxima, so each zeroing query costs `O(depth)` instead of a full
@@ -24,9 +25,9 @@
 //!
 //! | operation | cost | invariant |
 //! |---|---|---|
-//! | [`Shapley::add_receiver`] | `O(path)` amortised | state equals a fresh engine on the enlarged set |
+//! | [`Shapley::add_receiver`] | `O(path)` amortised (frame growth) | state equals a fresh engine on the enlarged set |
 //! | [`Shapley::drop_receiver`] | `O(depth)` | state equals a fresh engine on the shrunken set |
-//! | [`Shapley::round_shares_by_local`] | `O(\|T(R)\|)` | [`UniversalTree::shapley_shares`] on the current set, bit for bit |
+//! | [`Shapley::round_shares_by_local`] | `O(\|T(R)\|)` + the in-frame children of `T(R)` with empty subtrees | [`UniversalTree::shapley_shares`] on the current set, bit for bit |
 //! | [`Shapley::served_cost`] | `O(\|frame\|)`, no sort | [`UniversalTree::multicast_cost`] of the current set, bit for bit |
 //! | [`NetWorth::set_utility`] | `O(path)` amortised (frame growth) | repair deferred to the next query |
 //! | first query after a batch | one `O(frame degree)` kernel per station on the union of dirty root paths | every read float equals a fresh oracle's |
@@ -73,9 +74,10 @@ pub struct DropStats {
 }
 
 /// Incremental state of a Moulin–Shenker run over a universal tree: the
-/// active receiver set, `T(R)` membership via subtree receiver counts,
-/// and the active children of every station in ascending edge-cost
-/// order — all over [`Subframe`] local ids.
+/// active receiver set and `T(R)` membership via subtree receiver
+/// counts, over [`Subframe`] local ids. A station's children in cost
+/// order are the frame's own child list; `rb` tells which of them are in
+/// `T(R)`.
 ///
 /// Invariant (the byte-identity anchor): every active station is in the
 /// frame (the frame holds every member's root path), and the frame's
@@ -91,11 +93,6 @@ pub struct Shapley {
     /// Active receivers in the local station's subtree; `rb[v] > 0` ⟺
     /// `v ∈ T(R)`.
     rb: Vec<u32>,
-    /// Intrusive cost-ordered list of each local station's children with
-    /// `rb > 0`, in local ids ([`Subframe::NONE`] ends a chain).
-    first_child: Vec<u32>,
-    next_sib: Vec<u32>,
-    prev_sib: Vec<u32>,
     /// Accumulated root-path share prefix per local station; after a
     /// round pass, an active receiver's entry is its share.
     down: Vec<f64>,
@@ -113,9 +110,6 @@ impl Shapley {
             frame: Subframe::new(ut.substrate()),
             in_r: vec![false],
             rb: vec![0],
-            first_child: vec![NO_LOCAL],
-            next_sib: vec![NO_LOCAL],
-            prev_sib: vec![NO_LOCAL],
             down: vec![0.0],
             stack: Vec::new(),
             rounds: 0,
@@ -123,15 +117,12 @@ impl Shapley {
     }
 
     /// Grow the parallel arrays to the frame's current length (new locals
-    /// start inactive and unlinked: no receiver below them).
+    /// start inactive: no receiver below them).
     fn sync_frame(&mut self) {
         let len = self.frame.len();
         if self.in_r.len() < len {
             grow_to(&mut self.in_r, len, false);
             grow_to(&mut self.rb, len, 0);
-            grow_to(&mut self.first_child, len, NO_LOCAL);
-            grow_to(&mut self.next_sib, len, NO_LOCAL);
-            grow_to(&mut self.prev_sib, len, NO_LOCAL);
             grow_to(&mut self.down, len, 0.0);
         }
     }
@@ -139,10 +130,9 @@ impl Shapley {
     /// Add receiver `station`, growing the frame by its out-of-frame
     /// root-path suffix if needed, and return the station's local id
     /// (stable for the engine's lifetime — the frame is append-only):
-    /// increment the subtree counts on its root path and splice stations
-    /// whose subtree just became non-empty into their parent's active
-    /// children at the cost-ordered position. `O(path + Σ sibling
-    /// scans)`; the state equals a fresh engine on the enlarged set.
+    /// increment the subtree counts on its root path. `O(path)` (plus
+    /// the frame growth); the state equals a fresh engine on the
+    /// enlarged set.
     pub fn add_receiver(&mut self, station: usize) -> u32 {
         assert!(
             station != self.ut.network().source(),
@@ -156,90 +146,41 @@ impl Shapley {
         );
         self.in_r[v as usize] = true;
         let mut w = v;
-        loop {
+        while w != NO_LOCAL {
             self.rb[w as usize] += 1;
-            let p = self.frame.parent_local(w);
-            if p == NO_LOCAL {
-                break;
-            }
-            if self.rb[w as usize] == 1 {
-                // w entered T(R): splice it in after its nearest active
-                // cost-order predecessor — the last in-frame sibling
-                // before w's position with rb > 0 (active stations are
-                // always in frame).
-                let wpos = self.frame.pos_in_parent(w);
-                let mut pr = NO_LOCAL;
-                for c in self.frame.children(p) {
-                    if self.frame.pos_in_parent(c) >= wpos {
-                        break;
-                    }
-                    if self.rb[c as usize] > 0 {
-                        pr = c;
-                    }
-                }
-                let nx = if pr == NO_LOCAL {
-                    self.first_child[p as usize]
-                } else {
-                    self.next_sib[pr as usize]
-                };
-                self.prev_sib[w as usize] = pr;
-                self.next_sib[w as usize] = nx;
-                if pr == NO_LOCAL {
-                    self.first_child[p as usize] = w;
-                } else {
-                    self.next_sib[pr as usize] = w;
-                }
-                if nx != NO_LOCAL {
-                    self.prev_sib[nx as usize] = w;
-                }
-            }
-            w = p;
+            w = self.frame.parent_local(w);
         }
         v
     }
 
     /// Drop the receiver at local id `v` (obtained from
     /// [`Shapley::add_receiver`]): decrement the subtree counts on its
-    /// root path and unlink stations whose subtree just emptied.
-    /// `O(depth)`.
+    /// root path. `O(depth)`.
     pub fn drop_receiver(&mut self, v: u32) {
         debug_assert!(self.in_r[v as usize], "local {v} is not an active receiver");
         self.in_r[v as usize] = false;
         let mut w = v;
-        loop {
+        while w != NO_LOCAL {
             self.rb[w as usize] -= 1;
-            let p = self.frame.parent_local(w);
-            if p == NO_LOCAL {
-                break;
-            }
-            if self.rb[w as usize] == 0 {
-                // w left T(R): unlink it from p's active children.
-                let (pr, nx) = (self.prev_sib[w as usize], self.next_sib[w as usize]);
-                if pr == NO_LOCAL {
-                    self.first_child[p as usize] = nx;
-                } else {
-                    self.next_sib[pr as usize] = nx;
-                }
-                if nx != NO_LOCAL {
-                    self.prev_sib[nx as usize] = pr;
-                }
-            }
-            w = p;
+            w = self.frame.parent_local(w);
         }
     }
 
     /// The paper's per-increment Shapley split (§2.1) for the current
-    /// receiver set, as one `O(|T(R)|)` top-down pass. For station `x`
-    /// with active children `y_1 … y_k` (ascending cost), increment
+    /// receiver set, as one top-down pass over `T(R)`. For station `x`
+    /// with children `y_1 … y_k` in `T(R)` (ascending cost), increment
     /// `δ_i = c(x,y_i) − c(x,y_{i−1})` is worth `δ_i / users_i` to every
     /// receiver below `y_i … y_k`, so the accumulated prefix
     /// `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j` *is* the share of
-    /// every receiver whose root path enters `x` through `y_i`. Returns
-    /// `down` by **local** id: an active receiver's entry is its share
-    /// (entries outside the active set are stale). Each receiver's entry
-    /// is [`UniversalTree::shapley_shares`]'s bit for bit — the same
-    /// slices `δ_i / users_i` (`δ ≤ 0` skipped) added to `+0.0` root first
-    /// — so the drop loop charges its fixpoint round.
+    /// every receiver whose root path enters `x` through `y_i`. The pass
+    /// walks each `T(R)` station's in-frame children and skips those
+    /// with an empty subtree (`rb == 0`), so it costs `O(|T(R)|)` plus
+    /// those in-frame siblings. Returns `down` by **local** id: an active
+    /// receiver's entry is its share (entries outside the active set are
+    /// stale). Each receiver's entry is
+    /// [`UniversalTree::shapley_shares`]'s bit for bit — the same slices
+    /// `δ_i / users_i` (`δ ≤ 0` skipped) added to `+0.0` root first — so
+    /// the drop loop charges its fixpoint round.
     pub fn round_shares_by_local(&mut self) -> &[f64] {
         self.rounds += 1;
         self.down[Subframe::ROOT as usize] = 0.0;
@@ -251,9 +192,11 @@ impl Shapley {
             let mut remaining = self.rb[xi] - u32::from(self.in_r[xi]);
             let mut prev_cost = 0.0;
             let mut acc = self.down[xi];
-            let mut y = self.first_child[xi];
-            while y != NO_LOCAL {
+            for y in self.frame.children(x) {
                 let yi = y as usize;
+                if self.rb[yi] == 0 {
+                    continue;
+                }
                 // Frame-cached edge cost — bit-identical to net.cost(x, y).
                 let cost = self.frame.parent_cost(y);
                 let delta = cost - prev_cost;
@@ -265,7 +208,6 @@ impl Shapley {
                 self.down[yi] = acc;
                 remaining -= self.rb[yi];
                 self.stack.push(y);
-                y = self.next_sib[yi];
             }
         }
         &self.down
@@ -273,8 +215,9 @@ impl Shapley {
 
     /// The served cost `C_T(R)` of the current receiver set, read off the
     /// warm `T(R)` in one scan of the frame in ascending **global**
-    /// station id: every station with active children adds the cost of
-    /// the last (costliest) one to a sum started at `+0.0`. That is
+    /// station id: every station with children in `T(R)` adds the cost
+    /// of the last (costliest) one, its last in-frame child with
+    /// `rb > 0`, to a sum started at `+0.0`. That is
     /// [`UniversalTree::multicast_cost`]'s ascending-id float sequence on
     /// the active stations minus its exact `+0.0` terms, so the two agree
     /// bit for bit. `O(|frame|)`, no sort.
@@ -282,14 +225,14 @@ impl Shapley {
         self.frame.merge_by_station();
         let mut cost = 0.0;
         for &x in self.frame.by_station() {
-            let mut last = self.first_child[x as usize];
-            if last == NO_LOCAL {
-                continue;
+            let last = self
+                .frame
+                .children(x)
+                .filter(|&c| self.rb[c as usize] > 0)
+                .last();
+            if let Some(last) = last {
+                cost += self.frame.parent_cost(last);
             }
-            while self.next_sib[last as usize] != NO_LOCAL {
-                last = self.next_sib[last as usize];
-            }
-            cost += self.frame.parent_cost(last);
         }
         cost
     }
@@ -311,12 +254,7 @@ impl Shapley {
         use std::mem::size_of;
         self.frame.memory_bytes()
             + self.in_r.capacity() * size_of::<bool>()
-            + (self.rb.capacity()
-                + self.first_child.capacity()
-                + self.next_sib.capacity()
-                + self.prev_sib.capacity()
-                + self.stack.capacity())
-                * size_of::<u32>()
+            + (self.rb.capacity() + self.stack.capacity()) * size_of::<u32>()
             + self.down.capacity() * size_of::<f64>()
     }
 }

@@ -142,9 +142,10 @@ pub struct GroupOutcome {
 pub struct MulticastService {
     ut: UniversalTree,
     mechanisms: Vec<GroupMechanism>,
-    /// Per-group warm sessions. The mutex is an ownership device for the
-    /// work-stealing shard (each index is taken by exactly one worker per
-    /// step), never contended.
+    /// Per-group warm sessions. The mutex is an ownership device, never
+    /// contended: a step's work-stealing shard hands each index to
+    /// exactly one worker, and a stream drive keeps at most one epoch
+    /// per group in flight (`crate::stream`).
     groups: Vec<Mutex<GroupSession>>,
     /// Worker threads per step; 0 = available parallelism.
     threads: usize,
@@ -255,6 +256,31 @@ impl MulticastService {
         self.events
     }
 
+    /// Panics unless every event names a player of the universe, with
+    /// the id and the player count in the message. Both front doors
+    /// check at entry, so [`Self::reprice`] never sees a bad id.
+    pub(crate) fn check_players(&self, events: &[ChurnEvent]) {
+        let n_players = self.ut.network().n_players();
+        for event in events {
+            let player = event.player();
+            assert!(
+                player < n_players,
+                "unknown player id {player}: the universe has {n_players} players"
+            );
+        }
+    }
+
+    /// Absorb `events` into group `g`'s warm session and reprice it: the
+    /// one path by which both a step's workers and a stream drive's
+    /// epoch workers reach a session. The caller has checked `g` and the
+    /// player ids.
+    pub(crate) fn reprice(&self, g: usize, events: &[ChurnEvent]) -> MechanismOutcome {
+        self.groups[g]
+            .lock()
+            .expect("a group mutex is never poisoned")
+            .apply_batch(events)
+    }
+
     /// One service step: absorb `batch[i] = (group, events)` and reprice
     /// exactly the addressed groups, sharded across the worker pool.
     ///
@@ -262,6 +288,11 @@ impl MulticastService {
     /// step — the deterministic ingestion contract). Returns one
     /// [`GroupOutcome`] per entry, in the same order, byte-identical for
     /// every thread count.
+    ///
+    /// # Panics
+    /// On unsorted or unknown group ids, or when an event's player id is
+    /// not below the universe's player count. Every id is checked before
+    /// any group absorbs anything, so a refused step changes no state.
     pub fn step(&mut self, batch: &[(usize, &[ChurnEvent])]) -> Vec<GroupOutcome> {
         assert!(
             batch.windows(2).all(|w| w[0].0 < w[1].0),
@@ -270,6 +301,9 @@ impl MulticastService {
         if let Some(&(last, _)) = batch.last() {
             assert!(last < self.groups.len(), "unknown group id {last}");
         }
+        for &(_, events) in batch {
+            self.check_players(events);
+        }
         self.steps += 1;
         self.events += batch.iter().map(|(_, ev)| ev.len()).sum::<usize>();
 
@@ -277,12 +311,8 @@ impl MulticastService {
             (0..batch.len()).map(|_| OnceLock::new()).collect();
         let run_one = |i: usize| {
             let (g, events) = batch[i];
-            let mut state = self.groups[g]
-                .lock()
-                .expect("a group mutex is never poisoned");
-            let outcome = state.apply_batch(events);
             slots[i]
-                .set(outcome)
+                .set(self.reprice(g, events))
                 .expect("each addressed group repriced exactly once");
         };
 

@@ -7,10 +7,13 @@
 //! arrives as an *interleaved* event stream with bursty per-group
 //! membership dynamics (the regime of the outage/capacity line of work —
 //! see PAPERS.md). A [`StreamService`] closes the gap without giving up
-//! the byte-identity discipline:
+//! the byte-identity discipline. It is a [`MulticastService`] (the
+//! groups and their warm sessions) plus a [`StreamConfig`]; queues,
+//! accounting and the virtual clock belong to one
+//! [`StreamService::drive`] and go with it:
 //!
 //! * producers push `(group, ChurnEvent)` through a [`StreamHandle`]
-//!   into **bounded** per-group queues (capacity
+//!   into the drive's **bounded** per-group queues (capacity
 //!   [`StreamConfig::capacity`], never more);
 //! * an **epoch sealer** deterministically cuts each group's stream into
 //!   epochs by an event-count watermark ([`StreamConfig::watermark`]) —
@@ -19,9 +22,11 @@
 //!   one epoch queued or running, so a send never blocks; and the
 //!   producer side owns the only sender, so when the producer returns or
 //!   unwinds, the workers drain the channel and their `recv` ends;
-//! * each epoch is absorbed by the group's warm [`GroupSession`] exactly
-//!   as [`MulticastService`] would absorb the same events as one batch,
-//!   and the outcome is placed in a per-epoch `OnceLock` slot (the
+//! * each epoch is absorbed by the group's warm
+//!   [`GroupSession`](crate::service::GroupSession) through the same
+//!   crate-private reprice path a [`MulticastService::step`] worker
+//!   takes, so it prices exactly as a step of the same events as one
+//!   batch; the outcome is placed in a per-epoch `OnceLock` slot (the
 //!   sanctioned slot pattern — scheduling order can never reach a float).
 //!   A session's retained state is frame-local — `O(|frame|)`, the path
 //!   closure of the group's members — so G groups over a large universe
@@ -62,7 +67,7 @@
 //! submission tick) — the exact-percentile harness in
 //! `wmcs-bench::latency` consumes these via [`StreamLatencies`].
 
-use crate::service::{GroupMechanism, GroupSession, MulticastService};
+use crate::service::{GroupMechanism, MulticastService};
 use crate::universal::UniversalTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -306,9 +311,9 @@ pub fn epoch_plan(events: &[ChurnEvent], config: &StreamConfig) -> Vec<Vec<Churn
         .collect()
 }
 
-/// One group's pending queue and stream accounting (behind the group's
-/// queue mutex; mutated only by the producer side and the in-flight
-/// flag handshake).
+/// One group's pending queue and stream accounting within a drive
+/// (behind the lane's mutex; mutated only by the producer side and the
+/// in-flight flag handshake).
 #[derive(Debug, Default)]
 struct GroupQueue {
     /// Admitted events waiting to be sealed, with their submission
@@ -326,25 +331,18 @@ struct GroupQueue {
     /// Successful post-`Busy` re-submissions.
     retries: u64,
     /// Per-epoch outcome slots, in seal order (the slot pattern: workers
-    /// place, the post-join drain folds).
+    /// place, the post-join report folds).
     slots: Vec<Arc<OnceLock<EpochOutcome>>>,
     /// Latency samples, recorded at seal time by the producer side.
     lat: StreamLatencies,
 }
 
-/// One group's streaming state: bounded queue + warm session.
-#[derive(Debug)]
-struct GroupSlot {
-    /// Pending queue and accounting.
+/// One group's queue within a drive, with the condvar its sealer waits
+/// on until the group's in-flight epoch completes (pipeline depth 1).
+#[derive(Debug, Default)]
+struct Lane {
     queue: Mutex<GroupQueue>,
-    /// Signalled when the group's in-flight epoch completes (the sealer
-    /// waits here for pipeline depth 1).
     idle: Condvar,
-    /// The group's warm session; locked by exactly one worker at a time
-    /// (in-flight ≤ 1 makes it uncontended).
-    session: Mutex<GroupSession>,
-    /// The mechanism the group is priced with.
-    mechanism: GroupMechanism,
 }
 
 /// A sealed epoch sent to the worker pool.
@@ -359,46 +357,16 @@ struct Epoch {
 /// Epoch-pipelined streaming ingestion over one shared substrate — see
 /// the module docs for the determinism and backpressure contracts.
 ///
-/// Cloning copies every group's warm session (`O(G·|frame|)`) but shares
-/// the substrate and starts with fresh, empty stream accounting, so a
-/// warmed service can be replayed from the same steady state more than
-/// once.
-#[derive(Debug)]
+/// The service is a [`MulticastService`] (the groups and their warm
+/// sessions) plus its [`StreamConfig`]. Queues, accounting and the
+/// virtual clock belong to one [`StreamService::drive`] and go with it,
+/// so cloning copies the warm sessions (`O(G·|frame|)`) and shares the
+/// substrate: a warmed service can be replayed from the same steady
+/// state more than once.
+#[derive(Debug, Clone)]
 pub struct StreamService {
-    ut: UniversalTree,
+    svc: MulticastService,
     config: StreamConfig,
-    groups: Vec<GroupSlot>,
-    /// The virtual clock: one tick per submission attempt.
-    clock: AtomicU64,
-}
-
-impl Clone for StreamService {
-    fn clone(&self) -> Self {
-        Self {
-            ut: self.ut.clone(),
-            config: self.config,
-            groups: self
-                .groups
-                .iter()
-                .map(|slot| GroupSlot {
-                    queue: Mutex::new(GroupQueue::default()),
-                    idle: Condvar::new(),
-                    // A panicked worker poisons its group's mutex; the
-                    // state itself is a plain session snapshot, so
-                    // recover it rather than fabricating a second panic
-                    // site.
-                    session: Mutex::new(
-                        slot.session
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .clone(),
-                    ),
-                    mechanism: slot.mechanism,
-                })
-                .collect(),
-            clock: AtomicU64::new(0),
-        }
-    }
 }
 
 impl StreamService {
@@ -406,38 +374,30 @@ impl StreamService {
     /// groups yet). The handle is cloned (`O(1)`), never the substrate.
     pub fn new(ut: &UniversalTree, config: StreamConfig) -> Self {
         Self {
-            ut: ut.clone(),
+            svc: MulticastService::new(ut),
             config,
-            groups: Vec::new(),
-            clock: AtomicU64::new(0),
         }
     }
 
     /// Register a new group priced with `mechanism`; returns its group
     /// id (dense, starting at 0).
     pub fn add_group(&mut self, mechanism: GroupMechanism) -> usize {
-        self.groups.push(GroupSlot {
-            queue: Mutex::new(GroupQueue::default()),
-            idle: Condvar::new(),
-            session: Mutex::new(GroupSession::new(mechanism, &self.ut)),
-            mechanism,
-        });
-        self.groups.len() - 1
+        self.svc.add_group(mechanism)
     }
 
     /// Number of registered groups.
     pub fn n_groups(&self) -> usize {
-        self.groups.len()
+        self.svc.n_groups()
     }
 
     /// The mechanism group `g` is priced with.
     pub fn mechanism(&self, g: usize) -> GroupMechanism {
-        self.groups[g].mechanism
+        self.svc.mechanism(g)
     }
 
     /// The shared universal tree every group prices over.
     pub fn universal_tree(&self) -> &UniversalTree {
-        &self.ut
+        self.svc.universal_tree()
     }
 
     /// The streaming configuration.
@@ -445,41 +405,41 @@ impl StreamService {
         self.config
     }
 
-    /// Total warm session state across every group, in bytes (the shared
-    /// substrate is excluded — it is one `Arc` for the whole service).
-    /// Divide by [`Self::n_groups`] for the per-group figure the memory
-    /// SLO tracks.
+    /// Total warm session state across every group, in bytes (see
+    /// [`MulticastService::memory_bytes`]). Divide by [`Self::n_groups`]
+    /// for the per-group figure the memory SLO tracks.
     pub fn memory_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|slot| {
-                slot.session
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .memory_bytes()
-            })
-            .sum()
+        self.svc.memory_bytes()
     }
 
     /// Run one streaming session: spawn the worker pool, hand the
     /// producer a [`StreamHandle`], flush the residual partial epochs
-    /// when it returns, join the pool and drain the report.
+    /// when it returns, join the pool and report.
     ///
-    /// Sessions stay **warm** across drives (epoch numbers and the
-    /// virtual clock restart; group state carries over), mirroring a
-    /// `MulticastService` stepped across multiple traces.
+    /// Sessions stay **warm** across drives (group state carries over,
+    /// mirroring a `MulticastService` stepped across multiple traces).
+    /// Everything else is the drive's own: epoch numbers and the virtual
+    /// clock restart, and a producer that panics takes its queues and
+    /// accounting with it. Its sealed epochs stay absorbed; its pending
+    /// events are dropped. `&mut self` keeps two drives from interleaving
+    /// one group's epochs.
     pub fn drive<R: Send>(
         &mut self,
         producer: impl FnOnce(&StreamHandle<'_>) -> R + Send,
     ) -> (R, StreamReport) {
-        self.clock.store(0, Ordering::Relaxed);
-        let this: &StreamService = self;
+        let state = Drive {
+            svc: &self.svc,
+            config: self.config,
+            lanes: (0..self.svc.n_groups()).map(|_| Lane::default()).collect(),
+            clock: AtomicU64::new(0),
+        };
+        let drive = &state;
         // Pipeline depth 1 keeps at most one epoch per group queued or
         // running, so a channel of G slots never blocks a send.
-        let (sender, receiver) = sync_channel::<Epoch>(this.groups.len());
+        let (sender, receiver) = sync_channel::<Epoch>(drive.lanes.len());
         let receiver = &Mutex::new(receiver);
         let result = crossbeam::thread::scope(|scope| {
-            for _ in 0..this.config.threads() {
+            for _ in 0..drive.config.threads() {
                 scope.spawn(move |_| loop {
                     // Bound before it is matched: a `while let` scrutinee
                     // would hold the receiver lock across the epoch and
@@ -491,14 +451,9 @@ impl StreamService {
                     // `recv` fails once the sender is gone and every
                     // queued epoch has been taken.
                     let Ok(task) = next else { break };
-                    let slot = &this.groups[task.group];
-                    let outcome = slot
-                        .session
-                        .lock()
-                        .expect("a group session mutex is never poisoned")
-                        .apply_batch(&task.events);
+                    let outcome = drive.svc.reprice(task.group, &task.events);
                     // The slot pattern: the epoch's outcome goes into its
-                    // per-epoch OnceLock; the single-threaded drain after
+                    // per-epoch OnceLock; the single-threaded report after
                     // the pool joins folds the slots in seal order.
                     let placed: &OnceLock<EpochOutcome> = &task.slot;
                     placed
@@ -509,24 +464,23 @@ impl StreamService {
                             outcome,
                         })
                         .expect("each sealed epoch is executed exactly once");
-                    let mut queue = slot
-                        .queue
+                    let lane = &drive.lanes[task.group];
+                    lane.queue
                         .lock()
-                        .expect("a group queue mutex is never poisoned");
-                    queue.in_flight = false;
-                    drop(queue);
-                    slot.idle.notify_all();
+                        .expect("a group queue mutex is never poisoned")
+                        .in_flight = false;
+                    lane.idle.notify_all();
                 });
             }
             // Moves the only sender into this closure: returning or
             // unwinding drops it, which releases the workers.
             let sender = sender;
             let handle = StreamHandle {
-                svc: this,
+                drive,
                 epochs: &sender,
             };
             let out = producer(&handle);
-            for g in 0..this.groups.len() {
+            for g in 0..drive.lanes.len() {
                 handle.flush(g);
             }
             out
@@ -534,26 +488,29 @@ impl StreamService {
         // Re-raise the original payload (a producer assertion, say)
         // instead of wrapping it.
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        let report = self.drain_report();
-        (result, report)
+        (result, state.into_report())
     }
+}
 
+/// The state of one [`StreamService::drive`]: the service's groups, and
+/// per group a lane of queue and accounting, plus the virtual clock.
+#[derive(Debug)]
+struct Drive<'a> {
+    svc: &'a MulticastService,
+    config: StreamConfig,
+    lanes: Vec<Lane>,
+    /// The virtual clock: one tick per submission attempt.
+    clock: AtomicU64,
+}
+
+impl Drive<'_> {
     /// One submission attempt (see [`StreamHandle::submit`]).
-    fn submit_inner(
-        &self,
-        epochs: &SyncSender<Epoch>,
-        group: usize,
-        event: ChurnEvent,
-    ) -> Admission {
-        assert!(group < self.groups.len(), "unknown group id {group}");
-        let (player, n_players) = (event.player(), self.ut.network().n_players());
-        assert!(
-            player < n_players,
-            "unknown player id {player}: the universe has {n_players} players"
-        );
+    fn submit(&self, epochs: &SyncSender<Epoch>, group: usize, event: ChurnEvent) -> Admission {
+        assert!(group < self.lanes.len(), "unknown group id {group}");
+        self.svc.check_players(std::slice::from_ref(&event));
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.groups[group];
-        let mut queue = slot
+        let lane = &self.lanes[group];
+        let mut queue = lane
             .queue
             .lock()
             .expect("a group queue mutex is never poisoned");
@@ -563,14 +520,14 @@ impl StreamService {
             // Saturation seal: the overflowing submission is rejected,
             // but it forces the backlog out as a partial epoch — the
             // immediate retry is guaranteed to be admitted.
-            self.seal(epochs, group, slot, queue, tick);
+            seal(epochs, group, lane, queue, tick);
             return Admission::Busy { group, depth };
         }
         queue.pending.push((event, tick));
         queue.accepted += 1;
         let depth = queue.pending.len();
         let sealed =
-            (depth >= self.config.watermark()).then(|| self.seal(epochs, group, slot, queue, tick));
+            (depth >= self.config.watermark()).then(|| seal(epochs, group, lane, queue, tick));
         Admission::Accepted {
             group,
             depth,
@@ -578,60 +535,18 @@ impl StreamService {
         }
     }
 
-    /// Seal `slot`'s pending events as the group's next epoch: wait for
-    /// the previous epoch to complete (pipeline depth 1), record latency
-    /// samples, send the epoch to the pool. Called with the group queue
-    /// locked; returns the sealed epoch number.
-    fn seal(
-        &self,
-        epochs: &SyncSender<Epoch>,
-        group: usize,
-        slot: &GroupSlot,
-        mut queue: MutexGuard<'_, GroupQueue>,
-        seal_tick: u64,
-    ) -> u64 {
-        while queue.in_flight {
-            queue = slot
-                .idle
-                .wait(queue)
-                .expect("a group queue mutex is never poisoned");
-        }
-        debug_assert!(!queue.pending.is_empty(), "sealing an empty epoch");
-        let epoch = queue.epochs_sealed;
-        queue.epochs_sealed += 1;
-        let pending = std::mem::take(&mut queue.pending);
-        let first_tick = pending.first().map_or(seal_tick, |&(_, t)| t);
-        let mut events = Vec::with_capacity(pending.len());
-        for (ev, tick) in pending {
-            queue.lat.record(&ev, seal_tick.saturating_sub(tick));
-            events.push(ev);
-        }
-        queue.lat.reprice.push(seal_tick.saturating_sub(first_tick));
-        let out_slot = Arc::new(OnceLock::new());
-        queue.slots.push(Arc::clone(&out_slot));
-        queue.in_flight = true;
-        epochs
-            .send(Epoch {
-                group,
-                epoch,
-                events,
-                slot: out_slot,
-            })
-            .expect("the epoch receiver outlives every seal");
-        epoch
-    }
-
-    /// Collect every group's stream accounting after the pool has joined
-    /// (exclusive access makes the drain single-threaded); taking each
-    /// queue whole leaves it fresh for the next drive.
-    fn drain_report(&mut self) -> StreamReport {
+    /// Every group's stream accounting after the pool has joined: no
+    /// worker holds a slot any more, so each one unwraps.
+    fn into_report(self) -> StreamReport {
         let groups = self
-            .groups
-            .iter_mut()
+            .lanes
+            .into_iter()
             .enumerate()
-            .map(|(g, slot)| {
-                let queue =
-                    std::mem::take(slot.queue.get_mut().unwrap_or_else(PoisonError::into_inner));
+            .map(|(g, lane)| {
+                let queue = lane
+                    .queue
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner);
                 debug_assert!(!queue.in_flight, "an epoch is still in flight after join");
                 let epochs: Vec<EpochOutcome> = queue
                     .slots
@@ -645,7 +560,7 @@ impl StreamService {
                     .collect();
                 GroupStreamReport {
                     group: g,
-                    mechanism: slot.mechanism,
+                    mechanism: self.svc.mechanism(g),
                     accepted: queue.accepted,
                     rejected: queue.rejected,
                     retries: queue.retries,
@@ -658,6 +573,48 @@ impl StreamService {
     }
 }
 
+/// Seal `lane`'s pending events as the group's next epoch: wait for the
+/// previous epoch to complete (pipeline depth 1), record latency samples,
+/// send the epoch to the pool. Called with the group queue locked;
+/// returns the sealed epoch number.
+fn seal(
+    epochs: &SyncSender<Epoch>,
+    group: usize,
+    lane: &Lane,
+    mut queue: MutexGuard<'_, GroupQueue>,
+    seal_tick: u64,
+) -> u64 {
+    while queue.in_flight {
+        queue = lane
+            .idle
+            .wait(queue)
+            .expect("a group queue mutex is never poisoned");
+    }
+    debug_assert!(!queue.pending.is_empty(), "sealing an empty epoch");
+    let epoch = queue.epochs_sealed;
+    queue.epochs_sealed += 1;
+    let pending = std::mem::take(&mut queue.pending);
+    let first_tick = pending.first().map_or(seal_tick, |&(_, t)| t);
+    let mut events = Vec::with_capacity(pending.len());
+    for (ev, tick) in pending {
+        queue.lat.record(&ev, seal_tick.saturating_sub(tick));
+        events.push(ev);
+    }
+    queue.lat.reprice.push(seal_tick.saturating_sub(first_tick));
+    let out_slot = Arc::new(OnceLock::new());
+    queue.slots.push(Arc::clone(&out_slot));
+    queue.in_flight = true;
+    epochs
+        .send(Epoch {
+            group,
+            epoch,
+            events,
+            slot: out_slot,
+        })
+        .expect("the epoch receiver outlives every seal");
+    epoch
+}
+
 /// The producer-side handle [`StreamService::drive`] passes to its
 /// producer closure. `submit` takes `&self`: multiple producer threads
 /// may share one handle. Outcome byte-identity is per-group submission
@@ -665,7 +622,7 @@ impl StreamService {
 /// deterministic too.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamHandle<'a> {
-    svc: &'a StreamService,
+    drive: &'a Drive<'a>,
     /// The sending end of the drive's epoch channel.
     epochs: &'a SyncSender<Epoch>,
 }
@@ -680,7 +637,7 @@ impl StreamHandle<'_> {
     /// On an unknown group id, or when `event`'s player id is not below
     /// the universe's player count.
     pub fn submit(&self, group: usize, event: ChurnEvent) -> Admission {
-        self.svc.submit_inner(self.epochs, group, event)
+        self.drive.submit(self.epochs, group, event)
     }
 
     /// Submit with retry-on-busy until admitted; returns the number of
@@ -692,7 +649,7 @@ impl StreamHandle<'_> {
             match self.submit(group, event) {
                 Admission::Accepted { .. } => {
                     if busy > 0 {
-                        let mut queue = self.svc.groups[group]
+                        let mut queue = self.drive.lanes[group]
                             .queue
                             .lock()
                             .expect("a group queue mutex is never poisoned");
@@ -713,22 +670,22 @@ impl StreamHandle<'_> {
     /// # Panics
     /// On an unknown group id.
     pub fn flush(&self, group: usize) -> Option<u64> {
-        assert!(group < self.svc.groups.len(), "unknown group id {group}");
-        let slot = &self.svc.groups[group];
-        let queue = slot
+        assert!(group < self.drive.lanes.len(), "unknown group id {group}");
+        let lane = &self.drive.lanes[group];
+        let queue = lane
             .queue
             .lock()
             .expect("a group queue mutex is never poisoned");
         if queue.pending.is_empty() {
             return None;
         }
-        let tick = self.svc.clock.load(Ordering::Relaxed);
-        Some(self.svc.seal(self.epochs, group, slot, queue, tick))
+        let tick = self.drive.clock.load(Ordering::Relaxed);
+        Some(seal(self.epochs, group, lane, queue, tick))
     }
 
     /// Number of registered groups.
     pub fn n_groups(&self) -> usize {
-        self.svc.groups.len()
+        self.drive.lanes.len()
     }
 }
 

@@ -3,10 +3,12 @@
 //! through one [`MulticastService`] on a **shared** substrate yields,
 //! per group, byte-identical cost shares to an independent single-group
 //! session over its **own** freshly built substrate — for all five
-//! layout families and both mechanisms, after every batch.
+//! layout families and both mechanisms, after every batch — plus the
+//! player-id check a step makes before any group absorbs its batch.
 
 use proptest::prelude::*;
-use wmcs_geom::{LayoutFamily, MultiGroupProcess, Scenario};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
     GroupMechanism, GroupSession, MulticastService, SubstrateBuilder, TreeKind, WirelessNetwork,
 };
@@ -92,5 +94,50 @@ proptest! {
         let isolated_bytes: usize = isolated.iter().map(GroupSession::memory_bytes).sum();
         prop_assert_eq!(svc.memory_bytes(), isolated_bytes);
         prop_assert!(isolated_bytes > 0);
+    }
+}
+
+/// A step that names a player outside the universe is refused before
+/// any group absorbs anything, with the id and the player count in the
+/// message, on one worker or several. No group mutex is poisoned and no
+/// batch half-applied: the next step equals a fresh service's.
+#[test]
+fn an_unknown_player_id_is_refused_before_any_group_absorbs_its_batch() {
+    let net = scenario_net(LayoutFamily::UniformBox, 8, 2.0, 5);
+    let ut = SubstrateBuilder::new(&net)
+        .tree(TreeKind::Spt)
+        .build_universal();
+    let join = |player| ChurnEvent::Join {
+        player,
+        utility: 1e6,
+    };
+    let service = |threads| {
+        let mut svc = MulticastService::new(&ut).with_threads(threads);
+        svc.add_group(GroupMechanism::Shapley);
+        svc.add_group(GroupMechanism::MarginalCost);
+        svc
+    };
+    for threads in [1usize, 4] {
+        let mut svc = service(threads);
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            svc.step(&[(0, &[join(1)][..]), (1, &[join(100)][..])]);
+        }));
+        let payload = refused.expect_err("a step naming player 100 must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert_eq!(
+            message, "unknown player id 100: the universe has 7 players",
+            "{threads} thread(s)"
+        );
+        let next = [join(2), join(3)];
+        let batch = [(0, &next[..]), (1, &next[..])];
+        assert_eq!(
+            svc.step(&batch),
+            service(1).step(&batch),
+            "{threads} thread(s): the refused step left state behind"
+        );
     }
 }

@@ -8,19 +8,19 @@
 //! regimes) — plus the admission-control integration tests: the
 //! rejection point is deterministic across runs and worker counts, a
 //! fully saturated service (every bounded queue at capacity) never
-//! deadlocks, and a producer that panics — its own assertion, or an
+//! deadlocks, a producer that panics — its own assertion, or an
 //! unknown player id caught at `submit` — unwinds out of `drive` with
-//! its own message (all three watchdog-guarded).
+//! its own message (all three watchdog-guarded), and the next drive
+//! after a caught producer panic reports its own events only.
 //!
-//! [`MulticastService`]: wmcs_wireless::MulticastService
 //! [`epoch_plan`]: wmcs_wireless::epoch_plan
 
 use proptest::prelude::*;
 use std::time::Duration;
 use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
-    replay_reference, Admission, GroupMechanism, StreamConfig, StreamHandle, StreamService,
-    SubstrateBuilder, TreeKind, WirelessNetwork,
+    replay_reference, Admission, GroupMechanism, MulticastService, StreamConfig, StreamHandle,
+    StreamService, SubstrateBuilder, TreeKind, WirelessNetwork,
 };
 
 /// The network of a scenario draw (station 0 as source, matching the
@@ -244,14 +244,14 @@ fn saturated_queues_never_deadlock() {
     }
 }
 
-/// Drive `svc` on a thread of its own and return the message of the
-/// panic `drive` re-raised. The watchdog fails the test if the drive
-/// neither returns nor unwinds in time: a hang surfaces as a failure,
-/// not as a stuck CI job.
+/// Drive `svc` on a thread of its own and return the service with the
+/// message of the panic `drive` re-raised. The watchdog fails the test
+/// if the drive neither returns nor unwinds in time: a hang surfaces as
+/// a failure, not as a stuck CI job.
 fn panic_message_under_watchdog(
     mut svc: StreamService,
     producer: impl FnOnce(&StreamHandle<'_>) + Send + 'static,
-) -> String {
+) -> (StreamService, String) {
     let (tx, rx) = std::sync::mpsc::sync_channel(1);
     let driver = std::thread::spawn(move || {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -264,15 +264,18 @@ fn panic_message_under_watchdog(
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_default()
         });
-        tx.send(message).expect("the watchdog gave up on us");
+        tx.send((svc, message)).expect("the watchdog gave up on us");
     });
-    let message = rx
+    let (svc, message) = rx
         .recv_timeout(Duration::from_secs(60))
         .expect("hang: the drive neither returned nor unwound under the watchdog");
     driver
         .join()
         .expect("the driving thread panicked outside drive");
-    message.expect("the drive returned instead of panicking")
+    (
+        svc,
+        message.expect("the drive returned instead of panicking"),
+    )
 }
 
 /// A join for a player the universe does not have is refused at
@@ -289,7 +292,7 @@ fn an_unknown_player_id_panics_in_the_producer_and_drive_unwinds() {
             .build_universal();
         let mut svc = StreamService::new(&ut, StreamConfig::new(1, 8, threads));
         svc.add_group(GroupMechanism::alternating(0));
-        let message = panic_message_under_watchdog(svc, |h| {
+        let (_, message) = panic_message_under_watchdog(svc, |h| {
             for player in [100, 3] {
                 h.submit(
                     0,
@@ -316,7 +319,7 @@ fn a_panicking_producer_unwinds_out_of_drive_with_its_own_message() {
     const GROUPS: usize = 4;
     for threads in [1usize, 4] {
         let svc = small_service(GROUPS, StreamConfig::new(2, 8, threads));
-        let message = panic_message_under_watchdog(svc, |h| {
+        let (_, message) = panic_message_under_watchdog(svc, |h| {
             for round in 0..5 {
                 for g in 0..GROUPS {
                     h.submit(
@@ -334,5 +337,55 @@ fn a_panicking_producer_unwinds_out_of_drive_with_its_own_message() {
             message, "the producer gave up mid-stream",
             "{threads} worker(s)"
         );
+    }
+}
+
+/// A drive's queues, accounting and clock go with the drive, so a
+/// caller that catches a producer panic and drives again gets a report
+/// of the new drive alone. The panicked drive's sealed epoch stays
+/// absorbed by the warm session; its unsealed join is dropped, exactly
+/// as if it had never been submitted.
+#[test]
+fn a_drive_after_a_caught_producer_panic_reports_only_its_own_events() {
+    let join = |player| ChurnEvent::Join {
+        player,
+        utility: 1e6,
+    };
+    for threads in [1usize, 2] {
+        // Group 0 is a Shapley group; watermark 2 seals players 1 and 2,
+        // and player 3 is still pending when the producer panics.
+        let svc = small_service(1, StreamConfig::new(2, 8, threads));
+        let ut = svc.universal_tree().clone();
+        let (mut svc, message) = panic_message_under_watchdog(svc, move |h| {
+            for player in 1..=3 {
+                h.submit(0, join(player));
+            }
+            panic!("the producer gave up mid-stream");
+        });
+        assert_eq!(message, "the producer gave up mid-stream");
+
+        let ((), report) = svc.drive(|h| {
+            h.submit(0, join(4));
+        });
+        let gr = &report.groups[0];
+        assert_eq!(
+            (gr.accepted, gr.rejected, gr.retries),
+            (1, 0, 0),
+            "{threads} worker(s)"
+        );
+        let epochs: Vec<(u64, usize)> = gr.epochs.iter().map(|e| (e.epoch, e.n_events)).collect();
+        assert_eq!(epochs, [(0, 1)], "{threads} worker(s)");
+        assert_eq!(gr.latencies.join, [1], "{threads} worker(s)");
+
+        let mut reference = MulticastService::new(&ut).with_threads(1);
+        reference.add_group(GroupMechanism::Shapley);
+        reference.step(&[(0, &[join(1), join(2)][..])]);
+        let expect = reference
+            .step(&[(0, &[join(4)][..])])
+            .pop()
+            .expect("one outcome per addressed group")
+            .outcome;
+        assert_eq!(expect.receivers, [1, 2, 4], "every bid of 1e6 is served");
+        assert_eq!(gr.epochs[0].outcome, expect, "{threads} worker(s)");
     }
 }
