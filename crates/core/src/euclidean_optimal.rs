@@ -101,7 +101,7 @@ impl Mechanism for AlphaOneMcMechanism {
         let served_cost = self.solver.optimal_cost(&stations);
         MechanismOutcome {
             receivers,
-            shares,
+            shares: shares.into(),
             served_cost,
         }
     }
@@ -174,7 +174,7 @@ impl Mechanism for LineMcMechanism {
         let served_cost = self.solver.chain_cost(&stations);
         MechanismOutcome {
             receivers,
-            shares,
+            shares: shares.into(),
             served_cost,
         }
     }

@@ -58,7 +58,7 @@ impl Mechanism for NwstCostSharingMechanism {
         let out = self.run_raw(reported);
         MechanismOutcome {
             receivers: out.receivers,
-            shares: out.shares,
+            shares: out.shares.into(),
             served_cost: out.cost,
         }
     }

@@ -183,7 +183,7 @@ impl WirelessMulticastMechanism {
             return WirelessOutcome {
                 outcome: MechanismOutcome {
                     receivers,
-                    shares,
+                    shares: shares.into(),
                     served_cost: pi.total_cost(),
                 },
                 assignment: sol.assignment,

@@ -38,11 +38,14 @@
 //!
 //! The contract is **coalition-indexed**: bids, per-round shares and
 //! drop notices are indexed by position in `initial`, so a round costs
-//! `O(round shares) + O(|initial|)` however large the universe; only the
-//! returned [`MechanismOutcome`] is player-indexed. The fixpoint round's
-//! shares are the shares charged — there is no final-share hook.
+//! `O(round shares) + O(|initial|)` however large the universe. The
+//! returned [`MechanismOutcome`] is read by player id, but it stores one
+//! share entry per receiver ([`crate::Shares`]), so no part of a run —
+//! the outcome included — is sized by `n`. The fixpoint round's shares
+//! are the shares charged — there is no final-share hook.
 
 use crate::mechanism::MechanismOutcome;
+use crate::shares::Shares;
 use wmcs_geom::EPS;
 
 /// A round-based cost-sharing method driven by [`run_drop_loop_from`].
@@ -52,7 +55,7 @@ use wmcs_geom::EPS;
 /// (players only ever leave, never re-enter — the Moulin–Shenker
 /// invariant).
 pub trait DropLoopMethod {
-    /// Number of players (the length of the outcome's share vector).
+    /// Number of players (the outcome's `shares.len()`).
     fn n_players(&self) -> usize;
 
     /// Write the active coalition's shares into `out`, one per position
@@ -199,15 +202,21 @@ pub fn run_drop_loop_from(
             }
         }
         if !dropped_any {
-            let mut out = MechanismOutcome::empty(n);
+            // One share entry per receiver, appended in ascending player
+            // order into buffers sized up front.
+            let mut receivers = Vec::with_capacity(n_active);
+            let mut charged = Shares::with_capacity(n, n_active);
             for (i, &p) in initial.iter().enumerate() {
                 if active[i] {
-                    out.receivers.push(p);
-                    out.shares[p] = shares[i];
+                    receivers.push(p);
+                    charged.set(p, shares[i]);
                 }
             }
-            out.served_cost = method.served_cost();
-            return out;
+            return MechanismOutcome {
+                receivers,
+                shares: charged,
+                served_cost: method.served_cost(),
+            };
         }
     }
 }
@@ -345,7 +354,12 @@ mod tests {
         let mut m = Airport::on(2, vec![]);
         let out = run_drop_loop_from(&mut m, &[], &[]);
         assert!(out.receivers.is_empty());
-        assert_eq!(out.shares, vec![0.0, 0.0]);
+        assert_eq!(out.shares.to_vec(), [0.0, 0.0]);
+        assert_eq!(
+            out.shares.capacity(),
+            0,
+            "the empty outcome allocates nothing"
+        );
         assert_eq!(out.served_cost, 0.0);
     }
 
@@ -364,7 +378,7 @@ mod tests {
         let mut without = Airport::on(4, rest.iter().map(|&p| needs[p]).collect());
         let expected = run_drop_loop_from(&mut without, &[5.0, 5.0, 5.0], &rest);
         assert_eq!(out.receivers, expected.receivers);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &Shares| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&out.shares), bits(&expected.shares));
         assert_eq!(out.served_cost.to_bits(), expected.served_cost.to_bits());
 

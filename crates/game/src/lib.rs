@@ -30,6 +30,7 @@ pub mod mechanism;
 pub mod method;
 pub mod moulin;
 pub mod shapley;
+pub mod shares;
 pub mod subset;
 
 pub use crate::core::{core_allocation, core_is_empty};
@@ -47,6 +48,7 @@ pub use mechanism::{
 pub use method::{CostSharingMethod, ShapleyMethod};
 pub use moulin::moulin_shenker;
 pub use shapley::shapley_value;
+pub use shares::Shares;
 pub use subset::{mask_of, members_of, subsets_of};
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ pub fn marginal_cost_mechanism(c: &impl CostFunction, reported: &[f64]) -> McOut
     McOutcome {
         outcome: MechanismOutcome {
             receivers,
-            shares,
+            shares: shares.into(),
             served_cost,
         },
         net_worth: nw,

@@ -8,6 +8,7 @@
 //! They return *witnesses*, so failing properties produce the paper's
 //! counterexamples (e.g. the Fig. 1 collusion) verbatim.
 
+use crate::shares::Shares;
 use wmcs_geom::{EPS, IDENT_TOL};
 
 /// Outcome of running a mechanism on a reported utility profile.
@@ -15,23 +16,27 @@ use wmcs_geom::{EPS, IDENT_TOL};
 pub struct MechanismOutcome {
     /// Players selected to receive the service, ascending.
     pub receivers: Vec<usize>,
-    /// Cost share per player (full length; zero for non-receivers).
-    pub shares: Vec<f64>,
+    /// Cost share per player: reads as a length-`n` vector, `+0.0` for
+    /// non-receivers, and stores only the entries the mechanism charged
+    /// (`O(|R|)` bytes on the serving paths; see [`Shares`]).
+    pub shares: Shares,
     /// Cost `C(R(u))` of the solution actually built by the mechanism.
     pub served_cost: f64,
 }
 
 impl MechanismOutcome {
-    /// The trivial outcome serving nobody.
+    /// The trivial outcome serving nobody over `n` players; allocates
+    /// nothing.
     pub fn empty(n: usize) -> Self {
         Self {
-            receivers: vec![],
-            shares: vec![0.0; n],
+            receivers: Vec::new(),
+            shares: Shares::new(n),
             served_cost: 0.0,
         }
     }
 
-    /// Sum of all charged shares.
+    /// Sum of all charged shares: the dense view's `Iterator::sum`, bit
+    /// for bit (an `O(n)` fold, off the serving paths).
     pub fn revenue(&self) -> f64 {
         self.shares.iter().sum()
     }
@@ -277,7 +282,7 @@ mod tests {
             let served_cost = price * receivers.len() as f64;
             MechanismOutcome {
                 receivers,
-                shares,
+                shares: shares.into(),
                 served_cost,
             }
         })
@@ -295,7 +300,7 @@ mod tests {
             let served_cost = 0.0;
             MechanismOutcome {
                 receivers,
-                shares,
+                shares: shares.into(),
                 served_cost,
             }
         })
@@ -305,7 +310,7 @@ mod tests {
     fn outcome_helpers() {
         let out = MechanismOutcome {
             receivers: vec![0, 2],
-            shares: vec![1.0, 0.0, 2.0],
+            shares: vec![1.0, 0.0, 2.0].into(),
             served_cost: 3.0,
         };
         assert!(out.is_receiver(0));
@@ -342,7 +347,7 @@ mod tests {
     fn vp_violation_detected() {
         let out = MechanismOutcome {
             receivers: vec![0],
-            shares: vec![3.0, 0.0],
+            shares: vec![3.0, 0.0].into(),
             served_cost: 3.0,
         };
         assert!(!verify_voluntary_participation(&out, &[2.0, 1.0]));
@@ -353,7 +358,7 @@ mod tests {
     fn npt_violation_detected() {
         let out = MechanismOutcome {
             receivers: vec![0],
-            shares: vec![-1.0, 0.0],
+            shares: vec![-1.0, 0.0].into(),
             served_cost: 0.0,
         };
         assert!(!verify_no_positive_transfers(&out));
@@ -363,7 +368,7 @@ mod tests {
     fn budget_balance_bands() {
         let out = MechanismOutcome {
             receivers: vec![0, 1],
-            shares: vec![2.0, 2.0],
+            shares: vec![2.0, 2.0].into(),
             served_cost: 3.5,
         };
         // revenue 4 covers served cost 3.5 and is within 2x of opt 2.5.
@@ -382,7 +387,7 @@ mod tests {
             let price = reported.iter().cloned().fold(f64::INFINITY, f64::min);
             MechanismOutcome {
                 receivers: vec![0, 1],
-                shares: vec![price; 2],
+                shares: vec![price; 2].into(),
                 served_cost: 2.0 * price,
             }
         });

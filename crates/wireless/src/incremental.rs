@@ -53,7 +53,7 @@ use crate::substrate::{
     grow_to, merge_by_key, reserve_bounded, NodeId, Subframe, TreeSubstrate, NO_STATION,
 };
 use crate::universal::UniversalTree;
-use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome};
+use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome, Shares};
 
 /// Local alias for the frame's "no local station" sentinel.
 const NO_LOCAL: u32 = Subframe::NONE;
@@ -392,9 +392,9 @@ pub fn reference_drop_run_from(
             .filter(|&p| !(reported[p].is_nan() || reported[p] < share(p) - wmcs_geom::EPS))
             .collect();
         if kept.len() == alive.len() {
-            let mut shares = vec![0.0; n];
+            let mut shares = Shares::with_capacity(n, alive.len());
             for &p in &alive {
-                shares[p] = share(p);
+                shares.set(p, share(p));
             }
             return MechanismOutcome {
                 receivers: alive,
@@ -775,13 +775,28 @@ impl NetWorth {
     /// A receiver out of frame, or whose stored utility is `+0.0` bits,
     /// is charged `+0.0` without a zeroing walk: zeroing it changes no
     /// `h`, and `(0.0 − (nw − nw)).max(0.0)` is `+0.0` even for an
-    /// infinite `nw`. (`−0.0` and NaN take the full path.)
+    /// infinite `nw`. (`−0.0` and NaN take the full path.) The outcome
+    /// stores a share entry only for each *bidding* receiver, one that
+    /// takes the full path; relays and other zero-bid receivers read
+    /// `+0.0`, so nothing is sized by `n`. One pass over the frame
+    /// counts the receivers and the bidders first, so both buffers are
+    /// allocated once, at their final size.
     pub fn vcg_outcome(&mut self) -> MechanismOutcome {
         let served_cost = self.selection();
         let net = self.ut.network();
         let nw = self.h[Subframe::ROOT as usize];
-        let mut shares = vec![0.0; net.n_players()];
-        let mut receivers = Vec::new();
+        // The source is reached but is no player; its utility is never
+        // set, so it is no bidder.
+        let (mut reached, mut bidders) = (0, 0);
+        for (u, &r) in self.u.iter().zip(&self.reached) {
+            if r {
+                reached += 1;
+                bidders += usize::from(u.to_bits() != 0);
+            }
+        }
+        let n_receivers = reached - 1 + self.outside.len();
+        let mut shares = Shares::with_capacity(net.n_players(), bidders);
+        let mut receivers = Vec::with_capacity(n_receivers);
         for (x, l) in self.reached_by_station() {
             let Some(p) = net.player_of_station(x) else {
                 continue;
@@ -789,9 +804,10 @@ impl NetWorth {
             receivers.push(p);
             if l != NO_LOCAL && self.u[l as usize].to_bits() != 0 {
                 let u = self.u[l as usize];
-                shares[p] = (u - (nw - self.zeroing(l))).max(0.0);
+                shares.set(p, (u - (nw - self.zeroing(l))).max(0.0));
             }
         }
+        debug_assert_eq!(receivers.len(), n_receivers, "receivers counted exactly");
         MechanismOutcome {
             receivers,
             shares,

@@ -256,9 +256,13 @@ impl MulticastService {
         self.events
     }
 
-    /// Panics unless every event names a player of the universe, with
-    /// the id and the player count in the message. Both front doors
-    /// check at entry, so [`Self::reprice`] never sees a bad id.
+    /// Panics unless every event names a player of the universe (the
+    /// message names the id and the player count) and every `Join` or
+    /// `Rebid` carries a finite bid (the message names the player and the
+    /// bid). Both front doors check at entry, so [`Self::reprice`] never
+    /// sees a bad id or a non-finite bid. One `+∞` bid would otherwise
+    /// make a marginal-cost group free: every externality becomes
+    /// `∞ − ∞ = NaN`, which the VCG clamp turns into a share of 0.
     pub(crate) fn check_players(&self, events: &[ChurnEvent]) {
         let n_players = self.ut.network().n_players();
         for event in events {
@@ -267,6 +271,12 @@ impl MulticastService {
                 player < n_players,
                 "unknown player id {player}: the universe has {n_players} players"
             );
+            if let ChurnEvent::Join { utility, .. } | ChurnEvent::Rebid { utility, .. } = *event {
+                assert!(
+                    utility.is_finite(),
+                    "player {player} bid {utility}: a bid must be finite"
+                );
+            }
         }
     }
 
@@ -290,9 +300,10 @@ impl MulticastService {
     /// every thread count.
     ///
     /// # Panics
-    /// On unsorted or unknown group ids, or when an event's player id is
-    /// not below the universe's player count. Every id is checked before
-    /// any group absorbs anything, so a refused step changes no state.
+    /// On unsorted or unknown group ids, when an event's player id is not
+    /// below the universe's player count, or when a `Join` or `Rebid`
+    /// bid is NaN or infinite. Every event is checked before any group
+    /// absorbs anything, so a refused step changes no state.
     pub fn step(&mut self, batch: &[(usize, &[ChurnEvent])]) -> Vec<GroupOutcome> {
         assert!(
             batch.windows(2).all(|w| w[0].0 < w[1].0),

@@ -50,19 +50,21 @@
 //! | operation | warm session | cold rebuild |
 //! |---|---|---|
 //! | absorb one event | `O(path)` | — |
-//! | Shapley reprice | `O(rounds · (\|T(R)\| + \|R\|))`, each round also skipping `T(R)`'s in-frame children with empty subtrees, + `O(\|frame\|)` served cost + `O(n)` outcome | a fresh engine on `R` + the same reprice |
-//! | MC reprice | one `O(frame degree)` kernel per dirty station + `O(\|frame\|)` selection and served cost (sorting only `R*`'s out-of-frame stations) + `O(depth)` per bidding receiver + `O(n)` outcome | a fresh oracle + the same queries |
+//! | Shapley reprice | `O(rounds · (\|T(R)\| + \|R\|))`, each round also skipping `T(R)`'s in-frame children with empty subtrees, + `O(\|frame\|)` served cost + `O(\|R\|)` outcome | a fresh engine on `R` + the same reprice |
+//! | MC reprice | one `O(frame degree)` kernel per dirty station + `O(\|frame\|)` selection, served cost and receiver list (sorting only `R*`'s out-of-frame stations) + `O(depth)` per bidding receiver, each stored as one share entry | a fresh oracle + the same queries |
 //!
 //! A Shapley reprice charges the drop loop's fixpoint round; there is no
 //! separate share pass. The served cost `C_T(R)` is summed over the
 //! engine's own `T(R)` in one scan of its frame in station order
 //! ([`Shapley::served_cost`], or the selection pass behind
 //! [`NetWorth::vcg_outcome`]), bit for bit the reference
-//! `UniversalTree::multicast_cost`, which no serving path calls. What stays `Ω(n)` per reprice is the outcome's full-length
-//! share vector. The big win is against the pre-session status quo, the
-//! one-shot run from `U` that re-cascades every unaffordable player out
-//! on every batch (11× per event at n = 4096 in the last warm-vs-cold
-//! measurement, kept in `EXPERIMENTS.md`).
+//! `UniversalTree::multicast_cost`, which no serving path calls. The
+//! outcome stores one share entry per charged receiver
+//! ([`wmcs_game::Shares`]; every other player reads `+0.0`), so no step
+//! of a reprice is sized by `n`. The big win is against the pre-session
+//! status quo, the one-shot run from `U` that re-cascades every
+//! unaffordable player out on every batch (11× per event at n = 4096 in
+//! the last warm-vs-cold measurement, kept in `EXPERIMENTS.md`).
 
 use crate::incremental::{Adapter, NetWorth, Shapley};
 use crate::universal::UniversalTree;

@@ -634,8 +634,9 @@ impl StreamHandle<'_> {
     /// admitted).
     ///
     /// # Panics
-    /// On an unknown group id, or when `event`'s player id is not below
-    /// the universe's player count.
+    /// On an unknown group id, when `event`'s player id is not below the
+    /// universe's player count, or when its bid is NaN or infinite. A
+    /// refused event is not queued.
     pub fn submit(&self, group: usize, event: ChurnEvent) -> Admission {
         self.drive.submit(self.epochs, group, event)
     }

@@ -4,13 +4,17 @@
 //! per group, byte-identical cost shares to an independent single-group
 //! session over its **own** freshly built substrate — for all five
 //! layout families and both mechanisms, after every batch — plus the
-//! player-id check a step makes before any group absorbs its batch.
+//! player-id and bid checks a step makes before any group absorbs its
+//! batch, and the footprint gate on every outcome either door serves.
 
 use proptest::prelude::*;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use wmcs_game::MechanismOutcome;
 use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
-    GroupMechanism, GroupSession, MulticastService, SubstrateBuilder, TreeKind, WirelessNetwork,
+    Backend, GroupMechanism, GroupSession, MulticastService, StreamConfig, StreamService,
+    SubstrateBuilder, TreeKind, WirelessNetwork,
 };
 
 /// The network of a scenario draw (station 0 as source; the harness's
@@ -122,12 +126,7 @@ fn an_unknown_player_id_is_refused_before_any_group_absorbs_its_batch() {
         let refused = catch_unwind(AssertUnwindSafe(|| {
             svc.step(&[(0, &[join(1)][..]), (1, &[join(100)][..])]);
         }));
-        let payload = refused.expect_err("a step naming player 100 must panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let message = panic_text(refused.expect_err("a step naming player 100 must panic"));
         assert_eq!(
             message, "unknown player id 100: the universe has 7 players",
             "{threads} thread(s)"
@@ -139,5 +138,156 @@ fn an_unknown_player_id_is_refused_before_any_group_absorbs_its_batch() {
             service(1).step(&batch),
             "{threads} thread(s): the refused step left state behind"
         );
+    }
+}
+
+/// The message of a caught panic.
+fn panic_text(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// A step carrying a NaN or infinite `Join` or `Rebid` bid is refused
+/// before any group absorbs anything, with the player and the bid in
+/// the message, on one worker or several; the next step equals a fresh
+/// service's. Admitted, one `+∞` bid made a marginal-cost group free:
+/// every externality became `∞ − ∞ = NaN`, which the VCG clamp charges
+/// as 0.
+#[test]
+fn a_non_finite_bid_is_refused_before_any_group_absorbs_its_batch() {
+    let net = scenario_net(LayoutFamily::UniformBox, 8, 2.0, 5);
+    let ut = SubstrateBuilder::new(&net)
+        .tree(TreeKind::Spt)
+        .build_universal();
+    let join = |player, utility| ChurnEvent::Join { player, utility };
+    let service = |threads| {
+        let mut svc = MulticastService::new(&ut).with_threads(threads);
+        svc.add_group(GroupMechanism::Shapley);
+        svc.add_group(GroupMechanism::MarginalCost);
+        svc
+    };
+    for bid in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let rebid = ChurnEvent::Rebid {
+            player: 3,
+            utility: bid,
+        };
+        for bad in [join(3, bid), rebid] {
+            for threads in [1usize, 4] {
+                let mut svc = service(threads);
+                let first = [join(1, 1e6)];
+                let second = [join(2, 1e6), bad];
+                let refused = catch_unwind(AssertUnwindSafe(|| {
+                    svc.step(&[(0, &first[..]), (1, &second[..])]);
+                }));
+                let message =
+                    panic_text(refused.expect_err("a step carrying a non-finite bid must panic"));
+                assert_eq!(
+                    message,
+                    format!("player 3 bid {bid}: a bid must be finite"),
+                    "{bad:?}, {threads} thread(s)"
+                );
+                let next = [join(2, 1e6), join(3, 1e6)];
+                let batch = [(0, &next[..]), (1, &next[..])];
+                assert_eq!(
+                    svc.step(&batch),
+                    service(1).step(&batch),
+                    "{bad:?}, {threads} thread(s): the refused step left state behind"
+                );
+            }
+        }
+    }
+}
+
+/// No served outcome holds a buffer sized by the universe: the drop-loop
+/// driver stores one share entry per receiver and the VCG pass one per
+/// bidding receiver, so `shares.capacity() <= receivers.len()` on every
+/// outcome of both doors, for both mechanisms, at every worker count.
+#[test]
+fn served_outcomes_store_no_buffer_sized_by_n() {
+    const N: usize = 2_000;
+    const GROUPS: usize = 4;
+    const MEMBERS: usize = 16;
+    let sc = Scenario::new(LayoutFamily::UniformBox, N, 2, 2.0);
+    let net = WirelessNetwork::euclidean_lazy(sc.points(41), sc.power_model(), 0);
+    let ut = SubstrateBuilder::from_owned(net)
+        .tree(TreeKind::Spt)
+        .backend(Backend::Spatial)
+        .build_universal();
+    let n_players = N - 1;
+    // Overlapping member sets; every third member bids too little to be
+    // served alone, so Shapley groups evict some and MC groups leave some
+    // members unselected.
+    let member = |g: usize, k: usize| (g * 97 + k * 113) % n_players;
+    let bid = |k: usize| if k.is_multiple_of(3) { 1e-3 } else { 1e9 };
+    let joins: Vec<Vec<ChurnEvent>> = (0..GROUPS)
+        .map(|g| {
+            (0..MEMBERS)
+                .map(|k| ChurnEvent::Join {
+                    player: member(g, k),
+                    utility: bid(k),
+                })
+                .collect()
+        })
+        .collect();
+    let churn: Vec<Vec<ChurnEvent>> = (0..GROUPS)
+        .map(|g| {
+            (0..MEMBERS)
+                .step_by(2)
+                .map(|k| match k % 4 {
+                    0 => ChurnEvent::Leave {
+                        player: member(g, k),
+                    },
+                    _ => ChurnEvent::Rebid {
+                        player: member(g, k),
+                        utility: 1e8,
+                    },
+                })
+                .collect()
+        })
+        .collect();
+    let mechanism = |g: usize| GroupMechanism::alternating(g);
+    let check = |door: &str, out: &MechanismOutcome| {
+        assert_eq!(out.shares.len(), n_players, "{door}");
+        assert!(!out.receivers.is_empty(), "{door}: a group serves nobody");
+        assert!(
+            out.shares.capacity() <= out.receivers.len(),
+            "{door}: {} share entries for {} receivers",
+            out.shares.capacity(),
+            out.receivers.len()
+        );
+    };
+
+    for threads in [1usize, 4] {
+        let mut svc = MulticastService::new(&ut).with_threads(threads);
+        for g in 0..GROUPS {
+            svc.add_group(mechanism(g));
+        }
+        for batches in [&joins, &churn] {
+            for out in svc.step_all(batches) {
+                check(&format!("step, {threads} thread(s)"), &out.outcome);
+            }
+        }
+    }
+    for workers in [1usize, 2] {
+        let mut svc = StreamService::new(&ut, StreamConfig::new(4, 8, workers));
+        for g in 0..GROUPS {
+            svc.add_group(mechanism(g));
+        }
+        let ((), report) = svc.drive(|h| {
+            for batches in [&joins, &churn] {
+                for (g, events) in batches.iter().enumerate() {
+                    for &event in events {
+                        h.submit_blocking(g, event);
+                    }
+                }
+            }
+        });
+        assert!(report.n_epochs() > 0);
+        for epoch in report.groups.iter().flat_map(|gr| &gr.epochs) {
+            check(&format!("drive, {workers} worker(s)"), &epoch.outcome);
+        }
     }
 }

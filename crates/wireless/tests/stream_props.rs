@@ -9,9 +9,9 @@
 //! rejection point is deterministic across runs and worker counts, a
 //! fully saturated service (every bounded queue at capacity) never
 //! deadlocks, a producer that panics — its own assertion, or an
-//! unknown player id caught at `submit` — unwinds out of `drive` with
-//! its own message (all three watchdog-guarded), and the next drive
-//! after a caught producer panic reports its own events only.
+//! unknown player id or a non-finite bid caught at `submit` — unwinds
+//! out of `drive` with its own message (all watchdog-guarded), and the
+//! next drive after a caught producer panic reports its own events only.
 //!
 //! [`epoch_plan`]: wmcs_wireless::epoch_plan
 
@@ -307,6 +307,47 @@ fn an_unknown_player_id_panics_in_the_producer_and_drive_unwinds() {
             message, "unknown player id 100: the universe has 7 players",
             "{threads} worker(s)"
         );
+    }
+}
+
+/// A NaN or infinite `Join` or `Rebid` bid is refused at `submit`, in
+/// the producer, with the player and the bid in the message: `drive`
+/// re-raises that panic. The refused event is never queued, and the
+/// other group's unsealed join goes with the drive, so the next drive
+/// equals a fresh service's.
+#[test]
+fn a_non_finite_bid_panics_in_the_producer_and_the_next_drive_is_fresh() {
+    let join = |player, utility| ChurnEvent::Join { player, utility };
+    let next = move |h: &StreamHandle<'_>| {
+        for player in 2..=5 {
+            for g in 0..2 {
+                h.submit_blocking(g, join(player, 1e6));
+            }
+        }
+    };
+    for bid in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let rebid = ChurnEvent::Rebid {
+            player: 4,
+            utility: bid,
+        };
+        for bad in [join(4, bid), rebid] {
+            for threads in [1usize, 2] {
+                let fresh = || small_service(2, StreamConfig::new(2, 8, threads));
+                let (mut svc, message) = panic_message_under_watchdog(fresh(), move |h| {
+                    // Watermark 2: group 0's join stays pending.
+                    h.submit(0, join(1, 1e6));
+                    h.submit(1, bad);
+                });
+                assert_eq!(
+                    message,
+                    format!("player 4 bid {bid}: a bid must be finite"),
+                    "{bad:?}, {threads} worker(s)"
+                );
+                let ((), report) = svc.drive(next);
+                let ((), expect) = fresh().drive(next);
+                assert_eq!(report, expect, "{bad:?}, {threads} worker(s)");
+            }
+        }
     }
 }
 

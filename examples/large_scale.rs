@@ -7,7 +7,9 @@
 //! the SPT and MST universal trees through the grid index, both parent
 //! arrays must hash to their pinned digests, warm session state must
 //! stay under a per-group ceiling on a many-group [`MulticastService`]
-//! for both mechanisms, and one warm churn session over the SPT must keep the paper's §2.1
+//! for both mechanisms, every outcome that service returns must store no
+//! more share entries than it has receivers (nothing sized by n), and
+//! one warm churn session over the SPT must keep the paper's §2.1
 //! guarantees — exact budget balance of the charged Shapley shares and
 //! voluntary participation — at a station count one hundred times past
 //! the seed's experiment tables.
@@ -108,6 +110,8 @@ fn main() {
     // Warm-state ceiling, per mechanism: GROUPS groups on one service,
     // each joining MEMBERS players drawn from its own generator (a
     // repeated draw just re-joins) — the same joins for both mechanisms.
+    // Each of the step's outcomes must hold at most one share entry per
+    // receiver: a length-n share vector would be 800 KB each.
     let joins: Vec<Vec<ChurnEvent>> = (0..GROUPS)
         .map(|g| {
             let mut r = SmallRng::seed_from_u64(0x51_0000 + g as u64);
@@ -124,7 +128,15 @@ fn main() {
         for _ in 0..GROUPS {
             svc.add_group(mechanism);
         }
-        svc.step_all(&joins);
+        for out in svc.step_all(&joins) {
+            let (entries, receivers) = (out.outcome.shares.capacity(), out.outcome.receivers.len());
+            assert!(
+                entries <= receivers,
+                "{mechanism:?} group {}: {entries} share entries for {receivers} receivers \
+                 (a share buffer sized by n = {N}?)",
+                out.group
+            );
+        }
         let bytes_per_group = svc.memory_bytes() / GROUPS;
         println!(
             "warm session state: {bytes_per_group} bytes/group \
