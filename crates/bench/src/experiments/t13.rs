@@ -15,7 +15,7 @@
 //! * the parent array (via `parent_of`, source sentinel included),
 //! * the cached tree-edge cost **bits** (`parent_cost(v).to_bits()`),
 //! * the cost-sorted CSR child order (`sorted_children`), and
-//! * the deterministic BFS order the engines replay in.
+//! * the BFS order `bfs_order` derives from that CSR.
 //!
 //! The `Line` scenarios run with the mid-segment source, so the identity
 //! is also pinned at a non-zero root.

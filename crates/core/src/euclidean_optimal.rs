@@ -9,10 +9,35 @@
 //! Lemma 3.1's second case discovered during reproduction.
 
 use wmcs_game::{
-    moulin_shenker, run_drop_loop, CachedCost, Mechanism, MechanismOutcome, Recompute,
+    moulin_shenker, run_drop_loop, run_vcg, CachedCost, Mechanism, MechanismOutcome, Recompute,
     ShapleyMethod,
 };
-use wmcs_wireless::{AlphaOneSolver, LineCost, LineSolver};
+use wmcs_wireless::{AlphaOneSolver, LineCost, LineSolver, WirelessNetwork};
+
+/// The stations of ascending players, ascending too.
+fn stations_of(net: &WirelessNetwork, players: &[usize]) -> Vec<usize> {
+    players.iter().map(|&p| net.station_of_player(p)).collect()
+}
+
+/// Run a station-indexed efficient-set solver on player-indexed
+/// reports: they are spread over stations (the source reads 0), and the
+/// selected stations come back as players, ascending.
+fn efficient_players(
+    net: &WirelessNetwork,
+    reported: &[f64],
+    solve: impl FnOnce(&[f64]) -> (Vec<usize>, f64),
+) -> (Vec<usize>, f64) {
+    let mut u = vec![0.0; net.n_stations()];
+    for (p, &u_p) in reported.iter().enumerate() {
+        u[net.station_of_player(p)] = u_p;
+    }
+    let (stations, nw) = solve(&u);
+    let players = stations
+        .iter()
+        .filter_map(|&x| net.player_of_station(x))
+        .collect();
+    (players, nw)
+}
 
 /// `M(Shapley)` for `α = 1` networks, using the closed-form airport-game
 /// shares.
@@ -41,18 +66,15 @@ impl Mechanism for AlphaOneShapleyMechanism {
     fn run(&self, reported: &[f64]) -> MechanismOutcome {
         let net = self.solver.network();
         let n = self.n_players();
-        let stations = |players: &[usize]| -> Vec<usize> {
-            players.iter().map(|&p| net.station_of_player(p)).collect()
-        };
         let mut adapter = Recompute::new(
             n,
             |players| {
-                let by_station = self.solver.shapley_shares(&stations(players));
+                let by_station = self.solver.shapley_shares(&stations_of(net, players));
                 (0..n)
                     .map(|p| by_station[net.station_of_player(p)])
                     .collect()
             },
-            |players| self.solver.optimal_cost(&stations(players)),
+            |players| self.solver.optimal_cost(&stations_of(net, players)),
         );
         run_drop_loop(&mut adapter, reported)
     }
@@ -69,10 +91,6 @@ impl AlphaOneMcMechanism {
     pub fn new(solver: AlphaOneSolver) -> Self {
         Self { solver }
     }
-
-    fn net_worth(&self, u_stations: &[f64]) -> f64 {
-        self.solver.largest_efficient_set(u_stations).1
-    }
 }
 
 impl Mechanism for AlphaOneMcMechanism {
@@ -82,28 +100,13 @@ impl Mechanism for AlphaOneMcMechanism {
 
     fn run(&self, reported: &[f64]) -> MechanismOutcome {
         let net = self.solver.network();
-        let n = self.n_players();
-        let mut u = vec![0.0; net.n_stations()];
-        for p in 0..n {
-            u[net.station_of_player(p)] = reported[p];
-        }
-        let (stations, nw) = self.solver.largest_efficient_set(&u);
-        let receivers: Vec<usize> = stations
-            .iter()
-            .filter_map(|&x| net.player_of_station(x))
-            .collect();
-        let mut shares = vec![0.0; n];
-        for &p in &receivers {
-            let mut u_minus = u.clone();
-            u_minus[net.station_of_player(p)] = 0.0;
-            shares[p] = (reported[p] - (nw - self.net_worth(&u_minus))).max(0.0);
-        }
-        let served_cost = self.solver.optimal_cost(&stations);
-        MechanismOutcome {
-            receivers,
-            shares: shares.into(),
-            served_cost,
-        }
+        run_vcg(
+            self.n_players(),
+            reported,
+            |u| efficient_players(net, u, |u| self.solver.largest_efficient_set(u)),
+            |players| self.solver.optimal_cost(&stations_of(net, players)),
+        )
+        .outcome
     }
 }
 
@@ -154,29 +157,13 @@ impl Mechanism for LineMcMechanism {
 
     fn run(&self, reported: &[f64]) -> MechanismOutcome {
         let net = self.solver.network();
-        let n = self.n_players();
-        let mut u = vec![0.0; net.n_stations()];
-        for p in 0..n {
-            u[net.station_of_player(p)] = reported[p];
-        }
-        let (stations, nw) = self.solver.largest_efficient_set(&u);
-        let receivers: Vec<usize> = stations
-            .iter()
-            .filter_map(|&x| net.player_of_station(x))
-            .collect();
-        let mut shares = vec![0.0; n];
-        for &p in &receivers {
-            let mut u_minus = u.clone();
-            u_minus[net.station_of_player(p)] = 0.0;
-            let nw_minus = self.solver.largest_efficient_set(&u_minus).1;
-            shares[p] = (reported[p] - (nw - nw_minus)).max(0.0);
-        }
-        let served_cost = self.solver.chain_cost(&stations);
-        MechanismOutcome {
-            receivers,
-            shares: shares.into(),
-            served_cost,
-        }
+        run_vcg(
+            self.n_players(),
+            reported,
+            |u| efficient_players(net, u, |u| self.solver.largest_efficient_set(u)),
+            |players| self.solver.chain_cost(&stations_of(net, players)),
+        )
+        .outcome
     }
 }
 

@@ -39,7 +39,7 @@ pub use checks::{
 };
 pub use cost::{CachedCost, CostFunction, ExplicitGame};
 pub use driver::{run_drop_loop, run_drop_loop_from, DropLoopMethod, Recompute};
-pub use mc::{marginal_cost_mechanism, McOutcome};
+pub use mc::{marginal_cost_mechanism, run_vcg, McOutcome};
 pub use mechanism::{
     find_group_deviation, find_unilateral_deviation, verify_budget_balance,
     verify_consumer_sovereignty, verify_no_positive_transfers, verify_voluntary_participation,

@@ -10,13 +10,17 @@
 //! zeroed out. Under submodularity this equals the paper's form (3),
 //! `C(R*(u)) − C(R*(u_{-i}))`.
 //!
-//! This generic driver maximises welfare by exhaustive coalition search
-//! (`O(2^n)`), serving as the reference for the polynomial tree-DP
-//! implementations in `wmcs-wireless`.
+//! [`run_vcg`] is the payment loop of every MC mechanism that solves
+//! each report vector from scratch — the MC counterpart of
+//! [`crate::Recompute`]. [`marginal_cost_mechanism`] runs it over an
+//! exhaustive coalition search (`O(2^n)`), serving as the reference for
+//! the polynomial tree-DP implementations in `wmcs-wireless`; the
+//! `α = 1` and line mechanisms of `wmcs-mechanisms` run it over their
+//! polynomial solvers.
 
 use crate::cost::CostFunction;
 use crate::mechanism::MechanismOutcome;
-use crate::subset::{contains, members_of};
+use crate::subset::{mask_of, members_of};
 use wmcs_geom::EPS;
 
 /// MC mechanism outcome, which also exposes the efficiency data.
@@ -66,24 +70,34 @@ fn largest_efficient_set(c: &impl CostFunction, u: &[f64]) -> (u64, f64) {
     }
 }
 
-/// Run the MC mechanism.
-pub fn marginal_cost_mechanism(c: &impl CostFunction, reported: &[f64]) -> McOutcome {
-    let n = c.n_players();
-    assert_eq!(reported.len(), n);
-    assert!(n <= crate::subset::MAX_EXHAUSTIVE_PLAYERS);
-    let (r_star, nw) = largest_efficient_set(c, reported);
-    let mut shares = vec![0.0; n];
-    for p in 0..n {
-        if contains(r_star, p) {
-            let mut u_minus = reported.to_vec();
-            u_minus[p] = 0.0;
-            let (_, nw_minus) = largest_efficient_set(c, &u_minus);
-            // VCG: pay your externality. Clamp the −EPS noise at 0.
-            shares[p] = (reported[p] - (nw - nw_minus)).max(0.0);
-        }
+/// The MC (VCG) payment loop over an efficient-set oracle that solves
+/// each report vector from scratch.
+///
+/// `efficient_set(u)` returns the largest efficient set for the
+/// player-indexed reports `u`, as ascending player ids, and its net
+/// worth `NW(u)`. It is called on `reported`, then once per selected
+/// player `i` in ascending order, on `reported` with `u_i` zeroed; `i`
+/// is charged `u_i − (NW(u) − NW(u₋ᵢ))`, clamped at 0 against rounding
+/// noise. Last, `served_cost` prices the selected set once. Panics
+/// unless there is one report per player.
+pub fn run_vcg(
+    n_players: usize,
+    reported: &[f64],
+    mut efficient_set: impl FnMut(&[f64]) -> (Vec<usize>, f64),
+    served_cost: impl FnOnce(&[usize]) -> f64,
+) -> McOutcome {
+    assert_eq!(reported.len(), n_players, "one report per player");
+    let (receivers, nw) = efficient_set(reported);
+    let mut shares = vec![0.0; n_players];
+    let mut u_minus = reported.to_vec();
+    for &p in &receivers {
+        u_minus[p] = 0.0;
+        let (_, nw_minus) = efficient_set(&u_minus);
+        u_minus[p] = reported[p];
+        // VCG: pay your externality. Clamp the −EPS noise at 0.
+        shares[p] = (reported[p] - (nw - nw_minus)).max(0.0);
     }
-    let receivers = members_of(r_star);
-    let served_cost = c.cost_mask(r_star);
+    let served_cost = served_cost(&receivers);
     McOutcome {
         outcome: MechanismOutcome {
             receivers,
@@ -92,6 +106,21 @@ pub fn marginal_cost_mechanism(c: &impl CostFunction, reported: &[f64]) -> McOut
         },
         net_worth: nw,
     }
+}
+
+/// Run the MC mechanism.
+pub fn marginal_cost_mechanism(c: &impl CostFunction, reported: &[f64]) -> McOutcome {
+    let n = c.n_players();
+    assert!(n <= crate::subset::MAX_EXHAUSTIVE_PLAYERS);
+    run_vcg(
+        n,
+        reported,
+        |u| {
+            let (mask, nw) = largest_efficient_set(c, u);
+            (members_of(mask), nw)
+        },
+        |players| c.cost_mask(mask_of(players)),
+    )
 }
 
 #[cfg(test)]

@@ -43,9 +43,9 @@ pub use jv_shares::{jv_steiner_shares, JvShares, JvSharing};
 pub use moat::{moat_growing, MoatResult};
 pub use mst::{kruskal, prim_mst, prim_mst_subset, SpanningTree};
 pub use shortest_path::{dijkstra, MetricClosure, ShortestPaths};
-pub use spatial::{grow_tree_dense, grow_tree_spatial, GrowthKind};
+pub use spatial::{grow_tree_dense, grow_tree_spatial, TreeKind};
 pub use steiner::{dreyfus_wagner_cost, kmb_steiner, SteinerTree};
-pub use tree::{CsrChildren, RootedTree};
+pub use tree::RootedTree;
 pub use union_find::UnionFind;
 
 #[cfg(test)]

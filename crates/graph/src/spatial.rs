@@ -93,12 +93,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wmcs_geom::{GridIndex, Point, PowerModel};
 
-/// Which canonical universal tree to grow from the source.
+/// Which universal tree to grow from the source (§2.1 discusses both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrowthKind {
-    /// Shortest-path tree: keys are tentative source distances.
-    ShortestPath,
-    /// Minimum spanning tree (Prim): keys are connecting edge costs.
+pub enum TreeKind {
+    /// Shortest-path universal tree (the Penna–Ventre choice): growth
+    /// keys are tentative source distances.
+    Spt,
+    /// MST universal tree (the Wieselthier et al. broadcast heuristic
+    /// \[50\] turned universal): growth keys are connecting edge costs.
     Mst,
 }
 
@@ -123,7 +125,7 @@ impl Ord for OrdF64 {
 /// Canonical dense growth: `O(n²)` scan over a cost matrix. Returns the
 /// parent array (`None` exactly at `source`). Panics if the finite-cost
 /// graph does not span all vertices from `source`.
-pub fn grow_tree_dense(costs: &CostMatrix, source: usize, kind: GrowthKind) -> Vec<Option<usize>> {
+pub fn grow_tree_dense(costs: &CostMatrix, source: usize, kind: TreeKind) -> Vec<Option<usize>> {
     let n = costs.len();
     assert!(source < n, "source out of range");
     let mut parent: Vec<Option<usize>> = vec![None; n];
@@ -167,8 +169,8 @@ pub fn grow_tree_dense(costs: &CostMatrix, source: usize, kind: GrowthKind) -> V
                 continue;
             }
             let k = match kind {
-                GrowthKind::ShortestPath => key[y] + c,
-                GrowthKind::Mst => c,
+                TreeKind::Spt => key[y] + c,
+                TreeKind::Mst => c,
             };
             if k < key[z] {
                 key[z] = k;
@@ -372,7 +374,7 @@ pub fn grow_tree_spatial(
     points: &[Point],
     model: &PowerModel,
     source: usize,
-    kind: GrowthKind,
+    kind: TreeKind,
 ) -> Vec<Option<usize>> {
     grow_tree_spatial_counted(points, model, source, kind).0
 }
@@ -382,7 +384,7 @@ pub(crate) fn grow_tree_spatial_counted(
     points: &[Point],
     model: &PowerModel,
     source: usize,
-    kind: GrowthKind,
+    kind: TreeKind,
 ) -> (Vec<Option<usize>>, GrowthWork) {
     let n = points.len();
     assert!(source < n, "source out of range");
@@ -422,8 +424,8 @@ pub(crate) fn grow_tree_spatial_counted(
             StreamStep::Dead => return,
         };
         let k = match kind {
-            GrowthKind::ShortestPath => dist[v] + c,
-            GrowthKind::Mst => c,
+            TreeKind::Spt => dist[v] + c,
+            TreeKind::Mst => c,
         };
         pq.push(Reverse((
             OrdF64(k),
@@ -505,7 +507,7 @@ mod tests {
                 let pts = deterministic_points(seed * 77 + dim as u64, n, dim);
                 let model = PowerModel::with_alpha(if seed % 2 == 0 { 2.0 } else { 4.0 });
                 let m = CostMatrix::from_points(&pts, &model);
-                for kind in [GrowthKind::ShortestPath, GrowthKind::Mst] {
+                for kind in [TreeKind::Spt, TreeKind::Mst] {
                     let dense = grow_tree_dense(&m, 0, kind);
                     let spatial = grow_tree_spatial(&pts, &model, 0, kind);
                     assert_eq!(dense, spatial, "d = {dim}, seed = {seed}, {kind:?}");
@@ -523,7 +525,7 @@ mod tests {
         pts[11] = pts[22].clone();
         let model = PowerModel::free_space();
         let m = CostMatrix::from_points(&pts, &model);
-        for kind in [GrowthKind::ShortestPath, GrowthKind::Mst] {
+        for kind in [TreeKind::Spt, TreeKind::Mst] {
             assert_eq!(
                 grow_tree_dense(&m, 0, kind),
                 grow_tree_spatial(&pts, &model, 0, kind),
@@ -568,7 +570,7 @@ mod tests {
         );
         for (label, pts, model) in cases {
             let m = CostMatrix::from_points(&pts, &model);
-            for kind in [GrowthKind::ShortestPath, GrowthKind::Mst] {
+            for kind in [TreeKind::Spt, TreeKind::Mst] {
                 assert_eq!(
                     grow_tree_dense(&m, 0, kind),
                     grow_tree_spatial(&pts, &model, 0, kind),
@@ -603,7 +605,7 @@ mod tests {
             .map(|_| Point::xy(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
             .collect();
         let model = PowerModel::free_space();
-        for (kind, measured) in [(GrowthKind::ShortestPath, 17.72), (GrowthKind::Mst, 10.81)] {
+        for (kind, measured) in [(TreeKind::Spt, 17.72), (TreeKind::Mst, 10.81)] {
             let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
             let per_station = work.points_visited as f64 / n as f64;
             assert!(
@@ -621,7 +623,7 @@ mod tests {
         let pts = deterministic_points(11, 60, 2);
         let model = PowerModel::free_space();
         let m = CostMatrix::from_points(&pts, &model);
-        let parent = grow_tree_dense(&m, 0, GrowthKind::ShortestPath);
+        let parent = grow_tree_dense(&m, 0, TreeKind::Spt);
         let tree = RootedTree::from_parents(0, parent);
         let sp = dijkstra(&m, 0);
         for v in 0..60 {
@@ -641,7 +643,7 @@ mod tests {
         let pts = deterministic_points(23, 50, 2);
         let model = PowerModel::with_alpha(4.0);
         let m = CostMatrix::from_points(&pts, &model);
-        let parent = grow_tree_dense(&m, 0, GrowthKind::Mst);
+        let parent = grow_tree_dense(&m, 0, TreeKind::Mst);
         let cost: f64 = (0..50)
             .filter_map(|v| parent[v].map(|p| m.cost(p, v)))
             .sum();
@@ -655,7 +657,7 @@ mod tests {
             let pts = deterministic_points(3, n, 2);
             let model = PowerModel::linear();
             let m = CostMatrix::from_points(&pts, &model);
-            for kind in [GrowthKind::ShortestPath, GrowthKind::Mst] {
+            for kind in [TreeKind::Spt, TreeKind::Mst] {
                 let source = n - 1;
                 let dense = grow_tree_dense(&m, source, kind);
                 let spatial = grow_tree_spatial(&pts, &model, source, kind);
@@ -670,6 +672,6 @@ mod tests {
     #[should_panic(expected = "connected")]
     fn dense_growth_rejects_disconnected_graphs() {
         let m = CostMatrix::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
-        let _ = grow_tree_dense(&m, 0, GrowthKind::ShortestPath);
+        let _ = grow_tree_dense(&m, 0, TreeKind::Spt);
     }
 }

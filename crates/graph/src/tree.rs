@@ -112,10 +112,8 @@ impl RootedTree {
             .collect()
     }
 
-    /// Children lists in flat CSR form — see [`CsrChildren`]. One `O(n)`
-    /// counting pass, no nested `Vec`s; within each vertex the children
-    /// come out in ascending vertex order.
-    pub fn csr_children(&self) -> CsrChildren {
+    /// Children lists in flat CSR form, each in ascending vertex order.
+    fn csr_children(&self) -> CsrChildren {
         CsrChildren::from_parents(&self.parent)
     }
 
@@ -134,8 +132,16 @@ impl RootedTree {
 
     /// Breadth-first order from the root; also the "BFS numbering" used by
     /// the reduction of §2.2.1 to orient NWST solutions into multicast trees.
+    /// Children are visited in ascending vertex order.
     pub fn bfs_order(&self) -> Vec<usize> {
-        self.csr_children().bfs_order(self.root, self.node_count())
+        let ch = self.csr_children();
+        let mut order = vec![self.root];
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            order.extend_from_slice(ch.children(v));
+        }
+        order
     }
 
     /// Vertices of the subtree rooted at `v` (including `v`).
@@ -200,31 +206,23 @@ impl RootedTree {
     }
 }
 
-/// Children lists of a rooted tree in flat **CSR** (compressed sparse
-/// row) form: the children of vertex `v` are the contiguous slice
-/// `child_array[offsets[v]..offsets[v+1]]`, and `pos_in_parent[v]` is
-/// `v`'s index within its parent's slice.
-///
-/// Compared to the nested `Vec<Vec<usize>>` this replaces, a CSR form is
-/// one allocation per field, cache-friendly to walk, and cheap to share:
-/// the universal-tree substrate in `wmcs-wireless` builds one cost-sorted
-/// instance and serves every multicast group from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrChildren {
+/// Children lists of a rooted tree in flat CSR (compressed sparse row)
+/// form: the children of vertex `v` are the contiguous slice
+/// `child_array[offsets[v]..offsets[v+1]]`, in ascending vertex order.
+/// One allocation per field instead of a nested `Vec<Vec<usize>>`; the
+/// walks of [`RootedTree::bfs_order`] and [`RootedTree::subtree`] read it.
+#[derive(Debug)]
+struct CsrChildren {
     /// `offsets[v]..offsets[v+1]` delimits `v`'s children; length `n+1`.
     offsets: Vec<usize>,
     /// All children, concatenated per parent; length = number of edges.
     child_array: Vec<usize>,
-    /// Index of `v` within its parent's slice (0 for the root and for
-    /// vertices outside the tree).
-    pos_in_parent: Vec<usize>,
 }
 
 impl CsrChildren {
     /// Build from a parent array (the representation [`RootedTree`]
-    /// stores). Two counting passes, `O(n)`; children of each vertex come
-    /// out in ascending vertex order.
-    pub fn from_parents(parent: &[Option<usize>]) -> Self {
+    /// stores). Two counting passes, `O(n)`.
+    fn from_parents(parent: &[Option<usize>]) -> Self {
         let n = parent.len();
         let mut offsets = vec![0usize; n + 1];
         for p in parent.iter().flatten() {
@@ -235,10 +233,8 @@ impl CsrChildren {
         }
         let mut cursor = offsets.clone();
         let mut child_array = vec![0usize; offsets[n]];
-        let mut pos_in_parent = vec![0usize; n];
         for (v, p) in parent.iter().enumerate() {
             if let Some(p) = *p {
-                pos_in_parent[v] = cursor[p] - offsets[p];
                 child_array[cursor[p]] = v;
                 cursor[p] += 1;
             }
@@ -246,72 +242,12 @@ impl CsrChildren {
         Self {
             offsets,
             child_array,
-            pos_in_parent,
         }
-    }
-
-    /// Universe size `n`.
-    pub fn universe(&self) -> usize {
-        self.offsets.len() - 1
     }
 
     /// The children of `v`, as a contiguous slice.
-    pub fn children(&self, v: usize) -> &[usize] {
+    fn children(&self, v: usize) -> &[usize] {
         &self.child_array[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// Number of children of `v`.
-    pub fn degree(&self, v: usize) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
-    }
-
-    /// Start of `v`'s slice in the child array — the base index for flat
-    /// per-child side arrays allocated with [`CsrChildren::n_edges`]
-    /// entries (the pattern the net-worth oracle's prefix/suffix maxima
-    /// use).
-    pub fn offset(&self, v: usize) -> usize {
-        self.offsets[v]
-    }
-
-    /// Total number of parent→child edges (= length of the child array).
-    pub fn n_edges(&self) -> usize {
-        self.child_array.len()
-    }
-
-    /// Index of `v` within its parent's child slice (0 for the root and
-    /// for non-members).
-    pub fn pos_in_parent(&self, v: usize) -> usize {
-        self.pos_in_parent[v]
-    }
-
-    /// Re-sort every child slice with `better(parent, a, b)` as the
-    /// strict-weak ordering, then rebuild `pos_in_parent`. Used by the
-    /// universal-tree substrate to put each station's children in
-    /// ascending edge-cost order once, for every consumer.
-    pub fn sort_children_by<F>(&mut self, mut cmp: F)
-    where
-        F: FnMut(usize, usize, usize) -> std::cmp::Ordering,
-    {
-        let n = self.universe();
-        for v in 0..n {
-            let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-            self.child_array[lo..hi].sort_by(|&a, &b| cmp(v, a, b));
-            for (j, &c) in self.child_array[lo..hi].iter().enumerate() {
-                self.pos_in_parent[c] = j;
-            }
-        }
-    }
-
-    /// Breadth-first order from `root`, visiting each vertex's children
-    /// in slice order; `capacity` is a size hint for the output.
-    pub fn bfs_order(&self, root: usize, capacity: usize) -> Vec<usize> {
-        let mut order = Vec::with_capacity(capacity);
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            queue.extend(self.children(v).iter().copied());
-        }
-        order
     }
 }
 
@@ -352,41 +288,20 @@ mod tests {
     fn csr_form_matches_the_parent_array() {
         let t = fixture();
         let ch = t.csr_children();
-        assert_eq!(ch.universe(), 6);
-        assert_eq!(ch.n_edges(), 4);
-        assert_eq!(ch.degree(0), 2);
-        assert_eq!(ch.degree(5), 0);
-        // pos_in_parent inverts the child slices.
+        // The child slices partition the members below the root, each
+        // under its parent.
+        let mut seen = [0usize; 6];
         for v in 0..6 {
-            for (j, &c) in ch.children(v).iter().enumerate() {
+            for &c in ch.children(v) {
                 assert_eq!(t.parent(c), Some(v));
-                assert_eq!(ch.pos_in_parent(c), j);
+                seen[c] += 1;
             }
         }
-        // offset() bases flat side arrays: slices tile [0, n_edges).
-        let mut covered = vec![false; ch.n_edges()];
         for v in 0..6 {
-            for j in 0..ch.degree(v) {
-                covered[ch.offset(v) + j] = true;
-            }
+            let below_root = t.contains(v) && v != t.root();
+            assert_eq!(seen[v], usize::from(below_root), "vertex {v}");
         }
-        assert!(covered.iter().all(|&c| c));
-    }
-
-    #[test]
-    fn csr_sort_children_reorders_slices_and_positions() {
-        let t = fixture();
-        let mut ch = t.csr_children();
-        // Sort every slice in descending vertex order.
-        ch.sort_children_by(|_, a, b| b.cmp(&a));
-        assert_eq!(ch.children(0), &[2, 1]);
-        assert_eq!(ch.children(1), &[4, 3]);
-        assert_eq!(ch.pos_in_parent(2), 0);
-        assert_eq!(ch.pos_in_parent(1), 1);
-        assert_eq!(ch.pos_in_parent(4), 0);
-        assert_eq!(ch.pos_in_parent(3), 1);
-        // BFS through the re-sorted CSR visits children in slice order.
-        assert_eq!(ch.bfs_order(0, 5), vec![0, 2, 1, 4, 3]);
+        assert!(ch.children(5).is_empty());
     }
 
     #[test]

@@ -42,7 +42,8 @@ use crate::substrate::TreeSubstrate;
 use crate::universal::UniversalTree;
 use std::borrow::Cow;
 use std::sync::Arc;
-use wmcs_graph::{grow_tree_dense, grow_tree_spatial, CostMatrix, GrowthKind, RootedTree};
+pub use wmcs_graph::TreeKind;
+use wmcs_graph::{grow_tree_dense, grow_tree_spatial, CostMatrix, RootedTree};
 
 /// Station count at and above which [`Backend::Auto`] switches a
 /// Euclidean network from the dense `O(n²)` scan to the spatial
@@ -57,16 +58,6 @@ use wmcs_graph::{grow_tree_dense, grow_tree_spatial, CostMatrix, GrowthKind, Roo
 /// tuned magic number: both backends produce byte-identical trees, so
 /// the threshold affects only build time, never results.
 pub const SPATIAL_AUTO_THRESHOLD: usize = 2048;
-
-/// Which universal tree to grow from the source (§2.1 discusses both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeKind {
-    /// Shortest-path universal tree (the Penna–Ventre choice).
-    Spt,
-    /// MST universal tree (the Wieselthier et al. broadcast heuristic
-    /// \[50\] turned universal).
-    Mst,
-}
 
 /// Which construction backend grows the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +124,9 @@ impl<'a> SubstrateBuilder<'a> {
     /// Use an explicit spanning tree (rooted at the source) instead of
     /// growing one — fixtures, reductions, non-Euclidean networks.
     /// Overrides [`SubstrateBuilder::tree`] and
-    /// [`SubstrateBuilder::backend`].
+    /// [`SubstrateBuilder::backend`]. [`SubstrateBuilder::build`] panics
+    /// unless the tree's universe is the network's station set and every
+    /// station but the source has a parent.
     pub fn explicit_tree(mut self, tree: RootedTree) -> Self {
         self.explicit = Some(tree);
         self
@@ -143,11 +136,11 @@ impl<'a> SubstrateBuilder<'a> {
     /// the **only** place the network is cloned (borrowed start) or
     /// moved (owned start).
     pub fn build(self) -> Arc<TreeSubstrate> {
-        let tree = match self.explicit {
-            Some(tree) => tree,
-            None => canonical_tree(&self.net, self.kind, self.backend),
+        let parents = match self.explicit {
+            Some(tree) => (0..tree.universe()).map(|v| tree.parent(v)).collect(),
+            None => canonical_parents(&self.net, self.kind, self.backend),
         };
-        Arc::new(TreeSubstrate::build(self.net.into_owned(), tree))
+        Arc::new(TreeSubstrate::build(self.net.into_owned(), parents))
     }
 
     /// [`SubstrateBuilder::build`], wrapped in the `O(1)`-clone
@@ -157,17 +150,13 @@ impl<'a> SubstrateBuilder<'a> {
     }
 }
 
-/// Grow the canonical universal tree for `net` — the shared core of
-/// every [`SubstrateBuilder::build`] path.
-pub(crate) fn canonical_tree(
+/// Grow the canonical universal tree for `net` and return its parent
+/// array (`None` exactly at the source).
+fn canonical_parents(
     net: &WirelessNetwork,
     kind: TreeKind,
     backend: Backend,
-) -> RootedTree {
-    let growth = match kind {
-        TreeKind::Spt => GrowthKind::ShortestPath,
-        TreeKind::Mst => GrowthKind::Mst,
-    };
+) -> Vec<Option<usize>> {
     let spatial = match backend {
         Backend::Dense => false,
         Backend::Spatial => {
@@ -180,13 +169,13 @@ pub(crate) fn canonical_tree(
         }
         Backend::Auto => net.points().is_some() && net.n_stations() >= SPATIAL_AUTO_THRESHOLD,
     };
-    let parents = if spatial {
+    if spatial {
         let pts = net.points().expect("spatial backend checked for points");
         let model = net.model().expect("Euclidean networks carry a power model");
-        grow_tree_spatial(pts, model, net.source(), growth)
+        grow_tree_spatial(pts, model, net.source(), kind)
     } else {
         match net.try_costs() {
-            Some(m) => grow_tree_dense(m, net.source(), growth),
+            Some(m) => grow_tree_dense(m, net.source(), kind),
             None => {
                 // Lazy Euclidean network, dense backend: materialise a
                 // temporary matrix (small-n / reference use only).
@@ -195,11 +184,10 @@ pub(crate) fn canonical_tree(
                     .model()
                     .expect("lazy networks always carry a power model");
                 let m = CostMatrix::from_points(pts, model);
-                grow_tree_dense(&m, net.source(), growth)
+                grow_tree_dense(&m, net.source(), kind)
             }
         }
-    };
-    RootedTree::from_parents(net.source(), parents)
+    }
 }
 
 #[cfg(test)]

@@ -10,20 +10,25 @@
 //! cache-friendly form of everything those consumers share:
 //!
 //! * the [`WirelessNetwork`] (stations, symmetric costs, source);
-//! * the spanning [`RootedTree`] `T(S\{s})`;
-//! * its children in flat **CSR** form, each station's slice sorted by
-//!   ascending edge cost — the order used by the Shapley split, the
-//!   efficient-set DP and the incremental engines;
-//! * a dense parent array, the cached tree-edge costs `c(parent(v), v)`
-//!   and a cached BFS order — the hot-path walks every engine repeats.
+//! * the spanning tree `T(S\{s})` as children in flat **CSR** form, each
+//!   station's slice sorted by ascending edge cost — the order used by
+//!   the Shapley split, the efficient-set DP and the incremental engines;
+//! * each station's position in its parent's slice, a dense parent
+//!   array and the cached tree-edge costs `c(parent(v), v)`.
+//!
+//! The tree is stored once, in those arrays. The reference oracles that
+//! want a `RootedTree` or a BFS order derive it on each call
+//! ([`crate::universal::UniversalTree::multicast_subtree`],
+//! [`TreeSubstrate::bfs_order`]); no serving path does.
 //!
 //! **Memory diet (the million-station refactor):** all id arrays are
 //! struct-of-arrays over the 4-byte [`NodeId`] (CSR offsets and
 //! positions are plain `u32`), exactly one flat allocation per array —
-//! ≈ 32 bytes/station of id state plus one `f64` per station of cached
-//! edge costs, so a 10⁶-station substrate fits comfortably in RAM
-//! (where the former `usize` layout paid 8 bytes per id and the dense
-//! cost matrix alone would need terabytes — pair this layout with
+//! 16 bytes/station of id state plus one `f64` per station of cached
+//! edge costs. With the 40 bytes a lazy 2-D network stores per point
+//! that is 64 bytes/station, so a 10⁶-station substrate fits comfortably
+//! in RAM (where the former `usize` layout paid 8 bytes per id and the
+//! dense cost matrix alone would need terabytes — pair this layout with
 //! [`WirelessNetwork::euclidean_lazy`]). Construction asserts
 //! `n < u32::MAX`; [`TreeSubstrate::memory_bytes`] reports the resident
 //! footprint the `substrate_build` bench tracks.
@@ -46,7 +51,6 @@
 //! [`UniversalTree`]: crate::universal::UniversalTree
 
 use crate::network::WirelessNetwork;
-use wmcs_graph::RootedTree;
 
 /// Sentinel for "no station" in dense `usize` parent/sibling arrays.
 pub const NO_STATION: usize = usize::MAX;
@@ -144,13 +148,13 @@ impl std::fmt::Display for NodeId {
 }
 
 /// The immutable shared substrate of a universal broadcast tree: the
-/// network, the spanning tree, and the cost-sorted CSR children —
-/// everything that is per-*universe* rather than per-*group*, in the
-/// struct-of-arrays [`NodeId`] layout described in the module docs.
+/// network and the spanning tree as cost-sorted CSR children, parents
+/// and edge costs — everything that is per-*universe* rather than
+/// per-*group*, in the struct-of-arrays [`NodeId`] layout described in
+/// the module docs.
 #[derive(Debug)]
 pub struct TreeSubstrate {
     net: WirelessNetwork,
-    tree: RootedTree,
     /// CSR row starts: children of `x` are
     /// `child_array[offsets[x]..offsets[x+1]]`. Length `n + 1`.
     offsets: Vec<u32>,
@@ -165,45 +169,52 @@ pub struct TreeSubstrate {
     /// saves a cost-matrix probe / lazy distance evaluation on every
     /// hot-path edge walk.
     parent_cost: Vec<f64>,
-    /// BFS order from the source, children visited in cost order.
-    bfs: Vec<NodeId>,
 }
 
 impl TreeSubstrate {
-    /// Build the substrate from an owned network and an explicit spanning
-    /// tree rooted at the source. `O(n log n)` (one CSR build + one sort
-    /// per child slice) — paid **once** per universe, not per group.
-    /// Crate-internal: [`crate::SubstrateBuilder`] is the public entry point.
-    pub(crate) fn build(net: WirelessNetwork, tree: RootedTree) -> Self {
-        assert_eq!(
-            tree.root(),
-            net.source(),
-            "tree must be rooted at the source"
-        );
-        assert_eq!(
-            tree.node_count(),
-            net.n_stations(),
-            "universal trees span all stations"
-        );
-        let n = net.n_stations();
+    /// Build the substrate from an owned network and the parent array of
+    /// a spanning tree rooted at the source (`parent[v]` is `v`'s parent,
+    /// `None` exactly at the source). `O(n log n)` (one CSR build + one
+    /// sort per child slice) — paid **once** per universe, not per group.
+    /// Crate-internal: [`crate::SubstrateBuilder`] is the public entry
+    /// point, and it passes only acyclic arrays (grown trees or validated
+    /// [`wmcs_graph::RootedTree`]s); this checks that the tree covers
+    /// exactly the network's stations.
+    pub(crate) fn build(net: WirelessNetwork, parent: Vec<Option<usize>>) -> Self {
+        let (n, source) = (net.n_stations(), net.source());
         assert!(
             n < u32::MAX as usize,
             "substrates cap the universe below u32::MAX stations (NodeId memory diet)"
         );
+        assert_eq!(
+            parent.len(),
+            n,
+            "universal trees span all stations: a tree over {} vertices for {n} stations",
+            parent.len()
+        );
+        assert!(
+            parent[source].is_none(),
+            "tree must be rooted at the source"
+        );
+        let edges = parent.iter().flatten().count();
+        assert_eq!(
+            edges,
+            n - 1,
+            "universal trees span all stations: {edges} of the {} non-source stations have a parent",
+            n - 1
+        );
         // Counting-sort CSR, one flat allocation per array.
         let mut offsets = vec![0u32; n + 1];
-        for v in 0..n {
-            if let Some(p) = tree.parent(v) {
-                offsets[p + 1] += 1;
-            }
+        for p in parent.iter().flatten() {
+            offsets[p + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut child_array = vec![NodeId::NONE; n - 1];
-        for v in 0..n {
-            if let Some(p) = tree.parent(v) {
+        for (v, p) in parent.iter().enumerate() {
+            if let Some(p) = *p {
                 child_array[cursor[p] as usize] = NodeId::from_index(v);
                 cursor[p] += 1;
             }
@@ -227,44 +238,27 @@ impl TreeSubstrate {
                     u32::try_from(j).expect("child positions are bounded by n < u32::MAX");
             }
         }
-        let mut parent = vec![NodeId::NONE; n];
+        let mut parent_id = vec![NodeId::NONE; n];
         let mut parent_cost = vec![0.0f64; n];
-        for v in 0..n {
-            if let Some(p) = tree.parent(v) {
-                parent[v] = NodeId::from_index(p);
+        for (v, p) in parent.iter().enumerate() {
+            if let Some(p) = *p {
+                parent_id[v] = NodeId::from_index(p);
                 parent_cost[v] = net.cost(p, v);
             }
         }
-        // BFS from the source through the freshly sorted CSR.
-        let mut bfs = Vec::with_capacity(n);
-        bfs.push(NodeId::from_index(net.source()));
-        let mut head = 0usize;
-        while head < bfs.len() {
-            let v = bfs[head].index();
-            head += 1;
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            bfs.extend_from_slice(&child_array[lo..hi]);
-        }
         Self {
             net,
-            tree,
             offsets,
             child_array,
             pos_in_parent,
-            parent,
+            parent: parent_id,
             parent_cost,
-            bfs,
         }
     }
 
     /// The underlying network.
     pub fn network(&self) -> &WirelessNetwork {
         &self.net
-    }
-
-    /// The underlying spanning tree.
-    pub fn tree(&self) -> &RootedTree {
-        &self.tree
     }
 
     /// Children of station `x` in ascending edge-cost order.
@@ -305,26 +299,33 @@ impl TreeSubstrate {
         self.child_array.len()
     }
 
-    /// Cached BFS order from the source (children in cost order);
-    /// reversing it visits children before parents.
-    pub fn bfs_order(&self) -> &[NodeId] {
-        &self.bfs
+    /// BFS order from the source, children in cost order; reversing it
+    /// visits children before parents. Walks the CSR on each call
+    /// (`O(n)`) — for the reference oracles and tests, not the serving
+    /// path.
+    pub fn bfs_order(&self) -> Vec<NodeId> {
+        let mut order = Vec::with_capacity(self.parent.len());
+        order.push(NodeId::from_index(self.net.source()));
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            order.extend_from_slice(self.sorted_children(v.index()));
+        }
+        order
     }
 
     /// Resident heap bytes of everything this substrate keeps alive:
-    /// the struct-of-arrays id/cost state, the spanning tree's parent
-    /// array, and the network payload (points, and the dense cost
-    /// matrix when one is materialised — the dominant term outside the
-    /// lazy regime). The `substrate_build` bench reports this per node.
+    /// the struct-of-arrays id/cost state and the network payload
+    /// (points, and the dense cost matrix when one is materialised —
+    /// the dominant term outside the lazy regime). The
+    /// `substrate_build` bench reports this per node.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.offsets.capacity() * size_of::<u32>()
             + self.child_array.capacity() * size_of::<NodeId>()
             + self.pos_in_parent.capacity() * size_of::<u32>()
             + self.parent.capacity() * size_of::<NodeId>()
-            + self.parent_cost.capacity() * size_of::<f64>()
-            + self.bfs.capacity() * size_of::<NodeId>();
-        bytes += self.tree.universe() * size_of::<Option<usize>>();
+            + self.parent_cost.capacity() * size_of::<f64>();
         if let Some(pts) = self.net.points() {
             let dim = pts.first().map_or(0, |p| p.dim());
             bytes += pts.len() * (size_of::<wmcs_geom::Point>() + dim * size_of::<f64>());
@@ -345,10 +346,11 @@ impl TreeSubstrate {
 /// any stations that ever belonged to it), which is typically a few
 /// hundred stations out of a 10⁵-station universe. A `Subframe` gives
 /// exactly those stations dense **local** `u32` ids so that every
-/// per-session engine array (`rb`, sibling links, the net-worth DP
-/// state, …) can be `Vec` over local ids instead of universe-sized:
-/// per-group warm memory becomes `O(|frame|)`, the prerequisite for the
-/// G × n all-to-all regime (ROADMAP item 5).
+/// per-session engine array (`rb`, `down`, the net-worth DP state, …)
+/// can be `Vec` over local ids instead of universe-sized: per-group
+/// warm memory becomes `O(|frame|)`, the prerequisite for serving many
+/// groups over one large universe (the many-session regime of Liu &
+/// Andrews, PAPERS.md).
 ///
 /// * local id 0 is always the source (the frame's root);
 /// * ids are **append-only**: [`Subframe::ensure`] splices the
@@ -716,7 +718,7 @@ mod tests {
         let net = random_net(1, 32);
         let sub = SubstrateBuilder::new(&net).tree(TreeKind::Spt).build();
         let b = sub.memory_bytes();
-        // At least the six SoA arrays + the dense matrix must be counted.
+        // At least the five SoA arrays + the dense matrix must be counted.
         assert!(b >= 32 * 32 * 8, "dense matrix missing from {b}");
         // CSR arrays are exactly one allocation each: capacity == len.
         assert!(b < 32 * 32 * 8 + 32 * 200, "overcounted: {b}");
@@ -823,10 +825,46 @@ mod tests {
     }
 
     #[test]
+    fn lazy_substrate_stores_64_bytes_per_station() {
+        // 16 B of ids (offsets, children, positions, parents) and 8 B of
+        // edge cost per station, plus the lazy network's 40 B point (its
+        // header and two coordinates).
+        for (n, kind) in [
+            (1, TreeKind::Spt),
+            (37, TreeKind::Mst),
+            (300, TreeKind::Spt),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let pts: Vec<Point> = (0..n)
+                .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
+                .collect();
+            let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
+            let sub = SubstrateBuilder::from_owned(net).tree(kind).build();
+            assert_eq!(sub.memory_bytes(), 64 * n, "n = {n}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "span all stations")]
     fn partial_tree_rejected() {
         let net = random_net(0, 4);
-        let tree = RootedTree::from_parents(0, vec![None, Some(0), None, None]);
-        let _ = TreeSubstrate::build(net, tree);
+        let tree = wmcs_graph::RootedTree::from_parents(0, vec![None, Some(0), None, None]);
+        let _ = SubstrateBuilder::from_owned(net)
+            .explicit_tree(tree)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "a tree over 5 vertices for 4 stations")]
+    fn tree_over_more_vertices_than_stations_rejected() {
+        // Members 0, 1, 2 and 4 make four, but station 3 has no parent:
+        // accepted, it would be orphaned and its first join would walk
+        // off the root.
+        let net = random_net(0, 4);
+        let tree =
+            wmcs_graph::RootedTree::from_parents(0, vec![None, Some(0), Some(0), None, Some(0)]);
+        let _ = SubstrateBuilder::from_owned(net)
+            .explicit_tree(tree)
+            .build();
     }
 }

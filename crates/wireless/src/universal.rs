@@ -8,7 +8,9 @@
 //! one.
 //!
 //! This module provides:
-//! * builders for natural universal trees (shortest-path tree, MST);
+//! * [`UniversalTree`] — an `O(1)`-clone handle on a shared substrate
+//!   that [`crate::builder::SubstrateBuilder`] grows as a shortest-path
+//!   tree or an MST;
 //! * [`UniversalTreeCost`] — the coalition cost function `C_T`;
 //! * [`UniversalTree::multicast_cost`] — the reference `C_T(R)` the warm
 //!   engines' served cost is pinned to bit for bit; no serving path
@@ -22,7 +24,7 @@
 
 use crate::network::WirelessNetwork;
 use crate::power::PowerAssignment;
-use crate::substrate::TreeSubstrate;
+use crate::substrate::{TreeSubstrate, NO_STATION};
 use std::sync::Arc;
 use wmcs_game::CostFunction;
 use wmcs_graph::RootedTree;
@@ -60,11 +62,6 @@ impl UniversalTree {
         self.sub.network()
     }
 
-    /// The underlying spanning tree.
-    pub fn tree(&self) -> &RootedTree {
-        self.sub.tree()
-    }
-
     /// Children of station `x` in ascending edge-cost order — the order
     /// shared by the Shapley split, the efficient-set DP and the
     /// incremental engine. Entries are compact [`NodeId`]s
@@ -75,9 +72,27 @@ impl UniversalTree {
         self.sub.sorted_children(x)
     }
 
-    /// The multicast sub-tree `T(R)` for a station set.
+    /// The multicast sub-tree `T(R)` for a station set: the union of the
+    /// receivers' root paths, marked through the substrate's parent
+    /// array. The same tree as `steiner_subtree(receivers)` of the
+    /// universal tree as a [`RootedTree`], which the substrate does not
+    /// store. `O(n)` — a reference for the oracles, not the serving path.
     pub fn multicast_subtree(&self, receivers: &[usize]) -> RootedTree {
-        self.tree().steiner_subtree(receivers)
+        let sub = &self.sub;
+        let mut parent = vec![None; self.network().n_stations()];
+        for &r in receivers {
+            // Climb to the source or to a station an earlier path marked.
+            let mut v = r;
+            while parent[v].is_none() {
+                let p = sub.parent_of(v);
+                if p == NO_STATION {
+                    break;
+                }
+                parent[v] = Some(p);
+                v = p;
+            }
+        }
+        RootedTree::from_parents(self.network().source(), parent)
     }
 
     /// The induced power assignment `π_R` for a receiver station set.
@@ -187,7 +202,7 @@ impl UniversalTree {
         let s = self.network().source();
         let mut h = vec![0.0f64; self.network().n_stations()];
         let mut choice = vec![0usize; h.len()];
-        for &v in sub.bfs_order().iter().rev() {
+        for v in sub.bfs_order().into_iter().rev() {
             let v = v.index();
             let (mut acc, mut b) = (0.0f64, 0.0f64);
             for (j, &y) in sub.sorted_children(v).iter().enumerate() {
@@ -509,6 +524,44 @@ mod tests {
             }
             let total: f64 = shares.iter().sum();
             prop_assert!(approx_eq(total, ut.multicast_cost(&receivers)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        /// `multicast_subtree` marks root paths through `parent_of`; it
+        /// must equal the `steiner_subtree` of the universal tree rebuilt
+        /// as a `RootedTree` from the same parents, on every layout
+        /// family, both tree kinds and any source.
+        #[test]
+        fn multicast_subtree_equals_the_steiner_subtree_of_the_parents(
+            fam_idx in 0usize..5,
+            n in 2usize..=96,
+            seed in 0u64..10_000,
+            kind_idx in 0usize..2,
+        ) {
+            use wmcs_geom::{LayoutFamily, Scenario};
+            let family = LayoutFamily::ALL[fam_idx];
+            let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
+            let sc = Scenario::new(family, n, 2, 2.0);
+            let source = (seed as usize) % n;
+            let net = WirelessNetwork::euclidean(sc.points(seed), sc.power_model(), source);
+            let ut = SubstrateBuilder::from_owned(net).tree(kind).build_universal();
+            let parents: Vec<Option<usize>> = (0..n)
+                .map(|v| Some(ut.substrate().parent_of(v)).filter(|&p| p != NO_STATION))
+                .collect();
+            let tree = RootedTree::from_parents(source, parents);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e7);
+            for density in [0.0, 0.1, 0.5, 1.0] {
+                let receivers: Vec<usize> = (0..n)
+                    .filter(|&v| v != source && rng.gen_bool(density))
+                    .collect();
+                prop_assert_eq!(
+                    ut.multicast_subtree(&receivers),
+                    tree.steiner_subtree(&receivers),
+                    "{} n={} {:?} R={:?}", family.name(), n, kind, &receivers
+                );
+            }
         }
     }
 }
