@@ -7,8 +7,8 @@
 //! minimum-energy multicast literature evaluates at hundreds to
 //! thousands of nodes, and this table puts the reproduction there. Per
 //! `(scenario, seed)` cell it runs `M(Shapley)` through the incremental
-//! engine and the MC mechanism through the `O(depth)`-per-query
-//! net-worth oracle, and gates:
+//! engine and the MC mechanism through the net-worth oracle, which reads
+//! every receiver's `NW(u_{−i})` off one top-down pass, and gates:
 //!
 //! * exact budget balance of the charged Shapley shares at every n;
 //! * voluntary participation of both mechanisms' payments;
@@ -105,20 +105,22 @@ impl Experiment for T10 {
             u_st[net.station_of_player(p)] = v;
         }
         let mut oracle = NetWorth::from_utilities(&ut, &u_st);
-        let (mc_stations, nw, _) = oracle.efficient_set();
-        let mut mc_ok = true;
-        for &x in &mc_stations {
-            let nw_minus = oracle.net_worth_zeroing(x);
-            let pay = (u_st[x] - (nw - nw_minus)).max(0.0);
-            if pay > u_st[x] + VP_TOL * (1.0 + u_st[x].abs()) {
-                mc_ok = false; // VP violation: externality exceeded the report
-            }
-            if scenario.n <= 64 {
-                // The O(depth) query must agree with a full DP re-run.
+        let nw = oracle.net_worth();
+        let mc = oracle.vcg_outcome();
+        // VP: no charge exceeds its report.
+        let mut mc_ok = mc
+            .receivers
+            .iter()
+            .all(|&p| mc.shares[p] <= u[p] + VP_TOL * (1.0 + u[p].abs()));
+        if scenario.n <= 64 {
+            // Each receiver's NW(u_{-x}), read off its root map, must
+            // agree with a full DP re-run.
+            for &p in &mc.receivers {
+                let x = net.station_of_player(p);
                 let mut u_minus = u_st.clone();
                 u_minus[x] = 0.0;
                 let full = ut.net_worth(&u_minus);
-                if (full - nw_minus).abs() > VP_TOL * (1.0 + full.abs()) {
+                if (full - oracle.net_worth_zeroing(x)).abs() > VP_TOL * (1.0 + full.abs()) {
                     mc_ok = false;
                 }
             }

@@ -17,11 +17,13 @@
 //!   in-frame children, skips those with `rb == 0`, and turns the
 //!   paper's per-increment split (§2.1) into prefix sums
 //!   `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j`.
-//! * [`NetWorth`] keeps the bottom-up DP with per-station prefix/suffix
-//!   maxima, so each zeroing query costs `O(depth)` instead of a full
-//!   DP. Utility changes are batched: [`NetWorth::set_utility`] only
-//!   records the bid, and the next query repairs the union of the dirty
-//!   root paths once.
+//! * [`NetWorth`] keeps the bottom-up DP and, per station, the two
+//!   slacks by which a change of its `h` reaches its parent's. One
+//!   top-down pass composes them into every station's map to the root,
+//!   so each `NW(u_{−i})` is read off its own map in `O(1)` instead of a
+//!   full DP. Utility changes are batched: [`NetWorth::set_utility`]
+//!   only records the bid, and the next query repairs the union of the
+//!   dirty root paths once.
 //!
 //! | operation | cost | invariant |
 //! |---|---|---|
@@ -31,7 +33,7 @@
 //! | [`Shapley::served_cost`] | `O(\|frame\|)`, no sort | [`UniversalTree::multicast_cost`] of the current set, bit for bit |
 //! | [`NetWorth::set_utility`] | `O(path)` amortised (frame growth) | repair deferred to the next query |
 //! | first query after a batch | one `O(frame degree)` kernel per station on the union of dirty root paths | every read float equals a fresh oracle's |
-//! | [`NetWorth::vcg_outcome`] | `O(\|frame\|)` + a sort of `R*`'s out-of-frame stations + `O(depth)` per bidding receiver | a fresh oracle's outcome, bit for bit |
+//! | [`NetWorth::vcg_outcome`] | `O(\|frame\|)` + a sort of `R*`'s out-of-frame stations + `O(1)` per bidding receiver | a fresh oracle's outcome, bit for bit |
 //!
 //! The "equals a fresh engine" invariants are what make a warm session
 //! *byte-identical* to a cold rebuild — the property suites
@@ -406,22 +408,72 @@ pub fn reference_drop_run_from(
     }
 }
 
-/// The largest-efficient-set DP (§2.1) with `O(depth)` re-query after
-/// zeroing one station's utility — the MC/VCG mechanism, which needs
-/// `NW(u_{−i})` for every receiver `i`, over a frame holding the
-/// grow-only path closure of every station that ever carried a bid.
+/// How a fall in one station's `h` moves the root's net worth `NW`: a
+/// change `δ ≤ 0` there changes `NW` by `max(a, b + δ)`, with `a, b ≤ 0`
+/// (see [`NetWorth`]'s root maps).
+#[derive(Debug, Clone, Copy)]
+struct RootMap {
+    a: f64,
+    b: f64,
+}
+
+impl RootMap {
+    /// The source's map: a change there is the change of `NW`.
+    const SOURCE: Self = Self {
+        a: f64::NEG_INFINITY,
+        b: 0.0,
+    };
+    /// A station whose `h` is `+0.0` cannot fall, so nothing below it
+    /// moves `NW`.
+    const ABSORB: Self = Self {
+        a: 0.0,
+        b: f64::NEG_INFINITY,
+    };
+
+    /// The map of a child whose edge slacks are `(a, b)`: the edge's
+    /// `δ ↦ max(a, b + δ)` followed by this map.
+    fn child(self, (a, b): (f64, f64)) -> Self {
+        Self {
+            a: self.a.max(self.b + a),
+            b: self.b + b,
+        }
+    }
+
+    /// The change of `NW` when this station's `h` falls by `drop ≥ 0`.
+    fn change(self, drop: f64) -> f64 {
+        self.a.max(self.b - drop)
+    }
+}
+
+/// The largest-efficient-set DP (§2.1) plus every `NW(u_{−i})` from one
+/// top-down pass — the MC/VCG mechanism, which needs the net worth with
+/// each receiver's utility zeroed, over a frame holding the grow-only
+/// path closure of every station that ever carried a bid.
 ///
 /// Over a station's **global** cost-sorted child slice `y_0 … y_{k−1}`
 /// the DP's raw prefix values are `val_j = Σ_{i≤j} h(y_i) − c(x, y_j)`.
-/// Per local station it stores `h` (best net worth of the subtree game),
-/// the chosen prefix length `choice` (one past the last `j` whose value
-/// is `max(0, val_0 … val_{k−1})`), and — at each station's own edge —
-/// the prefix/suffix maxima of its parent's values: `pre = max(0, val_0
-/// … val_{pos−1})`, `suf = max(val_pos … val_{k−1})`. Zeroing a station
-/// shifts every `val_j` of its parent with `j ≥ pos` by the same
-/// `δ = h' − h`, so the parent's new best prefix is `max(pre, suf + δ)`
-/// — `O(1)` per ancestor. Comparisons are exact (total order, larger
-/// prefix only on true ties).
+/// Per local station it stores `h` (best net worth of the subtree game)
+/// and the chosen prefix length `choice` (one past the last `j` whose
+/// value is `M = max(0, val_0 … val_{k−1})`). At each station's own edge
+/// it stores the two **slacks** of its parent's prefix maxima against
+/// `M`: `a = max(0, val_0 … val_{pos−1}) − M` and `b = max(val_pos …
+/// val_{k−1}) − M`, both `≤ 0`. A change `δ ≤ 0` of the station's `h`
+/// shifts every `val_j` with `j ≥ pos` by `δ`, so it changes the
+/// parent's `h` by `max(a, b + δ)` (the parent's own utility cancels).
+/// Comparisons are exact (total order, larger prefix only on true ties).
+///
+/// **Root maps.** Those edge maps compose in closed form: a change `δ`
+/// at station `w` changes `NW` by `max(A_w, B_w + δ)`, where `A_w =
+/// max(A_p, B_p + a_w)` and `B_w = B_p + b_w` over `w`'s parent `p`, and
+/// `(A, B) = (−∞, +0.0)` at the source. A station whose `h` is `+0.0`
+/// absorbs every change below it, `(A, B) = (+0.0, −∞)`: `h` cannot fall
+/// below `+0.0`. The forward selection pass composes every station's
+/// map, and zeroing `v`'s utility `u` lowers `h[v]` by `u⁺ = max(u, 0)`,
+/// so `NW(u_{−v}) = NW + max(A_v, B_v − u⁺)` and `v`'s VCG charge is
+/// `max(0, u + max(A_v, B_v − u⁺))` — never the difference of two net
+/// worths. `A ≤ 0` and `B ≤ 0` in floats too, so every charge lies in
+/// `[0, max(u, 0)]` (under a `+∞` utility `B` may be NaN, which `max`
+/// drops; `DESIGN.md` §2f).
 ///
 /// **Frame-local kernel.** An out-of-frame station carries zero utility
 /// and has no in-frame descendant, so its `h` is exactly `+0.0`. An
@@ -447,9 +499,9 @@ pub fn reference_drop_run_from(
 /// at `+0.0`; `max` drops NaN), so the bit test agrees with `==`. Each
 /// kernel is a pure function of its children's `h`, its utility and the
 /// cached costs, so the flushed state equals a fresh oracle's fed the
-/// same utilities; a `pre`/`suf` pair goes stale only while its station's
-/// `h` is `+0.0`, and the zeroing walk never reads such a pair (see the
-/// argument in `DESIGN.md` §2f).
+/// same utilities; a slack pair goes stale only while its station's `h`
+/// is `+0.0`, and the forward pass reads a pair only where `h > 0` (see
+/// the argument in `DESIGN.md` §2f).
 #[derive(Debug, Clone)]
 pub struct NetWorth {
     ut: UniversalTree,
@@ -460,11 +512,10 @@ pub struct NetWorth {
     h: Vec<f64>,
     /// Chosen prefix length at `v` over its **global** child slice.
     choice: Vec<u32>,
-    /// `pre[v] = max(0, val_0 … val_{pos(v)−1})` at `v`'s own edge in its
-    /// parent's slice — written by the parent's kernel.
-    pre: Vec<f64>,
-    /// `suf[v] = max(val_{pos(v)} … val_{k−1})`, same convention.
-    suf: Vec<f64>,
+    /// `(a, b)` at `v`'s own edge in its parent's slice: a change `δ ≤ 0`
+    /// of `h[v]` changes the parent's `h` by `max(a, b + δ)` — written by
+    /// the parent's kernel.
+    slack: Vec<(f64, f64)>,
     /// Static: the cost of the global sibling right after `v` in its
     /// parent's slice (`+∞` when `v` is the last child).
     next_cost: Vec<f64>,
@@ -496,8 +547,7 @@ impl NetWorth {
             u: Vec::new(),
             h: Vec::new(),
             choice: Vec::new(),
-            pre: Vec::new(),
-            suf: Vec::new(),
+            slack: Vec::new(),
             next_cost: Vec::new(),
             zero_lead: Vec::new(),
             dirty: Vec::new(),
@@ -557,8 +607,7 @@ impl NetWorth {
         grow_to(&mut self.u, len, 0.0);
         grow_to(&mut self.h, len, 0.0);
         grow_to(&mut self.choice, len, 0);
-        grow_to(&mut self.pre, len, 0.0);
-        grow_to(&mut self.suf, len, f64::NEG_INFINITY);
+        grow_to(&mut self.slack, len, (0.0, f64::NEG_INFINITY));
         grow_to(&mut self.dirty, len, true);
         grow_to(&mut self.reached, len, false);
         reserve_bounded(&mut self.next_cost, len);
@@ -603,7 +652,7 @@ impl NetWorth {
     }
 
     /// The per-station kernel: fold local `v`'s **in-frame** children into
-    /// `h[v]` and `choice[v]`, and write their `pre`/`suf` entries.
+    /// `h[v]` and `choice[v]`, and write their slack pairs.
     /// `O(frame degree of v)`; `v`'s global child slice is read only when
     /// the chosen prefix runs on over out-of-frame siblings that tie the
     /// maximum.
@@ -614,11 +663,11 @@ impl NetWorth {
         fkids.clear();
         vals.clear();
         // Raw prefix values; the running maximum `b` (from +0.0, larger
-        // prefix on exact ties) before each child is its `pre`.
+        // prefix on exact ties) before each child is its prefix maximum.
         let (mut acc, mut b) = (0.0f64, 0.0f64);
         let (mut winner, mut winner_acc) = (NO_LOCAL, 0.0f64);
         for c in self.frame.children(v) {
-            self.pre[c as usize] = b;
+            self.slack[c as usize].0 = b;
             acc += self.h[c as usize];
             let val = acc - self.frame.parent_cost(c);
             if val >= b {
@@ -629,11 +678,13 @@ impl NetWorth {
             fkids.push(c);
             vals.push(val);
         }
-        // suf[c] = max(val_{pos(c)} … val_{k−1}), folded right to left.
+        // The suffix maximum max(val_{pos(c)} … val_{k−1}), folded right
+        // to left; both maxima become slacks against the final `b`.
         let mut cur = f64::NEG_INFINITY;
         for (&c, &val) in fkids.iter().zip(&vals).rev() {
             cur = val.max(cur);
-            self.suf[c as usize] = cur;
+            let slack = &mut self.slack[c as usize];
+            *slack = (slack.0 - b, cur - b);
         }
         let choice = if winner == NO_LOCAL {
             // No in-frame child reaches +0.0: the prefix is the leading
@@ -664,31 +715,47 @@ impl NetWorth {
         self.vals = vals;
     }
 
-    /// The chosen-prefix selection over the flushed DP: marks `reached`
-    /// for the in-frame stations of `{source} ∪ R*`, gathers the
-    /// out-of-frame ones into `outside` (ascending), and returns the
-    /// served cost `C_T(R*)` — bit for bit
-    /// `UniversalTree::multicast_cost(R*)`.
-    ///
-    /// A forward pass in local-id order (a parent's id is below its
-    /// children's) sets `reached[l] = reached[parent] && pos[l] <
-    /// choice[parent]`. A pass in ascending station id then adds each
-    /// reached station's power — the cost of the last child of its prefix
-    /// — to `+0.0`, and merges its in-frame children against the prefix
-    /// positions: a gap is an out-of-frame child. An out-of-frame
-    /// station's prefix is its leading run of zero-cost children (every
-    /// `val_j = −c_j`, and only `c_j = 0` survives the exact `val ≥ 0.0`
-    /// tie-break), so it and its reached subtree add exactly `+0.0`, and
-    /// the sum is the reference's ascending-id float sequence minus exact
-    /// `+0.0` terms. Only the out-of-frame stations are sorted.
-    fn selection(&mut self) -> f64 {
-        self.flush();
+    /// The forward pass over the flushed DP, in local-id order (a
+    /// parent's id is below its children's): sets `reached[l] =
+    /// reached[parent] && pos[l] < choice[parent]` for the in-frame
+    /// stations of `{source} ∪ R*`, and returns every local station's
+    /// [`RootMap`], composed from its parent's and its own slack pair. A
+    /// pair is read only where `h > 0`; a station at `h = +0.0` absorbs.
+    fn forward(&mut self) -> Vec<RootMap> {
+        let len = self.frame.len();
+        let mut maps = Vec::with_capacity(len);
+        maps.push(RootMap::SOURCE);
         self.reached[Subframe::ROOT as usize] = true;
-        for l in 1..local_id(self.frame.len()) {
-            let p = self.frame.parent_local(l) as usize;
-            self.reached[l as usize] =
-                self.reached[p] && self.frame.pos_in_parent(l) < self.choice[p];
+        for l in 1..local_id(len) {
+            let (li, p) = (l as usize, self.frame.parent_local(l) as usize);
+            self.reached[li] = self.reached[p] && self.frame.pos_in_parent(l) < self.choice[p];
+            maps.push(if self.h[li] == 0.0 {
+                RootMap::ABSORB
+            } else {
+                maps[p].child(self.slack[li])
+            });
         }
+        maps
+    }
+
+    /// The chosen-prefix selection over the flushed DP: the
+    /// [`NetWorth::forward`] pass, then gathers the out-of-frame stations
+    /// of `R*` into `outside` (ascending). Returns the served cost
+    /// `C_T(R*)` — bit for bit `UniversalTree::multicast_cost(R*)` — and
+    /// every local station's root map.
+    ///
+    /// A pass in ascending station id adds each reached station's power
+    /// — the cost of the last child of its prefix — to `+0.0`, and merges
+    /// its in-frame children against the prefix positions: a gap is an
+    /// out-of-frame child. An out-of-frame station's prefix is its
+    /// leading run of zero-cost children (every `val_j = −c_j`, and only
+    /// `c_j = 0` survives the exact `val ≥ 0.0` tie-break), so it and its
+    /// reached subtree add exactly `+0.0`, and the sum is the reference's
+    /// ascending-id float sequence minus exact `+0.0` terms. Only the
+    /// out-of-frame stations are sorted.
+    fn selection(&mut self) -> (f64, Vec<RootMap>) {
+        self.flush();
+        let maps = self.forward();
         self.frame.merge_by_station();
         let sub = self.ut.substrate();
         self.outside.clear();
@@ -733,7 +800,7 @@ impl NetWorth {
             i += 1;
         }
         self.outside.sort_unstable();
-        cost
+        (cost, maps)
     }
 
     /// The stations of `{source} ∪ R*` the last selection reached,
@@ -755,7 +822,7 @@ impl NetWorth {
     /// excluded), the maximal net worth `NW(u)`, and the served cost
     /// `C_T(R*)`.
     pub fn efficient_set(&mut self) -> (Vec<usize>, f64, f64) {
-        let served_cost = self.selection();
+        let (served_cost, _) = self.selection();
         let s = self.ut.network().source();
         let stations = self
             .reached_by_station()
@@ -772,19 +839,17 @@ impl NetWorth {
     /// of the MC mechanism — one-shot runs and warm sessions both call
     /// it.
     ///
-    /// A receiver out of frame, or whose stored utility is `+0.0` bits,
-    /// is charged `+0.0` without a zeroing walk: zeroing it changes no
-    /// `h`, and `(0.0 − (nw − nw)).max(0.0)` is `+0.0` even for an
-    /// infinite `nw`. (`−0.0` and NaN take the full path.) The outcome
-    /// stores a share entry only for each *bidding* receiver, one that
-    /// takes the full path; relays and other zero-bid receivers read
-    /// `+0.0`, so nothing is sized by `n`. One pass over the frame
-    /// counts the receivers and the bidders first, so both buffers are
-    /// allocated once, at their final size.
+    /// A bidding receiver `v` is charged `max(0, u + max(A_v, B_v − u⁺))`
+    /// off its own root map, in `O(1)`. A receiver out of frame, or whose
+    /// stored utility is `+0.0` bits, is charged `+0.0`: zeroing it
+    /// changes no `h`. (`−0.0` and NaN are bidders.) The outcome stores a
+    /// share entry only for each *bidding* receiver; relays and other
+    /// zero-bid receivers read `+0.0`, so nothing is sized by `n`. One
+    /// pass over the frame counts the receivers and the bidders first,
+    /// so both buffers are allocated once, at their final size.
     pub fn vcg_outcome(&mut self) -> MechanismOutcome {
-        let served_cost = self.selection();
+        let (served_cost, maps) = self.selection();
         let net = self.ut.network();
-        let nw = self.h[Subframe::ROOT as usize];
         // The source is reached but is no player; its utility is never
         // set, so it is no bidder.
         let (mut reached, mut bidders) = (0, 0);
@@ -804,7 +869,7 @@ impl NetWorth {
             receivers.push(p);
             if l != NO_LOCAL && self.u[l as usize].to_bits() != 0 {
                 let u = self.u[l as usize];
-                shares.set(p, (u - (nw - self.zeroing(l))).max(0.0));
+                shares.set(p, (u + maps[l as usize].change(u.max(0.0))).max(0.0));
             }
         }
         debug_assert_eq!(receivers.len(), n_receivers, "receivers counted exactly");
@@ -815,37 +880,6 @@ impl NetWorth {
         }
     }
 
-    /// `NW(u_{−v})` for local `v` on the flushed DP: re-derive `v`'s best
-    /// prefix value from its in-frame children (out-of-frame ones never
-    /// raise it), then walk up, re-deriving each ancestor's best prefix
-    /// from its child's `pre`/`suf`, until an ancestor's `h` is unchanged.
-    fn zeroing(&self, v: u32) -> f64 {
-        let (mut acc, mut hv) = (0.0f64, 0.0f64);
-        for c in self.frame.children(v) {
-            acc += self.h[c as usize];
-            hv = hv.max(acc - self.frame.parent_cost(c));
-        }
-        let mut w = v;
-        while w != Subframe::ROOT {
-            let wi = w as usize;
-            if hv == self.h[wi] {
-                // Nothing changed at w, so nothing changes above it.
-                return self.h[Subframe::ROOT as usize];
-            }
-            let p = self.frame.parent_local(w);
-            let delta = hv - self.h[wi];
-            let b = self.pre[wi].max(self.suf[wi] + delta);
-            let own_p = if p == Subframe::ROOT {
-                0.0
-            } else {
-                self.u[p as usize].max(0.0)
-            };
-            hv = own_p + b;
-            w = p;
-        }
-        hv
-    }
-
     /// Maximal net worth `NW(u)`.
     pub fn net_worth(&mut self) -> f64 {
         self.flush();
@@ -853,7 +887,9 @@ impl NetWorth {
     }
 
     /// `NW(u_{−x})`: the maximal net worth with station `x`'s utility
-    /// zeroed. Agrees with a full DP on the modified profile up to float
+    /// zeroed, `NW + max(A_x, B_x − u⁺)` off `x`'s root map — the map
+    /// [`NetWorth::vcg_outcome`] charges from, so this costs one forward
+    /// pass. Agrees with a full DP on the modified profile up to float
     /// reassociation (pinned by property tests). An out-of-frame station
     /// carries zero utility already, so zeroing it changes nothing.
     pub fn net_worth_zeroing(&mut self, station: usize) -> f64 {
@@ -862,9 +898,13 @@ impl NetWorth {
             "the source has no utility to zero"
         );
         self.flush();
+        let nw = self.h[Subframe::ROOT as usize];
         match self.frame.local_of(station) {
-            Some(v) => self.zeroing(v),
-            None => self.h[Subframe::ROOT as usize],
+            Some(v) => {
+                let u = self.u[v as usize];
+                nw + self.forward()[v as usize].change(u.max(0.0))
+            }
+            None => nw,
         }
     }
 
@@ -891,11 +931,10 @@ impl NetWorth {
         self.frame.memory_bytes()
             + (self.u.capacity()
                 + self.h.capacity()
-                + self.pre.capacity()
-                + self.suf.capacity()
                 + self.next_cost.capacity()
                 + self.vals.capacity())
                 * size_of::<f64>()
+            + self.slack.capacity() * size_of::<(f64, f64)>()
             + (self.choice.capacity() + self.zero_lead.capacity() + self.fkids.capacity())
                 * size_of::<u32>()
             + self.outside.capacity() * size_of::<NodeId>()

@@ -15,8 +15,9 @@
 //!   function of Lemma 2.1, the paper's efficient Shapley split, and the
 //!   largest-efficient-set tree DP for the MC mechanism;
 //! * [`incremental`] — the warm engines of both §2.1 mechanisms: the
-//!   incremental Moulin–Shenker engine and the `O(depth)`-per-query VCG
-//!   net-worth oracle, each over a frame of local ids
+//!   incremental Moulin–Shenker engine and the VCG net-worth oracle,
+//!   which reads every charge off one top-down pass, each over a frame
+//!   of local ids
 //!   ([`substrate::Subframe`]) so per-group memory is
 //!   `O(|closure(R_g)|)`, not `O(n)`;
 //! * [`substrate`] — the shared universal-tree substrate: network +

@@ -170,7 +170,7 @@ mod tests {
         // After every batch: the session holds the modelled utilities, and
         // its outcome is the universe-indexed reference's on them. Its
         // shares are also the plain DP's externalities, up to the
-        // reassociation of the O(depth) zeroing walk.
+        // float reassociation of the root maps.
         for seed in 0..10 {
             let ut = random_tree(seed, 14);
             let net = ut.network();

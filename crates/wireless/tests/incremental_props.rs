@@ -4,16 +4,29 @@
 //! reference, the Shapley engine's round pass *is* that reference split
 //! bit for bit on any receiver set, the MC oracle's batched repair leaves
 //! it equal to a cold oracle bit for bit — on lattice layouts whose
-//! ties reach past the frame too — and budget balance survives at
-//! n = 1024.
+//! ties reach past the frame too — its VCG charges are the from-scratch
+//! `run_vcg`'s (bit for bit where every float operation is exact, within
+//! a few ulps of `1 + NW + C_T(R*)` elsewhere), and budget balance
+//! survives at n = 1024.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use wmcs_game::{run_vcg, MechanismOutcome};
 use wmcs_geom::{LayoutFamily, Point, PowerModel, Scenario};
+use wmcs_graph::RootedTree;
 use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run};
 use wmcs_wireless::{
     NetWorth, Shapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
 };
+
+/// How far an MC charge read off a root map may sit from the
+/// from-scratch VCG charge, in units of `1 + NW + C_T(R*)`: a few ulps.
+/// The charge is one slack (a single rounded difference) added to the
+/// bid, but the reference subtracts two net worths, each a sum of terms
+/// as large as the receivers' utilities, `NW + C_T(R*)` in all. Where
+/// `NW ≪ C_T(R*)` its rounding is many ulps of `NW` (up to 13 over 3,000
+/// seeded instances of the five families) and at most 2 ulps of that sum.
+const CHARGE_ULP_TOL: f64 = 4.0 * f64::EPSILON;
 
 /// Universal tree of a scenario draw; alternates between both tree
 /// constructions so the engine is pinned on SPT and MST shapes alike.
@@ -48,6 +61,47 @@ fn utilities(ut: &UniversalTree, seed: u64, scale: f64) -> Vec<f64> {
     let hi = (scale * total / n as f64).max(1e-6);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x17c0_de05);
     (0..n).map(|_| rng.gen_range(0.0..hi)).collect()
+}
+
+/// Station-indexed utilities of a player-indexed profile (the source
+/// carries 0).
+fn station_utilities(ut: &UniversalTree, reported: &[f64]) -> Vec<f64> {
+    let net = ut.network();
+    let mut u = vec![0.0; net.n_stations()];
+    for (p, &v) in reported.iter().enumerate() {
+        u[net.station_of_player(p)] = v;
+    }
+    u
+}
+
+/// The from-scratch VCG reference on a player-indexed profile:
+/// `run_vcg` over the plain DP behind `largest_efficient_set` (one full
+/// DP per receiver) and `multicast_cost`. Also returns `NW(u)`.
+fn from_scratch_vcg(ut: &UniversalTree, reported: &[f64]) -> (MechanismOutcome, f64) {
+    let net = ut.network();
+    let out = run_vcg(
+        net.n_players(),
+        reported,
+        |u| {
+            let (set, nw) = ut.largest_efficient_set(&station_utilities(ut, u));
+            let players = set
+                .iter()
+                .filter_map(|&x| net.player_of_station(x))
+                .collect();
+            (players, nw)
+        },
+        |players| {
+            let stations: Vec<usize> = players.iter().map(|&p| net.station_of_player(p)).collect();
+            ut.multicast_cost(&stations)
+        },
+    );
+    (out.outcome, out.net_worth)
+}
+
+/// An outcome's receivers, dense share bits and served-cost bits.
+fn outcome_bits(o: &MechanismOutcome) -> (Vec<usize>, Vec<u64>, u64) {
+    let shares = o.shares.iter().map(|x| x.to_bits()).collect();
+    (o.receivers.clone(), shares, o.served_cost.to_bits())
 }
 
 proptest! {
@@ -321,8 +375,85 @@ proptest! {
         }
     }
 
-    /// The MC oracle's O(depth) zeroing query agrees with a full DP on
-    /// the modified profile, on every layout family.
+    /// The exactness story where every float operation is exact:
+    /// stations at integer points of a line (free-space costs are integer
+    /// squares, duplicate points cost 0), a random explicit tree and
+    /// integer bids, so every prefix value, slack, root map and net worth
+    /// is an exact integer. The warm oracle (fed over epochs, its frame
+    /// partial) and a cold one then both charge the from-scratch
+    /// `run_vcg` outcome, bit for bit.
+    #[test]
+    fn mc_outcome_is_the_exact_vcg_on_integer_instances(
+        n in 2usize..=48,
+        span in 1u32..=24,
+        max_bid in 1u32..=400,
+        seed in 0u64..10_000,
+        epochs in 1usize..5,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1a7e_6e25);
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::xy(f64::from(rng.gen_range(0..=span)), 0.0))
+            .collect();
+        // A random recursive tree: each station hangs off an earlier one.
+        let parents: Vec<Option<usize>> =
+            (0..n).map(|i| (i > 0).then(|| rng.gen_range(0..i))).collect();
+        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
+        let ut = SubstrateBuilder::from_owned(net)
+            .explicit_tree(RootedTree::from_parents(0, parents))
+            .build_universal();
+        let net = ut.network();
+        let mut reported = vec![0.0; net.n_players()];
+        let mut warm = NetWorth::new(&ut);
+        for epoch in 0..epochs {
+            for (p, bid) in reported.iter_mut().enumerate() {
+                if rng.gen_bool(0.4) {
+                    *bid = if rng.gen_bool(0.2) { 0.0 } else { f64::from(rng.gen_range(1..=max_bid)) };
+                    warm.set_utility(net.station_of_player(p), *bid);
+                }
+            }
+            let (reference, _) = from_scratch_vcg(&ut, &reported);
+            let want = outcome_bits(&reference);
+            let mut cold = NetWorth::from_utilities(&ut, &station_utilities(&ut, &reported));
+            let label = format!("n={n} span={span} seed={seed} epoch {epoch}");
+            prop_assert_eq!(outcome_bits(&warm.vcg_outcome()), want.clone(), "warm {}", &label);
+            prop_assert_eq!(outcome_bits(&cold.vcg_outcome()), want, "cold {}", &label);
+        }
+    }
+
+    /// On general instances — every layout family, SPT and MST trees —
+    /// the MC outcome serves the from-scratch `run_vcg`'s receivers at
+    /// its served cost bit for bit, and each charge is its charge within
+    /// [`CHARGE_ULP_TOL`]` · (1 + NW + C_T(R*))`. (Each `NW(u_{−x})` is
+    /// pinned to a full DP by `net_worth_zeroing_matches_full_dp`.)
+    #[test]
+    fn mc_charges_are_the_from_scratch_vcg_within_ulps_of_nw(
+        fam_idx in 0usize..5,
+        kind_idx in 0usize..2,
+        n in 3usize..=64,
+        alpha_idx in 0usize..2,
+        seed in 0u64..10_000,
+        scale in 0.2f64..4.0,
+    ) {
+        let family = LayoutFamily::ALL[fam_idx];
+        let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
+        let ut = scenario_tree_of(family, n, [2.0, 4.0][alpha_idx], seed, kind);
+        let net = ut.network();
+        let reported = utilities(&ut, seed, scale);
+        let (reference, nw) = from_scratch_vcg(&ut, &reported);
+        let out = NetWorth::from_utilities(&ut, &station_utilities(&ut, &reported)).vcg_outcome();
+        let label = format!("{} {kind:?} n={n} seed={seed}", family.name());
+        prop_assert_eq!(&out.receivers, &reference.receivers, "{}", &label);
+        prop_assert_eq!(out.served_cost.to_bits(), reference.served_cost.to_bits(), "{}", &label);
+        let unit = 1.0 + nw.abs() + out.served_cost;
+        for p in 0..net.n_players() {
+            let (got, want) = (out.shares[p], reference.shares[p]);
+            prop_assert!((got - want).abs() <= CHARGE_ULP_TOL * unit,
+                "{} player {}: {} vs {} (NW {}, cost {})", &label, p, got, want, nw, out.served_cost);
+        }
+    }
+
+    /// The MC oracle's zeroing query agrees with a full DP on the
+    /// modified profile, on every layout family.
     #[test]
     fn net_worth_zeroing_matches_full_dp(
         fam_idx in 0usize..5,
