@@ -199,15 +199,6 @@ pub fn random_euclidean(seed: u64, n: usize, alpha: f64, side: f64) -> WirelessN
     WirelessNetwork::euclidean(pts, PowerModel::with_alpha(alpha), 0)
 }
 
-/// Random d-dimensional Euclidean network, source 0.
-pub fn random_euclidean_d(seed: u64, n: usize, d: usize, alpha: f64, side: f64) -> WirelessNetwork {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pts: Vec<Point> = (0..n)
-        .map(|_| Point::new((0..d).map(|_| rng.gen_range(0.0..side)).collect()))
-        .collect();
-    WirelessNetwork::euclidean(pts, PowerModel::with_alpha(alpha), 0)
-}
-
 /// Random sorted line network with a middle source.
 pub fn random_line(seed: u64, n: usize, alpha: f64, length: f64) -> WirelessNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);

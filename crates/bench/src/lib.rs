@@ -48,8 +48,7 @@ pub mod registry;
 
 pub use engine::{run_sweep, SweepConfig, SweepRun};
 pub use harness::{
-    random_euclidean, random_euclidean_d, random_line, random_nwst, random_utilities, OutputMode,
-    Table,
+    random_euclidean, random_line, random_nwst, random_utilities, OutputMode, Table,
 };
 pub use latency::LatencySummary;
 pub use registry::{Experiment, REGISTRY};

@@ -23,12 +23,6 @@ impl NwstCostSharingMechanism {
         }
     }
 
-    /// Use a non-default oracle configuration (e.g. Klein–Ravi spiders).
-    pub fn with_config(mut self, config: NwstConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Extension (this reproduction's mitigation of DESIGN.md §3a finding
     /// 2): replace the Eq. (5) scalar aggregation with tight per-member
     /// residual checks and one-at-a-time eviction — serves weakly more

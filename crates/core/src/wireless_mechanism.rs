@@ -29,7 +29,6 @@ use wmcs_wireless::{PowerAssignment, WirelessNetwork};
 pub struct WirelessMulticastMechanism {
     net: WirelessNetwork,
     reduction: ReducedInstance,
-    config: NwstConfig,
 }
 
 /// Mechanism outcome plus the built power assignment.
@@ -44,18 +43,10 @@ pub struct WirelessOutcome {
 impl WirelessMulticastMechanism {
     /// Build the mechanism (precomputing the NWST reduction graph).
     pub fn new(net: &WirelessNetwork) -> Self {
-        let reduction = ReducedInstance::build(net);
         Self {
             net: net.clone(),
-            reduction,
-            config: NwstConfig::default(),
+            reduction: ReducedInstance::build(net),
         }
-    }
-
-    /// Use a non-default spider-oracle configuration.
-    pub fn with_config(mut self, config: NwstConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The underlying network.
@@ -87,7 +78,7 @@ impl WirelessMulticastMechanism {
                 &terminals,
                 &budgets,
                 Some(0),
-                &self.config,
+                &NwstConfig::default(),
             );
             let served: Vec<usize> = nwst_out
                 .receivers

@@ -58,43 +58,6 @@ impl<C: CostFunction> CostSharingMethod for ShapleyMethod<C> {
     }
 }
 
-/// A method given by explicit closures over coalition masks, for shares
-/// that come from an algorithm rather than a game-theoretic formula.
-/// Like every mask method it covers at most 64 players; the mechanisms
-/// whose shares are algorithmic (the Jain–Vazirani Steiner shares of
-/// Theorem 3.6, say) price index sets through
-/// [`crate::driver::Recompute`] instead.
-pub struct FnMethod<F: Fn(u64) -> Vec<f64>, G: Fn(u64) -> f64> {
-    n: usize,
-    shares_fn: F,
-    cost_fn: G,
-}
-
-impl<F: Fn(u64) -> Vec<f64>, G: Fn(u64) -> f64> FnMethod<F, G> {
-    /// Build from closures computing shares and served cost per coalition.
-    pub fn new(n: usize, shares_fn: F, cost_fn: G) -> Self {
-        Self {
-            n,
-            shares_fn,
-            cost_fn,
-        }
-    }
-}
-
-impl<F: Fn(u64) -> Vec<f64>, G: Fn(u64) -> f64> CostSharingMethod for FnMethod<F, G> {
-    fn n_players(&self) -> usize {
-        self.n
-    }
-
-    fn shares(&self, mask: u64) -> Vec<f64> {
-        (self.shares_fn)(mask)
-    }
-
-    fn served_cost(&self, mask: u64) -> f64 {
-        (self.cost_fn)(mask)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,27 +81,6 @@ mod tests {
         let s = m.shares(mask_of(&[0, 2]));
         assert_eq!(s[1], 0.0);
         assert!(s[0] > 0.0 && s[2] > 0.0);
-    }
-
-    #[test]
-    fn fn_method_delegates() {
-        let m = FnMethod::new(
-            2,
-            |mask| {
-                let mut v = vec![0.0; 2];
-                if mask & 1 != 0 {
-                    v[0] = 3.0;
-                }
-                if mask & 2 != 0 {
-                    v[1] = 4.0;
-                }
-                v
-            },
-            |mask| mask.count_ones() as f64 * 3.5,
-        );
-        assert_eq!(m.shares(0b11), vec![3.0, 4.0]);
-        assert_eq!(m.served_cost(0b11), 7.0);
-        assert_eq!(m.n_players(), 2);
     }
 
     #[test]

@@ -48,18 +48,6 @@ pub fn subsets_of(mask: u64) -> Vec<u64> {
     out
 }
 
-/// Iterate proper non-empty subsets of `mask` without allocating.
-pub fn for_each_proper_subset(mask: u64, mut f: impl FnMut(u64)) {
-    if mask == 0 {
-        return;
-    }
-    let mut sub = (mask - 1) & mask;
-    while sub > 0 {
-        f(sub);
-        sub = (sub - 1) & mask;
-    }
-}
-
 /// Precomputed factorials as `f64` (enough for coalition weights up to 25!).
 pub fn factorials(n: usize) -> Vec<f64> {
     let mut f = vec![1.0f64; n + 1];
@@ -100,14 +88,6 @@ mod tests {
     #[test]
     fn subsets_of_empty_is_just_empty() {
         assert_eq!(subsets_of(0), vec![0]);
-    }
-
-    #[test]
-    fn proper_subsets_exclude_bounds() {
-        let mut seen = Vec::new();
-        for_each_proper_subset(0b110, |s| seen.push(s));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0b010, 0b100]);
     }
 
     #[test]

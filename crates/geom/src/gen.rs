@@ -142,20 +142,6 @@ fn circle(rng: &mut SmallRng, n: usize, radius: f64) -> Vec<Point> {
         .collect()
 }
 
-/// Convenience: `n` uniform points in `[0, side]^dim` with station 0 moved to
-/// the box centre (a natural multicast source position).
-pub fn uniform_with_central_source(n: usize, dim: usize, side: f64, seed: u64) -> Vec<Point> {
-    let cfg = InstanceConfig {
-        n,
-        dim,
-        kind: InstanceKind::UniformBox { side },
-        seed,
-    };
-    let mut pts = cfg.generate();
-    pts[0] = Point::new(vec![side / 2.0; dim]);
-    pts
-}
-
 /// Convenience: sorted station positions on a segment with the source in the
 /// middle position of the sorted order — the d = 1 setting of Lemma 3.1.
 pub fn line_instance(n: usize, length: f64, seed: u64) -> (Vec<Point>, usize) {
@@ -229,12 +215,6 @@ mod tests {
         for p in cfg.generate() {
             assert!((p.dist(&o) - 4.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn central_source_sits_in_middle() {
-        let pts = uniform_with_central_source(9, 2, 10.0, 11);
-        assert_eq!(pts[0], Point::xy(5.0, 5.0));
     }
 
     #[test]

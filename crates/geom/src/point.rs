@@ -110,17 +110,6 @@ impl Point {
                 .collect(),
         )
     }
-
-    /// Translate by a vector given as a point.
-    pub fn translate(&self, delta: &Point) -> Point {
-        Point::new(
-            self.coords
-                .iter()
-                .zip(&delta.coords)
-                .map(|(a, b)| a + b)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +149,6 @@ mod tests {
         assert_eq!(a.midpoint(&b), a.lerp(&b, 0.5));
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
-    }
-
-    #[test]
-    fn translate_moves_coordinates() {
-        let a = Point::xy(1.0, 1.0);
-        let d = Point::xy(-1.0, 2.0);
-        assert_eq!(a.translate(&d), Point::xy(0.0, 3.0));
     }
 
     #[test]

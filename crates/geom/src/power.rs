@@ -81,20 +81,6 @@ impl PowerModel {
         debug_assert!(p >= 0.0);
         (p / self.kappa).powf(1.0 / self.alpha)
     }
-
-    /// Full symmetric cost matrix for a set of stations.
-    pub fn cost_matrix(&self, points: &[Point]) -> Vec<Vec<f64>> {
-        let n = points.len();
-        let mut m = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let c = self.cost(&points[i], &points[j]);
-                m[i][j] = c;
-                m[j][i] = c;
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -131,26 +117,6 @@ mod tests {
     fn fractional_alpha_uses_powf() {
         let m = PowerModel::new(2.5, 1.0);
         assert!(approx_eq(m.cost_of_distance(4.0), 32.0));
-    }
-
-    #[test]
-    fn cost_matrix_is_symmetric_with_zero_diagonal() {
-        let m = PowerModel::free_space();
-        let pts = vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(1.0, 0.0),
-            Point::xy(0.0, 2.0),
-        ];
-        let c = m.cost_matrix(&pts);
-        for i in 0..3 {
-            assert_eq!(c[i][i], 0.0);
-            for j in 0..3 {
-                assert!(approx_eq(c[i][j], c[j][i]));
-            }
-        }
-        assert!(approx_eq(c[0][1], 1.0));
-        assert!(approx_eq(c[0][2], 4.0));
-        assert!(approx_eq(c[1][2], 5.0));
     }
 
     #[test]

@@ -46,16 +46,6 @@ impl UnionFind {
         root
     }
 
-    /// Representative without mutation (no compression); useful when only a
-    /// shared reference is available.
-    pub fn find_immutable(&self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
-        }
-        root
-    }
-
     /// Merge the sets containing `a` and `b`. Returns `true` if they were
     /// previously distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
@@ -133,18 +123,6 @@ mod tests {
         uf.union(4, 5);
         let gs = uf.groups();
         assert_eq!(gs, vec![vec![0, 3], vec![1], vec![2], vec![4, 5]]);
-    }
-
-    #[test]
-    fn find_immutable_matches_find() {
-        let mut uf = UnionFind::new(8);
-        uf.union(1, 2);
-        uf.union(2, 3);
-        uf.union(5, 6);
-        for i in 0..8 {
-            let imm = uf.find_immutable(i);
-            assert_eq!(imm, uf.find(i));
-        }
     }
 
     #[test]

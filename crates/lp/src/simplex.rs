@@ -53,16 +53,6 @@ impl LinearProgram {
         }
     }
 
-    /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Add `coeffs · x ≤ rhs`.
     pub fn le(&mut self, coeffs: &[f64], rhs: f64) {
         self.push(coeffs, Relation::Le, rhs);

@@ -79,19 +79,12 @@ pub fn mip_multicast(net: &WirelessNetwork, receivers: &[usize]) -> PowerAssignm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::random_net_alpha;
     use crate::memt::memt_exact;
     use crate::mst_heuristic::mst_broadcast;
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{approx_eq, Point, PowerModel};
-
-    fn random_net(seed: u64, n: usize, alpha: f64) -> WirelessNetwork {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        WirelessNetwork::euclidean(pts, PowerModel::with_alpha(alpha), 0)
-    }
 
     #[test]
     fn bip_exploits_the_wireless_advantage() {
@@ -129,7 +122,7 @@ mod tests {
 
     #[test]
     fn mip_prunes_to_receivers() {
-        let net = random_net(3, 8, 2.0);
+        let net = random_net_alpha(3, 8, 2.0);
         let receivers = vec![2, 5];
         let pa = mip_multicast(&net, &receivers);
         assert!(pa.multicasts_to(&net, &receivers));
@@ -143,7 +136,7 @@ mod tests {
         fn bip_is_feasible_and_never_beats_exact(seed in 0u64..400) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let n = rng.gen_range(3usize..8);
-            let net = random_net(seed, n, 2.0);
+            let net = random_net_alpha(seed, n, 2.0);
             let all: Vec<usize> = (1..n).collect();
             let (pa, tree) = bip_broadcast(&net);
             prop_assert!(pa.multicasts_to(&net, &all));
@@ -156,7 +149,7 @@ mod tests {
         fn mip_is_feasible_on_random_receiver_sets(seed in 0u64..200) {
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xb1b);
             let n = rng.gen_range(4usize..9);
-            let net = random_net(seed, n, 2.0);
+            let net = random_net_alpha(seed, n, 2.0);
             let receivers: Vec<usize> = (1..n).filter(|_| rng.gen_bool(0.5)).collect();
             let pa = mip_multicast(&net, &receivers);
             prop_assert!(pa.multicasts_to(&net, &receivers));

@@ -193,16 +193,9 @@ fn canonical_parents(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::random_net;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{Point, PowerModel};
-
-    fn random_net(seed: u64, n: usize) -> WirelessNetwork {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0)
-    }
 
     #[test]
     fn backends_agree_byte_for_byte() {

@@ -945,43 +945,12 @@ impl NetWorth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
+    use crate::builder::SubstrateBuilder;
+    use crate::fixtures::{chain_tree, random_tree};
     use crate::network::WirelessNetwork;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{Point, PowerModel};
     use wmcs_graph::RootedTree;
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        if seed.is_multiple_of(2) {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Spt)
-                .build_universal()
-        } else {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Mst)
-                .build_universal()
-        }
-    }
-
-    /// Chain 0 → 1 → 2 plus branch 1 → 3 (the universal.rs fixture).
-    fn chain_tree() -> UniversalTree {
-        let pts = vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(1.0, 0.0),
-            Point::xy(2.0, 0.0),
-            Point::xy(1.0, 2.0),
-        ];
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        let tree = RootedTree::from_parents(0, vec![None, Some(0), Some(1), Some(1)]);
-        SubstrateBuilder::from_owned(net)
-            .explicit_tree(tree)
-            .build_universal()
-    }
 
     /// The engine plus the local id of every station it has framed
     /// (stable: the frame is append-only).

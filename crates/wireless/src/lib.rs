@@ -89,6 +89,69 @@ pub use stream::{
 pub use substrate::{NodeId, Subframe, TreeSubstrate, NO_STATION};
 pub use universal::{UniversalTree, UniversalTreeCost};
 
+/// Seeded networks and trees shared by the unit tests of every module.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use crate::{SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use wmcs_geom::{Point, PowerModel};
+    use wmcs_graph::RootedTree;
+
+    /// `n` stations uniform in `[0, 10)²` under `model`, source 0.
+    fn random_stations(seed: u64, n: usize, model: PowerModel) -> WirelessNetwork {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
+            .collect();
+        WirelessNetwork::euclidean(pts, model, 0)
+    }
+
+    /// A seeded free-space (`α = 2`) network.
+    pub(crate) fn random_net(seed: u64, n: usize) -> WirelessNetwork {
+        random_stations(seed, n, PowerModel::free_space())
+    }
+
+    /// [`random_net`]'s stations under path-loss exponent `alpha`.
+    pub(crate) fn random_net_alpha(seed: u64, n: usize, alpha: f64) -> WirelessNetwork {
+        random_stations(seed, n, PowerModel::with_alpha(alpha))
+    }
+
+    /// The SPT universal tree over [`random_net`].
+    pub(crate) fn random_spt(seed: u64, n: usize) -> UniversalTree {
+        SubstrateBuilder::new(&random_net(seed, n))
+            .tree(TreeKind::Spt)
+            .build_universal()
+    }
+
+    /// The universal tree over [`random_net`]: SPT on even seeds, MST on
+    /// odd ones.
+    pub(crate) fn random_tree(seed: u64, n: usize) -> UniversalTree {
+        let kind = if seed.is_multiple_of(2) {
+            TreeKind::Spt
+        } else {
+            TreeKind::Mst
+        };
+        SubstrateBuilder::new(&random_net(seed, n))
+            .tree(kind)
+            .build_universal()
+    }
+
+    /// Chain 0 → 1 → 2 with unit spacing, α = 2, plus a branch 1 → 3.
+    pub(crate) fn chain_tree() -> UniversalTree {
+        let pts = vec![
+            Point::xy(0.0, 0.0),
+            Point::xy(1.0, 0.0),
+            Point::xy(2.0, 0.0),
+            Point::xy(1.0, 2.0),
+        ];
+        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
+        let tree = RootedTree::from_parents(0, vec![None, Some(0), Some(1), Some(1)]);
+        SubstrateBuilder::from_owned(net)
+            .explicit_tree(tree)
+            .build_universal()
+    }
+}
+
 #[cfg(test)]
 mod integration_tests {
     use super::*;

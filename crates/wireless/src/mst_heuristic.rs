@@ -48,22 +48,14 @@ pub fn steiner_multicast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::random_net_alpha;
     use crate::memt::memt_exact;
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{Point, PowerModel};
-
-    fn random_net(seed: u64, n: usize, alpha: f64) -> WirelessNetwork {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        WirelessNetwork::euclidean(pts, PowerModel::with_alpha(alpha), 0)
-    }
 
     #[test]
     fn mst_broadcast_reaches_everyone() {
-        let net = random_net(1, 8, 2.0);
+        let net = random_net_alpha(1, 8, 2.0);
         let pa = mst_broadcast(&net);
         let all: Vec<usize> = (1..8).collect();
         assert!(pa.multicasts_to(&net, &all));
@@ -71,7 +63,7 @@ mod tests {
 
     #[test]
     fn mst_multicast_reaches_receivers_cheaper_than_broadcast() {
-        let net = random_net(2, 8, 2.0);
+        let net = random_net_alpha(2, 8, 2.0);
         let receivers = vec![3, 5];
         let multicast = mst_multicast(&net, &receivers);
         let broadcast = mst_broadcast(&net);
@@ -84,7 +76,7 @@ mod tests {
         // Lemma 3.5's companion fact: orienting a Steiner tree yields an
         // assignment of at most the tree cost.
         for seed in 0..10 {
-            let net = random_net(seed, 9, 2.0);
+            let net = random_net_alpha(seed, 9, 2.0);
             let receivers = vec![2, 4, 7];
             let (tree, pa) = steiner_multicast(&net, &receivers);
             assert!(pa.multicasts_to(&net, &receivers), "seed {seed}");
@@ -104,7 +96,7 @@ mod tests {
             // d = 2, α = 2 ⇒ ratio ≤ 3² − 1 = 8 (and ≤ 6 by Ambühl).
             let mut rng = SmallRng::seed_from_u64(seed);
             let n = rng.gen_range(4usize..8);
-            let net = random_net(seed, n, 2.0);
+            let net = random_net_alpha(seed, n, 2.0);
             let all: Vec<usize> = (1..n).collect();
             let pa = mst_broadcast(&net);
             let (opt, _) = memt_exact(&net, &all);
@@ -116,7 +108,7 @@ mod tests {
         fn steiner_multicast_feasible_on_random_instances(seed in 0u64..300) {
             let mut rng = SmallRng::seed_from_u64(seed ^ 77);
             let n = rng.gen_range(4usize..10);
-            let net = random_net(seed, n, 2.0);
+            let net = random_net_alpha(seed, n, 2.0);
             let receivers: Vec<usize> = (1..n).filter(|_| rng.gen_bool(0.5)).collect();
             if receivers.is_empty() {
                 return Ok(());

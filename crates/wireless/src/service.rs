@@ -382,21 +382,8 @@ impl MulticastService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
-    use crate::network::WirelessNetwork;
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{MultiGroupProcess, Point, PowerModel};
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        SubstrateBuilder::new(&net)
-            .tree(TreeKind::Spt)
-            .build_universal()
-    }
+    use crate::fixtures::random_spt;
+    use wmcs_geom::MultiGroupProcess;
 
     fn service_with_groups(ut: &UniversalTree, g: usize, threads: usize) -> MulticastService {
         let mut svc = MulticastService::new(ut).with_threads(threads);
@@ -408,7 +395,7 @@ mod tests {
 
     #[test]
     fn sharded_steps_are_byte_identical_to_single_thread() {
-        let ut = random_tree(11, 24);
+        let ut = random_spt(11, 24);
         let trace = MultiGroupProcess::new(ut.network().n_players(), 8, 5, 12.0, 3).generate();
         let mut sharded = service_with_groups(&ut, 8, 4);
         let mut serial = service_with_groups(&ut, 8, 1);
@@ -428,7 +415,7 @@ mod tests {
 
     #[test]
     fn partial_steps_touch_only_the_addressed_groups() {
-        let ut = random_tree(5, 12);
+        let ut = random_spt(5, 12);
         let mut svc = service_with_groups(&ut, 3, 2);
         let join = |player, utility| ChurnEvent::Join { player, utility };
         // Step only group 1.
@@ -451,14 +438,14 @@ mod tests {
         // equals an independent single-group session over its own
         // freshly-built substrate, byte for byte.
         for seed in 0..4 {
-            let ut = random_tree(seed, 16);
+            let ut = random_spt(seed, 16);
             let g = 5;
             let trace =
                 MultiGroupProcess::new(ut.network().n_players(), g, 4, 10.0, seed).generate();
             let mut svc = service_with_groups(&ut, g, 0);
             // Independent references, each over its own substrate.
             let mut refs: Vec<GroupSession> = (0..g)
-                .map(|i| GroupSession::new(GroupMechanism::alternating(i), &random_tree(seed, 16)))
+                .map(|i| GroupSession::new(GroupMechanism::alternating(i), &random_spt(seed, 16)))
                 .collect();
             for b in 0..trace.n_batches() {
                 let batches: Vec<Vec<_>> = trace
@@ -478,7 +465,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn duplicate_group_ids_are_rejected() {
-        let ut = random_tree(1, 8);
+        let ut = random_spt(1, 8);
         let mut svc = service_with_groups(&ut, 2, 1);
         let empty: [ChurnEvent; 0] = [];
         let _ = svc.step(&[(0, &empty), (0, &empty)]);
@@ -487,7 +474,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown group id")]
     fn out_of_range_group_ids_are_rejected() {
-        let ut = random_tree(1, 8);
+        let ut = random_spt(1, 8);
         let mut svc = service_with_groups(&ut, 2, 1);
         let empty: [ChurnEvent; 0] = [];
         let _ = svc.step(&[(7, &empty)]);

@@ -68,31 +68,12 @@ pub type SparseMcSession = McSession;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
+    use crate::fixtures::random_tree;
     use crate::incremental::{reference_drop_run_from, shapley_drop_run_from, NetWorth};
-    use crate::network::WirelessNetwork;
     use crate::session::{ChurnEvent, ChurnProcess};
     use crate::universal::UniversalTree;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_game::MechanismOutcome;
-    use wmcs_geom::{Point, PowerModel};
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        if seed.is_multiple_of(2) {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Spt)
-                .build_universal()
-        } else {
-            SubstrateBuilder::new(&net)
-                .tree(TreeKind::Mst)
-                .build_universal()
-        }
-    }
 
     /// Receivers, every share bit and the served cost.
     fn bits(o: &MechanismOutcome) -> (Vec<usize>, Vec<u64>, u64) {

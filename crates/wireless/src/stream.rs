@@ -717,21 +717,8 @@ pub fn replay_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{SubstrateBuilder, TreeKind};
-    use crate::network::WirelessNetwork;
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{MultiGroupProcess, Point, PowerModel};
-
-    fn random_tree(seed: u64, n: usize) -> UniversalTree {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        SubstrateBuilder::new(&net)
-            .tree(TreeKind::Spt)
-            .build_universal()
-    }
+    use crate::fixtures::random_spt;
+    use wmcs_geom::MultiGroupProcess;
 
     fn stream_with_groups(ut: &UniversalTree, g: usize, config: StreamConfig) -> StreamService {
         let mut svc = StreamService::new(ut, config);
@@ -764,7 +751,7 @@ mod tests {
 
     #[test]
     fn streaming_equals_single_thread_batch_replay() {
-        let ut = random_tree(7, 24);
+        let ut = random_spt(7, 24);
         let g = 6;
         let (stream, mechanisms) = workload(&ut, g, 3);
         for config in [StreamConfig::new(8, 64, 2), StreamConfig::new(8, 4, 3)] {
@@ -796,7 +783,7 @@ mod tests {
         // capacity < watermark: every full epoch is a saturation seal,
         // and a group admitting m events with retry-on-busy sees exactly
         // floor((m - 1) / capacity) rejections.
-        let ut = random_tree(2, 12);
+        let ut = random_spt(2, 12);
         let config = StreamConfig::new(8, 4, 2);
         let mut svc = stream_with_groups(&ut, 1, config);
         let m = 9u64;
@@ -821,7 +808,7 @@ mod tests {
 
     #[test]
     fn watermark_sealing_never_rejects() {
-        let ut = random_tree(4, 12);
+        let ut = random_spt(4, 12);
         let config = StreamConfig::new(3, 64, 1);
         let mut svc = stream_with_groups(&ut, 2, config);
         let (admissions, report) = svc.drive(|h| {
@@ -858,7 +845,7 @@ mod tests {
 
     #[test]
     fn latency_samples_follow_the_virtual_clock() {
-        let ut = random_tree(9, 10);
+        let ut = random_spt(9, 10);
         // Watermark 2: ticks 0,1 seal at tick 1 → delays [1, 0], reprice 1.
         let config = StreamConfig::new(2, 8, 1);
         let mut svc = stream_with_groups(&ut, 1, config);
@@ -881,7 +868,7 @@ mod tests {
 
     #[test]
     fn sessions_stay_warm_across_drives() {
-        let ut = random_tree(5, 16);
+        let ut = random_spt(5, 16);
         let config = StreamConfig::new(4, 16, 2);
         let g = 3;
         let (stream, mechanisms) = workload(&ut, g, 11);
@@ -932,7 +919,7 @@ mod tests {
 
     #[test]
     fn clone_shares_substrate_and_warm_state() {
-        let ut = random_tree(3, 14);
+        let ut = random_spt(3, 14);
         let config = StreamConfig::new(4, 8, 2);
         let g = 2;
         let (stream, _) = workload(&ut, g, 5);
@@ -957,7 +944,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown group id")]
     fn unknown_group_ids_are_rejected() {
-        let ut = random_tree(1, 8);
+        let ut = random_spt(1, 8);
         let mut svc = stream_with_groups(&ut, 2, StreamConfig::new(4, 8, 1));
         let _ = svc.drive(|h| {
             h.submit(

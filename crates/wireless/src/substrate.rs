@@ -644,16 +644,9 @@ impl Subframe {
 mod tests {
     use super::*;
     use crate::builder::{SubstrateBuilder, TreeKind};
+    use crate::fixtures::random_net;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{Point, PowerModel};
-
-    fn random_net(seed: u64, n: usize) -> WirelessNetwork {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0)
-    }
 
     #[test]
     fn children_are_cost_sorted_and_positions_invert() {

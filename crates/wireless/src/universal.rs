@@ -295,33 +295,11 @@ impl CostFunction for UniversalTreeCost {
 mod tests {
     use super::*;
     use crate::builder::{SubstrateBuilder, TreeKind};
+    use crate::fixtures::{chain_tree, random_net};
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_game::{is_nondecreasing, is_submodular, shapley_value, ExplicitGame};
-    use wmcs_geom::{approx_eq, Point, PowerModel};
-
-    fn random_net(seed: u64, n: usize) -> WirelessNetwork {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::xy(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0)
-    }
-
-    /// Chain 0 → 1 → 2 with unit spacing, α = 2, plus a branch 1 → 3.
-    fn chain_tree() -> UniversalTree {
-        let pts = vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(1.0, 0.0),
-            Point::xy(2.0, 0.0),
-            Point::xy(1.0, 2.0),
-        ];
-        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
-        let tree = RootedTree::from_parents(0, vec![None, Some(0), Some(1), Some(1)]);
-        SubstrateBuilder::from_owned(net)
-            .explicit_tree(tree)
-            .build_universal()
-    }
+    use wmcs_geom::approx_eq;
 
     #[test]
     fn multicast_cost_uses_max_child_edge() {

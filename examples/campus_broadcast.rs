@@ -13,7 +13,7 @@ use multicast_cost_sharing::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+pub fn main() {
     // Grid-ish campus, source at the data centre (station 0).
     let cfg = InstanceConfig {
         n: 12,
@@ -64,8 +64,10 @@ fn main() {
             );
             let deficit = out.served_cost - out.revenue();
             if name.trim() == "shapley" {
+                assert!(deficit.abs() < 1e-6, "Shapley must run exactly balanced");
                 totals.0 += deficit;
             } else {
+                assert!(deficit >= -1e-6, "MC never runs a surplus");
                 totals.1 += deficit;
             }
         }

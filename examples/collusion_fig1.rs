@@ -13,7 +13,7 @@
 
 use multicast_cost_sharing::prelude::*;
 
-fn main() {
+pub fn main() {
     let (graph, terminals, utilities) = fig1_instance();
     let mech = NwstCostSharingMechanism::new(graph, terminals);
     let names = ["x1", "x5", "x6", "x7"];
@@ -72,8 +72,9 @@ fn main() {
     assert!(find_unilateral_deviation(&mech, &utilities, 1e-7).is_none());
     println!("…yet no unilateral lie is ever profitable (Theorem 2.3 verified).");
 
-    // …and the generic coalition sweep rediscovers the collusion.
-    let dev = find_group_deviation(&mech, &utilities, 4, 1e-7)
+    // …and the generic coalition sweep rediscovers the collusion: two
+    // colluders already suffice.
+    let dev = find_group_deviation(&mech, &utilities, 2, 1e-7)
         .expect("coalition sweep must find the Fig. 1 deviation");
     println!(
         "coalition sweep found it too: players {:?} misreport {:?}",

@@ -13,7 +13,7 @@ use multicast_cost_sharing::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+pub fn main() {
     let mut rng = SmallRng::seed_from_u64(20040627); // SPAA 2004 proceedings day
 
     // Three incident sites (clusters) around the command post.
@@ -37,6 +37,7 @@ fn main() {
 
     let mech = EuclideanSteinerMechanism::new(&net);
     let truthful = mech.run(&utilities);
+    assert!(truthful.revenue() >= truthful.served_cost - 1e-9);
 
     println!("== disaster relief multicast: {} field teams ==", n);
     println!(
@@ -73,6 +74,17 @@ fn main() {
         utilities[vip], lie[vip], welfare_truth, welfare_lie
     );
     assert!(welfare_lie <= welfare_truth + 1e-9);
+
+    // Nor does the first served team gain by bidding a twentieth of its
+    // utility.
+    let first = truthful.receivers[0];
+    let mut lie = utilities.clone();
+    lie[first] = utilities[first] / 20.0;
+    let lied = mech.run(&lie);
+    assert!(
+        lied.welfare(first, &utilities) <= truthful.welfare(first, &utilities) + 1e-9,
+        "lowballing must never be profitable"
+    );
 
     // And the automated deviation sweep agrees.
     assert!(find_unilateral_deviation(&mech, &utilities, 1e-6).is_none());

@@ -10,7 +10,7 @@
 use multicast_cost_sharing::game::{core_allocation, submodularity_violation};
 use multicast_cost_sharing::prelude::*;
 
-fn main() {
+pub fn main() {
     let m = 10.0;
     let inst = PentagonInstance::new(m);
     println!("== Fig. 2: the pentagon instance (m = {m}) ==\n");
@@ -33,16 +33,21 @@ fn main() {
     println!("  C*(all five externals)   = {full:.4}");
 
     // The paper's two key inequalities.
+    let single = inst.optimal_cost(&[0]);
+    let pair = inst.optimal_cost(&[0, 1]);
     println!("\nLemma 3.3's inequalities:");
+    println!("  C*(x_j) = {single:.4} > C*(R)/5 = {:.4}", full / 5.0);
     println!(
-        "  C*(x_j) = {:.4} > C*(R)/5 = {:.4}",
-        inst.optimal_cost(&[0]),
-        full / 5.0
-    );
-    println!(
-        "  C*(x0, x1) = {:.4} < 2 C*(R)/5 = {:.4}",
-        inst.optimal_cost(&[0, 1]),
+        "  C*(x0, x1) = {pair:.4} < 2 C*(R)/5 = {:.4}",
         2.0 * full / 5.0
+    );
+    assert!(
+        single > full / 5.0,
+        "Lemma 3.3: a single external costs more than its full-set share"
+    );
+    assert!(
+        pair < 2.0 * full / 5.0,
+        "Lemma 3.3: an adjacent pair costs less than two full-set shares"
     );
 
     // Core emptiness, decided exactly by the simplex over all 31

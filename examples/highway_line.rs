@@ -10,7 +10,7 @@
 
 use multicast_cost_sharing::prelude::*;
 
-fn main() {
+pub fn main() {
     // Mile markers along the highway; the roadside unit sits at km 6.
     let positions = [0.0, 1.5, 3.0, 4.2, 6.0, 7.1, 9.0, 12.0];
     let source = 4; // km 6.0
@@ -62,6 +62,10 @@ fn main() {
         eff.served_cost
     );
     println!("  total receiver welfare {:.2}", welfare);
+    assert!(
+        eff.revenue() <= eff.served_cost + 1e-9,
+        "MC never runs a surplus"
+    );
 
     // Reproduction finding (DESIGN.md §3a): the chain form is an upper
     // bound; compare with the true optimum from exact MEMT.

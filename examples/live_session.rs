@@ -7,7 +7,8 @@
 //! Every batch's warm allocation is checked against a cold rebuild on the
 //! current receiver set (byte-identical by the session contract), the
 //! charged shares stay exactly budget balanced, and an MC session runs
-//! alongside for the welfare view.
+//! alongside for the welfare view, checked against the one-shot MC
+//! mechanism on the same bids.
 //!
 //! ```text
 //! cargo run --example live_session
@@ -16,7 +17,7 @@
 use multicast_cost_sharing::prelude::*;
 use multicast_cost_sharing::wireless::shapley_drop_run_from;
 
-fn main() {
+pub fn main() {
     // The campus: a jittered grid of relay masts, data centre at mast 0.
     let cfg = InstanceConfig {
         n: 24,
@@ -43,6 +44,7 @@ fn main() {
 
     let mut live = shapley.session();
     let mut welfare_view = mc.session();
+    let mut served_any = false;
 
     println!(
         "== live campus broadcast: {n} subscriber masts, {} churn batches ==\n",
@@ -62,6 +64,7 @@ fn main() {
         let cold = shapley_drop_run_from(shapley.universal_tree(), &bids, &candidates);
         assert_eq!(out.receivers, cold.receivers, "warm/cold receiver drift");
         assert_eq!(out.shares, cold.shares, "warm/cold share drift");
+        assert_eq!(out.served_cost, cold.served_cost, "warm/cold cost drift");
 
         // Shapley is exactly budget balanced after every batch.
         assert!(
@@ -70,9 +73,18 @@ fn main() {
             out.revenue(),
             out.served_cost
         );
+        served_any |= !out.receivers.is_empty();
 
+        // The MC session agrees with the one-shot mechanism on its bids.
         let eff = welfare_view.apply_batch(batch);
         let mc_bids = welfare_view.reported_profile();
+        let one_shot = mc.run(&mc_bids);
+        assert_eq!(
+            eff.receivers, one_shot.receivers,
+            "MC session/one-shot drift"
+        );
+        assert_eq!(eff.shares, one_shot.shares, "MC session/one-shot drift");
+
         let mc_welfare: f64 = eff
             .receivers
             .iter()
@@ -89,6 +101,8 @@ fn main() {
             mc_welfare
         );
     }
+    assert!(served_any, "the trace must actually serve someone");
+    assert_eq!(live.n_events(), trace.n_events());
     println!(
         "\n{} events absorbed over {} batches; every batch exactly budget balanced and \
          byte-identical to a cold rebuild on the current receiver set",

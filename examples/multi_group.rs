@@ -17,7 +17,7 @@
 use multicast_cost_sharing::prelude::*;
 use multicast_cost_sharing::wireless::ShapleySession;
 
-fn main() {
+pub fn main() {
     // The city: a jittered grid of 49 relay masts, backbone at mast 0.
     let cfg = InstanceConfig {
         n: 49,
@@ -55,6 +55,7 @@ fn main() {
         trace.n_events()
     );
     println!("step | group sizes (members) | served/receiving | Σ revenue | Σ cost");
+    let mut served_any = false;
     for b in 0..trace.n_batches() {
         let batches: Vec<Vec<ChurnEvent>> = trace
             .groups
@@ -69,6 +70,7 @@ fn main() {
         assert_eq!(outcomes[0].outcome, reference, "isolation violated");
 
         let served: usize = outcomes.iter().map(|o| o.outcome.receivers.len()).sum();
+        served_any |= served > 0;
         let revenue: f64 = outcomes.iter().map(|o| o.outcome.revenue()).sum();
         let cost: f64 = outcomes.iter().map(|o| o.outcome.served_cost).sum();
         let sizes: Vec<usize> = trace.groups.iter().map(|g| g.members.len()).collect();
@@ -95,6 +97,9 @@ fn main() {
             }
         }
     }
+    assert!(served_any, "the trace must actually serve someone");
+    assert_eq!(service.n_steps(), trace.n_batches());
+    assert_eq!(service.n_events(), trace.n_events());
 
     println!(
         "\n{} steps, {} events ingested; every step byte-identical to isolated per-group \

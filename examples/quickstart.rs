@@ -1,4 +1,5 @@
-//! Quickstart: run the paper's headline mechanisms on one small network.
+//! Quickstart: run the paper's headline mechanisms on one small network
+//! and assert the budget guarantee each one claims.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -6,7 +7,7 @@
 
 use multicast_cost_sharing::prelude::*;
 
-fn main() {
+pub fn main() {
     // A 7-station network in the unit-disk style: source in the centre.
     let pts = vec![
         Point::xy(5.0, 5.0), // source
@@ -34,6 +35,10 @@ fn main() {
     let out = shapley.run(&utilities);
     println!("Universal-tree Shapley (BB, group-SP):");
     report(&out, &utilities);
+    assert!(
+        (out.revenue() - out.served_cost).abs() < 1e-9,
+        "Shapley is 1-BB"
+    );
 
     // --- Mechanism 2: universal-tree marginal cost (§2.1) — efficient.
     let mc = UniversalMcMechanism::new(
@@ -44,6 +49,10 @@ fn main() {
     let out = mc.run(&utilities);
     println!("Universal-tree marginal cost (efficient, SP):");
     report(&out, &utilities);
+    assert!(
+        out.revenue() <= out.served_cost + 1e-9,
+        "MC never runs a surplus"
+    );
 
     // --- Mechanism 3: the 12-BB group-strategyproof Steiner mechanism
     //     (Theorem 3.7, d = 2).
@@ -51,6 +60,10 @@ fn main() {
     let out = steiner.run(&utilities);
     println!("Jain–Vazirani Steiner mechanism (12-BB, group-SP):");
     report(&out, &utilities);
+    assert!(
+        out.revenue() >= out.served_cost - 1e-9,
+        "Steiner covers served cost"
+    );
 
     // --- Mechanism 4: the 3 ln(k+1)-BB mechanism for general symmetric
     //     networks (§2.2.3).
@@ -58,11 +71,19 @@ fn main() {
     let out = wireless.run(&utilities);
     println!("NWST-reduction wireless mechanism (3 ln(k+1)-BB, SP):");
     report(&out, &utilities);
+    assert!(
+        out.revenue() >= out.served_cost - 1e-9,
+        "wireless covers served cost"
+    );
 
     // Reference: the exact minimum-energy multicast for the full set.
     let all: Vec<usize> = (1..7).collect();
     let (opt, _) = memt_exact(&net, &all);
     println!("exact MEMT cost for all six receivers: {opt:.3}");
+    assert!(
+        out.served_cost >= opt - 1e-9,
+        "no mechanism beats the optimum"
+    );
 }
 
 fn report(out: &MechanismOutcome, utilities: &[f64]) {
