@@ -1,8 +1,9 @@
 //! The sweep summary schema and the baseline diff behind `bench_compare`.
 //!
 //! [`summary_json`] serialises a finished [`SweepRun`] into the versioned
-//! machine-readable form `all_experiments --json` writes (and CI commits
-//! as `BENCH_baseline.json`); [`compare_summaries`] diffs two such files:
+//! machine-readable form `all_experiments --json=PATH` writes (and the
+//! repo commits as `BENCH_baseline.json`); [`compare_summaries`] diffs
+//! two such files:
 //!
 //! * **verdicts gate**: every experiment's pass/fail status and verdict
 //!   string must match exactly (they are seed-count independent by the
@@ -367,7 +368,7 @@ fn load_summary(label: &str, text: &str) -> Result<ParsedSummary, String> {
     if schema != SCHEMA {
         return Err(format!(
             "{label}: schema is `{schema}`, expected `{SCHEMA}` — regenerate the file with \
-             `all_experiments --json`"
+             `all_experiments --json=PATH`"
         ));
     }
     let version = root

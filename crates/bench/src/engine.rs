@@ -146,16 +146,15 @@ pub fn run_sweep(experiments: &[&dyn Experiment], cfg: &SweepConfig) -> SweepRun
         }
     } else {
         let cursor = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
                     run_cell(cell, &results[i]);
                 });
             }
-        })
-        .expect("sweep worker panicked");
+        });
     }
 
     // Fold the cells back into per-experiment tables, in declared order.

@@ -1,5 +1,5 @@
-//! Shared harness: table rendering with an explicit output mode, and the
-//! random-instance builders the experiments and criterion benches share.
+//! Shared harness: table rendering, and the random-instance builders the
+//! experiments and criterion benches share.
 //!
 //! Parallelism lives in [`crate::engine`]: the sweep engine schedules flat
 //! `(experiment × scenario × seed)` cells over a self-scheduling worker
@@ -11,20 +11,6 @@ use serde::Serialize;
 use wmcs_geom::{LayoutFamily, Point, PowerModel, Scenario};
 use wmcs_nwst::NodeWeightedGraph;
 use wmcs_wireless::WirelessNetwork;
-
-/// How a [`Table`] is written to stdout.
-///
-/// Threaded explicitly from each binary's argument parser — the harness
-/// never sniffs `std::env::args()`, so an unrelated flag on some binary
-/// can never flip the output format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutputMode {
-    /// Human-readable aligned columns (the default).
-    #[default]
-    Text,
-    /// The table as a pretty-printed JSON object.
-    Json,
-}
 
 /// A printable experiment table.
 #[derive(Debug, Clone, Serialize)]
@@ -65,20 +51,6 @@ impl Table {
     pub fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.columns.len());
         self.rows.push(cells);
-    }
-
-    /// Emit to stdout in the given mode.
-    pub fn emit(&self, mode: OutputMode) {
-        match mode {
-            OutputMode::Text => self.print(),
-            OutputMode::Json => println!("{}", self.to_json()),
-        }
-    }
-
-    /// Serialise the table (columns, rows, verdict) as a JSON object for
-    /// downstream tooling.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("tables are serialisable")
     }
 
     /// Render to stdout in aligned columns.

@@ -13,18 +13,9 @@
 //! * [`latency`] — exact p50/p99/p999 percentiles (deterministic
 //!   nearest-rank math) over the streaming layer's virtual-clock
 //!   samples, per event class;
-//! * table binaries: `fig1_collusion` (F1), `fig2_empty_core` (F2),
-//!   `table_universal_tree` (T1), `table_nwst_bb` (T2),
-//!   `table_wireless_bb` (T3), `table_euclidean_optimal` (T4),
-//!   `table_submodularity_violations` (T5), `table_mst_ratio` (T6),
-//!   `table_jv_bb` (T7), `table_eq5_ablation` (T9), `table_scaling`
-//!   (T10, the incremental-engine n ≤ 4096 scaling table),
-//!   `table_churn` (T11, the live-session churn table),
-//!   `table_service` (T12, the sharded multi-group service table) and
-//!   `table_stream` (T14, the streaming ≡ batch byte-identity table
-//!   with exact latency percentiles) — each a thin [`cli::table_main`]
-//!   shim — plus `all_experiments` to sweep the whole registry and
-//!   `bench_compare` to diff two summary files;
+//! * two binaries: `all_experiments [ID…] [SEEDS] [--json=PATH]` sweeps
+//!   the registry, or the experiments named by id (`F1`, `T10`, …), and
+//!   `bench_compare` diffs two summary files;
 //! * four criterion benches (`cargo bench`): `scaling` and `substrates`
 //!   time every mechanism and substrate (T8), `drop_engine` pits the
 //!   naive drop loop against the incremental engine, and
@@ -38,7 +29,6 @@
 // silent contract drift there.
 #![deny(missing_docs)]
 
-pub mod cli;
 pub mod compare;
 pub mod engine;
 pub mod experiments;
@@ -47,8 +37,6 @@ pub mod latency;
 pub mod registry;
 
 pub use engine::{run_sweep, SweepConfig, SweepRun};
-pub use harness::{
-    random_euclidean, random_line, random_nwst, random_utilities, OutputMode, Table,
-};
+pub use harness::{random_euclidean, random_line, random_nwst, random_utilities, Table};
 pub use latency::LatencySummary;
 pub use registry::{Experiment, REGISTRY};

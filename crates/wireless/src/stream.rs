@@ -77,12 +77,11 @@ use wmcs_geom::churn::ChurnEvent;
 
 /// Shape of a streaming run: seal watermark, queue bound, worker count.
 ///
-/// The fields are private, so [`StreamConfig::new`] and
-/// [`StreamConfig::with_threads`] are the only constructors and their
-/// checks always run. A literal would skip them: with no worker a
-/// group's second seal waits forever, and with capacity 0
-/// [`StreamHandle::submit_blocking`] never returns. So it does not
-/// compile:
+/// The fields are private, so [`StreamConfig::new`] is the only
+/// constructor and its checks always run. A literal would skip them:
+/// with no worker a group's second seal waits forever, and with
+/// capacity 0 [`StreamHandle::submit_blocking`] never returns. So it
+/// does not compile:
 ///
 /// ```compile_fail,E0451
 /// use wmcs_wireless::StreamConfig;
@@ -116,17 +115,6 @@ impl StreamConfig {
             capacity,
             threads,
         }
-    }
-
-    /// The same config with a different worker count (≥ 1) — the knob
-    /// the determinism proptests sweep.
-    ///
-    /// # Panics
-    /// If `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "the epoch pool needs at least one worker");
-        self.threads = threads;
-        self
     }
 
     /// Seal a group's pending events as an epoch once this many are
@@ -682,11 +670,6 @@ impl StreamHandle<'_> {
         }
         let tick = self.drive.clock.load(Ordering::Relaxed);
         Some(seal(self.epochs, group, lane, queue, tick))
-    }
-
-    /// Number of registered groups.
-    pub fn n_groups(&self) -> usize {
-        self.drive.lanes.len()
     }
 }
 
