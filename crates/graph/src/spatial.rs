@@ -87,6 +87,17 @@
 //! remaining superlinearity of SPT growth
 //! comes from its keys: low-distance streams must certify candidates
 //! far from their own cell before the frontier moves.
+//!
+//! Memory: a stream's local heap gives its buffer back the moment it
+//! drains, and a later shell expansion allocates a fresh one, so the
+//! streams together retain about twice the candidates they hold (the
+//! heaps' growth slack), not their largest shells. Releasing touches no
+//! key, so the finalisation order and every parent array stay the same.
+//! Before, each stream kept the capacity of its largest shell until the
+//! growth ended. In the pinned-work unit test (n = 16,384), the peak
+//! retained entries per station fell from 15.40 to 1.23 (SPT) and from
+//! 12.07 to 8.43 (MST), at a peak of 0.53 and 3.64 live entries; the
+//! n = 10⁵ SPT growth's high-water mark fell from 45 to 20 MB.
 
 use crate::dense::CostMatrix;
 use std::cmp::Reverse;
@@ -245,7 +256,8 @@ impl LiveCells {
 }
 
 /// Work done by one spatial growth, for the tests that pin it: the
-/// growth only ever increments these counts, it never reads them.
+/// growth only ever updates these counts, it never reads them to decide
+/// anything.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct GrowthWork {
     /// Entries popped from the global queue (candidates and markers).
@@ -255,6 +267,26 @@ pub(crate) struct GrowthWork {
     /// Points bucketed in the cells the ring walks visited, finalised
     /// ones included.
     pub(crate) points_visited: u64,
+    /// Candidate entries the streams' local heaps hold now.
+    live: u64,
+    /// Entries the streams' heap buffers have room for now: `live` plus
+    /// each buffer's spare capacity.
+    retained: u64,
+    /// The most entries `live` ever reached.
+    pub(crate) peak_live: u64,
+    /// The most entries `retained` ever reached.
+    pub(crate) peak_retained: u64,
+}
+
+impl GrowthWork {
+    /// A shell expansion pushed `entries` candidates and grew its
+    /// stream's buffer by `capacity` entries.
+    fn buffered(&mut self, entries: usize, capacity: usize) {
+        self.live += entries as u64;
+        self.retained += capacity as u64;
+        self.peak_live = self.peak_live.max(self.live);
+        self.peak_retained = self.peak_retained.max(self.retained);
+    }
 }
 
 /// A lazy neighbour stream: emits the not-yet-finalised points in
@@ -265,7 +297,9 @@ pub(crate) struct GrowthWork {
 /// top, for entries that were finalised while pending), dead cells and
 /// rings are skipped whole, and a shell is only expanded when the
 /// stream's lower bound is the *global* queue minimum — not eagerly
-/// whenever the local head is uncertain.
+/// whenever the local head is uncertain. The heap gives its buffer back
+/// the moment it drains, so a stream holds memory only while it holds
+/// candidates; a later expansion allocates afresh.
 #[derive(Debug)]
 struct NeighborStream {
     ring: usize,
@@ -282,6 +316,16 @@ impl NeighborStream {
         }
     }
 
+    /// Pop the local head, releasing the buffer if that drains it.
+    fn pop(&mut self, work: &mut GrowthWork) {
+        self.heap.pop();
+        work.live -= 1;
+        if self.heap.is_empty() {
+            work.retained -= self.heap.capacity() as u64;
+            self.heap = BinaryHeap::new();
+        }
+    }
+
     /// The stream's next move, without expanding anything (it may move
     /// its ring cursor past rings that hold only finalised stations).
     fn step(
@@ -291,6 +335,7 @@ impl NeighborStream {
         done: &[bool],
         live: &LiveCells,
         u: usize,
+        work: &mut GrowthWork,
     ) -> StreamStep {
         // Rings closer than the nearest live cell hold finalised stations
         // only: expanding them would insert nothing, now or later.
@@ -307,14 +352,14 @@ impl NeighborStream {
             if let Some((_, y)) = top {
                 // Finalised while pending in this local heap: discard.
                 if done[y as usize] {
-                    self.heap.pop();
+                    self.pop(work);
                     continue;
                 }
             }
             if self.exhausted {
                 return match top {
                     Some((c, y)) => {
-                        self.heap.pop();
+                        self.pop(work);
                         StreamStep::Candidate(c, y)
                     }
                     None => StreamStep::Dead,
@@ -327,7 +372,7 @@ impl NeighborStream {
             let bound = model.cost_of_distance(idx.shell_min_dist(u, self.ring));
             return match top {
                 Some((c, y)) if c < bound => {
-                    self.heap.pop();
+                    self.pop(work);
                     StreamStep::Candidate(c, y)
                 }
                 _ => StreamStep::Bound(bound),
@@ -416,9 +461,10 @@ pub(crate) fn grow_tree_spatial_counted(
                pq: &mut BinaryHeap<Reverse<(OrdF64, u32, u32)>>,
                dist: &[f64],
                done: &[bool],
-               live: &LiveCells| {
+               live: &LiveCells,
+               work: &mut GrowthWork| {
         let s = streams[v].get_or_insert_with(NeighborStream::new);
-        let (c, y) = match s.step(&idx, model, done, live, v) {
+        let (c, y) = match s.step(&idx, model, done, live, v, work) {
             StreamStep::Candidate(c, y) => (c, y),
             StreamStep::Bound(b) => (b, MARKER),
             StreamStep::Dead => return,
@@ -437,7 +483,15 @@ pub(crate) fn grow_tree_spatial_counted(
     done[source] = true;
     live.finalise(&idx, source);
     let mut finalized = 1usize;
-    arm(source, &mut streams, &mut pq, &dist, &done, &live);
+    arm(
+        source,
+        &mut streams,
+        &mut pq,
+        &dist,
+        &done,
+        &live,
+        &mut work,
+    );
 
     while finalized < n {
         let Reverse((OrdF64(k), u, y)) = pq
@@ -448,17 +502,19 @@ pub(crate) fn grow_tree_spatial_counted(
         if y == MARKER {
             // The stream's unexpanded bound reached the global minimum:
             // now (and only now) expand the next shell and re-offer.
-            work.expansions += 1;
-            work.points_visited += streams[u]
+            let s = streams[u]
                 .as_mut()
-                .expect("markers come from armed streams")
-                .expand(&idx, points, model, &done, &live, u);
-            arm(u, &mut streams, &mut pq, &dist, &done, &live);
+                .expect("markers come from armed streams");
+            let (len, capacity) = (s.heap.len(), s.heap.capacity());
+            work.expansions += 1;
+            work.points_visited += s.expand(&idx, points, model, &done, &live, u);
+            work.buffered(s.heap.len() - len, s.heap.capacity() - capacity);
+            arm(u, &mut streams, &mut pq, &dist, &done, &live, &mut work);
             continue;
         }
         let y = y as usize;
         // Re-arm the popped stream so its next head re-enters the queue.
-        arm(u, &mut streams, &mut pq, &dist, &done, &live);
+        arm(u, &mut streams, &mut pq, &dist, &done, &live, &mut work);
         if done[y] {
             continue;
         }
@@ -470,7 +526,7 @@ pub(crate) fn grow_tree_spatial_counted(
         if finalized.is_multiple_of(refresh_every) {
             live.refresh(&idx);
         }
-        arm(y, &mut streams, &mut pq, &dist, &done, &live);
+        arm(y, &mut streams, &mut pq, &dist, &done, &live, &mut work);
     }
     (parent, work)
 }
@@ -534,12 +590,45 @@ mod tests {
         }
     }
 
+    /// `n` stations uniform in an `aspect`:1 rectangle of area `100·n`,
+    /// the density of the pinned uniform instance below.
+    fn strip_points(n: usize, aspect: f64, seed: u64) -> Vec<Point> {
+        let width = (100.0 * n as f64 * aspect).sqrt();
+        let height = width / aspect;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Point::xy(rng.gen_range(0.0..width), rng.gen_range(0.0..height)))
+            .collect()
+    }
+
+    /// `n` stations in four tight square clusters of half-width `side/50`
+    /// around centres uniform in a square of side `side = √n·10`.
+    fn tight_cluster_points(n: usize, seed: u64) -> Vec<Point> {
+        let side = (n as f64).sqrt() * 10.0;
+        let half = side / 50.0;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let centres: Vec<(f64, f64)> = (0..4)
+            .map(|_| (rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+            .collect();
+        (0..n)
+            .map(|i| {
+                let (x, y) = centres[i % 4];
+                Point::xy(
+                    x + rng.gen_range(-half..half),
+                    y + rng.gen_range(-half..half),
+                )
+            })
+            .collect()
+    }
+
     /// Skipping dead cells and rings only matters once the grid is large
     /// and much of it is finalised, so this pins identity well past the
     /// property suites' n ≤ 512: every registered family in each
-    /// dimension it supports, both exponents, both tree kinds, and a
-    /// point set with duplicates. The cases run one after another, since
-    /// each dense reference holds a 33 MB matrix.
+    /// dimension it supports, both exponents, both tree kinds, a point
+    /// set with duplicates, and the two layouts whose streams buffer the
+    /// deepest shells (a 10:1 strip and four tight clusters), so that
+    /// buffers released mid-growth are exercised. The cases run one after
+    /// another, since each dense reference holds a 33 MB matrix.
     #[test]
     fn spatial_equals_dense_at_n_2048_on_every_family() {
         let n = 2048;
@@ -563,10 +652,20 @@ mod tests {
             dup,
             PowerModel::free_space(),
         ));
+        cases.push((
+            "10:1 strip n=2048 d=2 α=2".into(),
+            strip_points(n, 10.0, 11),
+            PowerModel::free_space(),
+        ));
+        cases.push((
+            "4 tight clusters n=2048 d=2 α=2".into(),
+            tight_cluster_points(n, 13),
+            PowerModel::free_space(),
+        ));
         assert_eq!(
             cases.len(),
-            19,
-            "9 (family, d) pairs × 2 exponents + duplicates"
+            21,
+            "9 (family, d) pairs × 2 exponents + duplicates + strip + clusters"
         );
         for (label, pts, model) in cases {
             let m = CostMatrix::from_points(&pts, &model);
@@ -580,22 +679,33 @@ mod tests {
         }
     }
 
-    /// Pins the growth's work, not its clock: points visited per station
-    /// at n = 16,384 (uniform in a square of side √n·10, α = 2, source 0,
-    /// `SmallRng` seed 7) may not exceed 1.25× what the live-cell walk and
-    /// the dead-ring skip measure here. Measured per station:
+    /// Pins the growth's work and memory, not its clock: points visited
+    /// and peak retained candidate entries per station at n = 16,384
+    /// (uniform in a square of side √n·10, α = 2, source 0, `SmallRng`
+    /// seed 7) may not exceed 1.25× what the live-cell walk, the dead-ring
+    /// skip and the release of drained stream buffers measure here.
+    /// Measured per station:
     ///
     /// | count | SPT | MST |
     /// |---|---|---|
     /// | points visited | 17.72 | 10.81 |
     /// | shell expansions | 4.88 | 2.70 |
     /// | queue pops | 7.93 | 4.89 |
+    /// | peak retained entries | 1.23 | 8.43 |
+    /// | peak live entries | 0.53 | 3.64 |
     ///
     /// The growth before those two mechanisms measured, on this instance,
     /// 396.5 / 49.0 points visited, 7.62 / 2.97 shell expansions and
     /// 10.67 / 5.15 queue pops per station (SPT / MST); another uniform
     /// instance of the same size measured 373.6 / 49.6, 7.40 / 2.98 and
-    /// 10.45 / 5.16.
+    /// 10.45 / 5.16. Before drained buffers were released, peak retained
+    /// entries read 15.40 / 12.07 per station at the same peak live.
+    ///
+    /// Peak retained entries may also not exceed 3× peak live ones, here
+    /// and on a 10:1 strip at n = 4,096 (`strip_points`, seed 17), where
+    /// SPT streams buffer the deepest shells. Released buffers measure
+    /// 2.30 / 2.32 here and 2.36 / 1.55 on the strip (SPT / MST); kept
+    /// ones measured 28.9 / 3.32 and 3.18 / 1.59.
     #[test]
     fn growth_work_per_station_is_pinned() {
         let n = 16_384;
@@ -605,16 +715,38 @@ mod tests {
             .map(|_| Point::xy(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
             .collect();
         let model = PowerModel::free_space();
-        for (kind, measured) in [(TreeKind::Spt, 17.72), (TreeKind::Mst, 10.81)] {
+        for (kind, visited, retained) in
+            [(TreeKind::Spt, 17.72, 1.23), (TreeKind::Mst, 10.81, 8.43)]
+        {
             let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
-            let per_station = work.points_visited as f64 / n as f64;
+            let per_station = |count: u64| count as f64 / n as f64;
             assert!(
-                per_station <= 1.25 * measured,
-                "{kind:?}: {per_station:.2} points visited per station, pinned at {measured} \
+                per_station(work.points_visited) <= 1.25 * visited,
+                "{kind:?}: {:.2} points visited per station, pinned at {visited} \
                  ({:.2} expansions, {:.2} pops per station)",
-                work.expansions as f64 / n as f64,
-                work.pops as f64 / n as f64
+                per_station(work.points_visited),
+                per_station(work.expansions),
+                per_station(work.pops)
             );
+            assert!(
+                per_station(work.peak_retained) <= 1.25 * retained,
+                "{kind:?}: {:.2} peak retained entries per station, pinned at {retained} \
+                 ({:.2} peak live)",
+                per_station(work.peak_retained),
+                per_station(work.peak_live)
+            );
+        }
+        let strip = strip_points(4096, 10.0, 17);
+        for (label, pts) in [("uniform n=16384", &pts), ("10:1 strip n=4096", &strip)] {
+            for kind in [TreeKind::Spt, TreeKind::Mst] {
+                let (_, work) = grow_tree_spatial_counted(pts, &model, 0, kind);
+                assert!(
+                    work.peak_retained <= 3 * work.peak_live,
+                    "{label} {kind:?}: peak retained {} entries, over 3× peak live {}",
+                    work.peak_retained,
+                    work.peak_live
+                );
+            }
         }
     }
 

@@ -30,7 +30,7 @@
 //! | [`Shapley::add_receiver`] | `O(path)` amortised (frame growth) | state equals a fresh engine on the enlarged set |
 //! | [`Shapley::drop_receiver`] | `O(depth)` | state equals a fresh engine on the shrunken set |
 //! | [`Shapley::round_shares_by_local`] | `O(\|T(R)\|)` + the in-frame children of `T(R)` with empty subtrees | [`UniversalTree::shapley_shares`] on the current set, bit for bit |
-//! | [`Shapley::served_cost`] | `O(\|frame\|)`, no sort | [`UniversalTree::multicast_cost`] of the current set, bit for bit |
+//! | [`Shapley::served_cost`] | `O(\|frame\|)`, no sort | [`UniversalTree::multicast_cost`] of the last round pass's set, bit for bit |
 //! | [`NetWorth::set_utility`] | `O(path)` amortised (frame growth) | repair deferred to the next query |
 //! | first query after a batch | one `O(frame degree)` kernel per station on the union of dirty root paths | every read float equals a fresh oracle's |
 //! | [`NetWorth::vcg_outcome`] | `O(\|frame\|)` + a sort of `R*`'s out-of-frame stations + `O(1)` per bidding receiver | a fresh oracle's outcome, bit for bit |
@@ -98,6 +98,10 @@ pub struct Shapley {
     /// Accumulated root-path share prefix per local station; after a
     /// round pass, an active receiver's entry is its share.
     down: Vec<f64>,
+    /// Transmission power per local station as of the last round pass:
+    /// the cost of its costliest child in `T(R)`, `+0.0` with none
+    /// (entries outside that pass's `T(R)` are stale).
+    power: Vec<f64>,
     /// Scratch: DFS stack of local ids.
     stack: Vec<u32>,
     rounds: usize,
@@ -113,6 +117,7 @@ impl Shapley {
             in_r: vec![false],
             rb: vec![0],
             down: vec![0.0],
+            power: vec![0.0],
             stack: Vec::new(),
             rounds: 0,
         }
@@ -126,6 +131,7 @@ impl Shapley {
             grow_to(&mut self.in_r, len, false);
             grow_to(&mut self.rb, len, 0);
             grow_to(&mut self.down, len, 0.0);
+            grow_to(&mut self.power, len, 0.0);
         }
     }
 
@@ -177,7 +183,9 @@ impl Shapley {
     /// every receiver whose root path enters `x` through `y_i`. The pass
     /// walks each `T(R)` station's in-frame children and skips those
     /// with an empty subtree (`rb == 0`), so it costs `O(|T(R)|)` plus
-    /// those in-frame siblings. Returns `down` by **local** id: an active
+    /// those in-frame siblings. Each `T(R)` station's last increment's
+    /// cost is its power, which the pass keeps for
+    /// [`Shapley::served_cost`]. Returns `down` by **local** id: an active
     /// receiver's entry is its share (entries outside the active set are
     /// stale). Each receiver's entry is
     /// [`UniversalTree::shapley_shares`]'s bit for bit — the same slices
@@ -211,29 +219,27 @@ impl Shapley {
                 remaining -= self.rb[yi];
                 self.stack.push(y);
             }
+            self.power[xi] = prev_cost;
         }
         &self.down
     }
 
-    /// The served cost `C_T(R)` of the current receiver set, read off the
-    /// warm `T(R)` in one scan of the frame in ascending **global**
-    /// station id: every station with children in `T(R)` adds the cost
-    /// of the last (costliest) one, its last in-frame child with
-    /// `rb > 0`, to a sum started at `+0.0`. That is
+    /// The served cost `C_T(R)` of the receiver set of the last
+    /// [`Shapley::round_shares_by_local`] pass (the drop loop calls it
+    /// after its fixpoint round, with nobody added or dropped since),
+    /// read off the warm `T(R)` in one scan of the frame in ascending
+    /// **global** station id: every station with `rb > 0` adds the power
+    /// that pass kept for it — the cost of its costliest child in `T(R)`,
+    /// or `+0.0` — to a sum started at `+0.0`. That is
     /// [`UniversalTree::multicast_cost`]'s ascending-id float sequence on
-    /// the active stations minus its exact `+0.0` terms, so the two agree
-    /// bit for bit. `O(|frame|)`, no sort.
+    /// the active stations up to exact `+0.0` terms, so the two agree bit
+    /// for bit. `O(|frame|)`, no sort.
     pub fn served_cost(&mut self) -> f64 {
         self.frame.merge_by_station();
         let mut cost = 0.0;
         for &x in self.frame.by_station() {
-            let last = self
-                .frame
-                .children(x)
-                .filter(|&c| self.rb[c as usize] > 0)
-                .last();
-            if let Some(last) = last {
-                cost += self.frame.parent_cost(last);
+            if self.rb[x as usize] > 0 {
+                cost += self.power[x as usize];
             }
         }
         cost
@@ -257,7 +263,7 @@ impl Shapley {
         self.frame.memory_bytes()
             + self.in_r.capacity() * size_of::<bool>()
             + (self.rb.capacity() + self.stack.capacity()) * size_of::<u32>()
-            + self.down.capacity() * size_of::<f64>()
+            + (self.down.capacity() + self.power.capacity()) * size_of::<f64>()
     }
 }
 

@@ -181,9 +181,9 @@ proptest! {
 
     /// The served cost each warm engine sums over its own `T(R)` is the
     /// reference `multicast_cost` bit for bit, on every layout family and
-    /// both tree kinds: for the Shapley engine after every step of a
-    /// join/leave walk (from the empty set, draining towards it at the
-    /// end), and for the MC oracle on the set `efficient_set` returns
+    /// both tree kinds: for the Shapley engine after a round pass at every
+    /// step of a join/leave walk (from the empty set, draining towards it
+    /// at the end), and for the MC oracle on the set `efficient_set` returns
     /// after every `set_utility` of a random sequence (zeros included).
     #[test]
     fn served_cost_is_the_reference_multicast_cost_bit_for_bit(
@@ -206,6 +206,8 @@ proptest! {
         let mut alive: Vec<usize> = Vec::new();
         for step in 0..=steps {
             let reference = ut.multicast_cost(&alive).to_bits();
+            // The served cost prices the last round pass's set.
+            engine.round_shares_by_local();
             prop_assert_eq!(engine.served_cost().to_bits(), reference,
                 "Shapley, {} n={} seed={} step {}", family.name(), n, seed, step);
             if step == steps {

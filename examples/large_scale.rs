@@ -62,6 +62,21 @@ fn parent_digest(ut: &UniversalTree) -> u64 {
     h
 }
 
+/// `", VmHWM <peak resident set>"` read from `/proc/self/status` where
+/// that file exists (Linux), else nothing: set-up memory for the release
+/// log, printed only, never asserted.
+fn peak_rss_note() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .map(|v| format!(", VmHWM {}", v.trim()))
+        })
+        .unwrap_or_default()
+}
+
 fn main() {
     // Constant-density uniform stations: the regime the grid index is
     // built for. Lazy storage — a dense matrix here would be 80 GB.
@@ -72,7 +87,8 @@ fn main() {
         .collect();
     let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
 
-    // Build timing is informational; it never flows into a verdict.
+    // Build timing and memory are informational; they never flow into a
+    // verdict.
     #[allow(clippy::disallowed_methods)]
     let t = std::time::Instant::now();
     let ut = SubstrateBuilder::from_owned(net)
@@ -80,9 +96,10 @@ fn main() {
         .backend(Backend::Spatial)
         .build_universal();
     println!(
-        "built n = {N} SPT substrate via Backend::Spatial in {:.2?} ({:.1} bytes/station)",
+        "built n = {N} SPT substrate via Backend::Spatial in {:.2?} ({:.1} bytes/station{})",
         t.elapsed(),
-        ut.substrate().memory_bytes() as f64 / N as f64
+        ut.substrate().memory_bytes() as f64 / N as f64,
+        peak_rss_note()
     );
     #[allow(clippy::disallowed_methods)]
     let t = std::time::Instant::now();
@@ -91,8 +108,9 @@ fn main() {
         .backend(Backend::Spatial)
         .build_universal();
     println!(
-        "built n = {N} MST substrate via Backend::Spatial in {:.2?}",
-        t.elapsed()
+        "built n = {N} MST substrate via Backend::Spatial in {:.2?}{}",
+        t.elapsed(),
+        peak_rss_note()
     );
     for (kind, tree, pin) in [("SPT", &ut, SPT_DIGEST), ("MST", &mst, MST_DIGEST)] {
         let digest = parent_digest(tree);
