@@ -6,14 +6,13 @@
 //! * build time of a full universal-tree substrate (canonical growth +
 //!   CSR assembly) through `Backend::Spatial` on a **lazy** Euclidean
 //!   network at n ∈ {10⁴, 10⁵, 10⁶} — the million-station headline of
-//!   the spatial construction path. Growth skips finalised grid cells
-//!   and rings whole. MST growth stays near-linear (Prim keys are plain
-//!   edge costs, so candidate streams stay local: ×14–15 per ×10 in n
-//!   on a 2-vCPU host); SPT drains streams deeper (keys are source
-//!   distances, so low-distance streams must certify far candidates)
-//!   and stays superlinear (×18–23 per ×10, 16.6 s at n = 10⁶) though
-//!   far below the dense quadratic — both are byte-identical to the
-//!   dense reference (T13);
+//!   the spatial construction path. Growth relaxes each expanded grid
+//!   shell into one station queue and skips finalised cells and rings
+//!   whole. MST growth stays near-linear (Prim keys are plain edge
+//!   costs, so streams stay local); SPT expands streams deeper (keys
+//!   are source distances, so low-distance streams must bound far
+//!   shells) and stays superlinear, though far below the dense
+//!   quadratic — both are byte-identical to the dense reference (T13);
 //! * the dense reference at n ∈ {10³, 4096} (above that the `O(n²)`
 //!   matrix alone dominates every budget: 8 TB at n = 10⁶);
 //! * resident substrate memory, printed as bytes/station for every size

@@ -2,16 +2,18 @@
 //! generation.
 //!
 //! The spatial universal-tree growth (`wmcs-graph`'s `spatial` module)
-//! replaces the dense "relax all n − 1 neighbours" loop with *candidate
-//! streams*: each station asks for its neighbours in ascending distance
-//! order and stops early. A [`GridIndex`] is the geometry half of that
-//! contract — it buckets the stations into a uniform grid
-//! (~[`TARGET_PER_CELL`] points per cell) and exposes **expanding
-//! shells**: the cells at Chebyshev ring `r` around a station's cell,
-//! together with an exact lower bound ([`GridIndex::shell_min_dist`]) on
-//! the distance to *every* point in rings `≥ r`. A consumer that has seen
-//! rings `< r` and holds a candidate closer than that bound knows no
-//! unseen point can beat it.
+//! replaces the dense "relax all n − 1 neighbours" loop with *neighbour
+//! streams*: each finalised station relaxes its neighbours shell by
+//! shell, in ascending distance bands, and stops early. A [`GridIndex`]
+//! is the geometry half of that contract — it buckets the stations into
+//! a uniform grid (~[`TARGET_PER_CELL`] points per cell) and exposes
+//! **expanding shells**: the cells at Chebyshev ring `r` around a
+//! station's cell, together with a lower bound
+//! ([`GridIndex::shell_min_dist`]) on the distance to *every* point in
+//! rings `≥ r`. The bound is exact in floating point: it is computed
+//! from stored point coordinates with the operations [`Point::dist`]
+//! and [`GridIndex::dist`] apply, never from cell faces, so no computed
+//! distance to an unseen point falls below it.
 //!
 //! The ring walk is **live**: [`GridIndex::for_live_shell`] takes a
 //! caller-owned bitset over linear cell ids and visits only the ring's
@@ -36,8 +38,8 @@
 
 use crate::point::Point;
 
-/// Average number of points a grid cell is sized for. Two keeps the
-/// candidate heaps short while the cell count (≈ n / 2) stays well
+/// Average number of points a grid cell is sized for. Two keeps each
+/// shell expansion short while the cell count (≈ n / 2) stays well
 /// below the point count's memory footprint.
 pub const TARGET_PER_CELL: f64 = 2.0;
 
@@ -59,14 +61,16 @@ pub struct GridIndex {
     dim: usize,
     /// Cells per axis (identical on every axis), ≥ 1.
     res: usize,
-    /// Bounding-box minimum per axis.
-    lo: Vec<f64>,
-    /// Cell width per axis (strictly positive; 1.0 on degenerate axes).
-    cell_w: Vec<f64>,
     /// Flattened point-major coordinates: `coords[i * dim + a]`.
     coords: Vec<f64>,
     /// Per-axis cell index of each point: `cell_idx[i * dim + a]`.
     cell_idx: Vec<u32>,
+    /// `above[a * res + j]`: the least axis-`a` coordinate of any point
+    /// whose axis-`a` cell index is `≥ j` (`+∞` when there is none).
+    above: Vec<f64>,
+    /// `below[a * res + j]`: the greatest axis-`a` coordinate of any
+    /// point whose axis-`a` cell index is `≤ j` (`−∞` when there is none).
+    below: Vec<f64>,
     /// CSR starts over linear cell ids; length `res^dim + 1`.
     starts: Vec<u32>,
     /// Point ids grouped by cell, ascending within each cell.
@@ -129,6 +133,31 @@ impl GridIndex {
             }
         }
 
+        // Per-axis slab extents: each slab's own extremes, then the
+        // suffix minima and prefix maxima over slabs.
+        let mut above = vec![f64::INFINITY; dim * res];
+        let mut below = vec![f64::NEG_INFINITY; dim * res];
+        for i in 0..n {
+            for a in 0..dim {
+                let slab = a * res + cell_idx[i * dim + a] as usize;
+                let x = coords[i * dim + a];
+                above[slab] = above[slab].min(x);
+                below[slab] = below[slab].max(x);
+            }
+        }
+        for a in 0..dim {
+            let (above, below) = (
+                &mut above[a * res..(a + 1) * res],
+                &mut below[a * res..(a + 1) * res],
+            );
+            for j in (0..res - 1).rev() {
+                above[j] = above[j].min(above[j + 1]);
+            }
+            for j in 1..res {
+                below[j] = below[j].max(below[j - 1]);
+            }
+        }
+
         // CSR bucket fill (counting sort over linear cell ids); iterating
         // points in ascending id keeps each bucket's ids ascending.
         let n_cells = res.pow(u32::try_from(dim).expect("dimension fits in u32"));
@@ -151,10 +180,10 @@ impl GridIndex {
         Self {
             dim,
             res,
-            lo,
-            cell_w,
             coords,
             cell_idx,
+            above,
+            below,
             starts,
             items,
         }
@@ -186,6 +215,24 @@ impl GridIndex {
         self.coords[i * self.dim + a]
     }
 
+    /// Euclidean distance between points `i` and `j`, from the flattened
+    /// copy: the same float operations in the same order as
+    /// `points[i].dist(&points[j])`, so the two agree bit for bit.
+    pub fn dist(&self, i: usize, j: usize) -> f64 {
+        let (x, y) = (
+            &self.coords[i * self.dim..(i + 1) * self.dim],
+            &self.coords[j * self.dim..(j + 1) * self.dim],
+        );
+        x.iter()
+            .zip(y)
+            .map(|(a, b)| {
+                let d = a - b;
+                d * d
+            })
+            .sum::<f64>()
+            .sqrt()
+    }
+
     /// Number of cells, `resolution()^dim()`: a live mask carries one bit
     /// per cell.
     pub fn n_cells(&self) -> usize {
@@ -203,39 +250,41 @@ impl GridIndex {
         &self.items[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 
-    /// The last non-empty shell radius around point `i`'s cell: rings
-    /// beyond this contain no cells at all.
-    pub fn last_shell(&self, i: usize) -> usize {
-        (0..self.dim)
-            .map(|a| {
-                let idx = self.cell_idx[i * self.dim + a] as usize;
-                idx.max(self.res - 1 - idx)
-            })
-            .max()
-            .expect("points have dimension >= 1")
-    }
-
     /// Lower bound on the distance from point `i` to any point bucketed
-    /// in a cell of Chebyshev ring `≥ r` around `i`'s cell (0 for
-    /// `r = 0`). Monotone non-decreasing in `r`: a candidate stream that
-    /// has expanded rings `< r` and holds a candidate strictly closer
-    /// than this bound can emit it — no unexpanded cell can beat it.
+    /// in a cell of Chebyshev ring `≥ r` around `i`'s cell: 0 for
+    /// `r = 0`, `+∞` when those rings hold no point. Monotone
+    /// non-decreasing in `r`.
+    ///
+    /// The bound holds exactly for the computed distances of
+    /// [`Point::dist`] and [`GridIndex::dist`], not just up to rounding.
+    /// A point in ring `≥ r` lies `≥ r` slabs away from `i` on some axis
+    /// `a`, so its coordinate there is at least the least coordinate of
+    /// the slabs `≥ c + r` (or at most the greatest of the slabs
+    /// `≤ c − r`), where `c` is `i`'s slab. The bound takes the smallest
+    /// such gap `g` over every axis and side and returns `√(g·g)`.
+    /// Float subtraction, squaring, summing non-negative terms and `√`
+    /// are each monotone, so the computed distance to that point, whose
+    /// axis-`a` term alone is at least `g·g`, is at least the bound.
+    /// Cell faces would not do: a point's cell comes from
+    /// `⌊(x − lo)/w⌋`, and a face computed as `lo + k·w` can land an ulp
+    /// past a point of the cell beyond it.
     pub fn shell_min_dist(&self, i: usize, r: usize) -> f64 {
         if r == 0 {
             return 0.0;
         }
-        let mut best = f64::INFINITY;
+        let mut gap = f64::INFINITY;
         for a in 0..self.dim {
-            let idx = self.cell_idx[i * self.dim + a] as usize;
+            let c = self.cell_idx[i * self.dim + a] as usize;
             let x = self.coords[i * self.dim + a];
-            // Offset within the cell along axis a, in [0, w].
-            let frac = x - (self.lo[a] + idx as f64 * self.cell_w[a]);
-            // Nearest face of a cell r cells to the right / to the left.
-            let right = r as f64 * self.cell_w[a] - frac;
-            let left = (r - 1) as f64 * self.cell_w[a] + frac;
-            best = best.min(right.min(left));
+            if r < self.res - c {
+                gap = gap.min(self.above[a * self.res + c + r] - x);
+            }
+            if c >= r {
+                gap = gap.min(x - self.below[a * self.res + c - r]);
+            }
         }
-        best.max(0.0)
+        let gap = gap.max(0.0);
+        (gap * gap).sqrt()
     }
 
     /// Visit every live cell of Chebyshev ring exactly `r` around point
@@ -514,7 +563,7 @@ mod tests {
             let idx = GridIndex::new(&pts);
             for i in [0usize, 13, 79] {
                 let mut seen: Vec<u32> = Vec::new();
-                for r in 0..=idx.last_shell(i) {
+                for r in 0..idx.resolution() {
                     let ring = shell_points(&idx, i, r);
                     let mut brute = shell_brute(&idx, i, r);
                     let mut ring_sorted = ring.clone();
@@ -539,18 +588,52 @@ mod tests {
             let idx = GridIndex::new(&pts);
             for i in [0usize, 60, 119] {
                 let mut prev = 0.0f64;
-                for r in 0..=idx.last_shell(i) {
+                for r in 0..idx.resolution() {
                     let bound = idx.shell_min_dist(i, r);
-                    assert!(bound >= prev - 1e-15, "bound must be monotone in r");
+                    assert!(bound >= prev, "bound must be monotone in r");
                     prev = bound;
-                    for p in shell_points(&idx, i, r) {
-                        let d = pts[i].dist(&pts[p as usize]);
-                        assert!(
-                            d >= bound - 1e-12,
-                            "d = {dim}, i = {i}, r = {r}: point {p} at {d} < bound {bound}"
-                        );
+                    for later in r..idx.resolution() {
+                        for p in shell_points(&idx, i, later) {
+                            let d = pts[i].dist(&pts[p as usize]);
+                            assert!(
+                                d >= bound,
+                                "d = {dim}, i = {i}, r = {r}: point {p} at {d} < bound {bound}"
+                            );
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    /// A face computed as `lo + k·w` can round past a point that
+    /// `⌊(x − lo)/w⌋` puts in the next cell. On these 52 stations on a
+    /// line (26 cells of width 5/26), station 3 at x = 1.5 sits in cell
+    /// 7; a face-based bound for its ring 6 read `1.0000000000000002`,
+    /// while station 13, in that ring, lies at distance exactly 1.
+    #[test]
+    fn shell_min_dist_holds_where_cell_faces_round_past_points() {
+        let xs = [
+            5.0, 4.0, 5.0, 1.5, 1.5, 4.5, 4.0, 3.5, 2.0, 1.5, 4.0, 4.5, 1.5, 2.5, 1.5, 1.0, 1.5,
+            3.5, 4.0, 3.5, 5.0, 4.5, 0.0, 4.5, 2.0, 0.0, 1.0, 1.0, 2.5, 1.0, 2.5, 1.5, 2.5, 0.5,
+            2.0, 1.5, 5.0, 2.5, 2.0, 3.0, 2.0, 1.0, 3.0, 3.0, 0.5, 1.0, 1.0, 3.0, 1.5, 0.5, 2.0,
+            5.0,
+        ];
+        let pts: Vec<Point> = xs.iter().map(|&x| Point::on_line(x)).collect();
+        let idx = GridIndex::new(&pts);
+        assert_eq!((idx.resolution(), idx.cell_of(3)), (26, 7));
+        let ring = idx.cell_of(13).abs_diff(idx.cell_of(3));
+        assert_eq!(ring, 6);
+        assert_eq!(pts[3].dist(&pts[13]), 1.0);
+        assert!(idx.shell_min_dist(3, ring) <= 1.0);
+        for i in 0..pts.len() {
+            for j in 0..pts.len() {
+                let r = idx.cell_of(i).abs_diff(idx.cell_of(j));
+                assert!(
+                    pts[i].dist(&pts[j]) >= idx.shell_min_dist(i, r),
+                    "{i} → {j}"
+                );
+                assert_eq!(idx.dist(i, j).to_bits(), pts[i].dist(&pts[j]).to_bits());
             }
         }
     }
@@ -565,7 +648,7 @@ mod tests {
                 let mask = random_mask(&idx, seed, keep);
                 for i in [0usize, 1234, 2999] {
                     let center = cell_coords(&idx, idx.cell_of(i));
-                    for r in 0..=idx.last_shell(i) {
+                    for r in 0..idx.resolution() {
                         let mut walked = Vec::new();
                         idx.for_live_shell(i, r, &mask, |c| walked.push(c));
                         let brute: Vec<usize> = (0..idx.n_cells())
@@ -652,7 +735,7 @@ mod tests {
         }
         // Shells still cover everything.
         let mut seen = Vec::new();
-        for r in 0..=idx.last_shell(0) {
+        for r in 0..idx.resolution() {
             seen.extend(shell_points(&idx, 0, r));
         }
         seen.sort_unstable();
@@ -663,7 +746,7 @@ mod tests {
     fn single_point_and_single_cell_work() {
         let idx = GridIndex::new(&[Point::xyz(1.0, 2.0, 3.0)]);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.last_shell(0), 0);
+        assert_eq!(idx.resolution(), 1);
         assert_eq!(shell_points(&idx, 0, 0), vec![0]);
         let mut near = [7];
         idx.live_distance(&[1], &mut near);

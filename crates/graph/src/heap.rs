@@ -1,29 +1,45 @@
-//! Indexed binary min-heap keyed by `f64` priorities.
+//! Indexed binary min-heap with decrease-key.
 //!
 //! `std::collections::BinaryHeap` offers no decrease-key, which Dijkstra and
 //! Prim want; this heap tracks element positions so priorities can be lowered
-//! in `O(log n)` without lazy-deletion churn.
+//! in `O(log n)` without lazy-deletion churn. Keys are `f64` by default;
+//! any [`HeapKey`] order works, such as the spatial tree growth's
+//! `(key, via, station)` triples.
 
-/// Min-heap over element ids `0..capacity` with `f64` keys and decrease-key.
+/// A priority [`IndexedMinHeap`] orders by. `Default` only fills the
+/// slots of absent elements, which are never compared.
+pub trait HeapKey: Copy + Default {
+    /// True when `self` must pop before `other`: a strict weak order.
+    fn precedes(&self, other: &Self) -> bool;
+}
+
+impl HeapKey for f64 {
+    fn precedes(&self, other: &Self) -> bool {
+        self < other
+    }
+}
+
+/// Min-heap over element ids `0..capacity` with keys of type `K` (by
+/// default `f64`) and decrease-key.
 #[derive(Debug, Clone)]
-pub struct IndexedMinHeap {
+pub struct IndexedMinHeap<K = f64> {
     /// Heap array of element ids.
     heap: Vec<usize>,
     /// `pos[e]` = index of element `e` in `heap`, or `usize::MAX` if absent.
     pos: Vec<usize>,
     /// Current key per element (valid only while the element is present).
-    key: Vec<f64>,
+    key: Vec<K>,
 }
 
 const ABSENT: usize = usize::MAX;
 
-impl IndexedMinHeap {
+impl<K: HeapKey> IndexedMinHeap<K> {
     /// Empty heap able to hold element ids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
         Self {
             heap: Vec::with_capacity(capacity),
             pos: vec![ABSENT; capacity],
-            key: vec![f64::INFINITY; capacity],
+            key: vec![K::default(); capacity],
         }
     }
 
@@ -43,15 +59,20 @@ impl IndexedMinHeap {
     }
 
     /// Current key of a queued element.
-    pub fn key_of(&self, e: usize) -> Option<f64> {
+    pub fn key_of(&self, e: usize) -> Option<K> {
         self.contains(e).then(|| self.key[e])
     }
 
-    /// Insert `e` with the given key, or lower its key if already queued with
-    /// a larger one. Returns `true` if the stored key changed.
-    pub fn push_or_decrease(&mut self, e: usize, k: f64) -> bool {
+    /// The minimum-key element and its key, without removing it.
+    pub fn peek(&self) -> Option<(usize, K)> {
+        self.heap.first().map(|&e| (e, self.key[e]))
+    }
+
+    /// Insert `e` with the given key, or lower its key if already queued
+    /// with one that `k` precedes. Returns `true` if the stored key changed.
+    pub fn push_or_decrease(&mut self, e: usize, k: K) -> bool {
         if self.contains(e) {
-            if k < self.key[e] {
+            if k.precedes(&self.key[e]) {
                 self.key[e] = k;
                 self.sift_up(self.pos[e]);
                 true
@@ -68,7 +89,7 @@ impl IndexedMinHeap {
     }
 
     /// Pop the minimum-key element.
-    pub fn pop(&mut self) -> Option<(usize, f64)> {
+    pub fn pop(&mut self) -> Option<(usize, K)> {
         if self.heap.is_empty() {
             return None;
         }
@@ -84,10 +105,15 @@ impl IndexedMinHeap {
         Some((top, k))
     }
 
+    /// True when the element at heap slot `i` must pop before slot `j`'s.
+    fn before(&self, i: usize, j: usize) -> bool {
+        self.key[self.heap[i]].precedes(&self.key[self.heap[j]])
+    }
+
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.key[self.heap[i]] < self.key[self.heap[parent]] {
+            if self.before(i, parent) {
                 self.swap(i, parent);
                 i = parent;
             } else {
@@ -100,10 +126,10 @@ impl IndexedMinHeap {
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut smallest = i;
-            if l < self.heap.len() && self.key[self.heap[l]] < self.key[self.heap[smallest]] {
+            if l < self.heap.len() && self.before(l, smallest) {
                 smallest = l;
             }
-            if r < self.heap.len() && self.key[self.heap[r]] < self.key[self.heap[smallest]] {
+            if r < self.heap.len() && self.before(r, smallest) {
                 smallest = r;
             }
             if smallest == i {
@@ -164,6 +190,30 @@ mod tests {
         h.pop();
         assert!(!h.contains(1));
         assert!(h.is_empty());
+    }
+
+    /// A lexicographic `(key, tag)` order: equal `f64` keys pop by tag,
+    /// and decrease-key accepts a key that only lowers the tag.
+    #[derive(Debug, Default, Clone, Copy, PartialEq)]
+    struct Tagged(f64, u32);
+
+    impl HeapKey for Tagged {
+        fn precedes(&self, other: &Self) -> bool {
+            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1)) == std::cmp::Ordering::Less
+        }
+    }
+
+    #[test]
+    fn custom_key_orders_ties_and_decreases() {
+        let mut h: IndexedMinHeap<Tagged> = IndexedMinHeap::new(4);
+        h.push_or_decrease(0, Tagged(1.0, 9));
+        h.push_or_decrease(1, Tagged(1.0, 3));
+        h.push_or_decrease(2, Tagged(0.5, 7));
+        assert!(!h.push_or_decrease(2, Tagged(0.5, 8)));
+        assert!(h.push_or_decrease(0, Tagged(1.0, 2)));
+        assert_eq!(h.peek(), Some((2, Tagged(0.5, 7))));
+        let order: Vec<usize> = std::iter::from_fn(|| h.pop().map(|(e, _)| e)).collect();
+        assert_eq!(order, [2, 0, 1]);
     }
 
     proptest! {

@@ -9,8 +9,8 @@
 //! * [`mst`] — Prim/Kruskal spanning trees (MST broadcast heuristic, KMB);
 //! * [`shortest_path`] — Dijkstra, shortest-path trees, metric closure;
 //! * [`spatial`] — canonical SPT/MST growth: a dense `O(n²)` reference
-//!   and a grid-index candidate-stream path that matches it byte for
-//!   byte while scaling to 10⁶ stations;
+//!   and a grid-index shell-expansion path that matches it byte for
+//!   byte while scaling to 10⁶ stations in `O(n)` memory;
 //! * [`tree::RootedTree`] — rooted multicast/universal trees with the
 //!   `T(R)` (union-of-root-paths) operation of §2.1;
 //! * [`steiner`] — KMB 2-approximation + exact Dreyfus–Wagner reference;
@@ -38,7 +38,7 @@ pub mod tree;
 pub mod union_find;
 
 pub use dense::CostMatrix;
-pub use heap::IndexedMinHeap;
+pub use heap::{HeapKey, IndexedMinHeap};
 pub use jv_shares::{jv_steiner_shares, JvShares, JvSharing};
 pub use moat::{moat_growing, MoatResult};
 pub use mst::{kruskal, prim_mst, prim_mst_subset, SpanningTree};

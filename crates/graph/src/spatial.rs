@@ -14,53 +14,63 @@
 //!   achieving it — then relaxes its neighbours, preferring a smaller
 //!   `via` on exact key ties.
 //! * [`grow_tree_spatial`] — the same abstract process run lazily over a
-//!   [`GridIndex`]: every finalised vertex owns a *candidate stream*
-//!   that emits its neighbours in ascending `(cost, id)` order by
-//!   expanding grid shells, and a global priority queue of per-stream
-//!   head candidates `(key, via, vertex)` replays exactly the dense
-//!   selection order. Keys are computed with the identical float
-//!   expressions (`cost` from the same [`PowerModel::cost`] calls,
+//!   [`GridIndex`]. Every finalised vertex `u` owns a *neighbour stream*,
+//!   which is nothing but a ring cursor: expanding it relaxes the
+//!   unfinalised stations of the next grid shell around `u` into one
+//!   station-indexed queue ([`IndexedMinHeap`], at most one entry per
+//!   station, decrease-key) ordered by `(key, via, station)`. Each live
+//!   stream keeps one *marker* in a second queue, keyed by a lower bound
+//!   on every key its unexpanded shells can produce; the marker carries
+//!   the ring cursor, and a stream whose marker is gone is exhausted.
+//!   Keys are computed with the identical float expressions (`cost` from
+//!   the same [`PowerModel::cost_of_distance`] of the same distance bits,
 //!   `dist + cost` sums in the same order), so the two paths agree in
 //!   every byte of the parent array — the contract experiment T13 and
 //!   the `builder_props` proptests gate.
 //!
-//! Equivalence argument (why lazy = scan): the global queue pops in
-//! ascending `(key, via, vertex)` order, and a popped head immediately
-//! re-arms its stream, so whenever a candidate `(k, u, y)` would be the
-//! dense scan's selection, every stream candidate lexicographically
-//! smaller has already been popped — in particular `u`'s stream has
-//! already emitted `y`, and no unexpanded shell can hide a smaller
-//! candidate because shell lower bounds are conservative
-//! ([`GridIndex::shell_min_dist`]) and [`PowerModel::cost_of_distance`]
-//! is monotone. The argument needs no genericity assumptions: duplicate
-//! points (zero-cost edges) and exact float key ties replay identically
-//! on both sides because both sides break them with the same total
-//! order.
+//! Why lazy = scan:
 //!
-//! Three prunings keep the replay cheap without touching that order:
+//! * **Relaxation.** Expanding a shell applies the dense scan's own rule
+//!   to each unfinalised station `p` it meets from `u`: take key `k` when
+//!   `k < key[p]`, or when `k == key[p]` and `u < via[p]`. That rule
+//!   keeps the lexicographic minimum of `(k, u)` over every relaxation
+//!   seen, whatever their order, so a station's queue entry is the dense
+//!   scan's `(key, via)` restricted to the shells expanded so far.
+//! * **Markers.** Stream `u`'s marker key is `dist[u] + cost(b)` (SPT)
+//!   or `cost(b)` (MST), where `b` is [`GridIndex::shell_min_dist`] of
+//!   its next ring. That bound holds exactly for the computed distance
+//!   to every point in rings at or past the cursor, and
+//!   [`PowerModel::cost_of_distance`] and float addition are monotone, so
+//!   every key an unexpanded shell can produce for `u` is `≥` the marker
+//!   key.
+//! * **Selection.** The loop expands the head marker `(key_m, u)` first
+//!   exactly when `(key_m, u) ≤ (key, via)` of the station queue's head,
+//!   and finalises that head otherwise. When it finalises, take any
+//!   unexpanded relaxation `(k', u', p)`: `k'` is at least `u'`'s marker
+//!   key, and that marker orders at or after the head marker, so
+//!   `(k', u') > (key, via)`. No unexpanded relaxation can lower any
+//!   station to the head's triple or below it, so the head is the dense
+//!   scan's selection, with the dense scan's `via`. On an exact tie the
+//!   marker must win: its stream's unexpanded shells may still hold a
+//!   smaller station id at the same `(key, via)`.
 //!
-//! * **Finalised targets are skipped.** A candidate aimed at an
-//!   already-finalised vertex would pop as a no-op, so streams drop
-//!   such points at shell expansion and again at the local heap top.
+//! The argument needs no genericity assumptions: duplicate points
+//! (zero-cost edges) and exact float key ties replay identically on both
+//! sides because both sides break them with the same total order.
+//!
+//! Two prunings keep the expansions cheap without touching that order:
+//!
+//! * **Finalised targets are skipped.** An expansion relaxes only
+//!   unfinalised stations; a finalised one would never be selected again.
 //! * **Finalised cells and rings are skipped whole.** The growth counts
 //!   the unfinalised stations of every grid cell and keeps a bitset of
 //!   the *live* cells (count > 0); a shell expansion walks only the
 //!   ring's live cells ([`GridIndex::for_live_shell`]). Every ⌈n/32⌉
 //!   finalisations a raster transform ([`GridIndex::live_distance`])
-//!   refreshes each cell's chessboard distance to the nearest live cell,
-//!   and before a stream computes its bound it raises its ring cursor to
-//!   that distance — or marks itself exhausted when the distance lies
-//!   past its last shell.
-//! * **Shell expansion is marker-driven.** When a stream cannot yet
-//!   certify its local head (an unexpanded shell might contain
-//!   something cheaper), it queues a *bound marker* at the shell's
-//!   lower-bound key instead of expanding eagerly; the shell is
-//!   expanded only when that marker reaches the global minimum.
-//!   Markers sort after real candidates at an equal `(key, via)` pair
-//!   (their vertex slot is `u32::MAX`), and a marker's key is a lower
-//!   bound on everything its expansion can produce, so deferral never
-//!   changes which candidate pops next — only how much work was spent
-//!   to certify it.
+//!   refreshes each cell's chessboard distance to the nearest live cell.
+//!   Before a stream keys its marker, and again when the marker reaches
+//!   the head, it raises its ring cursor to that distance, or drops its
+//!   marker when the distance lies past its last shell.
 //!
 //! Why skipping cells and rings is exact:
 //!
@@ -68,40 +78,31 @@
 //!   expansion: skipping it applies the first pruning's per-point rule
 //!   to the whole cell at once.
 //! * Cells only die, so a ring whose cells are all finalised stays that
-//!   way; expanding it would insert nothing, now or later, and jumping
-//!   past it leaves the stream's heap exactly as expanding it would. A
-//!   stale distance is below the true one, so it only ever skips such
-//!   rings.
-//! * A higher ring cursor only raises the stream's
-//!   [`GridIndex::shell_min_dist`] bound, which still lower-bounds every
-//!   unexpanded unfinalised point. Held heads are still certified
-//!   correctly and markers still sort after real candidates at an equal
-//!   `(key, via)`, so the queue finalises the same `(key, via, vertex)`
-//!   sequence and the parent array does not change.
+//!   way; expanding it would relax nothing, now or later. A stale
+//!   distance is below the true one, so it only ever skips such rings.
+//! * A higher ring cursor only raises the marker's bound, which still
+//!   lower-bounds every key an unexpanded unfinalised point can get, so
+//!   the selection argument above holds unchanged.
 //!
-//! Measured on a 2-vCPU host (release build, uniform stations at
-//! constant density, free space): the live walk and the ring skip cut
-//! the points an SPT growth visits from ~397 to ~18 per station at
-//! n = 16,384 (the pinned-work unit test), the n = 10⁵ SPT growth from
-//! ~2.6 s to ~0.7 s, and the n = 10⁶ one from ~129 s to ~14–17 s. The
-//! remaining superlinearity of SPT growth
-//! comes from its keys: low-distance streams must certify candidates
-//! far from their own cell before the frontier moves.
+//! Memory is `O(n)` on every layout: the station queue holds at most one
+//! entry per station, the marker queue at most one per stream, and
+//! nothing else grows with the shells.
 //!
-//! Memory: a stream's local heap gives its buffer back the moment it
-//! drains, and a later shell expansion allocates a fresh one, so the
-//! streams together retain about twice the candidates they hold (the
-//! heaps' growth slack), not their largest shells. Releasing touches no
-//! key, so the finalisation order and every parent array stay the same.
-//! Before, each stream kept the capacity of its largest shell until the
-//! growth ended. In the pinned-work unit test (n = 16,384), the peak
-//! retained entries per station fell from 15.40 to 1.23 (SPT) and from
-//! 12.07 to 8.43 (MST), at a peak of 0.53 and 3.64 live entries; the
-//! n = 10⁵ SPT growth's high-water mark fell from 45 to 20 MB.
+//! Measured on a 2-vCPU host (release build, free space, source 0,
+//! n = 10⁵ at the density of `large_scale`'s uniform square): SPT growth
+//! in ~0.26 s and MST in ~0.17 s on the square, where the per-stream
+//! candidate heaps this replaced took ~0.44 s and ~0.25 s. A 10:1 strip
+//! takes ~4.3 s (SPT; 18.2 s and a 172 MB peak before), four tight
+//! clusters ~51 s and a 100:1 strip ~133 s, each at an ~18 MB process
+//! peak; the per-stream heaps were OOM-killed on the last two. What
+//! remains superlinear is the uniform grid, whose shells hold hundreds
+//! of points on those layouts, and SPT keys, which make low-distance
+//! streams expand far from their own cell before the frontier moves.
 
 use crate::dense::CostMatrix;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::heap::{HeapKey, IndexedMinHeap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use wmcs_geom::{GridIndex, Point, PowerModel};
 
 /// Which universal tree to grow from the source (§2.1 discusses both).
@@ -194,19 +195,6 @@ pub fn grow_tree_dense(costs: &CostMatrix, source: usize, kind: TreeKind) -> Vec
     parent
 }
 
-/// What a candidate stream offers the global queue next.
-enum StreamStep {
-    /// A concrete neighbour: the cheapest not-yet-finalised expanded
-    /// candidate, certainly no worse than anything unexpanded.
-    Candidate(f64, u32),
-    /// No emittable candidate yet; the unexpanded shells are bounded
-    /// below by this cost. The caller queues a *bound marker* and the
-    /// stream only expands when that marker reaches the global minimum.
-    Bound(f64),
-    /// Exhausted: every other point was emitted or finalised.
-    Dead,
-}
-
 /// Which grid cells still hold an unfinalised station, and how far each
 /// cell is from the nearest one that does.
 #[derive(Debug)]
@@ -260,156 +248,40 @@ impl LiveCells {
 /// anything.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct GrowthWork {
-    /// Entries popped from the global queue (candidates and markers).
-    pub(crate) pops: u64,
     /// Shells expanded.
     pub(crate) expansions: u64,
     /// Points bucketed in the cells the ring walks visited, finalised
     /// ones included.
     pub(crate) points_visited: u64,
-    /// Candidate entries the streams' local heaps hold now.
-    live: u64,
-    /// Entries the streams' heap buffers have room for now: `live` plus
-    /// each buffer's spare capacity.
-    retained: u64,
-    /// The most entries `live` ever reached.
-    pub(crate) peak_live: u64,
-    /// The most entries `retained` ever reached.
-    pub(crate) peak_retained: u64,
+    /// The most stations the station queue ever held at once.
+    pub(crate) peak_queued: u64,
 }
 
-impl GrowthWork {
-    /// A shell expansion pushed `entries` candidates and grew its
-    /// stream's buffer by `capacity` entries.
-    fn buffered(&mut self, entries: usize, capacity: usize) {
-        self.live += entries as u64;
-        self.retained += capacity as u64;
-        self.peak_live = self.peak_live.max(self.live);
-        self.peak_retained = self.peak_retained.max(self.retained);
+/// A station-queue entry: station `station`'s best key so far, reached
+/// from the finalised station `via`. Entries order as the dense scan
+/// selects, by `(key, via, station)`.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tentative {
+    key: f64,
+    via: u32,
+    station: u32,
+}
+
+impl HeapKey for Tentative {
+    fn precedes(&self, other: &Self) -> bool {
+        self.key
+            .total_cmp(&other.key)
+            .then(self.via.cmp(&other.via))
+            .then(self.station.cmp(&other.station))
+            == Ordering::Less
     }
 }
 
-/// A lazy neighbour stream: emits the not-yet-finalised points in
-/// ascending `(cost, id)` order by expanding grid shells on demand,
-/// holding the already-expanded candidates in a local min-heap.
-///
-/// Finalised vertices are skipped (at insertion and again at the heap
-/// top, for entries that were finalised while pending), dead cells and
-/// rings are skipped whole, and a shell is only expanded when the
-/// stream's lower bound is the *global* queue minimum — not eagerly
-/// whenever the local head is uncertain. The heap gives its buffer back
-/// the moment it drains, so a stream holds memory only while it holds
-/// candidates; a later expansion allocates afresh.
-#[derive(Debug)]
-struct NeighborStream {
-    ring: usize,
-    exhausted: bool,
-    heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
-}
-
-impl NeighborStream {
-    fn new() -> Self {
-        Self {
-            ring: 0,
-            exhausted: false,
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Pop the local head, releasing the buffer if that drains it.
-    fn pop(&mut self, work: &mut GrowthWork) {
-        self.heap.pop();
-        work.live -= 1;
-        if self.heap.is_empty() {
-            work.retained -= self.heap.capacity() as u64;
-            self.heap = BinaryHeap::new();
-        }
-    }
-
-    /// The stream's next move, without expanding anything (it may move
-    /// its ring cursor past rings that hold only finalised stations).
-    fn step(
-        &mut self,
-        idx: &GridIndex,
-        model: &PowerModel,
-        done: &[bool],
-        live: &LiveCells,
-        u: usize,
-        work: &mut GrowthWork,
-    ) -> StreamStep {
-        // Rings closer than the nearest live cell hold finalised stations
-        // only: expanding them would insert nothing, now or later.
-        let first_live = live.near[idx.cell_of(u)] as usize;
-        if !self.exhausted && first_live > self.ring {
-            if first_live > idx.last_shell(u) {
-                self.exhausted = true;
-            } else {
-                self.ring = first_live;
-            }
-        }
-        loop {
-            let top = self.heap.peek().map(|&Reverse((OrdF64(c), y))| (c, y));
-            if let Some((_, y)) = top {
-                // Finalised while pending in this local heap: discard.
-                if done[y as usize] {
-                    self.pop(work);
-                    continue;
-                }
-            }
-            if self.exhausted {
-                return match top {
-                    Some((c, y)) => {
-                        self.pop(work);
-                        StreamStep::Candidate(c, y)
-                    }
-                    None => StreamStep::Dead,
-                };
-            }
-            // A held candidate may only be emitted once it is strictly
-            // cheaper than anything an unexpanded shell could contain
-            // (on an exact cost tie, an unseen point with a smaller id
-            // could still exist — defer to the bound marker).
-            let bound = model.cost_of_distance(idx.shell_min_dist(u, self.ring));
-            return match top {
-                Some((c, y)) if c < bound => {
-                    self.pop(work);
-                    StreamStep::Candidate(c, y)
-                }
-                _ => StreamStep::Bound(bound),
-            };
-        }
-    }
-
-    /// Expand the next shell, inserting the not-yet-finalised points of
-    /// its live cells. Returns how many points those cells hold.
-    fn expand(
-        &mut self,
-        idx: &GridIndex,
-        points: &[Point],
-        model: &PowerModel,
-        done: &[bool],
-        live: &LiveCells,
-        u: usize,
-    ) -> u64 {
-        debug_assert!(!self.exhausted, "markers are only queued for live streams");
-        let mut visited = 0u64;
-        idx.for_live_shell(u, self.ring, &live.bits, |c| {
-            let cell = idx.cell_points(c);
-            visited += cell.len() as u64;
-            for &p in cell {
-                if p as usize != u && !done[p as usize] {
-                    let c = model.cost(&points[u], &points[p as usize]);
-                    self.heap.push(Reverse((OrdF64(c), p)));
-                }
-            }
-        });
-        if self.ring >= idx.last_shell(u) {
-            self.exhausted = true;
-        }
-        self.ring += 1;
-        visited
-    }
-}
+/// A live stream's marker `(key, stream, ring)`: `key` lower-bounds every
+/// key the shells of `stream` from ring `ring` on can produce. Markers
+/// order by `(key, stream)`; a stream has at most one, so `ring` never
+/// decides.
+type Marker = Reverse<(OrdF64, u32, u32)>;
 
 /// Canonical spatial growth over a Euclidean point set: the same
 /// abstract process as [`grow_tree_dense`] on
@@ -434,6 +306,7 @@ pub(crate) fn grow_tree_spatial_counted(
     let n = points.len();
     assert!(source < n, "source out of range");
     u32::try_from(n).expect("spatial growth point count fits in u32");
+    let id = |v: usize| u32::try_from(v).expect("point ids and rings are below n");
     let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut work = GrowthWork::default();
     if n == 1 {
@@ -443,90 +316,101 @@ pub(crate) fn grow_tree_spatial_counted(
     let mut live = LiveCells::new(&idx);
     // Refresh the dead-ring distances 32 times over the growth. Each
     // refresh costs O(cells · 3^d); at n = 10⁵ (uniform, d = 2, 2-vCPU
-    // host) refreshing every n/8, n/32, n/128 and n/512 finalisations
-    // measured 0.91, 0.73, 0.90 and 1.11 s of SPT growth.
+    // host, medians of 5) refreshing every n/8, n/32 and n/128
+    // finalisations measured 0.34, 0.30 and 0.38 s of SPT growth.
     let refresh_every = n.div_ceil(32);
     let mut dist = vec![0.0f64; n];
     let mut done = vec![false; n];
-    let mut streams: Vec<Option<NeighborStream>> = (0..n).map(|_| None).collect();
-    // Global queue of per-stream entries (key, via, vertex): real
-    // candidates carry the target's id, bound markers carry MARKER.
-    // MARKER exceeds every vertex id, so at an exact (key, via) tie the
-    // real candidate pops first — deferral never reorders selections.
-    const MARKER: u32 = u32::MAX;
-    let mut pq: BinaryHeap<Reverse<(OrdF64, u32, u32)>> = BinaryHeap::new();
+    let mut queue: IndexedMinHeap<Tentative> = IndexedMinHeap::new(n);
+    let mut markers: BinaryHeap<Marker> = BinaryHeap::new();
 
-    let arm = |v: usize,
-               streams: &mut Vec<Option<NeighborStream>>,
-               pq: &mut BinaryHeap<Reverse<(OrdF64, u32, u32)>>,
-               dist: &[f64],
-               done: &[bool],
-               live: &LiveCells,
-               work: &mut GrowthWork| {
-        let s = streams[v].get_or_insert_with(NeighborStream::new);
-        let (c, y) = match s.step(&idx, model, done, live, v, work) {
-            StreamStep::Candidate(c, y) => (c, y),
-            StreamStep::Bound(b) => (b, MARKER),
-            StreamStep::Dead => return,
+    // Stream `u`'s marker for its shells from `ring` on, after raising
+    // the cursor past rings that hold finalised stations only; `None`
+    // once no unfinalised station can lie in those shells (the bound of
+    // rings that hold no point at all is infinite).
+    let marker = |u: usize, ring: usize, dist: &[f64], live: &LiveCells| -> Option<Marker> {
+        let ring = ring.max(live.near[idx.cell_of(u)] as usize);
+        let bound = idx.shell_min_dist(u, ring);
+        if bound == f64::INFINITY {
+            return None;
+        }
+        let cost = model.cost_of_distance(bound);
+        let key = match kind {
+            TreeKind::Spt => dist[u] + cost,
+            TreeKind::Mst => cost,
         };
-        let k = match kind {
-            TreeKind::Spt => dist[v] + c,
-            TreeKind::Mst => c,
-        };
-        pq.push(Reverse((
-            OrdF64(k),
-            u32::try_from(v).expect("vertex id fits in u32"),
-            y,
-        )));
+        Some(Reverse((OrdF64(key), id(u), id(ring))))
     };
 
     done[source] = true;
     live.finalise(&idx, source);
+    markers.extend(marker(source, 0, &dist, &live));
     let mut finalized = 1usize;
-    arm(
-        source,
-        &mut streams,
-        &mut pq,
-        &dist,
-        &done,
-        &live,
-        &mut work,
-    );
-
     while finalized < n {
-        let Reverse((OrdF64(k), u, y)) = pq
-            .pop()
-            .expect("complete Euclidean graphs keep a candidate pending until spanning");
-        work.pops += 1;
-        let u = u as usize;
-        if y == MARKER {
-            // The stream's unexpanded bound reached the global minimum:
-            // now (and only now) expand the next shell and re-offer.
-            let s = streams[u]
-                .as_mut()
-                .expect("markers come from armed streams");
-            let (len, capacity) = (s.heap.len(), s.heap.capacity());
+        let expand = match (markers.peek(), queue.peek()) {
+            (Some(Reverse((OrdF64(key_m), u, _))), Some((_, head))) => {
+                key_m.total_cmp(&head.key).then(u.cmp(&head.via)) != Ordering::Greater
+            }
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => {
+                panic!("complete Euclidean graphs keep a station queued until spanning")
+            }
+        };
+        if expand {
+            let mut head = markers.peek_mut().expect("the head marker was just read");
+            let Reverse((_, via, ring)) = *head;
+            let (u, ring, du) = (via as usize, ring as usize, dist[via as usize]);
+            // Rings may have died since the marker was keyed: re-key it
+            // past them instead of walking them.
+            if live.near[idx.cell_of(u)] as usize > ring {
+                match marker(u, ring, &dist, &live) {
+                    Some(fresh) => *head = fresh,
+                    None => {
+                        PeekMut::pop(head);
+                    }
+                }
+                continue;
+            }
             work.expansions += 1;
-            work.points_visited += s.expand(&idx, points, model, &done, &live, u);
-            work.buffered(s.heap.len() - len, s.heap.capacity() - capacity);
-            arm(u, &mut streams, &mut pq, &dist, &done, &live, &mut work);
+            idx.for_live_shell(u, ring, &live.bits, |c| {
+                let cell = idx.cell_points(c);
+                work.points_visited += cell.len() as u64;
+                for &p in cell {
+                    if !done[p as usize] {
+                        let cost = model.cost_of_distance(idx.dist(u, p as usize));
+                        let key = match kind {
+                            TreeKind::Spt => du + cost,
+                            TreeKind::Mst => cost,
+                        };
+                        let entry = Tentative {
+                            key,
+                            via,
+                            station: p,
+                        };
+                        queue.push_or_decrease(p as usize, entry);
+                    }
+                }
+            });
+            work.peak_queued = work.peak_queued.max(queue.len() as u64);
+            match marker(u, ring + 1, &dist, &live) {
+                Some(next) => *head = next,
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
             continue;
         }
-        let y = y as usize;
-        // Re-arm the popped stream so its next head re-enters the queue.
-        arm(u, &mut streams, &mut pq, &dist, &done, &live, &mut work);
-        if done[y] {
-            continue;
-        }
+        let (y, head) = queue.pop().expect("the head station was just read");
         done[y] = true;
-        parent[y] = Some(u);
-        dist[y] = k;
+        parent[y] = Some(head.via as usize);
+        dist[y] = head.key;
         finalized += 1;
         live.finalise(&idx, y);
         if finalized.is_multiple_of(refresh_every) {
             live.refresh(&idx);
         }
-        arm(y, &mut streams, &mut pq, &dist, &done, &live, &mut work);
+        markers.extend(marker(y, 0, &dist, &live));
     }
     (parent, work)
 }
@@ -625,9 +509,9 @@ mod tests {
     /// and much of it is finalised, so this pins identity well past the
     /// property suites' n ≤ 512: every registered family in each
     /// dimension it supports, both exponents, both tree kinds, a point
-    /// set with duplicates, and the two layouts whose streams buffer the
+    /// set with duplicates, and the two layouts whose streams expand the
     /// deepest shells (a 10:1 strip and four tight clusters), so that
-    /// buffers released mid-growth are exercised. The cases run one after
+    /// large shells relax into a long station queue. The cases run one after
     /// another, since each dense reference holds a 33 MB matrix.
     #[test]
     fn spatial_equals_dense_at_n_2048_on_every_family() {
@@ -679,33 +563,112 @@ mod tests {
         }
     }
 
-    /// Pins the growth's work and memory, not its clock: points visited
-    /// and peak retained candidate entries per station at n = 16,384
-    /// (uniform in a square of side √n·10, α = 2, source 0, `SmallRng`
-    /// seed 7) may not exceed 1.25× what the live-cell walk, the dead-ring
-    /// skip and the release of drained stream buffers measure here.
+    /// Stations on a line where a cell-face shell bound rounded past a
+    /// point (see `GridIndex::shell_min_dist`): with that bound, stream 3
+    /// of the first instance certified candidates that its unexpanded
+    /// ring 6 beats, and stations 13, 28, 30, 32 and 37 got parent 8
+    /// instead of 3; in the second, station 22 got parent 8 instead of 6.
+    #[test]
+    fn spatial_equals_dense_where_cell_faces_round_past_points() {
+        let instances: [(usize, &[f64]); 2] = [
+            (
+                27,
+                &[
+                    5.0, 4.0, 5.0, 1.5, 1.5, 4.5, 4.0, 3.5, 2.0, 1.5, 4.0, 4.5, 1.5, 2.5, 1.5, 1.0,
+                    1.5, 3.5, 4.0, 3.5, 5.0, 4.5, 0.0, 4.5, 2.0, 0.0, 1.0, 1.0, 2.5, 1.0, 2.5, 1.5,
+                    2.5, 0.5, 2.0, 1.5, 5.0, 2.5, 2.0, 3.0, 2.0, 1.0, 3.0, 3.0, 0.5, 1.0, 1.0, 3.0,
+                    1.5, 0.5, 2.0, 5.0,
+                ],
+            ),
+            (
+                18,
+                &[
+                    6.0, 6.0, 0.0, 0.0, 5.0, 0.5, 3.5, 6.0, 3.0, 3.0, 4.5, 3.5, 2.0, 1.5, 4.5, 0.5,
+                    4.5, 5.5, 2.5, 6.0, 5.0, 3.5, 4.0, 0.5, 5.5, 3.0, 2.5, 0.0, 1.5, 0.5,
+                ],
+            ),
+        ];
+        let model = PowerModel::linear();
+        for (source, xs) in instances {
+            let pts: Vec<Point> = xs.iter().map(|&x| Point::on_line(x)).collect();
+            let m = CostMatrix::from_points(&pts, &model);
+            for kind in [TreeKind::Spt, TreeKind::Mst] {
+                assert_eq!(
+                    grow_tree_dense(&m, source, kind),
+                    grow_tree_spatial(&pts, &model, source, kind),
+                    "n = {}, source {source}, {kind:?}",
+                    pts.len()
+                );
+            }
+        }
+    }
+
+    /// Small layouts on a half-integer lattice, where duplicate points and
+    /// exact key ties are the rule rather than the exception: 20,000
+    /// layouts of n ∈ [5, 64] stations in d ∈ {1, 2}, α ∈ {1, 2, 4}, a
+    /// random source, both tree kinds.
+    #[test]
+    fn spatial_equals_dense_on_tie_heavy_lattices() {
+        let mut rng = SmallRng::seed_from_u64(0x71e_5eed);
+        for case in 0..20_000 {
+            let n = rng.gen_range(5..=64usize);
+            let dim = rng.gen_range(1..=2usize);
+            let alpha = [1.0, 2.0, 4.0][rng.gen_range(0..3usize)];
+            // Lattice side, in half steps: at most 17 sites per axis, so
+            // duplicate points are common.
+            let steps = rng.gen_range(2..=n.min(16) as u32);
+            let pts: Vec<Point> = (0..n)
+                .map(|_| {
+                    Point::new(
+                        (0..dim)
+                            .map(|_| f64::from(rng.gen_range(0..=steps)) * 0.5)
+                            .collect(),
+                    )
+                })
+                .collect();
+            let source = rng.gen_range(0..n);
+            let model = PowerModel::with_alpha(alpha);
+            let m = CostMatrix::from_points(&pts, &model);
+            for kind in [TreeKind::Spt, TreeKind::Mst] {
+                assert_eq!(
+                    grow_tree_dense(&m, source, kind),
+                    grow_tree_spatial(&pts, &model, source, kind),
+                    "case {case}: n = {n}, d = {dim}, α = {alpha}, source {source}, {kind:?}"
+                );
+            }
+        }
+    }
+
+    /// Pins the growth's work, not its clock, on uniform stations at
+    /// n = 16,384 (a square of side √n·10, α = 2, source 0, `SmallRng`
+    /// seed 7): shell expansions, points visited and peak queued stations
+    /// per station may not exceed 1.25× what this growth measures here.
     /// Measured per station:
     ///
     /// | count | SPT | MST |
     /// |---|---|---|
-    /// | points visited | 17.72 | 10.81 |
-    /// | shell expansions | 4.88 | 2.70 |
-    /// | queue pops | 7.93 | 4.89 |
-    /// | peak retained entries | 1.23 | 8.43 |
-    /// | peak live entries | 0.53 | 3.64 |
+    /// | shell expansions | 3.326 | 2.310 |
+    /// | points visited | 17.58 | 10.80 |
+    /// | peak queued stations | 0.0309 | 0.1151 |
     ///
-    /// The growth before those two mechanisms measured, on this instance,
-    /// 396.5 / 49.0 points visited, 7.62 / 2.97 shell expansions and
-    /// 10.67 / 5.15 queue pops per station (SPT / MST); another uniform
-    /// instance of the same size measured 373.6 / 49.6, 7.40 / 2.98 and
-    /// 10.45 / 5.16. Before drained buffers were released, peak retained
-    /// entries read 15.40 / 12.07 per station at the same peak live.
+    /// The candidate-stream growth this replaced visited 17.72 / 10.81
+    /// points and expanded 4.88 / 2.70 shells per station here (SPT /
+    /// MST), with per-stream heaps whose live entries peaked at 0.53 /
+    /// 3.64 per station.
     ///
-    /// Peak retained entries may also not exceed 3× peak live ones, here
-    /// and on a 10:1 strip at n = 4,096 (`strip_points`, seed 17), where
-    /// SPT streams buffer the deepest shells. Released buffers measure
-    /// 2.30 / 2.32 here and 2.36 / 1.55 on the strip (SPT / MST); kept
-    /// ones measured 28.9 / 3.32 and 3.18 / 1.59.
+    /// On a 100:1 strip and four tight clusters at n = 4,096
+    /// (`strip_points` seed 17, `tight_cluster_points` seed 19), where SPT
+    /// streams expand the deepest shells, the station queue may hold at
+    /// most n stations and points visited per station are pinned at 1.25×
+    /// the measured value:
+    ///
+    /// | layout | SPT | MST |
+    /// |---|---|---|
+    /// | 100:1 strip | 1,857.0 | 472.4 |
+    /// | 4 tight clusters | 907.8 | 1,133.8 |
+    ///
+    /// Their peak queues read 3,784 / 1,601 (strip) and 1,892 / 1,953
+    /// (clusters) stations.
     #[test]
     fn growth_work_per_station_is_pinned() {
         let n = 16_384;
@@ -715,36 +678,45 @@ mod tests {
             .map(|_| Point::xy(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
             .collect();
         let model = PowerModel::free_space();
-        for (kind, visited, retained) in
-            [(TreeKind::Spt, 17.72, 1.23), (TreeKind::Mst, 10.81, 8.43)]
-        {
+        let per_station = |count: u64, n: usize| count as f64 / n as f64;
+        for (kind, expansions, visited, queued) in [
+            (TreeKind::Spt, 3.326, 17.58, 0.0309),
+            (TreeKind::Mst, 2.310, 10.80, 0.1151),
+        ] {
             let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
-            let per_station = |count: u64| count as f64 / n as f64;
-            assert!(
-                per_station(work.points_visited) <= 1.25 * visited,
-                "{kind:?}: {:.2} points visited per station, pinned at {visited} \
-                 ({:.2} expansions, {:.2} pops per station)",
-                per_station(work.points_visited),
-                per_station(work.expansions),
-                per_station(work.pops)
-            );
-            assert!(
-                per_station(work.peak_retained) <= 1.25 * retained,
-                "{kind:?}: {:.2} peak retained entries per station, pinned at {retained} \
-                 ({:.2} peak live)",
-                per_station(work.peak_retained),
-                per_station(work.peak_live)
-            );
-        }
-        let strip = strip_points(4096, 10.0, 17);
-        for (label, pts) in [("uniform n=16384", &pts), ("10:1 strip n=4096", &strip)] {
-            for kind in [TreeKind::Spt, TreeKind::Mst] {
-                let (_, work) = grow_tree_spatial_counted(pts, &model, 0, kind);
+            let measured = [
+                ("shell expansions", work.expansions, expansions),
+                ("points visited", work.points_visited, visited),
+                ("peak queued stations", work.peak_queued, queued),
+            ];
+            for (what, count, pin) in measured {
                 assert!(
-                    work.peak_retained <= 3 * work.peak_live,
-                    "{label} {kind:?}: peak retained {} entries, over 3× peak live {}",
-                    work.peak_retained,
-                    work.peak_live
+                    per_station(count, n) <= 1.25 * pin,
+                    "{kind:?}: {:.3} {what} per station, pinned at {pin}",
+                    per_station(count, n)
+                );
+            }
+        }
+        let n = 4096;
+        for (label, pts, pins) in [
+            ("100:1 strip", strip_points(n, 100.0, 17), [1857.0, 472.4]),
+            (
+                "4 tight clusters",
+                tight_cluster_points(n, 19),
+                [907.8, 1133.8],
+            ),
+        ] {
+            for (kind, visited) in [TreeKind::Spt, TreeKind::Mst].into_iter().zip(pins) {
+                let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
+                assert!(
+                    work.peak_queued <= n as u64,
+                    "{label} {kind:?}: {} stations queued at once, over n = {n}",
+                    work.peak_queued
+                );
+                assert!(
+                    per_station(work.points_visited, n) <= 1.25 * visited,
+                    "{label} {kind:?}: {:.2} points visited per station, pinned at {visited}",
+                    per_station(work.points_visited, n)
                 );
             }
         }

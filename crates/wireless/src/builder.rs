@@ -26,7 +26,7 @@
 //!   `UniversalTree::new` and again into `TreeSubstrate::new`.
 //! * **Backend choice.** [`Backend::Dense`] runs the canonical `O(n²)`
 //!   scan ([`wmcs_graph::grow_tree_dense`]); [`Backend::Spatial`] runs
-//!   the grid-index candidate-stream growth
+//!   the grid-index shell growth
 //!   ([`wmcs_graph::grow_tree_spatial`], Euclidean networks only); the
 //!   default [`Backend::Auto`] picks spatial for Euclidean networks
 //!   with `n ≥` [`SPATIAL_AUTO_THRESHOLD`]. The two backends are
@@ -68,11 +68,13 @@ pub enum Backend {
     /// The canonical `O(n²)` scan over pairwise costs — the pinned
     /// reference, and the only backend for non-Euclidean networks.
     Dense,
-    /// Grid-index candidate-stream growth that skips finalised grid
-    /// cells and rings whole; byte-identical to [`Backend::Dense`].
-    /// Measured on a 2-vCPU host with uniform stations at constant
-    /// density: n = 10⁵ in ~0.7 s (SPT) / ~0.4 s (MST), n = 10⁶ in
-    /// ~14–17 s / ~5.5 s. Panics on networks without Euclidean geometry.
+    /// Grid-index shell growth: each expanded shell is relaxed into one
+    /// station-indexed queue, finalised grid cells and rings are skipped
+    /// whole, and memory stays `O(n)` on every layout; byte-identical to
+    /// [`Backend::Dense`]. Growth measured on a 2-vCPU host with uniform
+    /// stations at constant density: n = 10⁵ in ~0.26 s (SPT) /
+    /// ~0.17 s (MST), n = 10⁶ in ~7.7 s / ~3.3 s. Panics on networks
+    /// without Euclidean geometry.
     Spatial,
 }
 

@@ -5,7 +5,9 @@
 //! path (see `.github/workflows/ci.yml`): the network stays **lazy** (no
 //! `O(n²)` cost matrix is ever materialised), `Backend::Spatial` grows
 //! the SPT and MST universal trees through the grid index, both parent
-//! arrays must hash to their pinned digests, warm session state must
+//! arrays must hash to their pinned digests, an SPT grown on a 10:1
+//! strip of the same density must match its own digest without raising
+//! the process's peak memory by more than half, warm session state must
 //! stay under a per-group ceiling on a many-group [`MulticastService`]
 //! for both mechanisms, every outcome that service returns must store no
 //! more share entries than it has receivers (nothing sized by n), and
@@ -24,12 +26,15 @@ use rand::{Rng, SeedableRng};
 
 const N: usize = 100_000;
 
-/// FNV-1a digests of the two n = 10⁵ parent arrays (see [`parent_digest`]).
+/// FNV-1a digests of the n = 10⁵ parent arrays on the square (see
+/// [`parent_digest`]).
 /// Spatial growth replays the dense scan's selection order exactly, so
 /// these change only when a change means to change trees; such a change
 /// updates the pins and records why in CHANGES.md.
 const SPT_DIGEST: u64 = 0x1f59_4e13_bbec_0204;
 const MST_DIGEST: u64 = 0x5c42_10f8_6fbd_d6d6;
+/// The same digest for the SPT over the 10:1 strip (see [`strip_points`]).
+const STRIP_SPT_DIGEST: u64 = 0x7997_ea30_2495_164a;
 
 /// Groups of each mechanism sharing the substrate in the warm-state
 /// check.
@@ -62,19 +67,40 @@ fn parent_digest(ut: &UniversalTree) -> u64 {
     h
 }
 
-/// `", VmHWM <peak resident set>"` read from `/proc/self/status` where
-/// that file exists (Linux), else nothing: set-up memory for the release
-/// log, printed only, never asserted.
+/// Print `tree`'s parent digest and assert it equals `pin`.
+fn assert_digest(kind: &str, tree: &UniversalTree, pin: u64) {
+    let digest = parent_digest(tree);
+    println!("{kind} parent digest {digest:016x}");
+    assert_eq!(
+        digest, pin,
+        "{kind} parent digest {digest:016x} drifted from the pinned {pin:016x}"
+    );
+}
+
+/// The process's peak resident set in kB, `VmHWM` in `/proc/self/status`,
+/// where that file exists (Linux).
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// `", VmHWM <peak resident set>"` where [`peak_rss_kb`] can read it,
+/// else nothing: set-up memory for the release log.
 fn peak_rss_note() -> String {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find_map(|l| l.strip_prefix("VmHWM:"))
-                .map(|v| format!(", VmHWM {}", v.trim()))
-        })
-        .unwrap_or_default()
+    peak_rss_kb().map_or_else(String::new, |kb| format!(", VmHWM {kb} kB"))
+}
+
+/// `N` stations uniform in a 10:1 rectangle with the area of the square
+/// of side `side`, so at the same density (`SmallRng` seed 7). The grid
+/// keeps one cell count per axis, so its cells here are 10:1 slivers and
+/// each shell holds far more stations than on the square.
+fn strip_points(side: f64) -> Vec<Point> {
+    let (width, height) = (side * 10f64.sqrt(), side / 10f64.sqrt());
+    let mut rng = SmallRng::seed_from_u64(7);
+    (0..N)
+        .map(|_| Point::xy(rng.gen_range(0.0..width), rng.gen_range(0.0..height)))
+        .collect()
 }
 
 fn main() {
@@ -87,8 +113,7 @@ fn main() {
         .collect();
     let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
 
-    // Build timing and memory are informational; they never flow into a
-    // verdict.
+    // Build timing is informational; it never flows into a verdict.
     #[allow(clippy::disallowed_methods)]
     let t = std::time::Instant::now();
     let ut = SubstrateBuilder::from_owned(net)
@@ -101,6 +126,7 @@ fn main() {
         ut.substrate().memory_bytes() as f64 / N as f64,
         peak_rss_note()
     );
+    assert_digest("SPT", &ut, SPT_DIGEST);
     #[allow(clippy::disallowed_methods)]
     let t = std::time::Instant::now();
     let mst = SubstrateBuilder::new(ut.network())
@@ -112,14 +138,38 @@ fn main() {
         t.elapsed(),
         peak_rss_note()
     );
-    for (kind, tree, pin) in [("SPT", &ut, SPT_DIGEST), ("MST", &mst, MST_DIGEST)] {
-        let digest = parent_digest(tree);
-        println!("{kind} parent digest {digest:016x}");
-        assert_eq!(
-            digest, pin,
-            "{kind} parent digest {digest:016x} drifted from the pinned {pin:016x}"
+    assert_digest("MST", &mst, MST_DIGEST);
+    drop(mst);
+
+    // Bounded growth memory: the strip's shells hold far more stations
+    // than the square's, so growth that buffered each expanded shell per
+    // stream would show here. Growing it may raise the process's peak
+    // resident set by at most half.
+    let before = peak_rss_kb();
+    #[allow(clippy::disallowed_methods)]
+    let t = std::time::Instant::now();
+    let strip = SubstrateBuilder::from_owned(WirelessNetwork::euclidean_lazy(
+        strip_points(side),
+        PowerModel::free_space(),
+        0,
+    ))
+    .tree(TreeKind::Spt)
+    .backend(Backend::Spatial)
+    .build_universal();
+    println!(
+        "built n = {N} SPT substrate on a 10:1 strip via Backend::Spatial in {:.2?}{}",
+        t.elapsed(),
+        peak_rss_note()
+    );
+    if let (Some(before), Some(after)) = (before, peak_rss_kb()) {
+        assert!(
+            2 * after <= 3 * before,
+            "growing the 10:1 strip raised the peak resident set from {before} kB to \
+             {after} kB, over 1.5×"
         );
     }
+    assert_digest("10:1 strip SPT", &strip, STRIP_SPT_DIGEST);
+    drop(strip);
 
     // Bids are at most `hi`: twice the broadcast cost split over every player.
     let broadcast = ut.multicast_cost(&ut.network().non_source_stations());
