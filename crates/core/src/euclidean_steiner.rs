@@ -45,7 +45,7 @@ impl EuclideanSteinerMechanism {
     /// The claimed budget-balance factor `2(3^d − 1)` for this network's
     /// dimension (12 for d = 2 via Ambühl \[1\]).
     pub fn bb_factor(&self) -> f64 {
-        let d = self.net.points().map(|pts| pts[0].dim()).unwrap_or(2);
+        let d = self.net.points().map_or(2, |pts| pts.dim());
         if d == 2 {
             12.0
         } else {

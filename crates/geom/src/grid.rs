@@ -11,9 +11,9 @@
 //! station's cell, together with a lower bound
 //! ([`GridIndex::shell_min_dist`]) on the distance to *every* point in
 //! rings `≥ r`. The bound is exact in floating point: it is computed
-//! from stored point coordinates with the operations [`Point::dist`]
-//! and [`GridIndex::dist`] apply, never from cell faces, so no computed
-//! distance to an unseen point falls below it.
+//! from stored point coordinates with the operations [`PointSet::dist`]
+//! applies, never from cell faces, so no computed distance to an unseen
+//! point falls below it.
 //!
 //! The ring walk is **live**: [`GridIndex::for_live_shell`] takes a
 //! caller-owned bitset over linear cell ids and visits only the ring's
@@ -32,11 +32,11 @@
 //! nothing here can perturb the byte-identity gates the tree builders
 //! are held to.
 //!
-//! The index copies the coordinates into one flattened point-major
-//! array (struct-of-arrays, no per-point heap indirection) so the hot
-//! shell walks never chase [`Point`]'s inner `Vec`.
+//! The index borrows the stations' [`PointSet`] (flat point-major
+//! coordinates, no per-point heap indirection) and keeps no copy of
+//! them; distances come from [`PointSet::dist`].
 
-use crate::point::Point;
+use crate::point_set::PointSet;
 
 /// Average number of points a grid cell is sized for. Two keeps each
 /// shell expansion short while the cell count (≈ n / 2) stays well
@@ -49,7 +49,7 @@ fn linear_id(res: usize, cell: &[u32]) -> usize {
     cell.iter().fold(0, |c, &x| c * res + x as usize)
 }
 
-/// A uniform grid-bucket index over a fixed set of points in `R^d`.
+/// A uniform grid-bucket index over a borrowed set of points in `R^d`.
 ///
 /// Construction is `O(n)` (two counting passes); the grid has the same
 /// number of cells per axis with per-axis cell widths fitted to the
@@ -57,12 +57,12 @@ fn linear_id(res: usize, cell: &[u32]) -> usize {
 /// bucket evenly. Degenerate axes (zero extent, duplicate points) fall
 /// back to a single cell slab on that axis.
 #[derive(Debug, Clone)]
-pub struct GridIndex {
-    dim: usize,
+pub struct GridIndex<'p> {
+    /// The indexed points (checked finite and of one dimension by
+    /// [`PointSet::new`]).
+    points: &'p PointSet,
     /// Cells per axis (identical on every axis), ≥ 1.
     res: usize,
-    /// Flattened point-major coordinates: `coords[i * dim + a]`.
-    coords: Vec<f64>,
     /// Per-axis cell index of each point: `cell_idx[i * dim + a]`.
     cell_idx: Vec<u32>,
     /// `above[a * res + j]`: the least axis-`a` coordinate of any point
@@ -77,19 +77,11 @@ pub struct GridIndex {
     items: Vec<u32>,
 }
 
-impl GridIndex {
-    /// Build the index over `points` (all of one dimension, at least one
-    /// point, at most `u32::MAX` points).
-    pub fn new(points: &[Point]) -> Self {
-        let n = points.len();
-        assert!(n > 0, "grid index over an empty point set");
+impl<'p> GridIndex<'p> {
+    /// Build the index over `points` (at most `u32::MAX` of them).
+    pub fn new(points: &'p PointSet) -> Self {
+        let (n, dim) = (points.len(), points.dim());
         u32::try_from(n).expect("grid index point count fits in u32");
-        let dim = points[0].dim();
-        let mut coords = Vec::with_capacity(n * dim);
-        for p in points {
-            assert_eq!(p.dim(), dim, "grid index over mixed-dimension points");
-            coords.extend_from_slice(p.coords());
-        }
 
         // Cells per axis: aim for TARGET_PER_CELL points per cell.
         let res = ((n as f64 / TARGET_PER_CELL).powf(1.0 / dim as f64)).floor() as usize;
@@ -99,8 +91,7 @@ impl GridIndex {
         let mut hi = vec![f64::NEG_INFINITY; dim];
         for i in 0..n {
             for a in 0..dim {
-                let x = coords[i * dim + a];
-                assert!(x.is_finite(), "grid index requires finite coordinates");
+                let x = points.coord(i, a);
                 lo[a] = lo[a].min(x);
                 hi[a] = hi[a].max(x);
             }
@@ -121,7 +112,7 @@ impl GridIndex {
         let mut cell_idx = vec![0u32; n * dim];
         for i in 0..n {
             for a in 0..dim {
-                let x = coords[i * dim + a];
+                let x = points.coord(i, a);
                 let raw = ((x - lo[a]) / cell_w[a]).floor();
                 let idx = if raw <= 0.0 {
                     0
@@ -140,7 +131,7 @@ impl GridIndex {
         for i in 0..n {
             for a in 0..dim {
                 let slab = a * res + cell_idx[i * dim + a] as usize;
-                let x = coords[i * dim + a];
+                let x = points.coord(i, a);
                 above[slab] = above[slab].min(x);
                 below[slab] = below[slab].max(x);
             }
@@ -178,9 +169,8 @@ impl GridIndex {
         }
 
         Self {
-            dim,
+            points,
             res,
-            coords,
             cell_idx,
             above,
             below,
@@ -189,48 +179,14 @@ impl GridIndex {
         }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.coords.len() / self.dim
-    }
-
-    /// True when the index holds no points (unreachable via [`GridIndex::new`],
-    /// which rejects empty inputs, but part of the `len`/`is_empty` pair).
-    pub fn is_empty(&self) -> bool {
-        self.coords.is_empty()
-    }
-
     /// Ambient dimension `d`.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.points.dim()
     }
 
     /// Cells per axis.
     pub fn resolution(&self) -> usize {
         self.res
-    }
-
-    /// Coordinate `a` of point `i` (from the flattened copy).
-    pub fn coord(&self, i: usize, a: usize) -> f64 {
-        self.coords[i * self.dim + a]
-    }
-
-    /// Euclidean distance between points `i` and `j`, from the flattened
-    /// copy: the same float operations in the same order as
-    /// `points[i].dist(&points[j])`, so the two agree bit for bit.
-    pub fn dist(&self, i: usize, j: usize) -> f64 {
-        let (x, y) = (
-            &self.coords[i * self.dim..(i + 1) * self.dim],
-            &self.coords[j * self.dim..(j + 1) * self.dim],
-        );
-        x.iter()
-            .zip(y)
-            .map(|(a, b)| {
-                let d = a - b;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Number of cells, `resolution()^dim()`: a live mask carries one bit
@@ -242,7 +198,8 @@ impl GridIndex {
     /// Linear id of point `i`'s cell, the id [`GridIndex::cell_points`]
     /// and the live masks use.
     pub fn cell_of(&self, i: usize) -> usize {
-        linear_id(self.res, &self.cell_idx[i * self.dim..(i + 1) * self.dim])
+        let dim = self.dim();
+        linear_id(self.res, &self.cell_idx[i * dim..(i + 1) * dim])
     }
 
     /// The point ids bucketed in the linear cell `c`, ascending.
@@ -256,7 +213,8 @@ impl GridIndex {
     /// non-decreasing in `r`.
     ///
     /// The bound holds exactly for the computed distances of
-    /// [`Point::dist`] and [`GridIndex::dist`], not just up to rounding.
+    /// [`PointSet::dist`] (and so of `Point::dist`, which does the same
+    /// float operations), not just up to rounding.
     /// A point in ring `≥ r` lies `≥ r` slabs away from `i` on some axis
     /// `a`, so its coordinate there is at least the least coordinate of
     /// the slabs `≥ c + r` (or at most the greatest of the slabs
@@ -273,9 +231,10 @@ impl GridIndex {
             return 0.0;
         }
         let mut gap = f64::INFINITY;
-        for a in 0..self.dim {
-            let c = self.cell_idx[i * self.dim + a] as usize;
-            let x = self.coords[i * self.dim + a];
+        let dim = self.dim();
+        for a in 0..dim {
+            let c = self.cell_idx[i * dim + a] as usize;
+            let x = self.points.coord(i, a);
             if r < self.res - c {
                 gap = gap.min(self.above[a * self.res + c + r] - x);
             }
@@ -295,7 +254,8 @@ impl GridIndex {
     /// bits. A full-width run along the last axis is tested a word at a
     /// time, every other cell of the ring with a single bit test.
     pub fn for_live_shell(&self, i: usize, r: usize, live: &[u64], mut visit: impl FnMut(usize)) {
-        let center = &self.cell_idx[i * self.dim..(i + 1) * self.dim];
+        let dim = self.dim();
+        let center = &self.cell_idx[i * dim..(i + 1) * dim];
         self.shell_runs(center, r, 0, false, 0, &mut |start, end| {
             let mut c = start;
             while c < end {
@@ -333,7 +293,7 @@ impl GridIndex {
         let lo = c.saturating_sub(r);
         let hi = (c + r).min(self.res - 1);
         let base = prefix * self.res;
-        if axis + 1 < self.dim {
+        if axis + 1 < self.dim() {
             for x in lo..=hi {
                 let extreme = have_extreme || x.abs_diff(c) == r;
                 self.shell_runs(center, r, axis + 1, extreme, base + x, run);
@@ -366,7 +326,7 @@ impl GridIndex {
     /// every id-decreasing one (the backward pass) without leaving the
     /// grid.
     pub fn live_distance(&self, live: &[u64], near: &mut [u32]) {
-        let (dim, res) = (self.dim, self.res);
+        let (dim, res) = (self.dim(), self.res);
         assert_eq!(near.len(), self.n_cells(), "one distance slot per cell");
         let is_live = |c: usize| (live[c / 64] >> (c % 64)) & 1 == 1;
         if res == 1 {
@@ -457,16 +417,18 @@ impl GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point;
 
-    fn pts_2d(coords: &[(f64, f64)]) -> Vec<Point> {
-        coords.iter().map(|&(x, y)| Point::xy(x, y)).collect()
+    fn pts_2d(coords: &[(f64, f64)]) -> PointSet {
+        let pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::xy(x, y)).collect();
+        PointSet::new(&pts)
     }
 
     /// Brute-force shell membership: Chebyshev cell distance exactly r.
     fn shell_brute(idx: &GridIndex, i: usize, r: usize) -> Vec<u32> {
         let d = idx.dim();
         let mut out = Vec::new();
-        for j in 0..idx.len() {
+        for j in 0..idx.points.len() {
             let cheb = (0..d)
                 .map(|a| {
                     let ci = idx.cell_idx[i * d + a] as isize;
@@ -526,7 +488,7 @@ mod tests {
         mask
     }
 
-    fn deterministic_points(seed: u64, n: usize, dim: usize) -> Vec<Point> {
+    fn deterministic_points(seed: u64, n: usize, dim: usize) -> PointSet {
         // SplitMix-style generator, no external RNG needed here.
         let mut state = seed;
         let mut next = move || {
@@ -536,9 +498,10 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             (z ^ (z >> 31)) as f64 / u64::MAX as f64 * 10.0
         };
-        (0..n)
+        let pts: Vec<Point> = (0..n)
             .map(|_| Point::new((0..dim).map(|_| next()).collect()))
-            .collect()
+            .collect();
+        PointSet::new(&pts)
     }
 
     #[test]
@@ -594,7 +557,7 @@ mod tests {
                     prev = bound;
                     for later in r..idx.resolution() {
                         for p in shell_points(&idx, i, later) {
-                            let d = pts[i].dist(&pts[p as usize]);
+                            let d = pts.dist(i, p as usize);
                             assert!(
                                 d >= bound,
                                 "d = {dim}, i = {i}, r = {r}: point {p} at {d} < bound {bound}"
@@ -620,7 +583,8 @@ mod tests {
             5.0,
         ];
         let pts: Vec<Point> = xs.iter().map(|&x| Point::on_line(x)).collect();
-        let idx = GridIndex::new(&pts);
+        let set = PointSet::new(&pts);
+        let idx = GridIndex::new(&set);
         assert_eq!((idx.resolution(), idx.cell_of(3)), (26, 7));
         let ring = idx.cell_of(13).abs_diff(idx.cell_of(3));
         assert_eq!(ring, 6);
@@ -633,7 +597,7 @@ mod tests {
                     pts[i].dist(&pts[j]) >= idx.shell_min_dist(i, r),
                     "{i} → {j}"
                 );
-                assert_eq!(idx.dist(i, j).to_bits(), pts[i].dist(&pts[j]).to_bits());
+                assert_eq!(set.dist(i, j).to_bits(), pts[i].dist(&pts[j]).to_bits());
             }
         }
     }
@@ -744,8 +708,9 @@ mod tests {
 
     #[test]
     fn single_point_and_single_cell_work() {
-        let idx = GridIndex::new(&[Point::xyz(1.0, 2.0, 3.0)]);
-        assert_eq!(idx.len(), 1);
+        let pts = PointSet::new(&[Point::xyz(1.0, 2.0, 3.0)]);
+        let idx = GridIndex::new(&pts);
+        assert_eq!(idx.points.len(), 1);
         assert_eq!(idx.resolution(), 1);
         assert_eq!(shell_points(&idx, 0, 0), vec![0]);
         let mut near = [7];
@@ -758,12 +723,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty point set")]
     fn empty_input_rejected() {
-        let _ = GridIndex::new(&[]);
+        let _ = GridIndex::new(&PointSet::new(&[]));
     }
 
     #[test]
     #[should_panic(expected = "mixed-dimension")]
     fn mixed_dimensions_rejected() {
-        let _ = GridIndex::new(&[Point::on_line(0.0), Point::xy(1.0, 1.0)]);
+        let _ = GridIndex::new(&PointSet::new(&[Point::on_line(0.0), Point::xy(1.0, 1.0)]));
     }
 }

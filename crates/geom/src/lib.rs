@@ -25,6 +25,7 @@ pub mod float;
 pub mod gen;
 pub mod grid;
 pub mod point;
+pub mod point_set;
 pub mod power;
 pub mod scenario;
 
@@ -38,6 +39,7 @@ pub use float::{
 pub use gen::{InstanceConfig, InstanceKind};
 pub use grid::GridIndex;
 pub use point::Point;
+pub use point_set::PointSet;
 pub use power::PowerModel;
 pub use scenario::{LayoutFamily, Scenario, SCENARIO_SIDE};
 

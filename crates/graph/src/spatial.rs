@@ -103,7 +103,7 @@ use crate::dense::CostMatrix;
 use crate::heap::{HeapKey, IndexedMinHeap};
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use wmcs_geom::{GridIndex, Point, PowerModel};
+use wmcs_geom::{GridIndex, PointSet, PowerModel};
 
 /// Which universal tree to grow from the source (§2.1 discusses both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,11 +284,12 @@ impl HeapKey for Tentative {
 type Marker = Reverse<(OrdF64, u32, u32)>;
 
 /// Canonical spatial growth over a Euclidean point set: the same
-/// abstract process as [`grow_tree_dense`] on
-/// `CostMatrix::from_points(points, model)`, without materialising any
-/// `O(n²)` state. Returns a byte-identical parent array.
+/// abstract process as [`grow_tree_dense`] on the matrix of
+/// `model.cost_of_distance(points.dist(i, j))`, without materialising
+/// any `O(n²)` state. Returns a byte-identical parent array. The grid
+/// index borrows `points`; no coordinate is copied.
 pub fn grow_tree_spatial(
-    points: &[Point],
+    points: &PointSet,
     model: &PowerModel,
     source: usize,
     kind: TreeKind,
@@ -298,7 +299,7 @@ pub fn grow_tree_spatial(
 
 /// [`grow_tree_spatial`], also returning the work it did.
 pub(crate) fn grow_tree_spatial_counted(
-    points: &[Point],
+    points: &PointSet,
     model: &PowerModel,
     source: usize,
     kind: TreeKind,
@@ -378,7 +379,7 @@ pub(crate) fn grow_tree_spatial_counted(
                 work.points_visited += cell.len() as u64;
                 for &p in cell {
                     if !done[p as usize] {
-                        let cost = model.cost_of_distance(idx.dist(u, p as usize));
+                        let cost = model.cost_of_distance(points.dist(u, p as usize));
                         let key = match kind {
                             TreeKind::Spt => du + cost,
                             TreeKind::Mst => cost,
@@ -423,7 +424,7 @@ mod tests {
     use crate::tree::RootedTree;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use wmcs_geom::{LayoutFamily, Scenario};
+    use wmcs_geom::{LayoutFamily, Point, Scenario};
 
     fn deterministic_points(seed: u64, n: usize, dim: usize) -> Vec<Point> {
         let mut state = seed;
@@ -449,7 +450,7 @@ mod tests {
                 let m = CostMatrix::from_points(&pts, &model);
                 for kind in [TreeKind::Spt, TreeKind::Mst] {
                     let dense = grow_tree_dense(&m, 0, kind);
-                    let spatial = grow_tree_spatial(&pts, &model, 0, kind);
+                    let spatial = grow_tree_spatial(&PointSet::new(&pts), &model, 0, kind);
                     assert_eq!(dense, spatial, "d = {dim}, seed = {seed}, {kind:?}");
                 }
             }
@@ -468,7 +469,7 @@ mod tests {
         for kind in [TreeKind::Spt, TreeKind::Mst] {
             assert_eq!(
                 grow_tree_dense(&m, 0, kind),
-                grow_tree_spatial(&pts, &model, 0, kind),
+                grow_tree_spatial(&PointSet::new(&pts), &model, 0, kind),
                 "{kind:?}"
             );
         }
@@ -556,7 +557,7 @@ mod tests {
             for kind in [TreeKind::Spt, TreeKind::Mst] {
                 assert_eq!(
                     grow_tree_dense(&m, 0, kind),
-                    grow_tree_spatial(&pts, &model, 0, kind),
+                    grow_tree_spatial(&PointSet::new(&pts), &model, 0, kind),
                     "{label} {kind:?}"
                 );
             }
@@ -595,7 +596,7 @@ mod tests {
             for kind in [TreeKind::Spt, TreeKind::Mst] {
                 assert_eq!(
                     grow_tree_dense(&m, source, kind),
-                    grow_tree_spatial(&pts, &model, source, kind),
+                    grow_tree_spatial(&PointSet::new(&pts), &model, source, kind),
                     "n = {}, source {source}, {kind:?}",
                     pts.len()
                 );
@@ -632,7 +633,7 @@ mod tests {
             for kind in [TreeKind::Spt, TreeKind::Mst] {
                 assert_eq!(
                     grow_tree_dense(&m, source, kind),
-                    grow_tree_spatial(&pts, &model, source, kind),
+                    grow_tree_spatial(&PointSet::new(&pts), &model, source, kind),
                     "case {case}: n = {n}, d = {dim}, α = {alpha}, source {source}, {kind:?}"
                 );
             }
@@ -683,7 +684,7 @@ mod tests {
             (TreeKind::Spt, 3.326, 17.58, 0.0309),
             (TreeKind::Mst, 2.310, 10.80, 0.1151),
         ] {
-            let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
+            let (_, work) = grow_tree_spatial_counted(&PointSet::new(&pts), &model, 0, kind);
             let measured = [
                 ("shell expansions", work.expansions, expansions),
                 ("points visited", work.points_visited, visited),
@@ -707,7 +708,7 @@ mod tests {
             ),
         ] {
             for (kind, visited) in [TreeKind::Spt, TreeKind::Mst].into_iter().zip(pins) {
-                let (_, work) = grow_tree_spatial_counted(&pts, &model, 0, kind);
+                let (_, work) = grow_tree_spatial_counted(&PointSet::new(&pts), &model, 0, kind);
                 assert!(
                     work.peak_queued <= n as u64,
                     "{label} {kind:?}: {} stations queued at once, over n = {n}",
@@ -764,7 +765,7 @@ mod tests {
             for kind in [TreeKind::Spt, TreeKind::Mst] {
                 let source = n - 1;
                 let dense = grow_tree_dense(&m, source, kind);
-                let spatial = grow_tree_spatial(&pts, &model, source, kind);
+                let spatial = grow_tree_spatial(&PointSet::new(&pts), &model, source, kind);
                 assert_eq!(dense, spatial);
                 assert!(dense[source].is_none());
                 assert_eq!(dense.iter().filter(|p| p.is_some()).count(), n - 1);

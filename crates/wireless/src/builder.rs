@@ -180,12 +180,9 @@ fn canonical_parents(
             Some(m) => grow_tree_dense(m, net.source(), kind),
             None => {
                 // Lazy Euclidean network, dense backend: materialise a
-                // temporary matrix (small-n / reference use only).
-                let pts = net.points().expect("lazy networks always carry points");
-                let model = net
-                    .model()
-                    .expect("lazy networks always carry a power model");
-                let m = CostMatrix::from_points(pts, model);
+                // temporary matrix of the network's own lazy costs
+                // (small-n / reference use only).
+                let m = CostMatrix::from_fn(net.n_stations(), |i, j| net.cost(i, j));
                 grow_tree_dense(&m, net.source(), kind)
             }
         }

@@ -48,12 +48,9 @@ impl LineSolver {
     /// Wrap a 1-D Euclidean network.
     pub fn new(net: &WirelessNetwork) -> Self {
         let points = net.points().expect("LineSolver needs a Euclidean network");
-        assert!(
-            points.iter().all(|p| p.dim() == 1),
-            "Lemma 3.1's second case requires d = 1"
-        );
+        assert!(points.dim() == 1, "Lemma 3.1's second case requires d = 1");
         let mut by_pos: Vec<usize> = (0..net.n_stations()).collect();
-        by_pos.sort_by(|&a, &b| points[a].coord(0).total_cmp(&points[b].coord(0)));
+        by_pos.sort_by(|&a, &b| points.coord(a, 0).total_cmp(&points.coord(b, 0)));
         let mut rank = vec![0usize; net.n_stations()];
         for (r, &x) in by_pos.iter().enumerate() {
             rank[x] = r;

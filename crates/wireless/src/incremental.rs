@@ -95,6 +95,15 @@ pub struct Shapley {
     /// Active receivers in the local station's subtree; `rb[v] > 0` ⟺
     /// `v ∈ T(R)`.
     rb: Vec<u32>,
+    rounds: usize,
+}
+
+/// The buffers one drop-loop run lends [`Shapley`]'s round passes, by
+/// local id. They live for one run, not in the warm engine: the first
+/// round sizes them to the frame and later rounds reuse them, so a
+/// session keeps none of them between reprices.
+#[derive(Debug, Default)]
+pub struct RoundBuffers {
     /// Accumulated root-path share prefix per local station; after a
     /// round pass, an active receiver's entry is its share.
     down: Vec<f64>,
@@ -102,9 +111,8 @@ pub struct Shapley {
     /// the cost of its costliest child in `T(R)`, `+0.0` with none
     /// (entries outside that pass's `T(R)` are stale).
     power: Vec<f64>,
-    /// Scratch: DFS stack of local ids.
+    /// DFS stack of local ids.
     stack: Vec<u32>,
-    rounds: usize,
 }
 
 impl Shapley {
@@ -116,9 +124,6 @@ impl Shapley {
             frame: Subframe::new(ut.substrate()),
             in_r: vec![false],
             rb: vec![0],
-            down: vec![0.0],
-            power: vec![0.0],
-            stack: Vec::new(),
             rounds: 0,
         }
     }
@@ -130,8 +135,6 @@ impl Shapley {
         if self.in_r.len() < len {
             grow_to(&mut self.in_r, len, false);
             grow_to(&mut self.rb, len, 0);
-            grow_to(&mut self.down, len, 0.0);
-            grow_to(&mut self.power, len, 0.0);
         }
     }
 
@@ -184,24 +187,27 @@ impl Shapley {
     /// walks each `T(R)` station's in-frame children and skips those
     /// with an empty subtree (`rb == 0`), so it costs `O(|T(R)|)` plus
     /// those in-frame siblings. Each `T(R)` station's last increment's
-    /// cost is its power, which the pass keeps for
+    /// cost is its power, which the pass keeps in `buf` for
     /// [`Shapley::served_cost`]. Returns `down` by **local** id: an active
     /// receiver's entry is its share (entries outside the active set are
     /// stale). Each receiver's entry is
     /// [`UniversalTree::shapley_shares`]'s bit for bit — the same slices
     /// `δ_i / users_i` (`δ ≤ 0` skipped) added to `+0.0` root first — so
     /// the drop loop charges its fixpoint round.
-    pub fn round_shares_by_local(&mut self) -> &[f64] {
+    pub fn round_shares_by_local<'b>(&mut self, buf: &'b mut RoundBuffers) -> &'b [f64] {
         self.rounds += 1;
-        self.down[Subframe::ROOT as usize] = 0.0;
-        self.stack.clear();
-        self.stack.push(Subframe::ROOT);
-        while let Some(x) = self.stack.pop() {
+        let len = self.frame.len();
+        buf.down.resize(len, 0.0);
+        buf.power.resize(len, 0.0);
+        buf.down[Subframe::ROOT as usize] = 0.0;
+        buf.stack.clear();
+        buf.stack.push(Subframe::ROOT);
+        while let Some(x) = buf.stack.pop() {
             let xi = x as usize;
             // Receivers strictly below x: its own subtree count minus x.
             let mut remaining = self.rb[xi] - u32::from(self.in_r[xi]);
             let mut prev_cost = 0.0;
-            let mut acc = self.down[xi];
+            let mut acc = buf.down[xi];
             for y in self.frame.children(x) {
                 let yi = y as usize;
                 if self.rb[yi] == 0 {
@@ -215,31 +221,31 @@ impl Shapley {
                     debug_assert!(remaining > 0, "every active branch has a receiver");
                     acc += delta / remaining as f64;
                 }
-                self.down[yi] = acc;
+                buf.down[yi] = acc;
                 remaining -= self.rb[yi];
-                self.stack.push(y);
+                buf.stack.push(y);
             }
-            self.power[xi] = prev_cost;
+            buf.power[xi] = prev_cost;
         }
-        &self.down
+        &buf.down
     }
 
     /// The served cost `C_T(R)` of the receiver set of the last
-    /// [`Shapley::round_shares_by_local`] pass (the drop loop calls it
-    /// after its fixpoint round, with nobody added or dropped since),
-    /// read off the warm `T(R)` in one scan of the frame in ascending
-    /// **global** station id: every station with `rb > 0` adds the power
-    /// that pass kept for it — the cost of its costliest child in `T(R)`,
-    /// or `+0.0` — to a sum started at `+0.0`. That is
+    /// [`Shapley::round_shares_by_local`] pass into `buf` (the drop loop
+    /// calls it after its fixpoint round, with nobody added or dropped
+    /// since), read off the warm `T(R)` in one scan of the frame in
+    /// ascending **global** station id: every station with `rb > 0` adds
+    /// the power that pass kept for it — the cost of its costliest child
+    /// in `T(R)`, or `+0.0` — to a sum started at `+0.0`. That is
     /// [`UniversalTree::multicast_cost`]'s ascending-id float sequence on
     /// the active stations up to exact `+0.0` terms, so the two agree bit
     /// for bit. `O(|frame|)`, no sort.
-    pub fn served_cost(&mut self) -> f64 {
+    pub fn served_cost(&mut self, buf: &RoundBuffers) -> f64 {
         self.frame.merge_by_station();
         let mut cost = 0.0;
         for &x in self.frame.by_station() {
             if self.rb[x as usize] > 0 {
-                cost += self.power[x as usize];
+                cost += buf.power[x as usize];
             }
         }
         cost
@@ -257,13 +263,12 @@ impl Shapley {
 
     /// Heap bytes of the warm state: the frame plus every local-id array
     /// (the shared substrate is excluded — it is per universe, not per
-    /// group).
+    /// group — and so are a run's [`RoundBuffers`]).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.frame.memory_bytes()
             + self.in_r.capacity() * size_of::<bool>()
-            + (self.rb.capacity() + self.stack.capacity()) * size_of::<u32>()
-            + (self.down.capacity() + self.power.capacity()) * size_of::<f64>()
+            + self.rb.capacity() * size_of::<u32>()
     }
 }
 
@@ -271,10 +276,23 @@ impl Shapley {
 /// `i` of the driver's coalition is local station `locals[i]`. Borrowing
 /// (rather than owning) the engine is what lets a live session
 /// ([`crate::session::ShapleySession`]) keep it warm across many
-/// drop-loop runs.
+/// drop-loop runs; the adapter owns the run's [`RoundBuffers`], which go
+/// with it.
 pub(crate) struct Adapter<'e> {
-    pub(crate) engine: &'e mut Shapley,
-    pub(crate) locals: &'e [u32],
+    engine: &'e mut Shapley,
+    locals: &'e [u32],
+    buf: RoundBuffers,
+}
+
+impl<'e> Adapter<'e> {
+    /// A run over `engine` whose coalition is `locals`.
+    pub(crate) fn new(engine: &'e mut Shapley, locals: &'e [u32]) -> Self {
+        Self {
+            engine,
+            locals,
+            buf: RoundBuffers::default(),
+        }
+    }
 }
 
 impl DropLoopMethod for Adapter<'_> {
@@ -283,7 +301,7 @@ impl DropLoopMethod for Adapter<'_> {
     }
 
     fn round_shares_into(&mut self, out: &mut Vec<f64>) {
-        let by_local = self.engine.round_shares_by_local();
+        let by_local = self.engine.round_shares_by_local(&mut self.buf);
         out.clear();
         out.extend(self.locals.iter().map(|&l| by_local[l as usize]));
     }
@@ -293,7 +311,7 @@ impl DropLoopMethod for Adapter<'_> {
     }
 
     fn served_cost(&mut self) -> f64 {
-        self.engine.served_cost()
+        self.engine.served_cost(&self.buf)
     }
 }
 
@@ -323,13 +341,7 @@ pub fn shapley_drop_run_with_stats(
 ) -> (MechanismOutcome, DropStats) {
     let players: Vec<usize> = (0..ut.network().n_players()).collect();
     let (mut engine, locals) = engine_on(ut, &players);
-    let out = run_drop_loop(
-        &mut Adapter {
-            engine: &mut engine,
-            locals: &locals,
-        },
-        reported,
-    );
+    let out = run_drop_loop(&mut Adapter::new(&mut engine, &locals), reported);
     let stats = DropStats {
         rounds: engine.rounds(),
         dropped: reported.len() - out.receivers.len(),
@@ -352,14 +364,7 @@ pub fn shapley_drop_run_from(
 ) -> MechanismOutcome {
     let (mut engine, locals) = engine_on(ut, players);
     let bids: Vec<f64> = players.iter().map(|&p| reported[p]).collect();
-    run_drop_loop_from(
-        &mut Adapter {
-            engine: &mut engine,
-            locals: &locals,
-        },
-        &bids,
-        players,
-    )
+    run_drop_loop_from(&mut Adapter::new(&mut engine, &locals), &bids, players)
 }
 
 /// The naive pre-incremental driver from every player:
@@ -489,11 +494,13 @@ impl RootMap {
 /// children only, and every maximum it stores is the float the global
 /// slice gives. Only the chosen *length* can reach past the last in-frame
 /// winner, over out-of-frame siblings whose value ties the maximum
-/// exactly: equal costs, or a cost difference that `acc − c` absorbs. Two
-/// static facts cached when a station is framed settle that: the next
-/// global sibling's cost (the slice is read on only after it ties), and
-/// the station's count of leading zero-cost children (the prefix when no
-/// in-frame child reaches `+0.0`). So every stored `h` and `choice` is
+/// exactly: equal costs, or a cost difference that `acc − c` absorbs.
+/// One static fact cached when a station is framed settles the first
+/// case: the next global sibling's cost (the slice is read on only after
+/// it ties). When no in-frame child reaches `+0.0`, the prefix is the
+/// station's leading run of zero-cost children, which the substrate
+/// gives ([`TreeSubstrate::zero_cost_children`]: empty, without a read,
+/// when no tree edge costs `0.0`). So every stored `h` and `choice` is
 /// the same whatever the frame holds.
 ///
 /// **Batched repair.** [`NetWorth::set_utility`] stores the bid and marks
@@ -522,25 +529,30 @@ pub struct NetWorth {
     /// of `h[v]` changes the parent's `h` by `max(a, b + δ)` — written by
     /// the parent's kernel.
     slack: Vec<(f64, f64)>,
+    /// Static: `v`'s position in its parent's **global** cost-sorted
+    /// child slice (0 for the source), read per node by the kernel, the
+    /// forward pass and the selection.
+    pos: Vec<u32>,
     /// Static: the cost of the global sibling right after `v` in its
     /// parent's slice (`+∞` when `v` is the last child).
     next_cost: Vec<f64>,
-    /// Static: how many of `v`'s global children cost exactly `0.0` (they
-    /// lead its slice).
-    zero_lead: Vec<u32>,
     /// Locals whose kernel the next query runs first.
     dirty: Vec<bool>,
     /// One past the highest dirty local (0: nothing pending).
     dirty_end: usize,
-    /// Scratch: is the local station in the last selection's `{s} ∪ R*`?
+}
+
+/// What one selection pass hands the query that ran it; dropped with
+/// that query, so no reprice's buffers stay in the warm oracle.
+struct Selection {
+    /// The served cost `C_T(R*)`.
+    cost: f64,
+    /// Every local station's root map.
+    maps: Vec<RootMap>,
+    /// Is the local station in `{s} ∪ R*`?
     reached: Vec<bool>,
-    /// Scratch: the out-of-frame stations of the last selection's `R*`,
-    /// ascending.
+    /// The out-of-frame stations of `R*`, ascending.
     outside: Vec<NodeId>,
-    /// Scratch: one station's in-frame children and their raw prefix
-    /// values (the kernel folds `suf` right to left).
-    fkids: Vec<u32>,
-    vals: Vec<f64>,
 }
 
 impl NetWorth {
@@ -554,14 +566,10 @@ impl NetWorth {
             h: Vec::new(),
             choice: Vec::new(),
             slack: Vec::new(),
+            pos: Vec::new(),
             next_cost: Vec::new(),
-            zero_lead: Vec::new(),
             dirty: Vec::new(),
             dirty_end: 0,
-            reached: Vec::new(),
-            outside: Vec::new(),
-            fkids: Vec::new(),
-            vals: Vec::new(),
         };
         oracle.sync_frame();
         oracle
@@ -603,8 +611,9 @@ impl NetWorth {
     }
 
     /// Grow the local arrays to the frame's length. New locals start at
-    /// zero utility, cache their two static facts from the substrate and
-    /// are dirty: their kernels run on the next query.
+    /// zero utility, cache their position and their next sibling's cost
+    /// from the substrate and are dirty: their kernels run on the next
+    /// query.
     fn sync_frame(&mut self) {
         let (old, len) = (self.u.len(), self.frame.len());
         if old == len {
@@ -615,27 +624,21 @@ impl NetWorth {
         grow_to(&mut self.choice, len, 0);
         grow_to(&mut self.slack, len, (0.0, f64::NEG_INFINITY));
         grow_to(&mut self.dirty, len, true);
-        grow_to(&mut self.reached, len, false);
+        reserve_bounded(&mut self.pos, len);
         reserve_bounded(&mut self.next_cost, len);
-        reserve_bounded(&mut self.zero_lead, len);
         let sub = self.ut.substrate();
         for l in old..len {
             let x = self.frame.global_of(local_id(l));
-            let p = sub.parent_of(x);
+            let (p, pos) = (sub.parent_of(x), sub.pos_in_parent(x));
             let next = if p == NO_STATION {
                 None
             } else {
-                sub.sorted_children(p).get(sub.pos_in_parent(x) + 1)
+                sub.sorted_children(p).get(pos + 1)
             };
+            self.pos
+                .push(u32::try_from(pos).expect("child positions fit u32"));
             self.next_cost
                 .push(next.map_or(f64::INFINITY, |y| sub.parent_cost(y.index())));
-            let lead = sub
-                .sorted_children(x)
-                .iter()
-                .take_while(|y| sub.parent_cost(y.index()) == 0.0)
-                .count();
-            self.zero_lead
-                .push(u32::try_from(lead).expect("child counts fit u32"));
         }
         self.dirty_end = len;
     }
@@ -645,12 +648,15 @@ impl NetWorth {
     /// station whose `h` changed bits marks its parent.
     fn flush(&mut self) {
         let ut = self.ut.clone();
+        // The kernels' scratch: one station's in-frame children and their
+        // raw prefix values, reused across this flush's kernels.
+        let (mut fkids, mut vals) = (Vec::new(), Vec::new());
         for v in (0..std::mem::take(&mut self.dirty_end)).rev() {
             if !std::mem::take(&mut self.dirty[v]) {
                 continue;
             }
             let before = self.h[v].to_bits();
-            self.recompute(ut.substrate(), local_id(v));
+            self.recompute(ut.substrate(), local_id(v), &mut fkids, &mut vals);
             if v != 0 && self.h[v].to_bits() != before {
                 self.dirty[self.frame.parent_local(local_id(v)) as usize] = true;
             }
@@ -661,11 +667,17 @@ impl NetWorth {
     /// `h[v]` and `choice[v]`, and write their slack pairs.
     /// `O(frame degree of v)`; `v`'s global child slice is read only when
     /// the chosen prefix runs on over out-of-frame siblings that tie the
-    /// maximum.
-    fn recompute(&mut self, sub: &TreeSubstrate, v: u32) {
+    /// maximum, or has no in-frame winner and the substrate has
+    /// zero-cost edges. `fkids` and `vals` are scratch (the suffix
+    /// maximum folds them right to left).
+    fn recompute(
+        &mut self,
+        sub: &TreeSubstrate,
+        v: u32,
+        fkids: &mut Vec<u32>,
+        vals: &mut Vec<f64>,
+    ) {
         let vi = v as usize;
-        let mut fkids = std::mem::take(&mut self.fkids);
-        let mut vals = std::mem::take(&mut self.vals);
         fkids.clear();
         vals.clear();
         // Raw prefix values; the running maximum `b` (from +0.0, larger
@@ -687,20 +699,20 @@ impl NetWorth {
         // The suffix maximum max(val_{pos(c)} … val_{k−1}), folded right
         // to left; both maxima become slacks against the final `b`.
         let mut cur = f64::NEG_INFINITY;
-        for (&c, &val) in fkids.iter().zip(&vals).rev() {
+        for (&c, &val) in fkids.iter().zip(vals.iter()).rev() {
             cur = val.max(cur);
             let slack = &mut self.slack[c as usize];
             *slack = (slack.0 - b, cur - b);
         }
-        let choice = if winner == NO_LOCAL {
+        let end = if winner == NO_LOCAL {
             // No in-frame child reaches +0.0: the prefix is the leading
             // run of zero-cost children (`0.0 − 0.0` ties at +0.0), none
             // of which is in frame.
-            self.zero_lead[vi]
+            sub.zero_cost_children(self.frame.global_of(v)).count()
         } else {
             // Out-of-frame siblings after the winner keep its `acc`; the
             // prefix runs on while their value still equals `b`.
-            let mut end = self.frame.pos_in_parent(winner) as usize + 1;
+            let mut end = self.pos[winner as usize] as usize + 1;
             if winner_acc - self.next_cost[winner as usize] == b {
                 let kids = sub.sorted_children(self.frame.global_of(v));
                 end += 1;
@@ -708,8 +720,9 @@ impl NetWorth {
                     end += 1;
                 }
             }
-            u32::try_from(end).expect("child counts fit u32")
+            end
         };
+        let choice = u32::try_from(end).expect("child counts fit u32");
         let own = if v == Subframe::ROOT {
             0.0
         } else {
@@ -717,38 +730,37 @@ impl NetWorth {
         };
         self.h[vi] = own + b;
         self.choice[vi] = choice;
-        self.fkids = fkids;
-        self.vals = vals;
     }
 
     /// The forward pass over the flushed DP, in local-id order (a
-    /// parent's id is below its children's): sets `reached[l] =
-    /// reached[parent] && pos[l] < choice[parent]` for the in-frame
-    /// stations of `{source} ∪ R*`, and returns every local station's
-    /// [`RootMap`], composed from its parent's and its own slack pair. A
-    /// pair is read only where `h > 0`; a station at `h = +0.0` absorbs.
-    fn forward(&mut self) -> Vec<RootMap> {
+    /// parent's id is below its children's): returns every local
+    /// station's [`RootMap`], composed from its parent's and its own
+    /// slack pair, and whether it is in `{source} ∪ R*` (`reached[l] =
+    /// reached[parent] && pos[l] < choice[parent]`). A pair is read only
+    /// where `h > 0`; a station at `h = +0.0` absorbs.
+    fn forward(&self) -> (Vec<RootMap>, Vec<bool>) {
         let len = self.frame.len();
         let mut maps = Vec::with_capacity(len);
+        let mut reached = Vec::with_capacity(len);
         maps.push(RootMap::SOURCE);
-        self.reached[Subframe::ROOT as usize] = true;
+        reached.push(true);
         for l in 1..local_id(len) {
             let (li, p) = (l as usize, self.frame.parent_local(l) as usize);
-            self.reached[li] = self.reached[p] && self.frame.pos_in_parent(l) < self.choice[p];
+            reached.push(reached[p] && self.pos[li] < self.choice[p]);
             maps.push(if self.h[li] == 0.0 {
                 RootMap::ABSORB
             } else {
                 maps[p].child(self.slack[li])
             });
         }
-        maps
+        (maps, reached)
     }
 
     /// The chosen-prefix selection over the flushed DP: the
     /// [`NetWorth::forward`] pass, then gathers the out-of-frame stations
-    /// of `R*` into `outside` (ascending). Returns the served cost
-    /// `C_T(R*)` — bit for bit `UniversalTree::multicast_cost(R*)` — and
-    /// every local station's root map.
+    /// of `R*` (ascending). Returns them with the served cost `C_T(R*)` —
+    /// bit for bit `UniversalTree::multicast_cost(R*)` — and the forward
+    /// pass's maps and reached flags.
     ///
     /// A pass in ascending station id adds each reached station's power
     /// — the cost of the last child of its prefix — to `+0.0`, and merges
@@ -759,68 +771,72 @@ impl NetWorth {
     /// reached subtree add exactly `+0.0`, and the sum is the reference's
     /// ascending-id float sequence minus exact `+0.0` terms. Only the
     /// out-of-frame stations are sorted.
-    fn selection(&mut self) -> (f64, Vec<RootMap>) {
+    fn selection(&mut self) -> Selection {
         self.flush();
-        let maps = self.forward();
+        let (maps, reached) = self.forward();
         self.frame.merge_by_station();
         let sub = self.ut.substrate();
-        self.outside.clear();
+        let mut outside = Vec::new();
         let mut cost = 0.0;
         for &x in self.frame.by_station() {
             let end = self.choice[x as usize] as usize;
-            if !self.reached[x as usize] || end == 0 {
+            if !reached[x as usize] || end == 0 {
                 continue;
             }
             // Prefix positions no in-frame child holds (`next..pos`, then
             // `next..end`) hold out-of-frame children.
             let (mut next, mut power) = (0, 0.0);
             for c in self.frame.children(x) {
-                let pos = self.frame.pos_in_parent(c) as usize;
+                let pos = self.pos[c as usize] as usize;
                 if pos >= end {
                     break;
                 }
                 if next < pos {
                     let kids = sub.sorted_children(self.frame.global_of(x));
-                    self.outside.extend_from_slice(&kids[next..pos]);
+                    outside.extend_from_slice(&kids[next..pos]);
                 }
                 next = pos + 1;
                 power = self.frame.parent_cost(c);
             }
             if next < end {
                 let kids = sub.sorted_children(self.frame.global_of(x));
-                self.outside.extend_from_slice(&kids[next..end]);
+                outside.extend_from_slice(&kids[next..end]);
                 power = sub.parent_cost(kids[end - 1].index());
             }
             cost += power;
         }
         // Below an out-of-frame station everything is out of frame, and
-        // its prefix is its zero-cost lead.
+        // its prefix is its zero-cost lead (none without zero-cost edges).
         let mut i = 0;
-        while i < self.outside.len() {
-            let x = self.outside[i].index();
-            self.outside.extend(
-                sub.sorted_children(x)
-                    .iter()
-                    .take_while(|y| sub.parent_cost(y.index()) == 0.0),
-            );
+        while i < outside.len() {
+            let x = outside[i].index();
+            outside.extend(sub.zero_cost_children(x));
             i += 1;
         }
-        self.outside.sort_unstable();
-        (cost, maps)
+        outside.sort_unstable();
+        Selection {
+            cost,
+            maps,
+            reached,
+            outside,
+        }
     }
 
-    /// The stations of `{source} ∪ R*` the last selection reached,
-    /// ascending, each with its local id ([`Subframe::NONE`] out of
-    /// frame): the frame's station order, filtered by `reached`, merged
-    /// with the sorted out-of-frame stations.
-    fn reached_by_station(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+    /// The stations of `{source} ∪ R*` that `sel` reached, ascending,
+    /// each with its local id ([`Subframe::NONE`] out of frame): the
+    /// frame's station order, filtered by `reached`, merged with the
+    /// sorted out-of-frame stations.
+    fn reached_by_station<'s>(
+        &'s self,
+        sel: &'s Selection,
+    ) -> impl Iterator<Item = (usize, u32)> + 's {
         let inside = self
             .frame
             .by_station()
             .iter()
-            .filter(|&&l| self.reached[l as usize])
+            .filter(|&&l| sel.reached[l as usize])
             .map(|&l| (self.frame.global_of(l), l));
-        let outside = self.outside.iter().map(|x| (x.index(), NO_LOCAL));
+        let outside = sel.outside.iter().map(|x| (x.index(), NO_LOCAL));
         merge_by_key(inside, outside, |&(x, _)| x)
     }
 
@@ -828,14 +844,14 @@ impl NetWorth {
     /// excluded), the maximal net worth `NW(u)`, and the served cost
     /// `C_T(R*)`.
     pub fn efficient_set(&mut self) -> (Vec<usize>, f64, f64) {
-        let (served_cost, _) = self.selection();
+        let sel = self.selection();
         let s = self.ut.network().source();
         let stations = self
-            .reached_by_station()
+            .reached_by_station(&sel)
             .map(|(x, _)| x)
             .filter(|&x| x != s)
             .collect();
-        (stations, self.h[Subframe::ROOT as usize], served_cost)
+        (stations, self.h[Subframe::ROOT as usize], sel.cost)
     }
 
     /// The marginal-cost (VCG) outcome for the utilities the oracle holds:
@@ -854,35 +870,35 @@ impl NetWorth {
     /// pass over the frame counts the receivers and the bidders first,
     /// so both buffers are allocated once, at their final size.
     pub fn vcg_outcome(&mut self) -> MechanismOutcome {
-        let (served_cost, maps) = self.selection();
+        let sel = self.selection();
         let net = self.ut.network();
         // The source is reached but is no player; its utility is never
         // set, so it is no bidder.
         let (mut reached, mut bidders) = (0, 0);
-        for (u, &r) in self.u.iter().zip(&self.reached) {
+        for (u, &r) in self.u.iter().zip(&sel.reached) {
             if r {
                 reached += 1;
                 bidders += usize::from(u.to_bits() != 0);
             }
         }
-        let n_receivers = reached - 1 + self.outside.len();
+        let n_receivers = reached - 1 + sel.outside.len();
         let mut shares = Shares::with_capacity(net.n_players(), bidders);
         let mut receivers = Vec::with_capacity(n_receivers);
-        for (x, l) in self.reached_by_station() {
+        for (x, l) in self.reached_by_station(&sel) {
             let Some(p) = net.player_of_station(x) else {
                 continue;
             };
             receivers.push(p);
             if l != NO_LOCAL && self.u[l as usize].to_bits() != 0 {
                 let u = self.u[l as usize];
-                shares.set(p, (u + maps[l as usize].change(u.max(0.0))).max(0.0));
+                shares.set(p, (u + sel.maps[l as usize].change(u.max(0.0))).max(0.0));
             }
         }
         debug_assert_eq!(receivers.len(), n_receivers, "receivers counted exactly");
         MechanismOutcome {
             receivers,
             shares,
-            served_cost,
+            served_cost: sel.cost,
         }
     }
 
@@ -908,7 +924,7 @@ impl NetWorth {
         match self.frame.local_of(station) {
             Some(v) => {
                 let u = self.u[v as usize];
-                nw + self.forward()[v as usize].change(u.max(0.0))
+                nw + self.forward().0[v as usize].change(u.max(0.0))
             }
             None => nw,
         }
@@ -930,21 +946,15 @@ impl NetWorth {
         self.frame.len()
     }
 
-    /// Heap bytes of the warm state: frame plus local arrays, scratch
-    /// included.
+    /// Heap bytes of the warm state: frame plus local arrays. A query's
+    /// scratch and selection are dropped with it, so none is counted.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.frame.memory_bytes()
-            + (self.u.capacity()
-                + self.h.capacity()
-                + self.next_cost.capacity()
-                + self.vals.capacity())
-                * size_of::<f64>()
+            + (self.u.capacity() + self.h.capacity() + self.next_cost.capacity()) * size_of::<f64>()
             + self.slack.capacity() * size_of::<(f64, f64)>()
-            + (self.choice.capacity() + self.zero_lead.capacity() + self.fkids.capacity())
-                * size_of::<u32>()
-            + self.outside.capacity() * size_of::<NodeId>()
-            + (self.dirty.capacity() + self.reached.capacity()) * size_of::<bool>()
+            + (self.choice.capacity() + self.pos.capacity()) * size_of::<u32>()
+            + self.dirty.capacity() * size_of::<bool>()
     }
 }
 
@@ -988,7 +998,8 @@ mod tests {
     /// [`UniversalTree::shapley_shares`] bit for bit — the identity that
     /// lets the drop loop charge its fixpoint round.
     fn assert_round_is_the_split(e: &mut Engine, ut: &UniversalTree, alive: &[usize]) {
-        let by_local = e.engine.round_shares_by_local();
+        let mut buf = RoundBuffers::default();
+        let by_local = e.engine.round_shares_by_local(&mut buf);
         let reference = ut.shapley_shares(alive);
         for &r in alive {
             let f = by_local[e.local[r] as usize];

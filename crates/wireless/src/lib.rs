@@ -73,7 +73,7 @@ pub use builder::{Backend, SubstrateBuilder, TreeKind, SPATIAL_AUTO_THRESHOLD};
 pub use euclidean::{AlphaOneCost, AlphaOneSolver, LineCost, LineSolver};
 pub use incremental::{
     reference_drop_run, reference_drop_run_from, shapley_drop_run, shapley_drop_run_from,
-    shapley_drop_run_with_stats, DropStats, NetWorth, Shapley,
+    shapley_drop_run_with_stats, DropStats, NetWorth, RoundBuffers, Shapley,
 };
 pub use memt::{memt_exact, MemtCostTable, OptimalMulticastCost, MAX_EXACT_STATIONS};
 pub use mst_heuristic::{mst_broadcast, mst_multicast, steiner_multicast};

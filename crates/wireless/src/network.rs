@@ -7,7 +7,7 @@
 //! the cost-sharing games) are the stations except the source, in station
 //! order.
 
-use wmcs_geom::{Point, PowerModel};
+use wmcs_geom::{Point, PointSet, PowerModel};
 use wmcs_graph::CostMatrix;
 
 /// A symmetric wireless network with a designated multicast source.
@@ -21,44 +21,53 @@ use wmcs_graph::CostMatrix;
 ///   `κ · dist^α` on demand. The dense matrix is `O(n²)` memory
 ///   (≈ 4 TB at n = 10⁶), so the lazy regime is what lets the spatial
 ///   construction path reach million-station substrates. Both regimes
-///   evaluate costs through the *same* [`PowerModel::cost`] expression,
+///   evaluate every cost as `model.cost_of_distance(points.dist(i, j))`,
 ///   so they agree bit for bit.
+///
+/// Euclidean stations are stored once, as a flat [`PointSet`]: both
+/// Euclidean constructors take a `Vec<Point>`, check it at the door
+/// ([`PointSet::new`] refuses mixed dimensions and NaN or infinite
+/// coordinates, naming the station) and drop the per-point allocations.
 ///
 /// [`cost`]: WirelessNetwork::cost
 #[derive(Debug, Clone)]
 pub struct WirelessNetwork {
+    /// Number of stations, kept as a field: every receiver's
+    /// [`WirelessNetwork::player_of_station`] check reads it.
+    n: usize,
     /// `None` only in the lazy Euclidean regime, where `points` and
     /// `model` are guaranteed present.
     costs: Option<CostMatrix>,
     source: usize,
     /// Euclidean coordinates when the network was built from points
     /// (general symmetric networks have none).
-    points: Option<Vec<Point>>,
+    points: Option<PointSet>,
     model: Option<PowerModel>,
 }
 
 impl WirelessNetwork {
     /// Euclidean network: stations at `points`, costs `κ · dist^α`,
-    /// multicast source `source`.
+    /// multicast source `source`. Panics, before any cost is computed,
+    /// on the inputs [`PointSet::new`] refuses.
     pub fn euclidean(points: Vec<Point>, model: PowerModel, source: usize) -> Self {
-        assert!(source < points.len());
-        let costs = CostMatrix::from_points(&points, &model);
-        Self {
-            costs: Some(costs),
-            source,
-            points: Some(points),
-            model: Some(model),
-        }
+        let mut net = Self::euclidean_lazy(points, model, source);
+        let costs = CostMatrix::from_fn(net.n, |i, j| net.cost(i, j));
+        net.costs = Some(costs);
+        net
     }
 
     /// Euclidean network **without** the dense `O(n²)` cost matrix:
     /// [`WirelessNetwork::cost`] computes `κ · dist^α` on demand from
     /// the stored points, bit-identical to the materialised values.
     /// Use for large n (the spatial construction backend needs nothing
-    /// else); [`WirelessNetwork::costs`] panics in this regime.
+    /// else); [`WirelessNetwork::costs`] panics in this regime. Panics
+    /// on the inputs [`PointSet::new`] refuses.
     pub fn euclidean_lazy(points: Vec<Point>, model: PowerModel, source: usize) -> Self {
-        assert!(source < points.len());
+        let points = PointSet::new(&points);
+        let n = points.len();
+        assert!(source < n);
         Self {
+            n,
             costs: None,
             source,
             points: Some(points),
@@ -70,6 +79,7 @@ impl WirelessNetwork {
     pub fn symmetric(costs: CostMatrix, source: usize) -> Self {
         assert!(source < costs.len());
         Self {
+            n: costs.len(),
             costs: Some(costs),
             source,
             points: None,
@@ -79,14 +89,7 @@ impl WirelessNetwork {
 
     /// Number of stations (including the source).
     pub fn n_stations(&self) -> usize {
-        match &self.costs {
-            Some(m) => m.len(),
-            None => self
-                .points
-                .as_ref()
-                .expect("lazy networks always carry points")
-                .len(),
-        }
+        self.n
     }
 
     /// Number of players (stations except the source).
@@ -113,7 +116,7 @@ impl WirelessNetwork {
                     .model
                     .as_ref()
                     .expect("lazy networks always carry a power model");
-                model.cost(&pts[i], &pts[j])
+                model.cost_of_distance(pts.dist(i, j))
             }
         }
     }
@@ -135,8 +138,8 @@ impl WirelessNetwork {
     }
 
     /// Station coordinates, if Euclidean.
-    pub fn points(&self) -> Option<&[Point]> {
-        self.points.as_deref()
+    pub fn points(&self) -> Option<&PointSet> {
+        self.points.as_ref()
     }
 
     /// Power model, if Euclidean.
@@ -274,6 +277,63 @@ mod tests {
         let pts = vec![Point::xy(0.0, 0.0), Point::xy(1.0, 0.0)];
         let n = WirelessNetwork::euclidean_lazy(pts, PowerModel::linear(), 0);
         let _ = n.costs();
+    }
+
+    /// Three stations with one bad coordinate, station 2's `y`.
+    fn with_bad_y(y: f64) -> Vec<Point> {
+        vec![Point::xy(0.0, 0.0), Point::xy(1.0, 0.0), Point::xy(2.0, y)]
+    }
+
+    /// Build the tree the way a caller would, so that a refusal after
+    /// construction would fail the test's expected message too.
+    fn build(net: &WirelessNetwork, backend: crate::Backend) {
+        let _ = crate::SubstrateBuilder::new(net).backend(backend).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "station 2, axis 1: coordinate NaN is not finite")]
+    fn nan_coordinate_refused_at_the_door_on_the_dense_backend() {
+        let net = WirelessNetwork::euclidean(with_bad_y(f64::NAN), PowerModel::linear(), 0);
+        build(&net, crate::Backend::Dense);
+    }
+
+    #[test]
+    #[should_panic(expected = "station 2, axis 1: coordinate NaN is not finite")]
+    fn nan_coordinate_refused_at_the_door_with_backend_auto() {
+        let net = WirelessNetwork::euclidean_lazy(with_bad_y(f64::NAN), PowerModel::linear(), 0);
+        build(&net, crate::Backend::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "station 2, axis 1: coordinate NaN is not finite")]
+    fn nan_coordinate_refused_at_the_door_on_the_spatial_backend() {
+        let net = WirelessNetwork::euclidean_lazy(with_bad_y(f64::NAN), PowerModel::linear(), 0);
+        build(&net, crate::Backend::Spatial);
+    }
+
+    #[test]
+    #[should_panic(expected = "station 2, axis 1: coordinate inf is not finite")]
+    fn infinite_coordinate_refused_at_the_door_on_the_dense_backend() {
+        let net = WirelessNetwork::euclidean(with_bad_y(f64::INFINITY), PowerModel::linear(), 0);
+        build(&net, crate::Backend::Dense);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "mixed-dimension points: station 1 has 3 coordinates, station 0 has 2"
+    )]
+    fn mixed_dimensions_refused_by_the_lazy_constructor() {
+        let pts = vec![Point::xy(0.0, 0.0), Point::xyz(1.0, 0.0, 0.0)];
+        let _ = WirelessNetwork::euclidean_lazy(pts, PowerModel::linear(), 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "mixed-dimension points: station 1 has 3 coordinates, station 0 has 2"
+    )]
+    fn mixed_dimensions_refused_by_the_materialised_constructor() {
+        let pts = vec![Point::xy(0.0, 0.0), Point::xyz(1.0, 0.0, 0.0)];
+        let _ = WirelessNetwork::euclidean(pts, PowerModel::linear(), 0);
     }
 
     #[test]

@@ -25,10 +25,12 @@
 //! struct-of-arrays over the 4-byte [`NodeId`] (CSR offsets and
 //! positions are plain `u32`), exactly one flat allocation per array —
 //! 16 bytes/station of id state plus one `f64` per station of cached
-//! edge costs. With the 40 bytes a lazy 2-D network stores per point
-//! that is 64 bytes/station, so a 10⁶-station substrate fits comfortably
-//! in RAM (where the former `usize` layout paid 8 bytes per id and the
-//! dense cost matrix alone would need terabytes — pair this layout with
+//! edge costs. A lazy 2-D network stores its stations as one flat
+//! [`wmcs_geom::PointSet`], 16 bytes of coordinates per station, so the
+//! substrate holds 40 bytes/station and a 10⁶-station substrate fits
+//! comfortably in RAM (where the former `usize` layout paid 8 bytes per
+//! id, a `Vec<Point>` ~54 resident bytes per station, and the dense cost
+//! matrix alone would need terabytes — pair this layout with
 //! [`WirelessNetwork::euclidean_lazy`]). Construction asserts
 //! `n < u32::MAX`; [`TreeSubstrate::memory_bytes`] reports the resident
 //! footprint the `substrate_build` bench tracks.
@@ -169,6 +171,9 @@ pub struct TreeSubstrate {
     /// saves a cost-matrix probe / lazy distance evaluation on every
     /// hot-path edge walk.
     parent_cost: Vec<f64>,
+    /// Does any tree edge cost exactly `0.0` (duplicate points)? When
+    /// none does, no station has a zero-cost child to look for.
+    zero_cost_edges: bool,
 }
 
 impl TreeSubstrate {
@@ -240,10 +245,12 @@ impl TreeSubstrate {
         }
         let mut parent_id = vec![NodeId::NONE; n];
         let mut parent_cost = vec![0.0f64; n];
+        let mut zero_cost_edges = false;
         for (v, p) in parent.iter().enumerate() {
             if let Some(p) = *p {
                 parent_id[v] = NodeId::from_index(p);
                 parent_cost[v] = net.cost(p, v);
+                zero_cost_edges |= parent_cost[v] == 0.0;
             }
         }
         Self {
@@ -253,6 +260,7 @@ impl TreeSubstrate {
             pos_in_parent,
             parent: parent_id,
             parent_cost,
+            zero_cost_edges,
         }
     }
 
@@ -293,6 +301,22 @@ impl TreeSubstrate {
         self.pos_in_parent[v] as usize
     }
 
+    /// The children of `x` whose edge costs exactly `0.0` (duplicate
+    /// points), which lead its cost-sorted slice. When no tree edge costs
+    /// `0.0` — a flag set at build time — this is empty without reading
+    /// the slice.
+    #[inline]
+    pub fn zero_cost_children(&self, x: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let kids = if self.zero_cost_edges {
+            self.sorted_children(x)
+        } else {
+            &[]
+        };
+        kids.iter()
+            .copied()
+            .take_while(|y| self.parent_cost(y.index()) == 0.0)
+    }
+
     /// Total number of tree edges (`n − 1`).
     #[inline]
     pub fn n_edges(&self) -> usize {
@@ -327,8 +351,7 @@ impl TreeSubstrate {
             + self.parent.capacity() * size_of::<NodeId>()
             + self.parent_cost.capacity() * size_of::<f64>();
         if let Some(pts) = self.net.points() {
-            let dim = pts.first().map_or(0, |p| p.dim());
-            bytes += pts.len() * (size_of::<wmcs_geom::Point>() + dim * size_of::<f64>());
+            bytes += pts.memory_bytes();
         }
         if let Some(m) = self.net.try_costs() {
             bytes += m.len() * m.len() * size_of::<f64>();
@@ -361,13 +384,19 @@ impl TreeSubstrate {
 ///   is grow-only; leaves just zero state). Every frame and engine array
 ///   grows with at most 1/8 spare capacity (`grow_to`), so warm bytes
 ///   stay near the exact closure footprint without a shrink pass;
-/// * per local station the frame caches the parent link, the global
-///   cost-sorted child *position* and the tree-edge cost bit-for-bit
-///   from the substrate, and the **in-frame children in ascending global
-///   cost order** — the restriction of the substrate's cost-sorted child
-///   slice to the closure, which is what keeps every local traversal
-///   order-identical to a walk of the whole tree (the byte-identity
-///   argument in DESIGN.md §2f);
+/// * per local station the frame keeps the local parent link and the
+///   **in-frame children in ascending global cost order** — the
+///   restriction of the substrate's cost-sorted child slice to the
+///   closure, which is what keeps every local traversal order-identical
+///   to a walk of the whole tree (the byte-identity argument in
+///   DESIGN.md §2f);
+/// * a frame caches a per-universe fact only where every engine's
+///   per-node passes read it: the tree-edge cost, copied bit for bit
+///   from the substrate, which both engines read for every framed
+///   child. A station's position in its parent's global child slice is
+///   read from the substrate while splicing; the MC engine, whose
+///   forward pass, selection and kernel read it per node, keeps its own
+///   copy ([`crate::incremental::NetWorth`]);
 /// * the frame also keeps its locals in **ascending global station id**
 ///   ([`Subframe::by_station`]), the order in which the engines sum
 ///   `C_T(R)`, and MC lists its in-frame receivers, with no sort.
@@ -392,9 +421,6 @@ pub struct Subframe {
     /// Cached tree-edge cost `c(parent(v), v)` per local id — copied
     /// bit-for-bit from [`TreeSubstrate::parent_cost`].
     parent_cost: Vec<f64>,
-    /// The station's position within its parent's **global** cost-sorted
-    /// child slice, per local id (0 for the source).
-    pos: Vec<u32>,
     /// First in-frame child per local id ([`Subframe::NONE`] when none).
     /// Together with `next_kid` this is an intrusive singly-linked child
     /// list in ascending global cost order — the substrate child order
@@ -425,7 +451,6 @@ impl Subframe {
             index,
             parent: vec![Self::NONE],
             parent_cost: vec![0.0],
-            pos: vec![0],
             first_kid: vec![Self::NONE],
             next_kid: vec![Self::NONE],
             order: Vec::new(),
@@ -486,7 +511,6 @@ impl Subframe {
         reserve_bounded(&mut self.global, len);
         reserve_bounded(&mut self.parent, len);
         reserve_bounded(&mut self.parent_cost, len);
-        reserve_bounded(&mut self.pos, len);
         reserve_bounded(&mut self.first_kid, len);
         reserve_bounded(&mut self.next_kid, len);
         let mut parent = anchor;
@@ -497,16 +521,14 @@ impl Subframe {
             self.index_insert(l);
             self.parent.push(parent);
             self.parent_cost.push(sub.parent_cost(w));
-            let pos = u32::try_from(sub.pos_in_parent(w))
-                .expect("child positions are bounded by n < u32::MAX");
-            self.pos.push(pos);
             // Keep the parent's in-frame child list in global cost order:
             // positions within one parent are distinct, so the insertion
             // point is unique. Frame degrees are the substrate's
             // restricted to the closure, so the walk is `O(deg)`.
+            let pos = sub.pos_in_parent(w);
             let mut prev = Self::NONE;
             let mut cur = self.first_kid[parent as usize];
-            while cur != Self::NONE && self.pos[cur as usize] < pos {
+            while cur != Self::NONE && sub.pos_in_parent(self.global_of(cur)) < pos {
                 prev = cur;
                 cur = self.next_kid[cur as usize];
             }
@@ -563,13 +585,6 @@ impl Subframe {
     #[inline]
     pub fn parent_cost(&self, local: u32) -> f64 {
         self.parent_cost[local as usize]
-    }
-
-    /// The station's position in its parent's **global** cost-sorted
-    /// child slice (0 for the source).
-    #[inline]
-    pub fn pos_in_parent(&self, local: u32) -> u32 {
-        self.pos[local as usize]
     }
 
     /// In-frame children of a local station, ascending global cost order
@@ -630,7 +645,6 @@ impl Subframe {
         use std::mem::size_of;
         self.global.capacity() * size_of::<NodeId>()
             + (self.parent.capacity()
-                + self.pos.capacity()
                 + self.first_kid.capacity()
                 + self.next_kid.capacity()
                 + self.order.capacity()
@@ -756,7 +770,7 @@ mod tests {
                 let l = u32::try_from(l).expect("test frame is small");
                 let g = frame.global_of(l);
                 assert!(closure[g]);
-                // Parent links, edge costs and positions mirror the
+                // Parent links and edge costs mirror the
                 // substrate bit for bit.
                 if l == Subframe::ROOT {
                     assert_eq!(frame.parent_local(l), Subframe::NONE);
@@ -764,7 +778,6 @@ mod tests {
                     let p = frame.parent_local(l);
                     assert_eq!(frame.global_of(p), sub.parent_of(g));
                     assert_eq!(frame.parent_cost(l).to_bits(), sub.parent_cost(g).to_bits());
-                    assert_eq!(frame.pos_in_parent(l) as usize, sub.pos_in_parent(g));
                 }
                 // In-frame children are the substrate slice restricted to
                 // the closure, in the same (cost) order.
@@ -818,10 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_substrate_stores_64_bytes_per_station() {
+    fn lazy_substrate_stores_40_bytes_per_station() {
         // 16 B of ids (offsets, children, positions, parents) and 8 B of
-        // edge cost per station, plus the lazy network's 40 B point (its
-        // header and two coordinates).
+        // edge cost per station, plus the lazy network's two flat
+        // coordinates.
         for (n, kind) in [
             (1, TreeKind::Spt),
             (37, TreeKind::Mst),
@@ -833,7 +846,7 @@ mod tests {
                 .collect();
             let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
             let sub = SubstrateBuilder::from_owned(net).tree(kind).build();
-            assert_eq!(sub.memory_bytes(), 64 * n, "n = {n}");
+            assert_eq!(sub.memory_bytes(), 40 * n, "n = {n}");
         }
     }
 

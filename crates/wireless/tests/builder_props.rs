@@ -3,10 +3,11 @@
 //! spatial grid-index backend is **byte-identical** to the dense `O(n²)`
 //! reference — same parent array, same cost-sorted CSR child order, same
 //! cached edge-cost bits — and the lazy Euclidean regime reproduces the
-//! materialised one exactly.
+//! materialised one exactly, down to every distance and cost.
 
 use proptest::prelude::*;
-use wmcs_geom::{LayoutFamily, Scenario};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
+use wmcs_geom::{LayoutFamily, PointSet, Scenario};
 use wmcs_wireless::{Backend, SubstrateBuilder, TreeKind, WirelessNetwork};
 
 /// Build the scenario's network in both storage regimes.
@@ -26,6 +27,49 @@ fn scenario_nets(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One distance routine: on every layout family in each dimension
+    /// d ∈ {1, 2, 3} it supports, with up to eight points copied onto
+    /// others, the flat set's `dist(i, j)` is `Point::dist`'s bits, and
+    /// the lazy network's `cost(i, j)` is the materialised matrix's bits,
+    /// which are `PowerModel::cost` of the two points.
+    #[test]
+    fn flat_distances_and_lazy_costs_match_point_distances_bit_for_bit(
+        fam_idx in 0usize..5,
+        n in 2usize..=64,
+        dim in 1usize..=3,
+        alpha_idx in 0usize..3,
+        seed in 0u64..10_000,
+        dups in 0usize..=8,
+    ) {
+        let family = LayoutFamily::ALL[fam_idx];
+        let sc = Scenario::new(family, n, dim, [1.0, 2.0, 4.0][alpha_idx]);
+        let mut pts = sc.points(seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xd1_57);
+        for _ in 0..dups {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            pts[i] = pts[j].clone();
+        }
+        let model = sc.power_model();
+        let set = PointSet::new(&pts);
+        let dense = WirelessNetwork::euclidean(pts.clone(), model, 0);
+        let lazy = WirelessNetwork::euclidean_lazy(pts.clone(), model, 0);
+        let label = format!("{} n={} d={} α={} seed={} dups={}",
+            family.name(), n, sc.dim, sc.alpha, seed, dups);
+        for i in 0..n {
+            for j in 0..n {
+                prop_assert_eq!(set.dist(i, j).to_bits(), pts[i].dist(&pts[j]).to_bits(),
+                    "dist({}, {}) in {}", i, j, &label);
+                prop_assert_eq!(lazy.cost(i, j).to_bits(), dense.cost(i, j).to_bits(),
+                    "cost({}, {}) in {}", i, j, &label);
+                if i != j {
+                    prop_assert_eq!(dense.cost(i, j).to_bits(),
+                        model.cost(&pts[i], &pts[j]).to_bits(),
+                        "matrix entry ({}, {}) in {}", i, j, &label);
+                }
+            }
+        }
+    }
 
     /// The tentpole identity: spatial ≡ dense byte for byte — parents,
     /// CSR child order, cached costs, BFS order — on every layout family

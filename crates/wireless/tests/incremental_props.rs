@@ -16,7 +16,7 @@ use wmcs_geom::{LayoutFamily, Point, PowerModel, Scenario};
 use wmcs_graph::RootedTree;
 use wmcs_wireless::incremental::{reference_drop_run, shapley_drop_run};
 use wmcs_wireless::{
-    NetWorth, Shapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
+    NetWorth, RoundBuffers, Shapley, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
 };
 
 /// How far an MC charge read off a root map may sit from the
@@ -172,7 +172,8 @@ proptest! {
         }
         let stations: Vec<usize> = alive.iter().map(|&(x, _)| x).collect();
         let reference = ut.shapley_shares(&stations);
-        let by_local = engine.round_shares_by_local();
+        let mut buf = RoundBuffers::default();
+        let by_local = engine.round_shares_by_local(&mut buf);
         for &(x, l) in &alive {
             prop_assert_eq!(by_local[l as usize].to_bits(), reference[x].to_bits(),
                 "{} n={} seed={} station {}", family.name(), n, seed, x);
@@ -202,13 +203,14 @@ proptest! {
         let all = net.non_source_stations();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xc057_c057);
         let mut engine = Shapley::new(&ut);
+        let mut buf = RoundBuffers::default();
         let mut local = vec![0u32; net.n_stations()];
         let mut alive: Vec<usize> = Vec::new();
         for step in 0..=steps {
             let reference = ut.multicast_cost(&alive).to_bits();
             // The served cost prices the last round pass's set.
-            engine.round_shares_by_local();
-            prop_assert_eq!(engine.served_cost().to_bits(), reference,
+            engine.round_shares_by_local(&mut buf);
+            prop_assert_eq!(engine.served_cost(&buf).to_bits(), reference,
                 "Shapley, {} n={} seed={} step {}", family.name(), n, seed, step);
             if step == steps {
                 break;

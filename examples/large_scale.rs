@@ -41,11 +41,15 @@ const STRIP_SPT_DIGEST: u64 = 0x7997_ea30_2495_164a;
 const GROUPS: usize = 64;
 /// Members joined per group.
 const MEMBERS: usize = 32;
-/// Warm bytes/group ceiling. A frame-local session holds its members'
-/// path closure (SPT paths under distance² costs are many-hop: ~5k
-/// stations here), never an array sized by n — one `f64` per station
-/// alone is 800 KB at this n.
-const WARM_BYTES_CEILING: usize = 524_288;
+/// Warm bytes/group ceilings, one per mechanism, at ~1.1× what each
+/// measures here (194,430 B Shapley, 461,908 B MC). A frame-local session
+/// holds its members' path closure (SPT paths under distance² costs are
+/// many-hop: ~5k stations here), never an array sized by n — one `f64`
+/// per station alone is 800 KB at this n — and no buffer that lives only
+/// within one reprice: the Shapley round pass's two `f64` buffers alone
+/// would add ~70 KB per group here.
+const SHAPLEY_WARM_CEILING: usize = 214_000;
+const MC_WARM_CEILING: usize = 508_000;
 
 /// FNV-1a over 64-bit little-endian words, one per station in id order:
 /// the parent's id, or `u64::MAX` at the source (the word rule of the
@@ -191,7 +195,10 @@ fn main() {
                 .collect()
         })
         .collect();
-    for mechanism in [GroupMechanism::Shapley, GroupMechanism::MarginalCost] {
+    for (mechanism, ceiling) in [
+        (GroupMechanism::Shapley, SHAPLEY_WARM_CEILING),
+        (GroupMechanism::MarginalCost, MC_WARM_CEILING),
+    ] {
         let mut svc = MulticastService::new(&ut);
         for _ in 0..GROUPS {
             svc.add_group(mechanism);
@@ -211,9 +218,10 @@ fn main() {
              ({GROUPS} {mechanism:?} groups × {MEMBERS} members)"
         );
         assert!(
-            bytes_per_group <= WARM_BYTES_CEILING,
+            bytes_per_group <= ceiling,
             "{mechanism:?}: warm state {bytes_per_group} B/group exceeds the \
-             {WARM_BYTES_CEILING} B ceiling (a per-group array sized by n = {N}?)"
+             {ceiling} B ceiling (a per-group array sized by n = {N}, or a \
+             per-reprice buffer kept warm?)"
         );
     }
 
