@@ -255,6 +255,11 @@ pub(crate) struct GrowthWork {
     pub(crate) points_visited: u64,
     /// The most stations the station queue ever held at once.
     pub(crate) peak_queued: u64,
+    /// Marker-queue operations: pushes, re-keys of the head marker and
+    /// pops.
+    pub(crate) marker_ops: u64,
+    /// The most markers the marker queue ever held at once.
+    pub(crate) peak_markers: u64,
 }
 
 /// A station-queue entry: station `station`'s best key so far, reached
@@ -345,7 +350,19 @@ pub(crate) fn grow_tree_spatial_counted(
 
     done[source] = true;
     live.finalise(&idx, source);
-    markers.extend(marker(source, 0, &dist, &live));
+    // Queue stream `u`'s first marker, if it has one.
+    let start = |u: usize,
+                 markers: &mut BinaryHeap<Marker>,
+                 work: &mut GrowthWork,
+                 dist: &[f64],
+                 live: &LiveCells| {
+        if let Some(m) = marker(u, 0, dist, live) {
+            markers.push(m);
+            work.marker_ops += 1;
+            work.peak_markers = work.peak_markers.max(markers.len() as u64);
+        }
+    };
+    start(source, &mut markers, &mut work, &dist, &live);
     let mut finalized = 1usize;
     while finalized < n {
         let expand = match (markers.peek(), queue.peek()) {
@@ -365,6 +382,7 @@ pub(crate) fn grow_tree_spatial_counted(
             // Rings may have died since the marker was keyed: re-key it
             // past them instead of walking them.
             if live.near[idx.cell_of(u)] as usize > ring {
+                work.marker_ops += 1;
                 match marker(u, ring, &dist, &live) {
                     Some(fresh) => *head = fresh,
                     None => {
@@ -394,6 +412,7 @@ pub(crate) fn grow_tree_spatial_counted(
                 }
             });
             work.peak_queued = work.peak_queued.max(queue.len() as u64);
+            work.marker_ops += 1;
             match marker(u, ring + 1, &dist, &live) {
                 Some(next) => *head = next,
                 None => {
@@ -411,7 +430,7 @@ pub(crate) fn grow_tree_spatial_counted(
         if finalized.is_multiple_of(refresh_every) {
             live.refresh(&idx);
         }
-        markers.extend(marker(y, 0, &dist, &live));
+        start(y, &mut markers, &mut work, &dist, &live);
     }
     (parent, work)
 }
@@ -642,8 +661,9 @@ mod tests {
 
     /// Pins the growth's work, not its clock, on uniform stations at
     /// n = 16,384 (a square of side √n·10, α = 2, source 0, `SmallRng`
-    /// seed 7): shell expansions, points visited and peak queued stations
-    /// per station may not exceed 1.25× what this growth measures here.
+    /// seed 7): shell expansions, points visited, peak queued stations
+    /// and marker-queue operations (pushes, head re-keys and pops) per
+    /// station may not exceed 1.25× what this growth measures here.
     /// Measured per station:
     ///
     /// | count | SPT | MST |
@@ -651,6 +671,12 @@ mod tests {
     /// | shell expansions | 3.326 | 2.310 |
     /// | points visited | 17.58 | 10.80 |
     /// | peak queued stations | 0.0309 | 0.1151 |
+    /// | marker operations | 5.990 | 3.957 |
+    ///
+    /// The marker queue peaks at 16,383 markers on both kinds (not
+    /// pinned): a marker is dropped only when its ring's bound is `+∞`,
+    /// past the grid's edge on every axis, so on a uniform layout every
+    /// finalised station keeps one until growth ends.
     ///
     /// The candidate-stream growth this replaced visited 17.72 / 10.81
     /// points and expanded 4.88 / 2.70 shells per station here (SPT /
@@ -680,15 +706,16 @@ mod tests {
             .collect();
         let model = PowerModel::free_space();
         let per_station = |count: u64, n: usize| count as f64 / n as f64;
-        for (kind, expansions, visited, queued) in [
-            (TreeKind::Spt, 3.326, 17.58, 0.0309),
-            (TreeKind::Mst, 2.310, 10.80, 0.1151),
+        for (kind, expansions, visited, queued, marker_ops) in [
+            (TreeKind::Spt, 3.326, 17.58, 0.0309, 5.990),
+            (TreeKind::Mst, 2.310, 10.80, 0.1151, 3.957),
         ] {
             let (_, work) = grow_tree_spatial_counted(&PointSet::new(&pts), &model, 0, kind);
             let measured = [
                 ("shell expansions", work.expansions, expansions),
                 ("points visited", work.points_visited, visited),
                 ("peak queued stations", work.peak_queued, queued),
+                ("marker operations", work.marker_ops, marker_ops),
             ];
             for (what, count, pin) in measured {
                 assert!(

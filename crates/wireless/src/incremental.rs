@@ -17,10 +17,11 @@
 //!   in-frame children, skips those with `rb == 0`, and turns the
 //!   paper's per-increment split (§2.1) into prefix sums
 //!   `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j`.
-//! * [`NetWorth`] keeps the bottom-up DP and, per station, the two
-//!   slacks by which a change of its `h` reaches its parent's. One
-//!   top-down pass composes them into every station's map to the root,
-//!   so each `NW(u_{−i})` is read off its own map in `O(1)` instead of a
+//! * [`NetWorth`] keeps the bottom-up DP. One top-down pass recomputes,
+//!   per station, the two slacks by which a change of its `h` reaches
+//!   its parent's (from the flushed `h` and the edge costs; none is
+//!   stored) and composes them into every station's map to the root, so
+//!   each `NW(u_{−i})` is read off its own map in `O(1)` instead of a
 //!   full DP. Utility changes are batched: [`NetWorth::set_utility`]
 //!   only records the bid, and the next query repairs the union of the
 //!   dirty root paths once.
@@ -52,7 +53,7 @@
 //! pin the engine's and the sessions' outcomes to it byte for byte.
 
 use crate::substrate::{
-    grow_to, merge_by_key, reserve_bounded, NodeId, Subframe, TreeSubstrate, NO_STATION,
+    grow_to, merge_by_key, reserve_bounded, Children, NodeId, Subframe, TreeSubstrate, NO_STATION,
 };
 use crate::universal::UniversalTree;
 use wmcs_game::{run_drop_loop, run_drop_loop_from, DropLoopMethod, MechanismOutcome, Shares};
@@ -196,36 +197,45 @@ impl Shapley {
     /// the drop loop charges its fixpoint round.
     pub fn round_shares_by_local<'b>(&mut self, buf: &'b mut RoundBuffers) -> &'b [f64] {
         self.rounds += 1;
+        self.frame.merge_links(self.ut.substrate());
         let len = self.frame.len();
         buf.down.resize(len, 0.0);
         buf.power.resize(len, 0.0);
         buf.down[Subframe::ROOT as usize] = 0.0;
         buf.stack.clear();
         buf.stack.push(Subframe::ROOT);
-        while let Some(x) = buf.stack.pop() {
-            let xi = x as usize;
-            // Receivers strictly below x: its own subtree count minus x.
-            let mut remaining = self.rb[xi] - u32::from(self.in_r[xi]);
-            let mut prev_cost = 0.0;
-            let mut acc = buf.down[xi];
-            for y in self.frame.children(x) {
-                let yi = y as usize;
-                if self.rb[yi] == 0 {
-                    continue;
+        while let Some(top) = buf.stack.pop() {
+            // Walk down from `top`: each station's last child in `T(R)` is
+            // the next station, the others wait on the stack.
+            let mut x = top;
+            loop {
+                let xi = x as usize;
+                // Receivers strictly below x: its own subtree count minus x.
+                let remaining = self.rb[xi] - u32::from(self.in_r[xi]);
+                let mut pass = ChildPass::new(buf.down[xi], remaining);
+                match self.frame.children(x) {
+                    // A run's sole child: no loop, no stack.
+                    Children::Run { next: [y], len: 1 } if self.rb[y as usize] > 0 => {
+                        pass.visit(y, self, &mut buf.down)
+                    }
+                    Children::Listed(kids) => {
+                        for &y in kids {
+                            if self.rb[y as usize] > 0 {
+                                if pass.next != NO_LOCAL {
+                                    buf.stack.push(pass.next);
+                                }
+                                pass.visit(y, self, &mut buf.down);
+                            }
+                        }
+                    }
+                    Children::Run { .. } => {}
                 }
-                // Frame-cached edge cost — bit-identical to net.cost(x, y).
-                let cost = self.frame.parent_cost(y);
-                let delta = cost - prev_cost;
-                prev_cost = cost;
-                if delta > 0.0 {
-                    debug_assert!(remaining > 0, "every active branch has a receiver");
-                    acc += delta / remaining as f64;
+                buf.power[xi] = pass.prev_cost;
+                if pass.next == NO_LOCAL {
+                    break;
                 }
-                buf.down[yi] = acc;
-                remaining -= self.rb[yi];
-                buf.stack.push(y);
+                x = pass.next;
             }
-            buf.power[xi] = prev_cost;
         }
         &buf.down
     }
@@ -269,6 +279,50 @@ impl Shapley {
         self.frame.memory_bytes()
             + self.in_r.capacity() * size_of::<bool>()
             + self.rb.capacity() * size_of::<u32>()
+    }
+}
+
+/// One station's fold in [`Shapley::round_shares_by_local`]: its children
+/// in `T(R)`, in cost order, each add their increment's slice to the
+/// running prefix.
+struct ChildPass {
+    /// The prefix so far: the station's own, plus each slice.
+    acc: f64,
+    /// Receivers below the children not yet visited.
+    remaining: u32,
+    /// The last visited child's edge cost (`+0.0` before the first).
+    prev_cost: f64,
+    /// The last visited child ([`NO_LOCAL`] before the first).
+    next: u32,
+}
+
+impl ChildPass {
+    fn new(acc: f64, remaining: u32) -> Self {
+        Self {
+            acc,
+            remaining,
+            prev_cost: 0.0,
+            next: NO_LOCAL,
+        }
+    }
+
+    /// Visit child `y` (in `T(R)`): increment `δ = c(x, y) − c(x, y_prev)`
+    /// is worth `δ / users` to every receiver below `y` and its later
+    /// siblings, so `down[y]` is the prefix after that slice.
+    #[inline]
+    fn visit(&mut self, y: u32, engine: &Shapley, down: &mut [f64]) {
+        let yi = y as usize;
+        // Frame-cached edge cost — bit-identical to net.cost(x, y).
+        let cost = engine.frame.parent_cost(y);
+        let delta = cost - self.prev_cost;
+        self.prev_cost = cost;
+        if delta > 0.0 {
+            debug_assert!(self.remaining > 0, "every active branch has a receiver");
+            self.acc += delta / self.remaining as f64;
+        }
+        down[yi] = self.acc;
+        self.remaining -= engine.rb[yi];
+        self.next = y;
     }
 }
 
@@ -441,9 +495,22 @@ impl RootMap {
         b: f64::NEG_INFINITY,
     };
 
-    /// The map of a child whose edge slacks are `(a, b)`: the edge's
-    /// `δ ↦ max(a, b + δ)` followed by this map.
-    fn child(self, (a, b): (f64, f64)) -> Self {
+    /// The edge pair of a sole in-frame child whose `h` is `h` and whose
+    /// edge costs `cost`: [`NetWorth::edge_pairs`]' float expressions over
+    /// one child (`val = (0.0 + h) − cost`, `b = val` if `val ≥ 0.0`, else
+    /// `+0.0`), as a map of the same two-slack form.
+    fn sole_edge(h: f64, cost: f64) -> Self {
+        let val = (0.0 + h) - cost;
+        let b = if val >= 0.0 { val } else { 0.0 };
+        Self {
+            a: 0.0 - b,
+            b: val.max(f64::NEG_INFINITY) - b,
+        }
+    }
+
+    /// The map of a child whose edge map has the slacks `(a, b)`: the
+    /// edge's `δ ↦ max(a, b + δ)` followed by this map.
+    fn child(self, Self { a, b }: Self) -> Self {
         Self {
             a: self.a.max(self.b + a),
             b: self.b + b,
@@ -465,13 +532,17 @@ impl RootMap {
 /// the DP's raw prefix values are `val_j = Σ_{i≤j} h(y_i) − c(x, y_j)`.
 /// Per local station it stores `h` (best net worth of the subtree game)
 /// and the chosen prefix length `choice` (one past the last `j` whose
-/// value is `M = max(0, val_0 … val_{k−1})`). At each station's own edge
-/// it stores the two **slacks** of its parent's prefix maxima against
-/// `M`: `a = max(0, val_0 … val_{pos−1}) − M` and `b = max(val_pos …
-/// val_{k−1}) − M`, both `≤ 0`. A change `δ ≤ 0` of the station's `h`
-/// shifts every `val_j` with `j ≥ pos` by `δ`, so it changes the
-/// parent's `h` by `max(a, b + δ)` (the parent's own utility cancels).
-/// Comparisons are exact (total order, larger prefix only on true ties).
+/// value is `M = max(0, val_0 … val_{k−1})`). Each station's own edge
+/// has two **slacks**, its parent's prefix maxima against `M`: `a =
+/// max(0, val_0 … val_{pos−1}) − M` and `b = max(val_pos … val_{k−1}) −
+/// M`, both `≤ 0`. A change `δ ≤ 0` of the station's `h` shifts every
+/// `val_j` with `j ≥ pos` by `δ`, so it changes the parent's `h` by
+/// `max(a, b + δ)` (the parent's own utility cancels). The slacks are not
+/// stored: the forward pass recomputes them from the flushed `h` and the
+/// edge costs with the kernel's fold, in one sweep for sole in-frame
+/// children and one fold per linked parent's list
+/// ([`Subframe::linked_lists`]). Comparisons are exact (total order,
+/// larger prefix only on true ties).
 ///
 /// **Root maps.** Those edge maps compose in closed form: a change `δ`
 /// at station `w` changes `NW` by `max(A_w, B_w + δ)`, where `A_w =
@@ -512,9 +583,10 @@ impl RootMap {
 /// at `+0.0`; `max` drops NaN), so the bit test agrees with `==`. Each
 /// kernel is a pure function of its children's `h`, its utility and the
 /// cached costs, so the flushed state equals a fresh oracle's fed the
-/// same utilities; a slack pair goes stale only while its station's `h`
-/// is `+0.0`, and the forward pass reads a pair only where `h > 0` (see
-/// the argument in `DESIGN.md` §2f).
+/// same utilities. After a flush every parent's kernel has run on its
+/// children's current `h`, so the slacks the forward pass recomputes are
+/// the floats that kernel's fold gives (a child framed since, at `h =
+/// +0.0`, moves no sibling's maximum; `DESIGN.md` §2f).
 #[derive(Debug, Clone)]
 pub struct NetWorth {
     ut: UniversalTree,
@@ -525,10 +597,6 @@ pub struct NetWorth {
     h: Vec<f64>,
     /// Chosen prefix length at `v` over its **global** child slice.
     choice: Vec<u32>,
-    /// `(a, b)` at `v`'s own edge in its parent's slice: a change `δ ≤ 0`
-    /// of `h[v]` changes the parent's `h` by `max(a, b + δ)` — written by
-    /// the parent's kernel.
-    slack: Vec<(f64, f64)>,
     /// Static: `v`'s position in its parent's **global** cost-sorted
     /// child slice (0 for the source), read per node by the kernel, the
     /// forward pass and the selection.
@@ -565,7 +633,6 @@ impl NetWorth {
             u: Vec::new(),
             h: Vec::new(),
             choice: Vec::new(),
-            slack: Vec::new(),
             pos: Vec::new(),
             next_cost: Vec::new(),
             dirty: Vec::new(),
@@ -622,7 +689,6 @@ impl NetWorth {
         grow_to(&mut self.u, len, 0.0);
         grow_to(&mut self.h, len, 0.0);
         grow_to(&mut self.choice, len, 0);
-        grow_to(&mut self.slack, len, (0.0, f64::NEG_INFINITY));
         grow_to(&mut self.dirty, len, true);
         reserve_bounded(&mut self.pos, len);
         reserve_bounded(&mut self.next_cost, len);
@@ -648,15 +714,13 @@ impl NetWorth {
     /// station whose `h` changed bits marks its parent.
     fn flush(&mut self) {
         let ut = self.ut.clone();
-        // The kernels' scratch: one station's in-frame children and their
-        // raw prefix values, reused across this flush's kernels.
-        let (mut fkids, mut vals) = (Vec::new(), Vec::new());
+        self.frame.merge_links(ut.substrate());
         for v in (0..std::mem::take(&mut self.dirty_end)).rev() {
             if !std::mem::take(&mut self.dirty[v]) {
                 continue;
             }
             let before = self.h[v].to_bits();
-            self.recompute(ut.substrate(), local_id(v), &mut fkids, &mut vals);
+            self.recompute(ut.substrate(), local_id(v));
             if v != 0 && self.h[v].to_bits() != before {
                 self.dirty[self.frame.parent_local(local_id(v)) as usize] = true;
             }
@@ -664,28 +728,17 @@ impl NetWorth {
     }
 
     /// The per-station kernel: fold local `v`'s **in-frame** children into
-    /// `h[v]` and `choice[v]`, and write their slack pairs.
-    /// `O(frame degree of v)`; `v`'s global child slice is read only when
-    /// the chosen prefix runs on over out-of-frame siblings that tie the
-    /// maximum, or has no in-frame winner and the substrate has
-    /// zero-cost edges. `fkids` and `vals` are scratch (the suffix
-    /// maximum folds them right to left).
-    fn recompute(
-        &mut self,
-        sub: &TreeSubstrate,
-        v: u32,
-        fkids: &mut Vec<u32>,
-        vals: &mut Vec<f64>,
-    ) {
+    /// `h[v]` and `choice[v]`. `O(frame degree of v)`; `v`'s global child
+    /// slice is read only when the chosen prefix runs on over
+    /// out-of-frame siblings that tie the maximum, or has no in-frame
+    /// winner and the substrate has zero-cost edges.
+    fn recompute(&mut self, sub: &TreeSubstrate, v: u32) {
         let vi = v as usize;
-        fkids.clear();
-        vals.clear();
-        // Raw prefix values; the running maximum `b` (from +0.0, larger
-        // prefix on exact ties) before each child is its prefix maximum.
+        // Raw prefix values; the running maximum `b` starts at +0.0, and
+        // the larger prefix wins exact ties.
         let (mut acc, mut b) = (0.0f64, 0.0f64);
         let (mut winner, mut winner_acc) = (NO_LOCAL, 0.0f64);
-        for c in self.frame.children(v) {
-            self.slack[c as usize].0 = b;
+        for &c in self.frame.children(v).as_slice() {
             acc += self.h[c as usize];
             let val = acc - self.frame.parent_cost(c);
             if val >= b {
@@ -693,16 +746,6 @@ impl NetWorth {
                 winner = c;
                 winner_acc = acc;
             }
-            fkids.push(c);
-            vals.push(val);
-        }
-        // The suffix maximum max(val_{pos(c)} … val_{k−1}), folded right
-        // to left; both maxima become slacks against the final `b`.
-        let mut cur = f64::NEG_INFINITY;
-        for (&c, &val) in fkids.iter().zip(vals.iter()).rev() {
-            cur = val.max(cur);
-            let slack = &mut self.slack[c as usize];
-            *slack = (slack.0 - b, cur - b);
         }
         let end = if winner == NO_LOCAL {
             // No in-frame child reaches +0.0: the prefix is the leading
@@ -735,25 +778,89 @@ impl NetWorth {
     /// The forward pass over the flushed DP, in local-id order (a
     /// parent's id is below its children's): returns every local
     /// station's [`RootMap`], composed from its parent's and its own
-    /// slack pair, and whether it is in `{source} ∪ R*` (`reached[l] =
-    /// reached[parent] && pos[l] < choice[parent]`). A pair is read only
-    /// where `h > 0`; a station at `h = +0.0` absorbs.
+    /// edge pair, and whether it is in `{source} ∪ R*` (`reached[l] =
+    /// reached[parent] && pos[l] < choice[parent]`). A pair is needed
+    /// only where `h > 0`; a station at `h = +0.0` absorbs. Pairs are
+    /// recomputed from the flushed `h` with the kernel's own float
+    /// expressions: one branch-free sweep writes every station's pair as
+    /// a sole child's ([`RootMap::sole_edge`]) into its map slot, one
+    /// fold per linked station's list overwrites its children's
+    /// ([`NetWorth::edge_pairs`]), and the composing loop reads each
+    /// station's pair from its slot.
     fn forward(&self) -> (Vec<RootMap>, Vec<bool>) {
         let len = self.frame.len();
-        let mut maps = Vec::with_capacity(len);
+        // Every station's edge pair as if it were its parent's sole
+        // in-frame child (one branch-free sweep), then the true pairs of
+        // each linked station's children from one fold per list.
+        let mut maps: Vec<RootMap> = (self.h.iter().zip(self.frame.parent_costs()))
+            .map(|(&h, &cost)| RootMap::sole_edge(h, cost))
+            .collect();
+        for kids in self.frame.linked_lists() {
+            self.edge_pairs(kids, &mut maps);
+        }
+        maps[0] = RootMap::SOURCE;
         let mut reached = Vec::with_capacity(len);
-        maps.push(RootMap::SOURCE);
         reached.push(true);
         for l in 1..local_id(len) {
             let (li, p) = (l as usize, self.frame.parent_local(l) as usize);
             reached.push(reached[p] && self.pos[li] < self.choice[p]);
-            maps.push(if self.h[li] == 0.0 {
+            maps[li] = if self.h[li] == 0.0 {
                 RootMap::ABSORB
             } else {
-                maps[p].child(self.slack[li])
-            });
+                maps[p].child(maps[li])
+            };
         }
         (maps, reached)
+    }
+
+    /// Write the edge pair of each of a linked local's children `kids`
+    /// into its slot of `maps`: the kernel's fold over the in-frame
+    /// children, each pair `(prefix maximum before the child − b, suffix
+    /// maximum from it − b)` against the final best prefix value `b`. A
+    /// lone child keeps the sole pair the sweep wrote (the same floats);
+    /// two children, the most common list, take the fold unrolled (the
+    /// same float sequence); longer lists fold right to left over the raw
+    /// values, which wait in the slots' `b` halves.
+    fn edge_pairs(&self, kids: &[u32], maps: &mut [RootMap]) {
+        match *kids {
+            [_] => {}
+            [c0, c1] => {
+                let acc = 0.0 + self.h[c0 as usize];
+                let val0 = acc - self.frame.parent_cost(c0);
+                let pre1 = if val0 >= 0.0 { val0 } else { 0.0 };
+                let val1 = (acc + self.h[c1 as usize]) - self.frame.parent_cost(c1);
+                let b = if val1 >= pre1 { val1 } else { pre1 };
+                let suf1 = val1.max(f64::NEG_INFINITY);
+                maps[c1 as usize] = RootMap {
+                    a: pre1 - b,
+                    b: suf1 - b,
+                };
+                maps[c0 as usize] = RootMap {
+                    a: 0.0 - b,
+                    b: val0.max(suf1) - b,
+                };
+            }
+            _ => {
+                let (mut acc, mut b) = (0.0f64, 0.0f64);
+                for &c in kids {
+                    acc += self.h[c as usize];
+                    let val = acc - self.frame.parent_cost(c);
+                    maps[c as usize] = RootMap { a: b, b: val };
+                    if val >= b {
+                        b = val;
+                    }
+                }
+                let mut cur = f64::NEG_INFINITY;
+                for &c in kids.iter().rev() {
+                    let slot = &mut maps[c as usize];
+                    cur = slot.b.max(cur);
+                    *slot = RootMap {
+                        a: slot.a - b,
+                        b: cur - b,
+                    };
+                }
+            }
+        }
     }
 
     /// The chosen-prefix selection over the flushed DP: the
@@ -786,7 +893,7 @@ impl NetWorth {
             // Prefix positions no in-frame child holds (`next..pos`, then
             // `next..end`) hold out-of-frame children.
             let (mut next, mut power) = (0, 0.0);
-            for c in self.frame.children(x) {
+            for &c in self.frame.children(x).as_slice() {
                 let pos = self.pos[c as usize] as usize;
                 if pos >= end {
                     break;
@@ -952,7 +1059,6 @@ impl NetWorth {
         use std::mem::size_of;
         self.frame.memory_bytes()
             + (self.u.capacity() + self.h.capacity() + self.next_cost.capacity()) * size_of::<f64>()
-            + self.slack.capacity() * size_of::<(f64, f64)>()
             + (self.choice.capacity() + self.pos.capacity()) * size_of::<u32>()
             + self.dirty.capacity() * size_of::<bool>()
     }

@@ -258,8 +258,8 @@ impl MulticastService {
 
     /// Panics unless every event names a player of the universe (the
     /// message names the id and the player count) and every `Join` or
-    /// `Rebid` carries a finite bid (the message names the player and the
-    /// bid). Both front doors check at entry, so [`Self::reprice`] never
+    /// `Rebid` carries a finite bid that is not negative (the message
+    /// names the player and the bid; `−0.0` passes). Both front doors check at entry, so [`Self::reprice`] never
     /// sees a bad id or a non-finite bid. One `+∞` bid would otherwise
     /// make a marginal-cost group free: every externality becomes
     /// `∞ − ∞ = NaN`, which the VCG clamp turns into a share of 0.
@@ -275,6 +275,10 @@ impl MulticastService {
                 assert!(
                     utility.is_finite(),
                     "player {player} bid {utility}: a bid must be finite"
+                );
+                assert!(
+                    utility >= 0.0,
+                    "player {player} bid {utility}: a bid must not be negative"
                 );
             }
         }
@@ -302,8 +306,8 @@ impl MulticastService {
     /// # Panics
     /// On unsorted or unknown group ids, when an event's player id is not
     /// below the universe's player count, or when a `Join` or `Rebid`
-    /// bid is NaN or infinite. Every event is checked before any group
-    /// absorbs anything, so a refused step changes no state.
+    /// bid is NaN, infinite or negative. Every event is checked before
+    /// any group absorbs anything, so a refused step changes no state.
     pub fn step(&mut self, batch: &[(usize, &[ChurnEvent])]) -> Vec<GroupOutcome> {
         assert!(
             batch.windows(2).all(|w| w[0].0 < w[1].0),

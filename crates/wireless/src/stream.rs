@@ -623,8 +623,8 @@ impl StreamHandle<'_> {
     ///
     /// # Panics
     /// On an unknown group id, when `event`'s player id is not below the
-    /// universe's player count, or when its bid is NaN or infinite. A
-    /// refused event is not queued.
+    /// universe's player count, or when its bid is NaN, infinite or
+    /// negative. A refused event is not queued.
     pub fn submit(&self, group: usize, event: ChurnEvent) -> Admission {
         self.drive.submit(self.epochs, group, event)
     }

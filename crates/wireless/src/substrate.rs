@@ -384,19 +384,32 @@ impl TreeSubstrate {
 ///   is grow-only; leaves just zero state). Every frame and engine array
 ///   grows with at most 1/8 spare capacity (`grow_to`), so warm bytes
 ///   stay near the exact closure footprint without a shrink pass;
-/// * per local station the frame keeps the local parent link and the
-///   **in-frame children in ascending global cost order** — the
+/// * per local station the frame stores its station (4 B), its local
+///   parent (4 B) and its tree-edge cost (8 B, copied bit for bit from
+///   the substrate, which both engines read for every framed child);
+///   the global→local index adds 4 B per slot. A station's position in
+///   its parent's global child slice is read from the substrate where
+///   it is needed; the MC engine, whose forward pass, selection and
+///   kernel read it per node, keeps its own copy
+///   ([`crate::incremental::NetWorth`]);
+/// * the **in-frame children in ascending global cost order** — the
 ///   restriction of the substrate's cost-sorted child slice to the
-///   closure, which is what keeps every local traversal order-identical
-///   to a walk of the whole tree (the byte-identity argument in
-///   DESIGN.md §2f);
-/// * a frame caches a per-universe fact only where every engine's
-///   per-node passes read it: the tree-edge cost, copied bit for bit
-///   from the substrate, which both engines read for every framed
-///   child. A station's position in its parent's global child slice is
-///   read from the substrate while splicing; the MC engine, whose
-///   forward pass, selection and kernel read it per node, keeps its own
-///   copy ([`crate::incremental::NetWorth`]);
+///   closure, which keeps every local traversal order-identical to a
+///   walk of the whole tree (the byte-identity argument in DESIGN.md
+///   §2f) — are mostly implicit. Each splice appends one **run**: a
+///   root-path suffix whose local `l + 1` is the child of `l`, and stays
+///   `l`'s only one until a later splice anchors at `l`. One **link
+///   byte** per local says which: a leaf, a run local (its one child is
+///   `l + 1`), or *linked*. Only a local that anchors a later run not
+///   starting at `l + 1` — a branch point, or a leaf that a later run
+///   hangs off — is linked: its byte is its rank among the linked
+///   locals of its block of 128, and with one rank count per block it
+///   indexes a compact CSR of the linked locals' cost-ordered children,
+///   4 B per linked local and per listed child. A splice only records
+///   its new link; the next pass merges the recorded links into the CSR
+///   ([`Subframe::merge_links`]), as it merges the station order, so
+///   [`Subframe::children`] is `O(1)` at every local, branch points
+///   included;
 /// * the frame also keeps its locals in **ascending global station id**
 ///   ([`Subframe::by_station`]), the order in which the engines sum
 ///   `C_T(R)`, and MC lists its in-frame receivers, with no sort.
@@ -421,18 +434,52 @@ pub struct Subframe {
     /// Cached tree-edge cost `c(parent(v), v)` per local id — copied
     /// bit-for-bit from [`TreeSubstrate::parent_cost`].
     parent_cost: Vec<f64>,
-    /// First in-frame child per local id ([`Subframe::NONE`] when none).
-    /// Together with `next_kid` this is an intrusive singly-linked child
-    /// list in ascending global cost order — the substrate child order
-    /// restricted to the closure, at 8 bytes/station instead of a
-    /// `Vec<Vec<u32>>`'s 24-byte header plus allocation per station.
-    first_kid: Vec<u32>,
-    /// Next in-frame sibling per local id in the parent's cost order.
-    next_kid: Vec<u32>,
+    /// Per local: [`Subframe::LEAF`] (no child), [`Subframe::RUN`] (one
+    /// child, `l + 1`), or — linked, as of the last
+    /// [`Subframe::merge_links`] — [`Subframe::LINKED`] plus the number of
+    /// linked locals before it in its block of [`Subframe::BLOCK`].
+    link: Vec<u8>,
+    /// Linked locals before each block of `link`.
+    rank: Vec<u32>,
+    /// The linked local of rank `r` has children
+    /// `kids[kid_start[r]..kid_start[r + 1]]`, in ascending global cost
+    /// order (empty while no local is linked).
+    kid_start: Vec<u32>,
+    /// Every linked local's children, one list after another.
+    kids: Vec<u32>,
+    /// `(anchor, head)` for each run spliced since the last
+    /// [`Subframe::merge_links`] whose head is not `anchor + 1`.
+    fresh: Vec<(u32, u32)>,
     /// Locals in ascending global station id. Covers locals
     /// `0..order.len()`; locals appended since are merged in by the next
     /// [`Subframe::merge_by_station`].
     order: Vec<u32>,
+}
+
+/// The in-frame children of one local, ascending global cost order
+/// ([`Subframe::children`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Children<'a> {
+    /// An unlinked local's children: the first `len` of `next`.
+    Run {
+        /// `[l + 1]`, the next local of the run.
+        next: [u32; 1],
+        /// 1 when `l + 1` is `l`'s child, 0 at a leaf.
+        len: usize,
+    },
+    /// A linked local's listed children.
+    Listed(&'a [u32]),
+}
+
+impl Children<'_> {
+    /// The children as one slice, whichever the kind.
+    #[inline]
+    pub fn as_slice(&self) -> &[u32] {
+        match self {
+            Children::Run { next, len } => &next[..*len],
+            Children::Listed(kids) => kids,
+        }
+    }
 }
 
 impl Subframe {
@@ -440,6 +487,15 @@ impl Subframe {
     pub const NONE: u32 = u32::MAX;
     /// The source's local id (the frame root).
     pub const ROOT: u32 = 0;
+    /// Locals per rank block: a linked local's `link` byte counts the
+    /// linked locals before it in its block, which fits a byte.
+    const BLOCK: usize = 128;
+    /// Link byte of a local with no in-frame child.
+    const LEAF: u8 = 0;
+    /// Link byte of a local whose one child is the next local.
+    const RUN: u8 = 1;
+    /// Link byte of the first linked local of a block.
+    const LINKED: u8 = 2;
 
     /// An empty frame over `sub`: just the source at local id 0.
     pub fn new(sub: &TreeSubstrate) -> Self {
@@ -451,8 +507,11 @@ impl Subframe {
             index,
             parent: vec![Self::NONE],
             parent_cost: vec![0.0],
-            first_kid: vec![Self::NONE],
-            next_kid: vec![Self::NONE],
+            link: vec![Self::LEAF],
+            rank: Vec::new(),
+            kid_start: Vec::new(),
+            kids: Vec::new(),
+            fresh: Vec::new(),
             order: Vec::new(),
         }
     }
@@ -488,10 +547,12 @@ impl Subframe {
 
     /// Bring `station`'s whole root path into the frame and return the
     /// station's local id. Already-present stations return in `O(1)`
-    /// expected; otherwise the out-of-frame path suffix is spliced in
-    /// **top-down** (so appended ids are always below existing ones),
-    /// each new station inserted into its parent's in-frame child list at
-    /// its global cost-order position. `O(path)` expected.
+    /// expected; otherwise the out-of-frame path suffix is appended
+    /// **top-down** as one run (so appended ids are always below existing
+    /// ones). The run's head hangs off its in-frame anchor: implicitly
+    /// when the anchor is the last local, and otherwise by a recorded
+    /// link that the next [`Subframe::merge_links`] files at its global
+    /// cost-order position. `O(path)` expected.
     pub fn ensure(&mut self, sub: &TreeSubstrate, station: usize) -> u32 {
         if let Some(l) = self.local_of(station) {
             return l;
@@ -507,40 +568,31 @@ impl Subframe {
             }
             suffix.push(p);
         };
+        let head = u32::try_from(self.global.len())
+            .expect("frame ids fit in u32 (the universe is capped below u32::MAX)");
+        if anchor + 1 == head {
+            // The last local, a leaf until now, continues its run.
+            self.link[anchor as usize] = Self::RUN;
+        } else {
+            self.fresh.push((anchor, head));
+        }
         let len = self.global.len() + suffix.len();
         reserve_bounded(&mut self.global, len);
         reserve_bounded(&mut self.parent, len);
         reserve_bounded(&mut self.parent_cost, len);
-        reserve_bounded(&mut self.first_kid, len);
-        reserve_bounded(&mut self.next_kid, len);
+        reserve_bounded(&mut self.link, len);
         let mut parent = anchor;
         for &w in suffix.iter().rev() {
-            let l = u32::try_from(self.global.len())
-                .expect("frame ids fit in u32 (the universe is capped below u32::MAX)");
+            let l = u32::try_from(self.global.len()).expect("frame ids fit in u32");
             self.global.push(NodeId::from_index(w));
             self.index_insert(l);
             self.parent.push(parent);
             self.parent_cost.push(sub.parent_cost(w));
-            // Keep the parent's in-frame child list in global cost order:
-            // positions within one parent are distinct, so the insertion
-            // point is unique. Frame degrees are the substrate's
-            // restricted to the closure, so the walk is `O(deg)`.
-            let pos = sub.pos_in_parent(w);
-            let mut prev = Self::NONE;
-            let mut cur = self.first_kid[parent as usize];
-            while cur != Self::NONE && sub.pos_in_parent(self.global_of(cur)) < pos {
-                prev = cur;
-                cur = self.next_kid[cur as usize];
-            }
-            self.first_kid.push(Self::NONE);
-            self.next_kid.push(cur);
-            if prev == Self::NONE {
-                self.first_kid[parent as usize] = l;
-            } else {
-                self.next_kid[prev as usize] = l;
-            }
+            self.link.push(Self::RUN);
             parent = l;
         }
+        // The run ends in a leaf.
+        self.link[parent as usize] = Self::LEAF;
         parent
     }
 
@@ -587,19 +639,153 @@ impl Subframe {
         self.parent_cost[local as usize]
     }
 
-    /// In-frame children of a local station, ascending global cost order
-    /// (a walk of the intrusive sibling list — `O(1)` per child).
-    #[inline]
-    pub fn children(&self, local: u32) -> impl Iterator<Item = u32> + '_ {
-        let mut cur = self.first_kid[local as usize];
-        std::iter::from_fn(move || {
-            if cur == Self::NONE {
-                return None;
+    /// Every local's [`Subframe::parent_cost`], by local id.
+    pub fn parent_costs(&self) -> &[f64] {
+        &self.parent_cost
+    }
+
+    /// The listed children of each linked local, ascending by local (a
+    /// list's local is its first child's parent).
+    pub fn linked_lists(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.kid_start
+            .windows(2)
+            .map(|row| &self.kids[row[0] as usize..row[1] as usize])
+    }
+
+    /// In-frame children of a local station, ascending global cost order,
+    /// in `O(1)`: one link byte says leaf, run (`[l + 1]`) or linked, and
+    /// a linked local's byte and its block's rank count find its list.
+    /// Reads the links as of the last [`Subframe::merge_links`], which a
+    /// pass over children calls first.
+    #[inline(always)]
+    pub fn children(&self, local: u32) -> Children<'_> {
+        debug_assert!(self.fresh.is_empty(), "merge_links before a pass");
+        let l = local as usize;
+        match self.link[l] {
+            b @ (Self::LEAF | Self::RUN) => Children::Run {
+                next: [local + 1],
+                len: usize::from(b),
+            },
+            b => {
+                let r = self.rank[l / Self::BLOCK] as usize + usize::from(b - Self::LINKED);
+                let (lo, hi) = (self.kid_start[r] as usize, self.kid_start[r + 1] as usize);
+                Children::Listed(&self.kids[lo..hi])
             }
-            let c = cur;
-            cur = self.next_kid[cur as usize];
-            Some(c)
-        })
+        }
+    }
+
+    /// File the links recorded since the last call into the children
+    /// lists: a newly linked local's list starts from its implicit child
+    /// `l + 1`, if any, and every list stays in ascending global cost
+    /// order (positions read from `sub`). Rebuilds the CSR exactly sized
+    /// and renumbers the link bytes, `O(|frame| + listed children + k log
+    /// k)` after `k` new links and `O(1)` when there are none — so a
+    /// growing frame pays it once, on its first pass over children after
+    /// growth, and no [`Subframe::ensure`] pays for it.
+    pub fn merge_links(&mut self, sub: &TreeSubstrate) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        let mut fresh = std::mem::take(&mut self.fresh);
+        let pos = |l: u32| sub.pos_in_parent(self.global_of(l));
+        fresh.sort_unstable_by_key(|&(anchor, head)| (anchor, pos(head)));
+        let linked_before = self.kid_start.len().saturating_sub(1);
+        (self.kid_start, self.kids) = self.relisted(&fresh, pos);
+        self.renumber(&fresh, linked_before);
+    }
+
+    /// The CSR with the sorted links `fresh` filed in: the rows of the
+    /// locals that gain no link are copied as they are, and each anchor's
+    /// row — its old list, or its implicit child if it had one — is
+    /// merged with its new heads by position. Exactly sized.
+    fn relisted(&self, fresh: &[(u32, u32)], pos: impl Fn(u32) -> usize) -> (Vec<u32>, Vec<u32>) {
+        let offset = |k: usize| u32::try_from(k).expect("frame ids fit in u32");
+        let rows = self.kid_start.len().saturating_sub(1);
+        let (mut new_rows, mut new_kids) = (0, fresh.len());
+        for (i, &(x, _)) in fresh.iter().enumerate() {
+            if (i == 0 || fresh[i - 1].0 != x) && self.link[x as usize] < Self::LINKED {
+                new_rows += 1;
+                new_kids += usize::from(self.link[x as usize] == Self::RUN);
+            }
+        }
+        let mut kid_start = Vec::with_capacity(rows + new_rows + 1);
+        let mut kids = Vec::with_capacity(self.kids.len() + new_kids);
+        // Old rows `from..to`, shifted to the end of the new lists.
+        let copy = |from: usize, to: usize, kid_start: &mut Vec<u32>, kids: &mut Vec<u32>| {
+            if from == to {
+                return;
+            }
+            let (lo, hi) = (self.kid_start[from] as usize, self.kid_start[to] as usize);
+            let base = kids.len();
+            kid_start.extend(
+                self.kid_start[from..to]
+                    .iter()
+                    .map(|&k| offset(k as usize - lo + base)),
+            );
+            kids.extend_from_slice(&self.kids[lo..hi]);
+        };
+        let row_local = |r: usize| self.parent[self.kids[self.kid_start[r] as usize] as usize];
+        let (mut r, mut f) = (0, 0);
+        while let Some(&(x, _)) = fresh.get(f) {
+            let end = f + fresh[f..].iter().take_while(|&&(a, _)| a == x).count();
+            let from = r;
+            while r < rows && row_local(r) < x {
+                r += 1;
+            }
+            copy(from, r, &mut kid_start, &mut kids);
+            let listed = if self.link[x as usize] >= Self::LINKED {
+                r += 1;
+                &self.kids[self.kid_start[r - 1] as usize..self.kid_start[r] as usize]
+            } else {
+                &[][..]
+            };
+            let run = (self.link[x as usize] == Self::RUN).then_some(x + 1);
+            kid_start.push(offset(kids.len()));
+            kids.extend(merge_by_key(
+                run.into_iter().chain(listed.iter().copied()),
+                fresh[f..end].iter().map(|&(_, head)| head),
+                |&l| pos(l),
+            ));
+            f = end;
+        }
+        copy(r, rows, &mut kid_start, &mut kids);
+        kid_start.push(offset(kids.len()));
+        (kid_start, kids)
+    }
+
+    /// Mark the anchors of `fresh` linked and renumber the blocks that
+    /// hold one; every later block's rank count grows by the locals
+    /// linked before it (`linked_before` were linked already, all in
+    /// blocks that `rank` covers). `O(blocks + k + BLOCK · blocks
+    /// touched)`.
+    fn renumber(&mut self, fresh: &[(u32, u32)], linked_before: usize) {
+        let blocks = self.link.len().div_ceil(Self::BLOCK);
+        let linked_before = u32::try_from(linked_before).expect("frame ids fit in u32");
+        reserve_bounded(&mut self.rank, blocks);
+        self.rank.resize(blocks, linked_before);
+        let (mut added, mut f) = (0, 0);
+        for b in fresh[0].0 as usize / Self::BLOCK..blocks {
+            self.rank[b] += added;
+            let block = b * Self::BLOCK..((b + 1) * Self::BLOCK).min(self.link.len());
+            let mut touched = false;
+            while let Some(&(a, _)) = fresh
+                .get(f)
+                .filter(|&&(a, _)| block.contains(&(a as usize)))
+            {
+                if self.link[a as usize] < Self::LINKED {
+                    self.link[a as usize] = Self::LINKED;
+                    added += 1;
+                    touched = true;
+                }
+                f += 1;
+            }
+            if touched {
+                let linked = self.link[block].iter_mut().filter(|b| **b >= Self::LINKED);
+                for (byte, number) in linked.zip(Self::LINKED..) {
+                    *byte = number;
+                }
+            }
+        }
     }
 
     /// Merge the locals appended since the last call into the station
@@ -640,17 +826,26 @@ impl Subframe {
         &self.order
     }
 
+    /// Heap bytes of the parent links and the children lists: what a
+    /// frame spends on its shape.
+    fn link_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.parent.capacity()
+            + self.rank.capacity()
+            + self.kid_start.capacity()
+            + self.kids.capacity())
+            * size_of::<u32>()
+            + self.link.capacity() * size_of::<u8>()
+            + self.fresh.capacity() * size_of::<(u32, u32)>()
+    }
+
     /// Resident heap bytes of the frame: its arrays and the index.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.global.capacity() * size_of::<NodeId>()
-            + (self.parent.capacity()
-                + self.first_kid.capacity()
-                + self.next_kid.capacity()
-                + self.order.capacity()
-                + self.index.capacity())
-                * size_of::<u32>()
+            + (self.order.capacity() + self.index.capacity()) * size_of::<u32>()
             + self.parent_cost.capacity() * size_of::<f64>()
+            + self.link_bytes()
     }
 }
 
@@ -660,7 +855,7 @@ mod tests {
     use crate::builder::{SubstrateBuilder, TreeKind};
     use crate::fixtures::random_net;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-    use wmcs_geom::{Point, PowerModel};
+    use wmcs_geom::{LayoutFamily, Point, PowerModel, Scenario};
 
     #[test]
     fn children_are_cost_sorted_and_positions_invert() {
@@ -731,66 +926,217 @@ mod tests {
         assert!(b < 32 * 32 * 8 + 32 * 200, "overcounted: {b}");
     }
 
+    /// The substrates the splice property runs on: the five layout
+    /// families (SPT and MST in turn), a chain, a star, and uniform
+    /// stations with every third one copied onto the one before it
+    /// (zero-cost edges).
+    fn splice_substrates(n: usize) -> Vec<(&'static str, std::sync::Arc<TreeSubstrate>)> {
+        let mut subs = Vec::new();
+        for (i, family) in LayoutFamily::ALL.into_iter().enumerate() {
+            let sc = Scenario::new(family, n, 2, 2.0);
+            let net = WirelessNetwork::euclidean(sc.points(i as u64), sc.power_model(), 0);
+            let kind = [TreeKind::Spt, TreeKind::Mst][i % 2];
+            subs.push((
+                family.name(),
+                SubstrateBuilder::from_owned(net).tree(kind).build(),
+            ));
+        }
+        let explicit = |parent: Vec<Option<usize>>| {
+            SubstrateBuilder::from_owned(random_net(9, n))
+                .explicit_tree(wmcs_graph::RootedTree::from_parents(0, parent))
+                .build()
+        };
+        subs.push((
+            "chain",
+            explicit((0..n).map(|v| v.checked_sub(1)).collect()),
+        ));
+        subs.push((
+            "star",
+            explicit((0..n).map(|v| (v > 0).then_some(0)).collect()),
+        ));
+        let mut pts = Scenario::new(LayoutFamily::UniformBox, n, 2, 2.0).points(5);
+        for v in (2..n).step_by(3) {
+            pts[v] = pts[v - 1].clone();
+        }
+        let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
+        subs.push((
+            "duplicated points",
+            SubstrateBuilder::from_owned(net)
+                .tree(TreeKind::Spt)
+                .build(),
+        ));
+        subs
+    }
+
+    /// `frame` (links merged) is exactly the path closure `closure`, and
+    /// each local's parent and children — both directions — are the
+    /// substrate's parent and cost-sorted child slice restricted to the
+    /// closure, with edge costs bit for bit.
+    fn assert_frame_is_the_closure(frame: &Subframe, sub: &TreeSubstrate, closure: &[bool]) {
+        assert_eq!(frame.len(), closure.iter().filter(|&&b| b).count());
+        for (g, &inside) in closure.iter().enumerate() {
+            assert_eq!(frame.local_of(g).is_some(), inside, "station {g}");
+        }
+        for l in 0..frame.len() {
+            let l = u32::try_from(l).expect("test frame is small");
+            let g = frame.global_of(l);
+            if l == Subframe::ROOT {
+                assert_eq!(frame.parent_local(l), Subframe::NONE);
+            } else {
+                let p = frame.parent_local(l);
+                assert_eq!(frame.global_of(p), sub.parent_of(g), "station {g}");
+                assert_eq!(frame.parent_cost(l).to_bits(), sub.parent_cost(g).to_bits());
+            }
+            let expect: Vec<usize> = sub
+                .sorted_children(g)
+                .iter()
+                .map(|c| c.index())
+                .filter(|&c| closure[c])
+                .collect();
+            let kids = frame.children(l);
+            let got: Vec<usize> = kids
+                .as_slice()
+                .iter()
+                .map(|&c| frame.global_of(c))
+                .collect();
+            assert_eq!(got, expect, "station {g}");
+            // Only a local with a child other than `l + 1` is listed.
+            let implicit = expect.is_empty() || got == [frame.global_of(l + 1)];
+            assert_eq!(
+                matches!(kids, Children::Listed(_)),
+                !implicit,
+                "station {g}"
+            );
+        }
+    }
+
+    /// Random splice sequences on every substrate of
+    /// [`splice_substrates`]: after every `ensure` (links merged on a
+    /// copy) and after each merge of a random batch of them, the frame's
+    /// parent links and its children — implicit inside runs, listed at
+    /// linked locals — are the substrate's restricted to the closure.
+    /// The sequences anchor runs at the last local, mid-run (a local
+    /// with an implicit child), at the root and at a leaf that a later
+    /// run hangs off; each kind occurs.
     #[test]
     fn subframe_splices_path_closures_in_cost_order() {
-        for seed in 0..8 {
-            let net = random_net(seed, 24);
-            let sub = SubstrateBuilder::new(&net).tree(TreeKind::Spt).build();
+        let n = 96;
+        // Runs anchored at: the last local, a local with children, the
+        // root, a leaf below the last local; and mid-run anchors.
+        let (mut last, mut branching, mut root, mut leaf, mut mid_run) = (0, 0, 0, 0, 0);
+        for (label, sub) in splice_substrates(n) {
+            for seed in 0..6 {
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0xf4a);
+                let mut frame = Subframe::new(&sub);
+                assert!(frame.is_empty());
+                assert_eq!(frame.global_of(Subframe::ROOT), sub.network().source());
+                let mut closure = vec![false; n];
+                closure[sub.network().source()] = true;
+                let mut settled = frame.clone();
+                for _ in 0..40 {
+                    let v = rng.gen_range(0..n);
+                    if !closure[v] {
+                        let mut w = v;
+                        while !closure[w] {
+                            w = sub.parent_of(w);
+                        }
+                        let anchor = settled.local_of(w).expect("closure stations are framed");
+                        match settled.children(anchor).as_slice().len() {
+                            _ if anchor == Subframe::ROOT => root += 1,
+                            _ if anchor as usize + 1 == settled.len() => last += 1,
+                            0 => leaf += 1,
+                            _ => branching += 1,
+                        }
+                        mid_run += usize::from(matches!(
+                            settled.children(anchor),
+                            Children::Run { len: 1, .. }
+                        ));
+                    }
+                    let l = frame.ensure(&sub, v);
+                    assert_eq!(frame.global_of(l), v);
+                    assert_eq!(frame.local_of(v), Some(l));
+                    // Idempotent: a second ensure neither grows nor re-ids.
+                    let len = frame.len();
+                    assert_eq!(frame.ensure(&sub, v), l);
+                    assert_eq!(frame.len(), len);
+                    let mut w = v;
+                    while w != NO_STATION {
+                        closure[w] = true;
+                        w = sub.parent_of(w);
+                    }
+                    settled = frame.clone();
+                    settled.merge_links(&sub);
+                    assert_frame_is_the_closure(&settled, &sub, &closure);
+                    if rng.gen_bool(0.3) {
+                        frame.merge_links(&sub);
+                        assert_frame_is_the_closure(&frame, &sub, &closure);
+                        // A merge with nothing recorded changes nothing.
+                        let bytes = frame.memory_bytes();
+                        frame.merge_links(&sub);
+                        assert_eq!(frame.memory_bytes(), bytes, "{label}");
+                    }
+                }
+            }
+        }
+        for (count, anchor) in [
+            (last, "the last local"),
+            (branching, "a local with children"),
+            (root, "the root"),
+            (leaf, "a leaf below the last local"),
+            (mid_run, "a run's interior"),
+        ] {
+            assert!(count > 0, "no run anchored at {anchor}");
+        }
+    }
+
+    /// A frame's parent links and children lists cost at most 13 bytes
+    /// per station on a star (every station a listed child of the root)
+    /// and on a random tree, every station framed in random order — under
+    /// the 12 B (plus up to 1/8 slack) of a parent link and two sibling
+    /// links per station — and its per-local link state one byte (plus
+    /// the frame's 1/8 growth slack), with a 4 B rank count per block of
+    /// 128 locals.
+    #[test]
+    fn link_bytes_per_station_stay_bounded() {
+        let n = 2048;
+        let star = SubstrateBuilder::from_owned(random_net(3, n))
+            .explicit_tree(wmcs_graph::RootedTree::from_parents(
+                0,
+                (0..n).map(|v| (v > 0).then_some(0)).collect(),
+            ))
+            .build();
+        let random = SubstrateBuilder::new(&random_net(4, n))
+            .tree(TreeKind::Mst)
+            .build();
+        for (label, sub) in [("star", star), ("random tree", random)] {
+            let mut rng = SmallRng::seed_from_u64(0x11c5);
+            let mut joins: Vec<usize> = (1..n).collect();
+            for i in (1..joins.len()).rev() {
+                joins.swap(i, rng.gen_range(0..=i));
+            }
             let mut frame = Subframe::new(&sub);
-            assert!(frame.is_empty());
-            assert_eq!(frame.global_of(Subframe::ROOT), net.source());
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xf4a);
-            let mut joined: Vec<usize> = Vec::new();
-            for _ in 0..10 {
-                let v = rng.gen_range(1..24);
-                let l = frame.ensure(&sub, v);
-                assert_eq!(frame.global_of(l), v);
-                assert_eq!(frame.local_of(v), Some(l));
-                // Idempotent: a second ensure neither grows nor re-ids.
-                let len = frame.len();
-                assert_eq!(frame.ensure(&sub, v), l);
-                assert_eq!(frame.len(), len);
-                joined.push(v);
-            }
-            // The frame is exactly the path closure of the joined set.
-            let mut closure = [false; 24];
-            for &v in &joined {
-                let mut w = v;
-                while w != NO_STATION {
-                    closure[w] = true;
-                    w = sub.parent_of(w);
+            for (k, &v) in joins.iter().enumerate() {
+                frame.ensure(&sub, v);
+                if k % 64 == 0 {
+                    frame.merge_links(&sub);
                 }
             }
-            assert_eq!(frame.len(), closure.iter().filter(|&&b| b).count());
-            // The index misses exactly the stations outside the closure.
-            for (g, &inside) in closure.iter().enumerate() {
-                assert_eq!(frame.local_of(g).is_some(), inside, "station {g}");
-            }
-            for l in 0..frame.len() {
-                let l = u32::try_from(l).expect("test frame is small");
-                let g = frame.global_of(l);
-                assert!(closure[g]);
-                // Parent links and edge costs mirror the
-                // substrate bit for bit.
-                if l == Subframe::ROOT {
-                    assert_eq!(frame.parent_local(l), Subframe::NONE);
-                } else {
-                    let p = frame.parent_local(l);
-                    assert_eq!(frame.global_of(p), sub.parent_of(g));
-                    assert_eq!(frame.parent_cost(l).to_bits(), sub.parent_cost(g).to_bits());
-                }
-                // In-frame children are the substrate slice restricted to
-                // the closure, in the same (cost) order.
-                let expect: Vec<usize> = sub
-                    .sorted_children(g)
-                    .iter()
-                    .map(|c| c.index())
-                    .filter(|&c| closure[c])
-                    .collect();
-                let got: Vec<usize> = frame.children(l).map(|c| frame.global_of(c)).collect();
-                assert_eq!(got, expect, "seed {seed}, station {g}");
-            }
-            assert!(frame.memory_bytes() > 0);
+            frame.merge_links(&sub);
+            let per_station = |bytes: usize| bytes as f64 / frame.len() as f64;
+            let links = per_station(frame.link_bytes());
+            assert_eq!(
+                frame.link.len(),
+                frame.len(),
+                "{label}: one link byte per local"
+            );
+            let state = per_station(frame.link.capacity());
+            let ranks = per_station(frame.rank.capacity() * 4);
+            assert!(links <= 13.0, "{label}: {links:.2} link bytes per station");
+            assert!(state <= 1.125, "{label}: {state:.3} link bytes per station");
+            assert!(
+                ranks <= 1.125 * 4.0 / 128.0,
+                "{label}: {ranks:.3} rank bytes per station"
+            );
         }
     }
 

@@ -201,6 +201,52 @@ fn a_non_finite_bid_is_refused_before_any_group_absorbs_its_batch() {
     }
 }
 
+/// A step carrying a negative `Join` or `Rebid` bid is refused the same
+/// way — before any group absorbs anything, with the player and the bid
+/// in the message, on one worker or several — and the next step equals a
+/// fresh service's. Admitted, a negative bid was silently never served.
+#[test]
+fn a_negative_bid_is_refused_before_any_group_absorbs_its_batch() {
+    let net = scenario_net(LayoutFamily::UniformBox, 8, 2.0, 5);
+    let ut = SubstrateBuilder::new(&net)
+        .tree(TreeKind::Spt)
+        .build_universal();
+    let join = |player, utility| ChurnEvent::Join { player, utility };
+    let service = |threads| {
+        let mut svc = MulticastService::new(&ut).with_threads(threads);
+        svc.add_group(GroupMechanism::Shapley);
+        svc.add_group(GroupMechanism::MarginalCost);
+        svc
+    };
+    let rebid = ChurnEvent::Rebid {
+        player: 3,
+        utility: -1.0,
+    };
+    for bad in [join(3, -1.0), rebid] {
+        for threads in [1usize, 4] {
+            let mut svc = service(threads);
+            let first = [join(1, 1e6)];
+            let second = [join(2, 1e6), bad];
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                svc.step(&[(0, &first[..]), (1, &second[..])]);
+            }));
+            let message =
+                panic_text(refused.expect_err("a step carrying a negative bid must panic"));
+            assert_eq!(
+                message, "player 3 bid -1: a bid must not be negative",
+                "{bad:?}, {threads} thread(s)"
+            );
+            let next = [join(2, 1e6), join(3, 1e6)];
+            let batch = [(0, &next[..]), (1, &next[..])];
+            assert_eq!(
+                svc.step(&batch),
+                service(1).step(&batch),
+                "{bad:?}, {threads} thread(s): the refused step left state behind"
+            );
+        }
+    }
+}
+
 /// No served outcome holds a buffer sized by the universe: the drop-loop
 /// driver stores one share entry per receiver and the VCG pass one per
 /// bidding receiver, so `shares.capacity() <= receivers.len()` on every

@@ -351,6 +351,42 @@ fn a_non_finite_bid_panics_in_the_producer_and_the_next_drive_is_fresh() {
     }
 }
 
+/// A negative `Join` or `Rebid` bid is refused at `submit` the same way,
+/// in the producer, with the player and the bid in the message; the next
+/// drive equals a fresh service's.
+#[test]
+fn a_negative_bid_panics_in_the_producer_and_the_next_drive_is_fresh() {
+    let join = |player, utility| ChurnEvent::Join { player, utility };
+    let next = move |h: &StreamHandle<'_>| {
+        for player in 2..=5 {
+            for g in 0..2 {
+                h.submit_blocking(g, join(player, 1e6));
+            }
+        }
+    };
+    let rebid = ChurnEvent::Rebid {
+        player: 4,
+        utility: -1.0,
+    };
+    for bad in [join(4, -1.0), rebid] {
+        for threads in [1usize, 2] {
+            let fresh = || small_service(2, StreamConfig::new(2, 8, threads));
+            let (mut svc, message) = panic_message_under_watchdog(fresh(), move |h| {
+                // Watermark 2: group 0's join stays pending.
+                h.submit(0, join(1, 1e6));
+                h.submit(1, bad);
+            });
+            assert_eq!(
+                message, "player 4 bid -1: a bid must not be negative",
+                "{bad:?}, {threads} worker(s)"
+            );
+            let ((), report) = svc.drive(next);
+            let ((), expect) = fresh().drive(next);
+            assert_eq!(report, expect, "{bad:?}, {threads} worker(s)");
+        }
+    }
+}
+
 /// A producer that panics after sealing epochs on several groups (and
 /// leaving events pending on others) releases the workers as it unwinds,
 /// so `drive` re-raises the producer's own message instead of waiting

@@ -42,14 +42,16 @@ const GROUPS: usize = 64;
 /// Members joined per group.
 const MEMBERS: usize = 32;
 /// Warm bytes/group ceilings, one per mechanism, at ~1.1× what each
-/// measures here (194,430 B Shapley, 461,908 B MC). A frame-local session
+/// measures here (156,077 B Shapley, 334,645 B MC). Both sit below what
+/// the engines held while frames stored per-station child links and MC
+/// stored slack pairs (194,430 B and 461,908 B). A frame-local session
 /// holds its members' path closure (SPT paths under distance² costs are
 /// many-hop: ~5k stations here), never an array sized by n — one `f64`
 /// per station alone is 800 KB at this n — and no buffer that lives only
 /// within one reprice: the Shapley round pass's two `f64` buffers alone
 /// would add ~70 KB per group here.
-const SHAPLEY_WARM_CEILING: usize = 214_000;
-const MC_WARM_CEILING: usize = 508_000;
+const SHAPLEY_WARM_CEILING: usize = 170_000;
+const MC_WARM_CEILING: usize = 367_000;
 
 /// FNV-1a over 64-bit little-endian words, one per station in id order:
 /// the parent's id, or `u64::MAX` at the source (the word rule of the
