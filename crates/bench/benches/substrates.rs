@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use wmcs_bench::harness::{random_euclidean, random_nwst};
 use wmcs_game::{core_is_empty, ExplicitGame};
-use wmcs_graph::{dijkstra, jv_steiner_shares, kmb_steiner, moat_growing, prim_mst, JvSharing};
+use wmcs_graph::{dijkstra, jv_steiner_shares, kmb_steiner, moat_growing, prim_mst};
 use wmcs_nwst::{nwst_approximate, NwstConfig};
 
 fn graph_basics(c: &mut Criterion) {
@@ -34,7 +34,7 @@ fn steiner_builders(c: &mut Criterion) {
         });
         let receivers: Vec<usize> = terminals.iter().copied().filter(|&t| t != 0).collect();
         g.bench_with_input(BenchmarkId::new("jv_shares", n), &n, |b, _| {
-            b.iter(|| jv_steiner_shares(net.costs(), 0, &receivers, JvSharing::Equal, None))
+            b.iter(|| jv_steiner_shares(net.costs(), 0, &receivers))
         });
         g.bench_with_input(BenchmarkId::new("gw_moat(ablation)", n), &n, |b, _| {
             b.iter(|| moat_growing(net.costs(), 0, &receivers))

@@ -7,7 +7,7 @@
 //! served-workload benchmark's two workloads:
 //!
 //! * `served/<mechanism>`: n = 10⁵ uniform stations (side √n·10, lazy
-//!   free-space network, SPT through `Backend::Auto`), 32 members bidding
+//!   free-space network, SPT grown on the grid), 32 members bidding
 //!   U(0.5, 1.5) × their root-path cost, 40 epochs of 64 events;
 //! * `crowded/<mechanism>`: n = 2,048 on the same layout rule, 512
 //!   members bidding U(0.3, 1.0) × their root-path cost, 200 epochs of
@@ -28,7 +28,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::time::Duration;
 use wmcs_geom::{Point, PowerModel};
 use wmcs_wireless::{
-    Backend, ChurnEvent, McSession, ShapleySession, SubstrateBuilder, TreeKind, UniversalTree,
+    ChurnEvent, McSession, ShapleySession, SubstrateBuilder, TreeKind, UniversalTree,
     WirelessNetwork, NO_STATION,
 };
 
@@ -72,7 +72,6 @@ fn universe(n: usize) -> UniversalTree {
     let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
     SubstrateBuilder::from_owned(net)
         .tree(TreeKind::Spt)
-        .backend(Backend::Auto)
         .build_universal()
 }
 

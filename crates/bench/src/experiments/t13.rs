@@ -2,15 +2,14 @@
 //! behind [`SubstrateBuilder`] is **byte-identical** to the dense `O(n²)`
 //! reference on every layout family, for both universal-tree kinds.
 //!
-//! The builder's contract (see `crates/wireless/src/builder.rs`) is that
-//! [`Backend`] affects build *time*, never *results*: `Backend::Auto` may
-//! switch a large Euclidean network to the spatial path and nothing
-//! downstream — shares, receiver sets, session replays — may move by a
-//! bit. This table pins that contract where it is cheapest to check
-//! exhaustively: small-to-moderate n across all five layout families
-//! (including the tie-heavy jittered `Grid`), both `TreeKind`s, α ∈
-//! {2, 4}. Per `(scenario, seed)` cell it builds the substrate four ways
-//! (dense/spatial × SPT/MST) and gates equality of
+//! Every Euclidean network grows through the grid, and the dense scan
+//! ([`grow_tree_dense`]) is the reference it replays: nothing downstream
+//! — shares, receiver sets, session replays — may depend on which of the
+//! two grew a tree. This table pins that contract where it is cheapest
+//! to check exhaustively: small-to-moderate n across all five layout
+//! families (including the tie-heavy jittered `Grid`), both `TreeKind`s,
+//! α ∈ {2, 4}. Per `(scenario, seed)` cell it builds the substrate four
+//! ways (builder and dense reference × SPT/MST) and gates equality of
 //!
 //! * the parent array (via `parent_of`, source sentinel included),
 //! * the cached tree-edge cost **bits** (`parent_cost(v).to_bits()`),
@@ -23,7 +22,8 @@
 use crate::harness::scenario_network;
 use crate::registry::{all_true, mean, Experiment, Obs, RowSummary};
 use wmcs_geom::{LayoutFamily, Scenario};
-use wmcs_wireless::{Backend, SubstrateBuilder, TreeKind};
+use wmcs_graph::{grow_tree_dense, RootedTree};
+use wmcs_wireless::{SubstrateBuilder, TreeKind};
 
 /// The T13 experiment (registered as `"T13"`).
 pub struct T13;
@@ -66,14 +66,14 @@ impl Experiment for T13 {
         let mut order_ok = true;
         let mut spt_cost = 0.0;
         for kind in [TreeKind::Spt, TreeKind::Mst] {
+            let s = net.source();
             let dense = SubstrateBuilder::new(&net)
-                .tree(kind)
-                .backend(Backend::Dense)
+                .explicit_tree(RootedTree::from_parents(
+                    s,
+                    grow_tree_dense(net.costs(), s, kind),
+                ))
                 .build();
-            let spatial = SubstrateBuilder::new(&net)
-                .tree(kind)
-                .backend(Backend::Spatial)
-                .build();
+            let spatial = SubstrateBuilder::new(&net).tree(kind).build();
             for v in 0..n {
                 parents_ok &= dense.parent_of(v) == spatial.parent_of(v);
                 costs_ok &= dense.parent_cost(v).to_bits() == spatial.parent_cost(v).to_bits();

@@ -6,7 +6,7 @@ use crate::harness::{random_utilities, scenario_network};
 use crate::registry::{all_true, count_true, fmax, mean, Experiment, Obs, RowSummary};
 use wmcs_game::{find_group_deviation, find_unilateral_deviation};
 use wmcs_geom::{LayoutFamily, Scenario, REL_TOL, SP_TOL_APPROX, VP_TOL};
-use wmcs_graph::{jv_steiner_shares, JvSharing};
+use wmcs_graph::jv_steiner_shares;
 use wmcs_mechanisms::EuclideanSteinerMechanism;
 use wmcs_wireless::memt_exact;
 
@@ -79,8 +79,8 @@ impl Experiment for T7 {
         // Cross-monotonicity spot check: adding the last terminal never
         // raises anyone's JV share.
         let small: Vec<usize> = (1..n - 1).collect();
-        let rs = jv_steiner_shares(net.costs(), 0, &small, JvSharing::Equal, None);
-        let rl = jv_steiner_shares(net.costs(), 0, &all, JvSharing::Equal, None);
+        let rs = jv_steiner_shares(net.costs(), 0, &small);
+        let rl = jv_steiner_shares(net.costs(), 0, &all);
         let cross_mono_ok = small.iter().all(|&t| rl.share[t] <= rs.share[t] + REL_TOL);
         let u = random_utilities(seed ^ 0xc0ffee, k, 50.0);
         let deviation = find_unilateral_deviation(&mech, &u, SP_TOL_APPROX).is_some()

@@ -16,13 +16,14 @@
 //! * two binaries: `all_experiments [ID…] [SEEDS] [--json=PATH]` sweeps
 //!   the registry, or the experiments named by id (`F1`, `T10`, …), and
 //!   `bench_compare` diffs two summary files;
-//! * four criterion benches (`cargo bench`): `scaling` and `substrates`
+//! * five criterion benches (`cargo bench`): `scaling` and `substrates`
 //!   time every mechanism and substrate (T8), `drop_engine` pits the
-//!   naive drop loop against the incremental engine, and
-//!   `substrate_build` pits the spatial backend against the dense one
-//!   up to n = 10⁶. The serving stack — `MulticastService::step` and
-//!   `StreamService::drive` — is timed only by the served-workload
-//!   benchmark (`perfbench/`, specified by `BENCHMARK.json`).
+//!   naive drop loop against the incremental engine, `substrate_build`
+//!   times grid growth up to n = 10⁶ against the dense reference, and
+//!   `warm_reprice` times warm epochs of one session per mechanism. The
+//!   serving stack — `MulticastService::step` and `StreamService::drive`
+//!   — is timed only by the served-workload benchmark (`perfbench/`,
+//!   specified by `BENCHMARK.json`).
 
 // Every public item carries rustdoc: substrate crates feed the
 // mechanism layers above them, and undocumented invariants become

@@ -13,8 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wmcs_geom::{ChurnEvent, Point, PowerModel};
 use wmcs_wireless::{
-    Backend, GroupMechanism, StreamConfig, StreamService, SubstrateBuilder, TreeKind,
-    WirelessNetwork,
+    GroupMechanism, StreamConfig, StreamService, SubstrateBuilder, TreeKind, WirelessNetwork,
 };
 
 // Capacity > watermark, so nothing saturates; EVENTS / G = WATERMARK, so
@@ -36,7 +35,6 @@ fn stream_slo_assertions_hold_at_test_scale() {
     let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
     let ut = SubstrateBuilder::from_owned(net)
         .tree(TreeKind::Spt)
-        .backend(Backend::Spatial)
         .build_universal();
 
     let n_players = N - 1;

@@ -12,7 +12,7 @@
 
 use std::cell::Cell;
 use wmcs_game::{run_drop_loop, Mechanism, MechanismOutcome, Recompute};
-use wmcs_graph::{jv_steiner_shares, JvSharing, RootedTree};
+use wmcs_graph::{jv_steiner_shares, RootedTree};
 use wmcs_wireless::{PowerAssignment, WirelessNetwork};
 
 /// Theorem 3.6's mechanism family (equal-split JV member).
@@ -66,8 +66,7 @@ impl EuclideanSteinerMechanism {
         let mut adapter = Recompute::new(
             n,
             |players| {
-                let jv =
-                    jv_steiner_shares(net.costs(), s, &stations(players), JvSharing::Equal, None);
+                let jv = jv_steiner_shares(net.costs(), s, &stations(players));
                 tree.set(jv.tree.edges);
                 (0..n).map(|p| jv.share[net.station_of_player(p)]).collect()
             },

@@ -32,9 +32,10 @@ impl UniversalMcMechanism {
         &self.tree
     }
 
-    /// Net worth achieved on a reported profile (`NW(u)`).
+    /// Net worth achieved on a reported profile (`NW(u)`), read off the
+    /// same [`NetWorth`] oracle [`Mechanism::run`] evaluates.
     pub fn net_worth(&self, reported: &[f64]) -> f64 {
-        self.tree.net_worth(&self.utilities_by_station(reported))
+        NetWorth::from_utilities(&self.tree, &self.utilities_by_station(reported)).net_worth()
     }
 
     /// Start a live churn session over this mechanism's universal tree:

@@ -13,8 +13,7 @@
 //! 3. while a terminal's component does not contain the root, the terminal
 //!    accrues share at rate `1 / |terminals in its component|` (the equal
 //!    split is the canonical member of the JV family `F`, which is
-//!    parameterised by one monotone mapping `f_i` per user — see
-//!    [`JvSharing`]);
+//!    parameterised by one monotone mapping `f_i` per user);
 //! 4. the output tree expands the used closure edges into original-graph
 //!    shortest paths (pruned).
 //!
@@ -33,19 +32,6 @@ use crate::shortest_path::MetricClosure;
 use crate::steiner::SteinerTree;
 use crate::union_find::UnionFind;
 
-/// Parameterisation of the JV family `F`: how a component's unit growth is
-/// split among the terminals inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JvSharing {
-    /// Equal split (the canonical choice; cross-monotonic).
-    Equal,
-    /// Weighted by fixed per-terminal positive weights: terminal `i` gets
-    /// `w_i / Σ_{j in comp} w_j` of the growth. With constant weights this
-    /// degenerates to [`JvSharing::Equal`]; any fixed weights preserve
-    /// cross-monotonicity (the denominator only grows with `R`).
-    Weighted,
-}
-
 /// Result of the JV share computation for a terminal set `R`.
 #[derive(Debug, Clone)]
 pub struct JvShares {
@@ -59,18 +45,9 @@ pub struct JvShares {
     pub share: Vec<f64>,
 }
 
-/// Compute the JV cross-monotonic cost shares for `terminals` w.r.t. `root`.
-///
-/// `weights` supplies the per-terminal weights for [`JvSharing::Weighted`]
-/// (indexed by vertex id; ignored for [`JvSharing::Equal`]). All weights
-/// must be positive.
-pub fn jv_steiner_shares(
-    costs: &CostMatrix,
-    root: usize,
-    terminals: &[usize],
-    sharing: JvSharing,
-    weights: Option<&[f64]>,
-) -> JvShares {
+/// Compute the JV cross-monotonic cost shares for `terminals` w.r.t. `root`,
+/// splitting each component's growth equally among its terminals.
+pub fn jv_steiner_shares(costs: &CostMatrix, root: usize, terminals: &[usize]) -> JvShares {
     let n = costs.len();
     let mut share = vec![0.0_f64; n];
     if terminals.is_empty() {
@@ -98,17 +75,6 @@ pub fn jv_steiner_shares(
             "terminal {t} cannot reach the root"
         );
     }
-    let weight_of = |v: usize| -> f64 {
-        match sharing {
-            JvSharing::Equal => 1.0,
-            JvSharing::Weighted => {
-                let w = weights.expect("Weighted sharing requires weights")[v];
-                assert!(w > 0.0, "weights must be positive");
-                w
-            }
-        }
-    };
-
     // Kruskal timeline over the closure restricted to `members`.
     let mut events: Vec<(f64, usize, usize)> = Vec::new();
     for (a, &u) in members.iter().enumerate() {
@@ -135,15 +101,7 @@ pub fn jv_steiner_shares(
         if dt > 0.0 {
             // Accrue shares over [t_prev, t_ev): every component without the
             // root splits its unit growth among its terminals.
-            accrue(
-                &mut uf,
-                &members,
-                &is_terminal,
-                root,
-                dt,
-                &mut share,
-                &weight_of,
-            );
+            accrue(&mut uf, &members, &is_terminal, root, dt, &mut share);
             t_prev = t_ev;
         }
         if uf.find(u) != uf.find(v) {
@@ -179,16 +137,15 @@ fn accrue(
     root: usize,
     dt: f64,
     share: &mut [f64],
-    weight_of: &dyn Fn(usize) -> f64,
 ) {
     use std::collections::BTreeMap;
     let root_rep = uf.find(root);
-    let mut comp_weight: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut comp_size: BTreeMap<usize, usize> = BTreeMap::new();
     for &m in members {
         if is_terminal[m] {
             let rep = uf.find(m);
             if rep != root_rep {
-                *comp_weight.entry(rep).or_insert(0.0) += weight_of(m);
+                *comp_size.entry(rep).or_insert(0) += 1;
             }
         }
     }
@@ -196,7 +153,7 @@ fn accrue(
         if is_terminal[m] {
             let rep = uf.find(m);
             if rep != root_rep {
-                share[m] += dt * weight_of(m) / comp_weight[&rep];
+                share[m] += dt / comp_size[&rep] as f64;
             }
         }
     }
@@ -255,7 +212,7 @@ mod tests {
     fn single_terminal_pays_its_path() {
         // root -1- a -1- b: terminal b pays the 2-hop shortest path.
         let m = CostMatrix::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]);
-        let r = jv_steiner_shares(&m, 0, &[2], JvSharing::Equal, None);
+        let r = jv_steiner_shares(&m, 0, &[2]);
         assert!(approx_eq(r.share[2], 2.0));
         assert!(approx_eq(r.closure_mst_cost, 2.0));
         assert!(approx_eq(r.tree.cost, 2.0));
@@ -267,7 +224,7 @@ mod tests {
         // Terminals a, b mutually at distance 1, both at distance 10 from
         // the root: they merge at t = 1, then share the trek to the root.
         let m = CostMatrix::from_edges(3, &[(0, 1, 10.0), (0, 2, 10.0), (1, 2, 1.0)]);
-        let r = jv_steiner_shares(&m, 0, &[1, 2], JvSharing::Equal, None);
+        let r = jv_steiner_shares(&m, 0, &[1, 2]);
         // Each grows alone in [0, 1): +1 each. Merged comp in [1, 10): +4.5
         // each. Sum = 11 = MST(closure) = 1 + 10.
         assert!(approx_eq(r.share[1], 5.5));
@@ -286,20 +243,7 @@ mod tests {
         ];
         let m = CostMatrix::from_points(&pts, &PowerModel::free_space());
         let terminals = [1, 2, 3, 4];
-        let r = jv_steiner_shares(&m, 0, &terminals, JvSharing::Equal, None);
-        let sum: f64 = r.share.iter().sum();
-        assert!(approx_eq(sum, r.closure_mst_cost));
-    }
-
-    #[test]
-    fn weighted_sharing_tilts_split() {
-        let m = CostMatrix::from_edges(3, &[(0, 1, 10.0), (0, 2, 10.0), (1, 2, 1.0)]);
-        let weights = vec![1.0, 3.0, 1.0];
-        let r = jv_steiner_shares(&m, 0, &[1, 2], JvSharing::Weighted, Some(&weights));
-        // Solo phase [0,1): each accrues 1 (alone in its component).
-        // Merged phase [1,10): split 3:1 → terminal 1 gets 6.75, 2 gets 2.25.
-        assert!(approx_eq(r.share[1], 1.0 + 6.75));
-        assert!(approx_eq(r.share[2], 1.0 + 2.25));
+        let r = jv_steiner_shares(&m, 0, &terminals);
         let sum: f64 = r.share.iter().sum();
         assert!(approx_eq(sum, r.closure_mst_cost));
     }
@@ -307,7 +251,7 @@ mod tests {
     #[test]
     fn empty_terminal_set_is_free() {
         let m = CostMatrix::from_edges(2, &[(0, 1, 1.0)]);
-        let r = jv_steiner_shares(&m, 0, &[], JvSharing::Equal, None);
+        let r = jv_steiner_shares(&m, 0, &[]);
         assert_eq!(r.tree.cost, 0.0);
         assert!(r.share.iter().all(|&s| s == 0.0));
     }
@@ -324,7 +268,7 @@ mod tests {
                 .collect();
             let m = CostMatrix::from_points(&pts, &PowerModel::free_space());
             let terminals: Vec<usize> = (1..=k).collect();
-            let r = jv_steiner_shares(&m, 0, &terminals, JvSharing::Equal, None);
+            let r = jv_steiner_shares(&m, 0, &terminals);
             let sum: f64 = r.share.iter().sum();
             // Cost recovery for the built tree…
             prop_assert!(sum + 1e-6 >= r.tree.cost,
@@ -350,8 +294,8 @@ mod tests {
             let k = rng.gen_range(1usize..(n - 1));
             let small: Vec<usize> = (1..=k).collect();
             let large: Vec<usize> = (1..=k + 1).collect();
-            let rs = jv_steiner_shares(&m, 0, &small, JvSharing::Equal, None);
-            let rl = jv_steiner_shares(&m, 0, &large, JvSharing::Equal, None);
+            let rs = jv_steiner_shares(&m, 0, &small);
+            let rl = jv_steiner_shares(&m, 0, &large);
             for &t in &small {
                 prop_assert!(rl.share[t] <= rs.share[t] + 1e-6,
                     "share of {} rose from {} to {}", t, rs.share[t], rl.share[t]);
@@ -369,8 +313,8 @@ mod tests {
             let fwd: Vec<usize> = (1..n).collect();
             let mut rev = fwd.clone();
             rev.reverse();
-            let a = jv_steiner_shares(&m, 0, &fwd, JvSharing::Equal, None);
-            let b = jv_steiner_shares(&m, 0, &rev, JvSharing::Equal, None);
+            let a = jv_steiner_shares(&m, 0, &fwd);
+            let b = jv_steiner_shares(&m, 0, &rev);
             for v in 0..n {
                 prop_assert!(approx_eq(a.share[v], b.share[v]));
             }

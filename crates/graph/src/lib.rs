@@ -39,7 +39,7 @@ pub mod union_find;
 
 pub use dense::CostMatrix;
 pub use heap::{HeapKey, IndexedMinHeap};
-pub use jv_shares::{jv_steiner_shares, JvShares, JvSharing};
+pub use jv_shares::{jv_steiner_shares, JvShares};
 pub use moat::{moat_growing, MoatResult};
 pub use mst::{kruskal, prim_mst, prim_mst_subset, SpanningTree};
 pub use shortest_path::{dijkstra, MetricClosure, ShortestPaths};

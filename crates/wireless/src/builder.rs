@@ -7,14 +7,13 @@
 //! replaces them all:
 //!
 //! ```
-//! use wmcs_wireless::{Backend, SubstrateBuilder, TreeKind, WirelessNetwork};
+//! use wmcs_wireless::{SubstrateBuilder, TreeKind, WirelessNetwork};
 //! use wmcs_geom::{Point, PowerModel};
 //!
 //! let pts = vec![Point::xy(0.0, 0.0), Point::xy(1.0, 0.0), Point::xy(0.0, 1.5)];
 //! let net = WirelessNetwork::euclidean(pts, PowerModel::free_space(), 0);
 //! let ut = SubstrateBuilder::new(&net)
 //!     .tree(TreeKind::Spt)
-//!     .backend(Backend::Auto)
 //!     .build_universal();
 //! assert_eq!(ut.network().n_stations(), 3);
 //! ```
@@ -24,18 +23,21 @@
 //!   move, via [`SubstrateBuilder::from_owned`]) happens inside
 //!   [`SubstrateBuilder::build`] — the old paths cloned once into
 //!   `UniversalTree::new` and again into `TreeSubstrate::new`.
-//! * **Backend choice.** [`Backend::Dense`] runs the canonical `O(n²)`
-//!   scan ([`wmcs_graph::grow_tree_dense`]); [`Backend::Spatial`] runs
-//!   the grid-index shell growth
-//!   ([`wmcs_graph::grow_tree_spatial`], Euclidean networks only); the
-//!   default [`Backend::Auto`] picks spatial for Euclidean networks
-//!   with `n ≥` [`SPATIAL_AUTO_THRESHOLD`]. The two backends are
-//!   **byte-identical** (same parent array, same costs) by
-//!   construction — experiment T13 and the `builder_props` proptests
-//!   gate this across every layout family.
+//! * **One growth path per network.** A Euclidean network, from either
+//!   constructor, grows through the grid index
+//!   ([`wmcs_graph::grow_tree_spatial`]); a general symmetric network
+//!   ([`WirelessNetwork::symmetric`]) has no points and grows by the
+//!   canonical `O(n²)` scan over its matrix
+//!   ([`wmcs_graph::grow_tree_dense`]). The grid replays the scan's
+//!   selection order, so on a Euclidean network both give the same tree
+//!   **byte for byte** (same parent array, same costs) — the
+//!   `spatial ≡ dense` unit suite, experiment T13 and the
+//!   `builder_props` proptests gate this across every layout family.
+//!   The grid is the faster of the two from ~256 stations up, and costs
+//!   at most ~0.05 ms more per build below that (`DESIGN.md` §2d).
 //! * **Explicit trees.** [`SubstrateBuilder::explicit_tree`] wraps a
-//!   caller-supplied spanning tree (fixtures, reductions, non-Euclidean
-//!   networks), bypassing growth entirely.
+//!   caller-supplied spanning tree (fixtures, reductions, the dense
+//!   reference of the identity gates), bypassing growth entirely.
 
 use crate::network::WirelessNetwork;
 use crate::substrate::TreeSubstrate;
@@ -43,48 +45,24 @@ use crate::universal::UniversalTree;
 use std::borrow::Cow;
 use std::sync::Arc;
 pub use wmcs_graph::TreeKind;
-use wmcs_graph::{grow_tree_dense, grow_tree_spatial, CostMatrix, RootedTree};
+use wmcs_graph::{grow_tree_dense, grow_tree_spatial, RootedTree};
 
-/// Station count at and above which [`Backend::Auto`] switches a
-/// Euclidean network from the dense `O(n²)` scan to the spatial
-/// grid-index growth.
-///
-/// Rationale: below ~2k stations the dense scan's flat arrays beat the
-/// stream machinery's constant factor (and a dense matrix of that size
-/// is ≤ 32 MiB anyway), while at 4096 — the largest gated experiment
-/// size — spatial construction is already decisively ahead; the
-/// `substrate_build` criterion bench records the crossover. The exact
-/// value is deliberately a power of two inside that bracket, not a
-/// tuned magic number: both backends produce byte-identical trees, so
-/// the threshold affects only build time, never results.
-pub const SPATIAL_AUTO_THRESHOLD: usize = 2048;
-
-/// Which construction backend grows the tree.
+/// Kept only because the served-workload benchmark (`perfbench/`) names
+/// it: it selects nothing — every network grows on the one path its
+/// storage allows (see the module docs). The next benchmark change
+/// removes it, with [`SubstrateBuilder::backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Euclidean networks with `n ≥` [`SPATIAL_AUTO_THRESHOLD`] use
-    /// [`Backend::Spatial`]; everything else uses [`Backend::Dense`].
+    /// Names the retired automatic choice between growth paths.
     Auto,
-    /// The canonical `O(n²)` scan over pairwise costs — the pinned
-    /// reference, and the only backend for non-Euclidean networks.
-    Dense,
-    /// Grid-index shell growth: each expanded shell is relaxed into one
-    /// station-indexed queue, finalised grid cells and rings are skipped
-    /// whole, and memory stays `O(n)` on every layout; byte-identical to
-    /// [`Backend::Dense`]. Growth measured on a 2-vCPU host with uniform
-    /// stations at constant density: n = 10⁵ in ~0.26 s (SPT) /
-    /// ~0.17 s (MST), n = 10⁶ in ~7.7 s / ~3.3 s. Panics on networks
-    /// without Euclidean geometry.
-    Spatial,
 }
 
 /// Builder for [`TreeSubstrate`] / [`UniversalTree`] — see the module
-/// docs. Defaults: [`TreeKind::Spt`], [`Backend::Auto`].
+/// docs. Default: [`TreeKind::Spt`].
 #[derive(Debug, Clone)]
 pub struct SubstrateBuilder<'a> {
     net: Cow<'a, WirelessNetwork>,
     kind: TreeKind,
-    backend: Backend,
     explicit: Option<RootedTree>,
 }
 
@@ -95,7 +73,6 @@ impl<'a> SubstrateBuilder<'a> {
         Self {
             net: Cow::Borrowed(net),
             kind: TreeKind::Spt,
-            backend: Backend::Auto,
             explicit: None,
         }
     }
@@ -106,7 +83,6 @@ impl<'a> SubstrateBuilder<'a> {
         SubstrateBuilder {
             net: Cow::Owned(net),
             kind: TreeKind::Spt,
-            backend: Backend::Auto,
             explicit: None,
         }
     }
@@ -117,18 +93,18 @@ impl<'a> SubstrateBuilder<'a> {
         self
     }
 
-    /// Select the construction backend (default [`Backend::Auto`]).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+    /// Kept only because the served-workload benchmark (`perfbench/`)
+    /// calls it: it reads nothing (see [`Backend`]). The next benchmark
+    /// change removes it.
+    pub fn backend(self, _backend: Backend) -> Self {
         self
     }
 
     /// Use an explicit spanning tree (rooted at the source) instead of
-    /// growing one — fixtures, reductions, non-Euclidean networks.
-    /// Overrides [`SubstrateBuilder::tree`] and
-    /// [`SubstrateBuilder::backend`]. [`SubstrateBuilder::build`] panics
-    /// unless the tree's universe is the network's station set and every
-    /// station but the source has a parent.
+    /// growing one — fixtures, reductions, the dense reference.
+    /// Overrides [`SubstrateBuilder::tree`]. [`SubstrateBuilder::build`]
+    /// panics unless the tree's universe is the network's station set and
+    /// every station but the source has a parent.
     pub fn explicit_tree(mut self, tree: RootedTree) -> Self {
         self.explicit = Some(tree);
         self
@@ -140,7 +116,7 @@ impl<'a> SubstrateBuilder<'a> {
     pub fn build(self) -> Arc<TreeSubstrate> {
         let parents = match self.explicit {
             Some(tree) => (0..tree.universe()).map(|v| tree.parent(v)).collect(),
-            None => canonical_parents(&self.net, self.kind, self.backend),
+            None => canonical_parents(&self.net, self.kind),
         };
         Arc::new(TreeSubstrate::build(self.net.into_owned(), parents))
     }
@@ -153,39 +129,12 @@ impl<'a> SubstrateBuilder<'a> {
 }
 
 /// Grow the canonical universal tree for `net` and return its parent
-/// array (`None` exactly at the source).
-fn canonical_parents(
-    net: &WirelessNetwork,
-    kind: TreeKind,
-    backend: Backend,
-) -> Vec<Option<usize>> {
-    let spatial = match backend {
-        Backend::Dense => false,
-        Backend::Spatial => {
-            assert!(
-                net.points().is_some(),
-                "Backend::Spatial requires a Euclidean network (points + power model); \
-                 use Backend::Dense or an explicit tree for general symmetric networks"
-            );
-            true
-        }
-        Backend::Auto => net.points().is_some() && net.n_stations() >= SPATIAL_AUTO_THRESHOLD,
-    };
-    if spatial {
-        let pts = net.points().expect("spatial backend checked for points");
-        let model = net.model().expect("Euclidean networks carry a power model");
-        grow_tree_spatial(pts, model, net.source(), kind)
-    } else {
-        match net.try_costs() {
-            Some(m) => grow_tree_dense(m, net.source(), kind),
-            None => {
-                // Lazy Euclidean network, dense backend: materialise a
-                // temporary matrix of the network's own lazy costs
-                // (small-n / reference use only).
-                let m = CostMatrix::from_fn(net.n_stations(), |i, j| net.cost(i, j));
-                grow_tree_dense(&m, net.source(), kind)
-            }
-        }
+/// array (`None` exactly at the source). A network without points is
+/// general symmetric and always carries its matrix.
+fn canonical_parents(net: &WirelessNetwork, kind: TreeKind) -> Vec<Option<usize>> {
+    match (net.points(), net.model()) {
+        (Some(pts), Some(model)) => grow_tree_spatial(pts, model, net.source(), kind),
+        _ => grow_tree_dense(net.costs(), net.source(), kind),
     }
 }
 
@@ -193,28 +142,31 @@ fn canonical_parents(
 mod tests {
     use super::*;
     use crate::fixtures::random_net;
+    use crate::substrate::NO_STATION;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use wmcs_geom::{Point, PowerModel};
+    use wmcs_graph::{dijkstra, prim_mst, CostMatrix};
 
+    /// The builder's grid growth equals the dense scan over the same
+    /// network's matrix, byte for byte.
     #[test]
     fn backends_agree_byte_for_byte() {
         for seed in 0..6 {
             let net = random_net(seed, 48);
             for kind in [TreeKind::Spt, TreeKind::Mst] {
                 let dense = SubstrateBuilder::new(&net)
-                    .tree(kind)
-                    .backend(Backend::Dense)
+                    .explicit_tree(RootedTree::from_parents(
+                        0,
+                        grow_tree_dense(net.costs(), 0, kind),
+                    ))
                     .build();
-                let spatial = SubstrateBuilder::new(&net)
-                    .tree(kind)
-                    .backend(Backend::Spatial)
-                    .build();
-                assert_eq!(dense.bfs_order(), spatial.bfs_order(), "{kind:?}");
+                let grown = SubstrateBuilder::new(&net).tree(kind).build();
+                assert_eq!(dense.bfs_order(), grown.bfs_order(), "{kind:?}");
                 for v in 0..48 {
-                    assert_eq!(dense.parent_of(v), spatial.parent_of(v), "{kind:?}");
+                    assert_eq!(dense.parent_of(v), grown.parent_of(v), "{kind:?}");
                     assert_eq!(
                         dense.parent_cost(v).to_bits(),
-                        spatial.parent_cost(v).to_bits(),
+                        grown.parent_cost(v).to_bits(),
                         "{kind:?}"
                     );
                 }
@@ -222,6 +174,7 @@ mod tests {
         }
     }
 
+    /// A lazy network grows the materialised network's tree, bit for bit.
     #[test]
     fn lazy_networks_build_on_both_backends() {
         let mut rng = SmallRng::seed_from_u64(9);
@@ -230,13 +183,68 @@ mod tests {
             .collect();
         let dense_net = WirelessNetwork::euclidean(pts.clone(), PowerModel::free_space(), 0);
         let lazy_net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
-        let reference = SubstrateBuilder::new(&dense_net)
-            .backend(Backend::Dense)
-            .build();
-        for backend in [Backend::Dense, Backend::Spatial, Backend::Auto] {
-            let sub = SubstrateBuilder::new(&lazy_net).backend(backend).build();
+        for kind in [TreeKind::Spt, TreeKind::Mst] {
+            let reference = SubstrateBuilder::new(&dense_net).tree(kind).build();
+            let sub = SubstrateBuilder::new(&lazy_net).tree(kind).build();
             for v in 0..40 {
-                assert_eq!(sub.parent_of(v), reference.parent_of(v), "{backend:?}");
+                assert_eq!(sub.parent_of(v), reference.parent_of(v), "{kind:?}");
+                assert_eq!(
+                    sub.parent_cost(v).to_bits(),
+                    reference.parent_cost(v).to_bits(),
+                    "{kind:?}"
+                );
+            }
+        }
+    }
+
+    /// A general symmetric network has no points, so the builder grows
+    /// it by the dense scan — on costs that often break the triangle
+    /// inequality, from a non-zero source, the SPT's root paths realise
+    /// Dijkstra's distances and the MST weighs what Prim's does.
+    #[test]
+    fn symmetric_networks_grow_the_dense_canonical_tree() {
+        const N: usize = 30;
+        for seed in 0..4 {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e);
+            let m = CostMatrix::from_fn(N, |_, _| rng.gen_range(1.0..10.0));
+            let s = 7;
+            let net = WirelessNetwork::symmetric(m.clone(), s);
+            for kind in [TreeKind::Spt, TreeKind::Mst] {
+                let sub = SubstrateBuilder::new(&net).tree(kind).build();
+                let reference = grow_tree_dense(&m, s, kind);
+                for v in 0..N {
+                    assert_eq!(
+                        sub.parent_of(v),
+                        reference[v].unwrap_or(NO_STATION),
+                        "seed {seed} {kind:?} station {v}"
+                    );
+                }
+                let mut path = vec![0.0; N];
+                for v in sub.bfs_order().into_iter().skip(1) {
+                    let v = v.index();
+                    path[v] = path[sub.parent_of(v)] + sub.parent_cost(v);
+                }
+                match kind {
+                    TreeKind::Spt => {
+                        let dist = dijkstra(&m, s).dist;
+                        for v in 0..N {
+                            assert!(
+                                (path[v] - dist[v]).abs() <= 1e-9 * (1.0 + dist[v]),
+                                "seed {seed}: root path of {v} costs {}, Dijkstra {}",
+                                path[v],
+                                dist[v]
+                            );
+                        }
+                    }
+                    TreeKind::Mst => {
+                        let cost: f64 = (0..N).map(|v| sub.parent_cost(v)).sum();
+                        let prim = prim_mst(&m).cost;
+                        assert!(
+                            (cost - prim).abs() <= 1e-9 * (1.0 + prim),
+                            "seed {seed}: tree weighs {cost}, Prim's MST {prim}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -257,15 +265,5 @@ mod tests {
             .tree(TreeKind::Mst)
             .build_universal();
         assert_eq!(ut.network().n_stations(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "Euclidean")]
-    fn spatial_backend_rejects_symmetric_networks() {
-        let m = CostMatrix::from_fn(3, |i, j| (i + j) as f64);
-        let net = WirelessNetwork::symmetric(m, 0);
-        let _ = SubstrateBuilder::new(&net)
-            .backend(Backend::Spatial)
-            .build();
     }
 }

@@ -6,9 +6,9 @@
 //!   `(S, c)`, a multicast source, and the station↔player index maps
 //!   (with a lazy Euclidean regime that skips the `O(n²)` matrix);
 //! * [`builder::SubstrateBuilder`] — **the** construction entry point
-//!   for universal trees: one builder, dense and spatial backends
-//!   (byte-identical), `Backend::Auto` switching at
-//!   [`builder::SPATIAL_AUTO_THRESHOLD`] stations;
+//!   for universal trees: Euclidean networks grow through the grid
+//!   index, general symmetric ones by the dense scan (byte-identical
+//!   wherever both apply);
 //! * [`power::PowerAssignment`] — power vectors, induced transmission
 //!   digraphs, reachability, the tree→assignment Steiner heuristic;
 //! * [`universal`] — universal broadcast trees (§2.1): the submodular cost
@@ -69,7 +69,7 @@ pub mod substrate;
 pub mod universal;
 
 pub use bip::{bip_broadcast, mip_multicast};
-pub use builder::{Backend, SubstrateBuilder, TreeKind, SPATIAL_AUTO_THRESHOLD};
+pub use builder::{Backend, SubstrateBuilder, TreeKind};
 pub use euclidean::{AlphaOneCost, AlphaOneSolver, LineCost, LineSolver};
 pub use incremental::{
     reference_drop_run, reference_drop_run_from, shapley_drop_run, shapley_drop_run_from,

@@ -59,9 +59,9 @@ impl WirelessNetwork {
     /// Euclidean network **without** the dense `O(n²)` cost matrix:
     /// [`WirelessNetwork::cost`] computes `κ · dist^α` on demand from
     /// the stored points, bit-identical to the materialised values.
-    /// Use for large n (the spatial construction backend needs nothing
-    /// else); [`WirelessNetwork::costs`] panics in this regime. Panics
-    /// on the inputs [`PointSet::new`] refuses.
+    /// Use for large n (the builder's grid growth needs nothing else);
+    /// [`WirelessNetwork::costs`] panics in this regime. Panics on the
+    /// inputs [`PointSet::new`] refuses.
     pub fn euclidean_lazy(points: Vec<Point>, model: PowerModel, source: usize) -> Self {
         let points = PointSet::new(&points);
         let n = points.len();
@@ -286,36 +286,31 @@ mod tests {
 
     /// Build the tree the way a caller would, so that a refusal after
     /// construction would fail the test's expected message too.
-    fn build(net: &WirelessNetwork, backend: crate::Backend) {
-        let _ = crate::SubstrateBuilder::new(net).backend(backend).build();
+    fn build(net: &WirelessNetwork) {
+        let _ = crate::SubstrateBuilder::new(net).build();
     }
 
+    /// "Dense" names the materialised constructor, which fills the matrix.
     #[test]
     #[should_panic(expected = "station 2, axis 1: coordinate NaN is not finite")]
     fn nan_coordinate_refused_at_the_door_on_the_dense_backend() {
         let net = WirelessNetwork::euclidean(with_bad_y(f64::NAN), PowerModel::linear(), 0);
-        build(&net, crate::Backend::Dense);
+        build(&net);
     }
 
-    #[test]
-    #[should_panic(expected = "station 2, axis 1: coordinate NaN is not finite")]
-    fn nan_coordinate_refused_at_the_door_with_backend_auto() {
-        let net = WirelessNetwork::euclidean_lazy(with_bad_y(f64::NAN), PowerModel::linear(), 0);
-        build(&net, crate::Backend::Auto);
-    }
-
+    /// "Spatial" names the lazy constructor, which keeps only the points.
     #[test]
     #[should_panic(expected = "station 2, axis 1: coordinate NaN is not finite")]
     fn nan_coordinate_refused_at_the_door_on_the_spatial_backend() {
         let net = WirelessNetwork::euclidean_lazy(with_bad_y(f64::NAN), PowerModel::linear(), 0);
-        build(&net, crate::Backend::Spatial);
+        build(&net);
     }
 
     #[test]
     #[should_panic(expected = "station 2, axis 1: coordinate inf is not finite")]
     fn infinite_coordinate_refused_at_the_door_on_the_dense_backend() {
         let net = WirelessNetwork::euclidean(with_bad_y(f64::INFINITY), PowerModel::linear(), 0);
-        build(&net, crate::Backend::Dense);
+        build(&net);
     }
 
     #[test]

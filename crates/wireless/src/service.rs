@@ -259,8 +259,9 @@ impl MulticastService {
     /// Panics unless every event names a player of the universe (the
     /// message names the id and the player count) and every `Join` or
     /// `Rebid` carries a finite bid that is not negative (the message
-    /// names the player and the bid; `−0.0` passes). Both front doors check at entry, so [`Self::reprice`] never
-    /// sees a bad id or a non-finite bid. One `+∞` bid would otherwise
+    /// names the player and the bid; `−0.0` passes). Both front doors
+    /// check at entry, so [`Self::reprice`] never sees a bad id, a
+    /// non-finite bid or a negative one. One `+∞` bid would otherwise
     /// make a marginal-cost group free: every externality becomes
     /// `∞ − ∞ = NaN`, which the VCG clamp turns into a share of 0.
     pub(crate) fn check_players(&self, events: &[ChurnEvent]) {

@@ -45,8 +45,8 @@
 //! throughput.
 //!
 //! Construction goes through [`crate::builder::SubstrateBuilder`] — the
-//! single place a network is moved or cloned and the single choice
-//! point between the dense and spatial backends. The former
+//! single place a network is moved or cloned and the one place that
+//! picks a network's growth path (grid or dense scan). The former
 //! free-standing constructors are gone; the `forbidden-api` audit
 //! analysis keeps them out under any import spelling.
 //!

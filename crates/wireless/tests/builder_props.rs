@@ -1,14 +1,16 @@
 //! Property suite for the substrate builder: on every registered layout
 //! family, both [`TreeKind`]s and all station counts up to 512, the
-//! spatial grid-index backend is **byte-identical** to the dense `O(n²)`
+//! builder's grid-index growth is **byte-identical** to the dense `O(n²)`
 //! reference — same parent array, same cost-sorted CSR child order, same
 //! cached edge-cost bits — and the lazy Euclidean regime reproduces the
 //! materialised one exactly, down to every distance and cost.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::sync::Arc;
 use wmcs_geom::{LayoutFamily, PointSet, Scenario};
-use wmcs_wireless::{Backend, SubstrateBuilder, TreeKind, WirelessNetwork};
+use wmcs_graph::{grow_tree_dense, RootedTree};
+use wmcs_wireless::{SubstrateBuilder, TreeKind, TreeSubstrate, WirelessNetwork};
 
 /// Build the scenario's network in both storage regimes.
 fn scenario_nets(
@@ -23,6 +25,18 @@ fn scenario_nets(
     let dense = WirelessNetwork::euclidean(pts.clone(), sc.power_model(), 0);
     let lazy = WirelessNetwork::euclidean_lazy(pts, sc.power_model(), 0);
     (dense, lazy)
+}
+
+/// The dense scan over the materialised network's matrix, built as an
+/// explicit tree: the reference the builder's growth is compared with.
+fn dense_reference(net: &WirelessNetwork, kind: TreeKind) -> Arc<TreeSubstrate> {
+    let s = net.source();
+    SubstrateBuilder::new(net)
+        .explicit_tree(RootedTree::from_parents(
+            s,
+            grow_tree_dense(net.costs(), s, kind),
+        ))
+        .build()
 }
 
 proptest! {
@@ -90,14 +104,8 @@ proptest! {
         let label = format!("{} n={} d={} α={} {:?} seed={}",
             family.name(), n, dim, alpha, kind, seed);
 
-        let dense = SubstrateBuilder::new(&net)
-            .tree(kind)
-            .backend(Backend::Dense)
-            .build();
-        let spatial = SubstrateBuilder::new(&net)
-            .tree(kind)
-            .backend(Backend::Spatial)
-            .build();
+        let dense = dense_reference(&net, kind);
+        let spatial = SubstrateBuilder::new(&net).tree(kind).build();
 
         prop_assert_eq!(dense.bfs_order(), spatial.bfs_order(), "bfs {}", &label);
         for v in 0..n {
@@ -112,9 +120,9 @@ proptest! {
         }
     }
 
-    /// The lazy Euclidean regime changes storage, never results: both
-    /// backends on a lazy network reproduce the materialised dense
-    /// reference bit for bit.
+    /// The lazy Euclidean regime changes storage, never results: the
+    /// builder on a lazy network reproduces the materialised network's
+    /// dense reference bit for bit.
     #[test]
     fn lazy_regime_is_transparent_to_both_backends(
         fam_idx in 0usize..5,
@@ -125,20 +133,15 @@ proptest! {
         let family = LayoutFamily::ALL[fam_idx];
         let kind = [TreeKind::Spt, TreeKind::Mst][kind_idx];
         let (dense_net, lazy_net) = scenario_nets(family, n, 2, 2.0, seed);
-        let reference = SubstrateBuilder::new(&dense_net)
-            .tree(kind)
-            .backend(Backend::Dense)
-            .build();
-        for backend in [Backend::Dense, Backend::Spatial, Backend::Auto] {
-            let sub = SubstrateBuilder::new(&lazy_net).tree(kind).backend(backend).build();
-            prop_assert_eq!(reference.bfs_order(), sub.bfs_order(),
-                "{} n={} {:?} {:?}", family.name(), n, kind, backend);
-            for v in 0..n {
-                prop_assert_eq!(
-                    reference.parent_cost(v).to_bits(),
-                    sub.parent_cost(v).to_bits(),
-                    "{} n={} v={} {:?} {:?}", family.name(), n, v, kind, backend);
-            }
+        let reference = dense_reference(&dense_net, kind);
+        let sub = SubstrateBuilder::new(&lazy_net).tree(kind).build();
+        prop_assert_eq!(reference.bfs_order(), sub.bfs_order(),
+            "{} n={} {:?}", family.name(), n, kind);
+        for v in 0..n {
+            prop_assert_eq!(
+                reference.parent_cost(v).to_bits(),
+                sub.parent_cost(v).to_bits(),
+                "{} n={} v={} {:?}", family.name(), n, v, kind);
         }
     }
 }

@@ -13,8 +13,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use wmcs_game::MechanismOutcome;
 use wmcs_geom::{ChurnEvent, LayoutFamily, MultiGroupProcess, Scenario};
 use wmcs_wireless::{
-    Backend, GroupMechanism, GroupSession, MulticastService, StreamConfig, StreamService,
-    SubstrateBuilder, TreeKind, WirelessNetwork,
+    GroupMechanism, GroupSession, MulticastService, StreamConfig, StreamService, SubstrateBuilder,
+    TreeKind, WirelessNetwork,
 };
 
 /// The network of a scenario draw (station 0 as source; the harness's
@@ -260,7 +260,6 @@ fn served_outcomes_store_no_buffer_sized_by_n() {
     let net = WirelessNetwork::euclidean_lazy(sc.points(41), sc.power_model(), 0);
     let ut = SubstrateBuilder::from_owned(net)
         .tree(TreeKind::Spt)
-        .backend(Backend::Spatial)
         .build_universal();
     let n_players = N - 1;
     // Overlapping member sets; every third member bids too little to be

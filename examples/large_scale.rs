@@ -1,10 +1,10 @@
-//! Large-n smoke: a 100 000-station substrate built through the spatial
-//! backend, priced live by the universal-tree Shapley session.
+//! Large-n smoke: a 100 000-station substrate grown through the grid
+//! index, priced live by the universal-tree Shapley session.
 //!
 //! This is the release-mode CI gate for the million-station substrate
 //! path (see `.github/workflows/ci.yml`): the network stays **lazy** (no
-//! `O(n²)` cost matrix is ever materialised), `Backend::Spatial` grows
-//! the SPT and MST universal trees through the grid index, both parent
+//! `O(n²)` cost matrix is ever materialised), the builder grows the SPT
+//! and MST universal trees through the grid index, both parent
 //! arrays must hash to their pinned digests, an SPT grown on a 10:1
 //! strip of the same density must match its own digest without raising
 //! the process's peak memory by more than half, warm session state must
@@ -124,10 +124,9 @@ fn main() {
     let t = std::time::Instant::now();
     let ut = SubstrateBuilder::from_owned(net)
         .tree(TreeKind::Spt)
-        .backend(Backend::Spatial)
         .build_universal();
     println!(
-        "built n = {N} SPT substrate via Backend::Spatial in {:.2?} ({:.1} bytes/station{})",
+        "built n = {N} SPT substrate on the grid in {:.2?} ({:.1} bytes/station{})",
         t.elapsed(),
         ut.substrate().memory_bytes() as f64 / N as f64,
         peak_rss_note()
@@ -137,10 +136,9 @@ fn main() {
     let t = std::time::Instant::now();
     let mst = SubstrateBuilder::new(ut.network())
         .tree(TreeKind::Mst)
-        .backend(Backend::Spatial)
         .build_universal();
     println!(
-        "built n = {N} MST substrate via Backend::Spatial in {:.2?}{}",
+        "built n = {N} MST substrate on the grid in {:.2?}{}",
         t.elapsed(),
         peak_rss_note()
     );
@@ -160,10 +158,9 @@ fn main() {
         0,
     ))
     .tree(TreeKind::Spt)
-    .backend(Backend::Spatial)
     .build_universal();
     println!(
-        "built n = {N} SPT substrate on a 10:1 strip via Backend::Spatial in {:.2?}{}",
+        "built n = {N} SPT substrate for a 10:1 strip on the grid in {:.2?}{}",
         t.elapsed(),
         peak_rss_note()
     );

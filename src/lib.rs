@@ -59,7 +59,7 @@ pub mod prelude {
     };
     pub use wmcs_nwst::{NodeWeightedGraph, NwstConfig};
     pub use wmcs_wireless::{
-        memt_exact, Admission, AlphaOneSolver, Backend, ChurnEvent, ChurnProcess, ChurnTrace,
+        memt_exact, Admission, AlphaOneSolver, ChurnEvent, ChurnProcess, ChurnTrace,
         GroupMechanism, LineSolver, McSession, MulticastService, PowerAssignment, ShapleySession,
         StreamConfig, StreamService, SubstrateBuilder, TreeKind, UniversalTree, WirelessNetwork,
     };
