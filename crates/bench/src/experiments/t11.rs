@@ -68,8 +68,7 @@ impl Experiment for T11 {
     }
 
     fn measure(&self, scenario: &Scenario, seed: u64) -> Obs {
-        let net = scenario_network(scenario, seed);
-        let ut = SubstrateBuilder::new(&net)
+        let ut = SubstrateBuilder::from_owned(scenario_network(scenario, seed))
             .tree(TreeKind::Spt)
             .build_universal();
         let net = ut.network();

@@ -6,9 +6,8 @@
 //! any [`HeapKey`] order works, such as the spatial tree growth's
 //! `(key, via, station)` triples.
 
-/// A priority [`IndexedMinHeap`] orders by. `Default` only fills the
-/// slots of absent elements, which are never compared.
-pub trait HeapKey: Copy + Default {
+/// A priority [`IndexedMinHeap`] orders by.
+pub trait HeapKey: Copy {
     /// True when `self` must pop before `other`: a strict weak order.
     fn precedes(&self, other: &Self) -> bool;
 }
@@ -20,26 +19,38 @@ impl HeapKey for f64 {
 }
 
 /// Min-heap over element ids `0..capacity` with keys of type `K` (by
-/// default `f64`) and decrease-key.
+/// default `f64`) and decrease-key. A queued element's key sits beside
+/// its id in the heap array, so the heap keeps 4 B per possible id (its
+/// position) plus one entry per queued element: a queue that holds a
+/// few of many ids, as the spatial growth's does, stays small.
 #[derive(Debug, Clone)]
 pub struct IndexedMinHeap<K = f64> {
-    /// Heap array of element ids.
-    heap: Vec<usize>,
-    /// `pos[e]` = index of element `e` in `heap`, or `usize::MAX` if absent.
-    pos: Vec<usize>,
-    /// Current key per element (valid only while the element is present).
-    key: Vec<K>,
+    /// Heap array of `(key, element id)` entries.
+    heap: Vec<(K, u32)>,
+    /// `pos[e]` = index of element `e` in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
 }
 
-const ABSENT: usize = usize::MAX;
+/// The position of an element that is not queued.
+const ABSENT: u32 = u32::MAX;
+
+/// An element id or heap index as stored: both are below the capacity,
+/// which [`IndexedMinHeap::new`] keeps below `u32::MAX`.
+fn narrow(i: usize) -> u32 {
+    u32::try_from(i).expect("heap ids and positions fit u32 (capacity < u32::MAX)")
+}
 
 impl<K: HeapKey> IndexedMinHeap<K> {
-    /// Empty heap able to hold element ids `0..capacity`.
+    /// Empty heap able to hold element ids `0..capacity`; panics unless
+    /// `capacity < u32::MAX`.
     pub fn new(capacity: usize) -> Self {
+        assert!(
+            capacity < ABSENT as usize,
+            "an IndexedMinHeap holds fewer than u32::MAX ids, asked for {capacity}"
+        );
         Self {
-            heap: Vec::with_capacity(capacity),
+            heap: Vec::new(),
             pos: vec![ABSENT; capacity],
-            key: vec![K::default(); capacity],
         }
     }
 
@@ -60,30 +71,31 @@ impl<K: HeapKey> IndexedMinHeap<K> {
 
     /// Current key of a queued element.
     pub fn key_of(&self, e: usize) -> Option<K> {
-        self.contains(e).then(|| self.key[e])
+        self.contains(e).then(|| self.heap[self.pos[e] as usize].0)
     }
 
     /// The minimum-key element and its key, without removing it.
     pub fn peek(&self) -> Option<(usize, K)> {
-        self.heap.first().map(|&e| (e, self.key[e]))
+        self.heap.first().map(|&(k, e)| (e as usize, k))
     }
 
     /// Insert `e` with the given key, or lower its key if already queued
     /// with one that `k` precedes. Returns `true` if the stored key changed.
     pub fn push_or_decrease(&mut self, e: usize, k: K) -> bool {
         if self.contains(e) {
-            if k.precedes(&self.key[e]) {
-                self.key[e] = k;
-                self.sift_up(self.pos[e]);
+            let i = self.pos[e] as usize;
+            if k.precedes(&self.heap[i].0) {
+                self.heap[i].0 = k;
+                self.sift_up(i);
                 true
             } else {
                 false
             }
         } else {
-            self.key[e] = k;
-            self.pos[e] = self.heap.len();
-            self.heap.push(e);
-            self.sift_up(self.heap.len() - 1);
+            let i = self.heap.len();
+            self.pos[e] = narrow(i);
+            self.heap.push((k, narrow(e)));
+            self.sift_up(i);
             true
         }
     }
@@ -93,21 +105,19 @@ impl<K: HeapKey> IndexedMinHeap<K> {
         if self.heap.is_empty() {
             return None;
         }
-        let top = self.heap[0];
-        let k = self.key[top];
-        let last = self.heap.pop().expect("non-empty");
-        self.pos[top] = ABSENT;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last] = 0;
+        // The last entry moves to the root and sifts down.
+        let (k, top) = self.heap.swap_remove(0);
+        self.pos[top as usize] = ABSENT;
+        if let Some(&(_, moved)) = self.heap.first() {
+            self.pos[moved as usize] = 0;
             self.sift_down(0);
         }
-        Some((top, k))
+        Some((top as usize, k))
     }
 
     /// True when the element at heap slot `i` must pop before slot `j`'s.
     fn before(&self, i: usize, j: usize) -> bool {
-        self.key[self.heap[i]].precedes(&self.key[self.heap[j]])
+        self.heap[i].0.precedes(&self.heap[j].0)
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -142,8 +152,8 @@ impl<K: HeapKey> IndexedMinHeap<K> {
 
     fn swap(&mut self, i: usize, j: usize) {
         self.heap.swap(i, j);
-        self.pos[self.heap[i]] = i;
-        self.pos[self.heap[j]] = j;
+        self.pos[self.heap[i].1 as usize] = narrow(i);
+        self.pos[self.heap[j].1 as usize] = narrow(j);
     }
 }
 
@@ -194,7 +204,7 @@ mod tests {
 
     /// A lexicographic `(key, tag)` order: equal `f64` keys pop by tag,
     /// and decrease-key accepts a key that only lowers the tag.
-    #[derive(Debug, Default, Clone, Copy, PartialEq)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     struct Tagged(f64, u32);
 
     impl HeapKey for Tagged {

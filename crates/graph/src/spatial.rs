@@ -265,7 +265,7 @@ pub(crate) struct GrowthWork {
 /// A station-queue entry: station `station`'s best key so far, reached
 /// from the finalised station `via`. Entries order as the dense scan
 /// selects, by `(key, via, station)`.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Tentative {
     key: f64,
     via: u32,

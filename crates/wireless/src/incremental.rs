@@ -10,21 +10,30 @@
 //! every station the engine has seen (`DESIGN.md` §2f) — so a warm
 //! engine costs `O(|frame|)` bytes, never `O(n)`:
 //!
-//! * [`Shapley`] keeps, per local station, the number of active receivers
-//!   in its subtree (`T(R)` membership is exactly `rb > 0`); a station's
+//! * [`Shapley`] keeps, per local station, one 4-byte word: the number
+//!   of active receivers in its subtree (`T(R)` membership is exactly
+//!   `rb > 0`) with the station's own receiver bit on top. A station's
 //!   children in cost order are the frame's own child list. A round's
 //!   shares are one top-down pass over `T(R)` that walks each station's
 //!   in-frame children, skips those with `rb == 0`, and turns the
 //!   paper's per-increment split (§2.1) into prefix sums
 //!   `down[y_i] = down[x] + Σ_{j≤i} δ_j / users_j`.
-//! * [`NetWorth`] keeps the bottom-up DP. One top-down pass recomputes,
-//!   per station, the two slacks by which a change of its `h` reaches
-//!   its parent's (from the flushed `h` and the edge costs; none is
-//!   stored) and composes them into every station's map to the root, so
-//!   each `NW(u_{−i})` is read off its own map in `O(1)` instead of a
-//!   full DP. Utility changes are batched: [`NetWorth::set_utility`]
-//!   only records the bid, and the next query repairs the union of the
-//!   dirty root paths once.
+//! * [`NetWorth`] keeps the bottom-up DP: per local station its utility,
+//!   `h` and next sibling's cost (8 B each), its chosen prefix length and
+//!   its position among its siblings (4 B each), and one dirty bit. One
+//!   top-down pass recomputes, per station, the two slacks by which a
+//!   change of its `h` reaches its parent's (from the flushed `h` and
+//!   the edge costs; none is stored) and composes them into every
+//!   station's map to the root, so each `NW(u_{−i})` is read off its own
+//!   map in `O(1)` instead of a full DP. Utility changes are batched:
+//!   [`NetWorth::set_utility`] only records the bid, and the next query
+//!   repairs the union of the dirty root paths once.
+//!
+//! Both engines read a framed station's tree-edge cost from the shared
+//! substrate by its station, [`TreeSubstrate::parent_cost`], which the
+//! frame does not copy: the frame itself keeps 8 B per local (station and
+//! parent) plus its index, station order and link bytes
+//! ([`Subframe`]).
 //!
 //! | operation | cost | invariant |
 //! |---|---|---|
@@ -86,17 +95,32 @@ pub struct DropStats {
 /// frame (the frame holds every member's root path), and the frame's
 /// child lists are the substrate's cost order restricted to the closure,
 /// so every traversal visits the same floats in the same order as a
-/// walk of the whole tree would.
+/// walk of the whole tree would. The pass reads each child's edge cost
+/// from the substrate by its station, the bits that walk reads.
+///
+/// Warm state is 4 B per local station besides the frame: one `rb` word.
 #[derive(Debug, Clone)]
 pub struct Shapley {
     ut: UniversalTree,
     frame: Subframe,
-    /// Is the local station an active receiver?
-    in_r: Vec<bool>,
-    /// Active receivers in the local station's subtree; `rb[v] > 0` ⟺
-    /// `v ∈ T(R)`.
+    /// Per local station: the active receivers in its subtree in the low
+    /// 31 bits ([`rb_count`]), and in the top bit ([`IN_R`]) whether it
+    /// is an active receiver itself. An active receiver counts itself, so
+    /// the bit is never set on a zero count and `rb[v] > 0` ⟺ `v ∈ T(R)`
+    /// holds of the whole word.
     rb: Vec<u32>,
     rounds: usize,
+}
+
+/// The top bit of a [`Shapley`] `rb` word: the local station is an
+/// active receiver. [`Shapley::new`] caps the universe at 2³¹ stations,
+/// so no subtree count reaches it.
+const IN_R: u32 = 1 << 31;
+
+/// The subtree receiver count of an `rb` word.
+#[inline]
+fn rb_count(rb: u32) -> u32 {
+    rb & !IN_R
 }
 
 /// The buffers one drop-loop run lends [`Shapley`]'s round passes, by
@@ -119,22 +143,26 @@ pub struct RoundBuffers {
 impl Shapley {
     /// An empty engine over `ut` (nobody served; the frame is just the
     /// source). `O(1)`: no universe-sized allocation ever happens.
+    /// Panics above 2³¹ stations, where a subtree receiver count could
+    /// reach the `rb` word's receiver bit.
     pub fn new(ut: &UniversalTree) -> Self {
+        assert!(
+            ut.network().n_stations() <= IN_R as usize,
+            "Shapley engines count receivers in 31 bits: at most 2^31 stations"
+        );
         Self {
             ut: ut.clone(),
             frame: Subframe::new(ut.substrate()),
-            in_r: vec![false],
             rb: vec![0],
             rounds: 0,
         }
     }
 
-    /// Grow the parallel arrays to the frame's current length (new locals
-    /// start inactive: no receiver below them).
+    /// Grow `rb` to the frame's current length (new locals start
+    /// inactive: no receiver below them).
     fn sync_frame(&mut self) {
         let len = self.frame.len();
-        if self.in_r.len() < len {
-            grow_to(&mut self.in_r, len, false);
+        if self.rb.len() < len {
             grow_to(&mut self.rb, len, 0);
         }
     }
@@ -153,10 +181,10 @@ impl Shapley {
         let v = self.frame.ensure(self.ut.substrate(), station);
         self.sync_frame();
         debug_assert!(
-            !self.in_r[v as usize],
+            self.rb[v as usize] & IN_R == 0,
             "station {station} is already an active receiver"
         );
-        self.in_r[v as usize] = true;
+        self.rb[v as usize] |= IN_R;
         let mut w = v;
         while w != NO_LOCAL {
             self.rb[w as usize] += 1;
@@ -169,8 +197,11 @@ impl Shapley {
     /// [`Shapley::add_receiver`]): decrement the subtree counts on its
     /// root path. `O(depth)`.
     pub fn drop_receiver(&mut self, v: u32) {
-        debug_assert!(self.in_r[v as usize], "local {v} is not an active receiver");
-        self.in_r[v as usize] = false;
+        debug_assert!(
+            self.rb[v as usize] & IN_R != 0,
+            "local {v} is not an active receiver"
+        );
+        self.rb[v as usize] &= !IN_R;
         let mut w = v;
         while w != NO_LOCAL {
             self.rb[w as usize] -= 1;
@@ -211,7 +242,8 @@ impl Shapley {
             loop {
                 let xi = x as usize;
                 // Receivers strictly below x: its own subtree count minus x.
-                let remaining = self.rb[xi] - u32::from(self.in_r[xi]);
+                let rb = self.rb[xi];
+                let remaining = rb_count(rb) - (rb >> 31);
                 let mut pass = ChildPass::new(buf.down[xi], remaining);
                 match self.frame.children(x) {
                     // A run's sole child: no loop, no stack.
@@ -275,10 +307,7 @@ impl Shapley {
     /// (the shared substrate is excluded — it is per universe, not per
     /// group — and so are a run's [`RoundBuffers`]).
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.frame.memory_bytes()
-            + self.in_r.capacity() * size_of::<bool>()
-            + self.rb.capacity() * size_of::<u32>()
+        self.frame.memory_bytes() + self.rb.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -312,8 +341,8 @@ impl ChildPass {
     #[inline]
     fn visit(&mut self, y: u32, engine: &Shapley, down: &mut [f64]) {
         let yi = y as usize;
-        // Frame-cached edge cost — bit-identical to net.cost(x, y).
-        let cost = engine.frame.parent_cost(y);
+        // The substrate's cached edge cost — bit-identical to net.cost(x, y).
+        let cost = engine.ut.substrate().parent_cost(engine.frame.global_of(y));
         let delta = cost - self.prev_cost;
         self.prev_cost = cost;
         if delta > 0.0 {
@@ -321,7 +350,7 @@ impl ChildPass {
             self.acc += delta / self.remaining as f64;
         }
         down[yi] = self.acc;
-        self.remaining -= engine.rb[yi];
+        self.remaining -= rb_count(engine.rb[yi]);
         self.next = y;
     }
 }
@@ -575,18 +604,19 @@ impl RootMap {
 /// the same whatever the frame holds.
 ///
 /// **Batched repair.** [`NetWorth::set_utility`] stores the bid and marks
-/// the station (and every new frame local) dirty; the first query after
-/// it runs the per-station kernel once per dirty station in descending
-/// local id — children before parents, because [`Subframe::ensure`]
-/// appends path suffixes top-down — and marks a parent only when a
-/// child's `h` changed bits. `h` is never `−0.0` or NaN (prefix sums start
-/// at `+0.0`; `max` drops NaN), so the bit test agrees with `==`. Each
-/// kernel is a pure function of its children's `h`, its utility and the
-/// cached costs, so the flushed state equals a fresh oracle's fed the
-/// same utilities. After a flush every parent's kernel has run on its
-/// children's current `h`, so the slacks the forward pass recomputes are
-/// the floats that kernel's fold gives (a child framed since, at `h =
-/// +0.0`, moves no sibling's maximum; `DESIGN.md` §2f).
+/// the station (and every new frame local) dirty, one bit per local; the
+/// first query after it runs the per-station kernel once per dirty
+/// station in descending local id — children before parents, because
+/// [`Subframe::ensure`] appends path suffixes top-down — and marks a
+/// parent only when a child's `h` changed bits. `h` is never `−0.0` or
+/// NaN (prefix sums start at `+0.0`; `max` drops NaN), so the bit test
+/// agrees with `==`. Each kernel is a pure function of its children's
+/// `h`, its utility and the substrate's edge costs, so the flushed state
+/// equals a fresh oracle's fed the same utilities. After a flush every
+/// parent's kernel has run on its children's current `h`, so the slacks
+/// the forward pass recomputes are the floats that kernel's fold gives
+/// (a child framed since, at `h = +0.0`, moves no sibling's maximum;
+/// `DESIGN.md` §2f).
 #[derive(Debug, Clone)]
 pub struct NetWorth {
     ut: UniversalTree,
@@ -604,8 +634,9 @@ pub struct NetWorth {
     /// Static: the cost of the global sibling right after `v` in its
     /// parent's slice (`+∞` when `v` is the last child).
     next_cost: Vec<f64>,
-    /// Locals whose kernel the next query runs first.
-    dirty: Vec<bool>,
+    /// The locals whose kernel the next query runs first, one bit each:
+    /// local `v` is bit `v % 64` of word `v / 64`.
+    dirty: Vec<u64>,
     /// One past the highest dirty local (0: nothing pending).
     dirty_end: usize,
 }
@@ -673,8 +704,14 @@ impl NetWorth {
         let v = self.frame.ensure(self.ut.substrate(), station) as usize;
         self.sync_frame();
         self.u[v] = utility;
-        self.dirty[v] = true;
+        self.mark_dirty(v);
         self.dirty_end = self.dirty_end.max(v + 1);
+    }
+
+    /// Mark local `v`'s kernel to run on the next query.
+    #[inline]
+    fn mark_dirty(&mut self, v: usize) {
+        self.dirty[v / 64] |= 1 << (v % 64);
     }
 
     /// Grow the local arrays to the frame's length. New locals start at
@@ -689,7 +726,7 @@ impl NetWorth {
         grow_to(&mut self.u, len, 0.0);
         grow_to(&mut self.h, len, 0.0);
         grow_to(&mut self.choice, len, 0);
-        grow_to(&mut self.dirty, len, true);
+        grow_to(&mut self.dirty, len.div_ceil(64), 0);
         reserve_bounded(&mut self.pos, len);
         reserve_bounded(&mut self.next_cost, len);
         let sub = self.ut.substrate();
@@ -706,23 +743,44 @@ impl NetWorth {
             self.next_cost
                 .push(next.map_or(f64::INFINITY, |y| sub.parent_cost(y.index())));
         }
+        for l in old..len {
+            self.mark_dirty(l);
+        }
         self.dirty_end = len;
+    }
+
+    /// Every local's tree-edge cost, read from the substrate by its
+    /// station in local-id order, for one query: its kernels, forward
+    /// pass and selection then read each cost by local id. A query
+    /// buffer, dropped with the query; reading the substrate at each of
+    /// those reads instead made `served` MC epochs ~5% slower still.
+    fn edge_costs(&self) -> Vec<f64> {
+        let sub = self.ut.substrate();
+        (0..local_id(self.frame.len()))
+            .map(|l| sub.parent_cost(self.frame.global_of(l)))
+            .collect()
     }
 
     /// Run every pending kernel once, in descending local id — children
     /// before parents, since a parent's id is below its children's; a
-    /// station whose `h` changed bits marks its parent.
-    fn flush(&mut self) {
+    /// station whose `h` changed bits marks its parent. Each word is
+    /// re-read after every kernel: a parent marked in the word being
+    /// walked sits below the bit just cleared, so the walk still reaches
+    /// it. `costs` is [`NetWorth::edge_costs`].
+    fn flush(&mut self, costs: &[f64]) {
         let ut = self.ut.clone();
         self.frame.merge_links(ut.substrate());
-        for v in (0..std::mem::take(&mut self.dirty_end)).rev() {
-            if !std::mem::take(&mut self.dirty[v]) {
-                continue;
-            }
-            let before = self.h[v].to_bits();
-            self.recompute(ut.substrate(), local_id(v));
-            if v != 0 && self.h[v].to_bits() != before {
-                self.dirty[self.frame.parent_local(local_id(v)) as usize] = true;
+        let words = std::mem::take(&mut self.dirty_end).div_ceil(64);
+        for w in (0..words).rev() {
+            while self.dirty[w] != 0 {
+                let bit = 63 - self.dirty[w].leading_zeros();
+                self.dirty[w] &= !(1 << bit);
+                let v = w * 64 + bit as usize;
+                let before = self.h[v].to_bits();
+                self.recompute(ut.substrate(), costs, local_id(v));
+                if v != 0 && self.h[v].to_bits() != before {
+                    self.mark_dirty(self.frame.parent_local(local_id(v)) as usize);
+                }
             }
         }
     }
@@ -732,7 +790,7 @@ impl NetWorth {
     /// slice is read only when the chosen prefix runs on over
     /// out-of-frame siblings that tie the maximum, or has no in-frame
     /// winner and the substrate has zero-cost edges.
-    fn recompute(&mut self, sub: &TreeSubstrate, v: u32) {
+    fn recompute(&mut self, sub: &TreeSubstrate, costs: &[f64], v: u32) {
         let vi = v as usize;
         // Raw prefix values; the running maximum `b` starts at +0.0, and
         // the larger prefix wins exact ties.
@@ -740,7 +798,7 @@ impl NetWorth {
         let (mut winner, mut winner_acc) = (NO_LOCAL, 0.0f64);
         for &c in self.frame.children(v).as_slice() {
             acc += self.h[c as usize];
-            let val = acc - self.frame.parent_cost(c);
+            let val = acc - costs[c as usize];
             if val >= b {
                 b = val;
                 winner = c;
@@ -781,22 +839,23 @@ impl NetWorth {
     /// edge pair, and whether it is in `{source} ∪ R*` (`reached[l] =
     /// reached[parent] && pos[l] < choice[parent]`). A pair is needed
     /// only where `h > 0`; a station at `h = +0.0` absorbs. Pairs are
-    /// recomputed from the flushed `h` with the kernel's own float
+    /// recomputed from the flushed `h` and the query's edge costs
+    /// ([`NetWorth::edge_costs`]) with the kernel's own float
     /// expressions: one branch-free sweep writes every station's pair as
     /// a sole child's ([`RootMap::sole_edge`]) into its map slot, one
     /// fold per linked station's list overwrites its children's
     /// ([`NetWorth::edge_pairs`]), and the composing loop reads each
     /// station's pair from its slot.
-    fn forward(&self) -> (Vec<RootMap>, Vec<bool>) {
+    fn forward(&self, costs: &[f64]) -> (Vec<RootMap>, Vec<bool>) {
         let len = self.frame.len();
         // Every station's edge pair as if it were its parent's sole
         // in-frame child (one branch-free sweep), then the true pairs of
         // each linked station's children from one fold per list.
-        let mut maps: Vec<RootMap> = (self.h.iter().zip(self.frame.parent_costs()))
-            .map(|(&h, &cost)| RootMap::sole_edge(h, cost))
+        let mut maps: Vec<RootMap> = (self.h.iter().zip(costs))
+            .map(|(&h, &c)| RootMap::sole_edge(h, c))
             .collect();
         for kids in self.frame.linked_lists() {
-            self.edge_pairs(kids, &mut maps);
+            self.edge_pairs(costs, kids, &mut maps);
         }
         maps[0] = RootMap::SOURCE;
         let mut reached = Vec::with_capacity(len);
@@ -821,14 +880,14 @@ impl NetWorth {
     /// two children, the most common list, take the fold unrolled (the
     /// same float sequence); longer lists fold right to left over the raw
     /// values, which wait in the slots' `b` halves.
-    fn edge_pairs(&self, kids: &[u32], maps: &mut [RootMap]) {
+    fn edge_pairs(&self, costs: &[f64], kids: &[u32], maps: &mut [RootMap]) {
         match *kids {
             [_] => {}
             [c0, c1] => {
                 let acc = 0.0 + self.h[c0 as usize];
-                let val0 = acc - self.frame.parent_cost(c0);
+                let val0 = acc - costs[c0 as usize];
                 let pre1 = if val0 >= 0.0 { val0 } else { 0.0 };
-                let val1 = (acc + self.h[c1 as usize]) - self.frame.parent_cost(c1);
+                let val1 = (acc + self.h[c1 as usize]) - costs[c1 as usize];
                 let b = if val1 >= pre1 { val1 } else { pre1 };
                 let suf1 = val1.max(f64::NEG_INFINITY);
                 maps[c1 as usize] = RootMap {
@@ -844,7 +903,7 @@ impl NetWorth {
                 let (mut acc, mut b) = (0.0f64, 0.0f64);
                 for &c in kids {
                     acc += self.h[c as usize];
-                    let val = acc - self.frame.parent_cost(c);
+                    let val = acc - costs[c as usize];
                     maps[c as usize] = RootMap { a: b, b: val };
                     if val >= b {
                         b = val;
@@ -879,8 +938,9 @@ impl NetWorth {
     /// ascending-id float sequence minus exact `+0.0` terms. Only the
     /// out-of-frame stations are sorted.
     fn selection(&mut self) -> Selection {
-        self.flush();
-        let (maps, reached) = self.forward();
+        let costs = self.edge_costs();
+        self.flush(&costs);
+        let (maps, reached) = self.forward(&costs);
         self.frame.merge_by_station();
         let sub = self.ut.substrate();
         let mut outside = Vec::new();
@@ -903,7 +963,7 @@ impl NetWorth {
                     outside.extend_from_slice(&kids[next..pos]);
                 }
                 next = pos + 1;
-                power = self.frame.parent_cost(c);
+                power = costs[c as usize];
             }
             if next < end {
                 let kids = sub.sorted_children(self.frame.global_of(x));
@@ -1011,7 +1071,8 @@ impl NetWorth {
 
     /// Maximal net worth `NW(u)`.
     pub fn net_worth(&mut self) -> f64 {
-        self.flush();
+        let costs = self.edge_costs();
+        self.flush(&costs);
         self.h[Subframe::ROOT as usize]
     }
 
@@ -1026,12 +1087,13 @@ impl NetWorth {
             station != self.ut.network().source(),
             "the source has no utility to zero"
         );
-        self.flush();
+        let costs = self.edge_costs();
+        self.flush(&costs);
         let nw = self.h[Subframe::ROOT as usize];
         match self.frame.local_of(station) {
             Some(v) => {
                 let u = self.u[v as usize];
-                nw + self.forward().0[v as usize].change(u.max(0.0))
+                nw + self.forward(&costs).0[v as usize].change(u.max(0.0))
             }
             None => nw,
         }
@@ -1060,7 +1122,7 @@ impl NetWorth {
         self.frame.memory_bytes()
             + (self.u.capacity() + self.h.capacity() + self.next_cost.capacity()) * size_of::<f64>()
             + (self.choice.capacity() + self.pos.capacity()) * size_of::<u32>()
-            + self.dirty.capacity() * size_of::<bool>()
+            + self.dirty.capacity() * size_of::<u64>()
     }
 }
 
@@ -1102,7 +1164,8 @@ mod tests {
 
     /// The engine's round pass on `alive` equals the reference split
     /// [`UniversalTree::shapley_shares`] bit for bit — the identity that
-    /// lets the drop loop charge its fixpoint round.
+    /// lets the drop loop charge its fixpoint round — and its served cost
+    /// equals [`UniversalTree::multicast_cost`]'s.
     fn assert_round_is_the_split(e: &mut Engine, ut: &UniversalTree, alive: &[usize]) {
         let mut buf = RoundBuffers::default();
         let by_local = e.engine.round_shares_by_local(&mut buf);
@@ -1116,6 +1179,11 @@ mod tests {
                 reference[r]
             );
         }
+        assert_eq!(
+            e.engine.served_cost(&buf).to_bits(),
+            ut.multicast_cost(alive).to_bits(),
+            "alive {alive:?}"
+        );
     }
 
     #[test]
@@ -1165,6 +1233,51 @@ mod tests {
                 }
                 if !alive.is_empty() {
                     assert_round_is_the_split(&mut engine, &ut, &alive);
+                }
+            }
+        }
+    }
+
+    /// Receivers at internal stations, whose receiver bit and subtree
+    /// count share one `rb` word: each joins and leaves both above and
+    /// below other receivers, and after every step the round pass is the
+    /// reference split on the current set.
+    #[test]
+    fn receivers_at_internal_stations_match_the_reference_split() {
+        for seed in 0..12 {
+            let ut = random_tree(seed, 40);
+            let sub = ut.substrate();
+            let internal: Vec<usize> = ut
+                .network()
+                .non_source_stations()
+                .into_iter()
+                .filter(|&x| !sub.sorted_children(x).is_empty())
+                .collect();
+            assert!(internal.len() >= 4, "seed {seed}: a branchy tree");
+            let leaves: Vec<usize> = ut
+                .network()
+                .non_source_stations()
+                .into_iter()
+                .filter(|&x| sub.sorted_children(x).is_empty())
+                .collect();
+            let mut e = Engine::build(&ut, &[]);
+            let mut alive = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x1b);
+            // Internal stations join alone, then leaves below them, then
+            // the internal ones leave (and some rejoin) under the leaves.
+            for &x in internal.iter().chain(&leaves) {
+                e.join(x);
+                alive.push(x);
+                assert_round_is_the_split(&mut e, &ut, &alive);
+            }
+            for &x in &internal {
+                e.leave(x);
+                alive.retain(|&a| a != x);
+                assert_round_is_the_split(&mut e, &ut, &alive);
+                if rng.gen_bool(0.5) {
+                    e.join(x);
+                    alive.push(x);
+                    assert_round_is_the_split(&mut e, &ut, &alive);
                 }
             }
         }
@@ -1383,6 +1496,50 @@ mod tests {
         );
         let set = assert_partial_frame_is_exact(&ut, &[(1, 5.0), (3, 0.5)]);
         assert_eq!(set, vec![1, 2]);
+    }
+
+    /// A 200-station chain, each station bidding 0.5 over unit edges,
+    /// with the leaf at local 199. Its first rebid moves only its own
+    /// `h`; the next moves every ancestor's, so one flush carries dirty
+    /// marks down through four bitset words, most of them into the word
+    /// being walked. Every query equals a cold oracle's and the plain
+    /// DP's, bit for bit.
+    #[test]
+    fn a_leaf_rebid_on_a_deep_chain_repairs_every_ancestor() {
+        let n: usize = 200;
+        let pts: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, 0.0)).collect();
+        let ut = explicit_tree(&pts, (0..n).map(|v| v.checked_sub(1)).collect());
+        let mut u = vec![0.5; n];
+        u[0] = 0.0;
+        let mut warm = NetWorth::new(&ut);
+        for x in (1..n).rev() {
+            warm.set_utility(x, u[x]);
+        }
+        assert_eq!(warm.frame_len(), n);
+        assert_eq!(warm.net_worth().to_bits(), ut.net_worth(&u).to_bits());
+        for bid in [1.0, 1e3, 0.0, 250.0, 0.5] {
+            u[n - 1] = bid;
+            warm.set_utility(n - 1, bid);
+            let mut cold = NetWorth::from_utilities(&ut, &u);
+            let nw = warm.net_worth();
+            assert_eq!(nw.to_bits(), ut.net_worth(&u).to_bits(), "bid {bid}");
+            assert_eq!(nw.to_bits(), cold.net_worth().to_bits(), "bid {bid}");
+            assert_eq!(warm.efficient_set(), cold.efficient_set(), "bid {bid}");
+            for x in 1..n {
+                assert_eq!(
+                    warm.net_worth_zeroing(x).to_bits(),
+                    cold.net_worth_zeroing(x).to_bits(),
+                    "bid {bid}, station {x}"
+                );
+            }
+            let (w, c) = (warm.vcg_outcome(), cold.vcg_outcome());
+            assert_eq!(w.receivers, c.receivers, "bid {bid}");
+            let bits = |o: &MechanismOutcome| -> Vec<u64> {
+                o.shares.iter().map(|s| s.to_bits()).collect()
+            };
+            assert_eq!(bits(&w), bits(&c), "bid {bid}");
+            assert_eq!(w.served_cost.to_bits(), c.served_cost.to_bits());
+        }
     }
 
     #[test]

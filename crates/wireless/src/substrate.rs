@@ -384,13 +384,14 @@ impl TreeSubstrate {
 ///   is grow-only; leaves just zero state). Every frame and engine array
 ///   grows with at most 1/8 spare capacity (`grow_to`), so warm bytes
 ///   stay near the exact closure footprint without a shrink pass;
-/// * per local station the frame stores its station (4 B), its local
-///   parent (4 B) and its tree-edge cost (8 B, copied bit for bit from
-///   the substrate, which both engines read for every framed child);
-///   the global→local index adds 4 B per slot. A station's position in
-///   its parent's global child slice is read from the substrate where
-///   it is needed; the MC engine, whose forward pass, selection and
-///   kernel read it per node, keeps its own copy
+/// * per local station the frame stores its station (4 B) and its local
+///   parent (4 B); the global→local index adds 4 B per slot. Per-station
+///   facts of the universe are read from the substrate by the local's
+///   station where they are needed: both engines read a framed child's
+///   tree-edge cost as `sub.parent_cost(frame.global_of(l))`, the bits
+///   every walk of the whole tree reads. The MC engine, whose forward
+///   pass, selection and kernel read a station's position in its
+///   parent's global child slice per node, keeps its own copy of it
 ///   ([`crate::incremental::NetWorth`]);
 /// * the **in-frame children in ascending global cost order** — the
 ///   restriction of the substrate's cost-sorted child slice to the
@@ -431,9 +432,6 @@ pub struct Subframe {
     index: Vec<u32>,
     /// Local parent id ([`Subframe::NONE`] for the source at local 0).
     parent: Vec<u32>,
-    /// Cached tree-edge cost `c(parent(v), v)` per local id — copied
-    /// bit-for-bit from [`TreeSubstrate::parent_cost`].
-    parent_cost: Vec<f64>,
     /// Per local: [`Subframe::LEAF`] (no child), [`Subframe::RUN`] (one
     /// child, `l + 1`), or — linked, as of the last
     /// [`Subframe::merge_links`] — [`Subframe::LINKED`] plus the number of
@@ -506,7 +504,6 @@ impl Subframe {
             global: vec![s],
             index,
             parent: vec![Self::NONE],
-            parent_cost: vec![0.0],
             link: vec![Self::LEAF],
             rank: Vec::new(),
             kid_start: Vec::new(),
@@ -579,7 +576,6 @@ impl Subframe {
         let len = self.global.len() + suffix.len();
         reserve_bounded(&mut self.global, len);
         reserve_bounded(&mut self.parent, len);
-        reserve_bounded(&mut self.parent_cost, len);
         reserve_bounded(&mut self.link, len);
         let mut parent = anchor;
         for &w in suffix.iter().rev() {
@@ -587,7 +583,6 @@ impl Subframe {
             self.global.push(NodeId::from_index(w));
             self.index_insert(l);
             self.parent.push(parent);
-            self.parent_cost.push(sub.parent_cost(w));
             self.link.push(Self::RUN);
             parent = l;
         }
@@ -630,18 +625,6 @@ impl Subframe {
     #[inline]
     pub fn parent_local(&self, local: u32) -> u32 {
         self.parent[local as usize]
-    }
-
-    /// Cached tree-edge cost `c(parent(v), v)` — bit-identical to the
-    /// substrate's (copied at splice time); 0.0 for the source.
-    #[inline]
-    pub fn parent_cost(&self, local: u32) -> f64 {
-        self.parent_cost[local as usize]
-    }
-
-    /// Every local's [`Subframe::parent_cost`], by local id.
-    pub fn parent_costs(&self) -> &[f64] {
-        &self.parent_cost
     }
 
     /// The listed children of each linked local, ascending by local (a
@@ -844,7 +827,6 @@ impl Subframe {
         use std::mem::size_of;
         self.global.capacity() * size_of::<NodeId>()
             + (self.order.capacity() + self.index.capacity()) * size_of::<u32>()
-            + self.parent_cost.capacity() * size_of::<f64>()
             + self.link_bytes()
     }
 }
@@ -971,7 +953,9 @@ mod tests {
     /// `frame` (links merged) is exactly the path closure `closure`, and
     /// each local's parent and children — both directions — are the
     /// substrate's parent and cost-sorted child slice restricted to the
-    /// closure, with edge costs bit for bit.
+    /// closure. Each local's edge cost as the engines read it,
+    /// `sub.parent_cost(frame.global_of(l))`, is the network's cost from
+    /// its framed parent's station, bit for bit.
     fn assert_frame_is_the_closure(frame: &Subframe, sub: &TreeSubstrate, closure: &[bool]) {
         assert_eq!(frame.len(), closure.iter().filter(|&&b| b).count());
         for (g, &inside) in closure.iter().enumerate() {
@@ -985,7 +969,11 @@ mod tests {
             } else {
                 let p = frame.parent_local(l);
                 assert_eq!(frame.global_of(p), sub.parent_of(g), "station {g}");
-                assert_eq!(frame.parent_cost(l).to_bits(), sub.parent_cost(g).to_bits());
+                assert_eq!(
+                    sub.parent_cost(frame.global_of(l)).to_bits(),
+                    sub.network().cost(frame.global_of(p), g).to_bits(),
+                    "station {g}"
+                );
             }
             let expect: Vec<usize> = sub
                 .sorted_children(g)
