@@ -1,19 +1,12 @@
 //! Fixture: idiomatic library code — no violations under any rule.
-use std::collections::BTreeMap;
+use wmcs_geom::float::EPS;
 
-/// Deterministic tally: BTreeMap iteration order is the key order.
-pub fn tally(xs: &[u64]) -> BTreeMap<u64, usize> {
-    let mut counts = BTreeMap::new();
-    for &x in xs {
-        *counts.entry(x).or_insert(0) += 1;
-    }
-    counts
+/// Narrowing goes through `try_from`, with the invariant stated.
+pub fn node_id(raw: usize) -> u32 {
+    u32::try_from(raw).expect("station ids fit in u32")
 }
 
-pub fn widest(costs: &[f64]) -> f64 {
-    costs
-        .iter()
-        .cloned()
-        .reduce(f64::max)
-        .expect("caller guarantees a non-empty cost slice")
+/// Comparisons read a named tolerance; widening casts are fine.
+pub fn nearly(a: f64, b: u32) -> bool {
+    (a - b as f64).abs() <= EPS
 }

@@ -1,8 +1,4 @@
 //! Fixture: pragma with no justification — the pragma itself is a violation,
 //! and the suppression is void so the underlying violation also fires.
-use std::collections::HashSet;
-// wmcs-audit: allow(nondeterministic-iteration)
-
-pub fn set() -> HashSet<u64> {
-    HashSet::new()
-}
+// wmcs-audit: allow(float-tolerance-literal)
+pub const TOL: f64 = 1e-9;

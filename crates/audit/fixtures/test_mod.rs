@@ -1,5 +1,5 @@
-//! Fixture: violations inside `#[cfg(test)]` are exempt from the
-//! determinism rules; the file is clean when scanned as Lib.
+//! Fixture: violations inside `#[cfg(test)]` are exempt from the token
+//! rules; the file is clean when scanned as Lib.
 
 pub fn double(x: u64) -> u64 {
     x * 2
@@ -8,13 +8,10 @@ pub fn double(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
-    fn unwraps_and_hashes_are_fine_in_tests() {
-        let mut m = HashMap::new();
-        m.insert(1u64, double(1));
-        assert_eq!(m.get(&1).copied().unwrap(), 2);
+    fn casts_and_literals_are_fine_in_tests() {
+        assert_eq!(double(3) as u32, 6);
         assert!((0.5f64 - 0.5).abs() < 1e-9);
     }
 }

@@ -1,9 +1,9 @@
 //! Forbidden-API enforcement at resolved-path level.
 //!
-//! PR 7 removed the deprecated substrate constructors behind
-//! `SubstrateBuilder`, and this PR deletes the shims outright — but a
-//! text grep cannot keep them out: `use wmcs_wireless::UniversalTree as
-//! UT; UT::mst_tree(…)` contains neither banned string. This analysis
+//! The deprecated substrate constructors were replaced by
+//! `SubstrateBuilder` and then deleted, but a text grep cannot keep them
+//! out: `use wmcs_wireless::UniversalTree as UT; UT::mst_tree(…)`
+//! contains neither banned string. This analysis
 //! checks every call site *after* the parser has resolved `use` aliases
 //! and `crate::`/`self::`/`super::` prefixes, so a renamed import still
 //! matches the registry entry.
@@ -16,14 +16,13 @@
 //! match bare method calls (`x.mst_tree()`), catching receivers the
 //! parser cannot type.
 //!
-//! The registry is seeded with the substrate shims removed in this PR
-//! (so they can never be reintroduced, under any import spelling), the
-//! std hash collections, whose iteration order is nondeterministic —
-//! defense in depth alongside the token-level `nondeterministic-
-//! iteration` rule, which only sees literal `HashMap` tokens — and the
-//! unbounded channel constructors (`crossbeam`-style
-//! `channel::unbounded`, `std::sync::mpsc::channel`), which would
-//! silently void the streaming layer's bounded-admission contract.
+//! The registry holds the deleted substrate shims (so they can never be
+//! reintroduced, under any import spelling) and the unbounded channel
+//! constructors (`crossbeam`-style `channel::unbounded`,
+//! `std::sync::mpsc::channel`), which would silently void the streaming
+//! layer's bounded-admission contract. The std hash collections are not
+//! here: `clippy::disallowed_types` bans them by resolved type, aliases
+//! included.
 
 use super::Analysis;
 use crate::engine::{FileClass, Violation, Workspace};
@@ -43,51 +42,38 @@ pub struct Banned {
 
 /// The banned-symbol registry. Ordered; diagnostics cite entries verbatim.
 pub const REGISTRY: &[Banned] = &[
-    // Substrate constructor shims removed in this PR. `new` collides with
-    // every constructor in the workspace, so those entries are
-    // path-only; the tree helpers are distinctive and also match as bare
-    // methods.
+    // Deleted substrate constructor shims. `new` collides with every
+    // constructor in the workspace, so those entries are path-only; the
+    // tree helpers are distinctive and also match as bare methods.
     Banned {
         pattern: "UniversalTree::new",
         match_method: false,
-        instead: "SubstrateBuilder::…::build_universal()",
+        instead: "SubstrateBuilder::new(&net).build_universal()",
     },
     Banned {
         pattern: "UniversalTree::shortest_path_tree",
         match_method: true,
-        instead: "SubstrateBuilder::shortest_path(root).build_universal()",
+        instead: "SubstrateBuilder::new(&net).tree(TreeKind::Spt).build_universal()",
     },
     Banned {
         pattern: "UniversalTree::mst_tree",
         match_method: true,
-        instead: "SubstrateBuilder::mst(root).build_universal()",
+        instead: "SubstrateBuilder::new(&net).tree(TreeKind::Mst).build_universal()",
     },
     Banned {
         pattern: "TreeSubstrate::new",
         match_method: false,
-        instead: "SubstrateBuilder::…::build()",
+        instead: "SubstrateBuilder::new(&net).build()",
     },
     Banned {
         pattern: "TreeSubstrate::shortest_path",
         match_method: false, // `shortest_path` is a common graph-API name
-        instead: "SubstrateBuilder::shortest_path(root).build()",
+        instead: "SubstrateBuilder::new(&net).tree(TreeKind::Spt).build()",
     },
     Banned {
         pattern: "TreeSubstrate::mst",
         match_method: false, // `mst` collides with wmcs_graph free fns
-        instead: "SubstrateBuilder::mst(root).build()",
-    },
-    // Nondeterministic-iteration collections, at path level: the token
-    // rule misses `use std::collections::HashMap as Map;`.
-    Banned {
-        pattern: "collections::HashMap::new",
-        match_method: false,
-        instead: "BTreeMap (deterministic iteration order)",
-    },
-    Banned {
-        pattern: "collections::HashSet::new",
-        match_method: false,
-        instead: "BTreeSet (deterministic iteration order)",
+        instead: "SubstrateBuilder::new(&net).tree(TreeKind::Mst).build()",
     },
     // Unbounded channel constructors: the streaming layer's admission
     // contract (PR 9) is that every queue is bounded and saturation is
@@ -113,12 +99,6 @@ pub struct ForbiddenApi;
 impl Analysis for ForbiddenApi {
     fn rule(&self) -> &'static str {
         FORBIDDEN_API
-    }
-
-    fn summary(&self) -> &'static str {
-        "banned symbols (removed substrate constructor shims, std hash collections, \
-         unbounded channel constructors) must not be called; matched on \
-         use-alias-resolved paths, so renamed imports cannot dodge the registry"
     }
 
     fn run(&self, ws: &Workspace) -> Vec<Violation> {

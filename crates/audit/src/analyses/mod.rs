@@ -32,10 +32,9 @@ use crate::lexer::{Tok, TokKind};
 
 /// One workspace-level analysis.
 pub trait Analysis {
-    /// The rule name used in diagnostics and `allow(…)` pragmas.
+    /// The rule name used in diagnostics and `allow(…)` pragmas; its
+    /// `--list-rules` summary is the matching `rules::ANALYSIS_RULES` row.
     fn rule(&self) -> &'static str;
-    /// One-line statement of the invariant (for `--list-rules`).
-    fn summary(&self) -> &'static str;
     /// Run over the parsed workspace; return raw violations (pragma
     /// application happens in the engine, uniformly with token rules).
     fn run(&self, ws: &Workspace) -> Vec<Violation>;

@@ -59,12 +59,6 @@ impl Analysis for PanicPath {
         PANIC_PATH
     }
 
-    fn summary(&self) -> &'static str {
-        "the panic surface (indexing, expect/unwrap, panic!/assert! macros) reachable \
-         from the MulticastService/GroupSession public API must match the committed \
-         crates/audit/panic_baseline.txt; regenerate with --write-panic-baseline"
-    }
-
     fn run(&self, ws: &Workspace) -> Vec<Violation> {
         let current = reachable_surface(ws);
         if current.is_empty() && !ws.root.join(BASELINE_PATH).exists() {

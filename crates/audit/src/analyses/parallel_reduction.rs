@@ -40,12 +40,6 @@ impl Analysis for ParallelReduction {
         PARALLEL_FLOAT_REDUCTION
     }
 
-    fn summary(&self) -> &'static str {
-        "no order-sensitive float accumulation (float fold/sum/reduce, += on float \
-         or lock-guarded state) in any function reachable from a thread-spawn site, \
-         unless the spawn places results in per-item OnceLock slots"
-    }
-
     fn run(&self, ws: &Workspace) -> Vec<Violation> {
         let mut violations = Vec::new();
         let mut flagged: BTreeSet<(usize, u32)> = BTreeSet::new();

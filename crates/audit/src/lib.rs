@@ -8,15 +8,21 @@
 //! caught only because a byte-identity gate happened to cover it. This
 //! crate enforces the invariant *class* statically, at CI time.
 //!
+//! Invariants that clippy or rustc can enforce are left to them (see
+//! [`rules`]): hashed containers, wall-clock and entropy sources, bare
+//! unwraps in library code and `unsafe`. Their exceptions are written
+//! once, as `#[expect(<lint>, reason = "…")]`.
+//!
 //! ## How it works
 //!
 //! Two layers feed one diagnostic stream:
 //!
 //! * **Token rules** — a comment- and string-aware token scanner
 //!   ([`lexer`]) walks every workspace `.rs` source; the registry
-//!   ([`rules::RULES`]) defines six per-file invariants applied by the
-//!   [`engine`] with build-role classification (library / binary / test)
-//!   and `#[cfg(test)]` exemption.
+//!   ([`rules::RULES`]) defines two per-file invariants (inline tolerance
+//!   literals, lossy `as` casts) applied by the [`engine`] with
+//!   build-role classification (library / binary / test) and
+//!   `#[cfg(test)]` exemption.
 //! * **Workspace analyses** — a lightweight item parser ([`parser`])
 //!   extracts every `fn`, call site and `use` alias; a cross-crate call
 //!   graph ([`graph`]) joins them; the three [`analyses`] run
@@ -46,9 +52,10 @@
 //!
 //! 1. **Name the rule.** Add a `pub const MY_RULE: &str = "my-rule"`
 //!    kebab-case constant in [`rules`] and a row in
-//!    [`rules::ANALYSIS_RULES`] with `Scope::Workspace` — that one table
-//!    entry makes `--list-rules` print it and `allow(my-rule)` pragmas
-//!    validate.
+//!    [`rules::ANALYSIS_RULES`] — that one table entry makes
+//!    `--list-rules` print it and `allow(my-rule)` pragmas validate. Add
+//!    the matching row to DESIGN.md §5's analysis table; a test fails
+//!    until the two agree.
 //! 2. **Implement [`analyses::Analysis`]** in a new
 //!    `src/analyses/my_rule.rs`: `rule()` returns the constant, `run()`
 //!    takes the parsed [`Workspace`] (files, token streams, `fn` items,
@@ -69,6 +76,9 @@
 //! edge costs a silent determinism bug in a shipped table.
 
 #![deny(missing_docs)]
+// Library code states its invariants with `.expect("…")` or propagates
+// the error; only test code may unwrap (clippy.toml).
+#![deny(clippy::unwrap_used)]
 
 pub mod analyses;
 pub mod engine;
@@ -84,4 +94,4 @@ pub use engine::{
 };
 pub use graph::{CallGraph, FnNode};
 pub use parser::{parse_file, CallSite, FnItem, ParsedFile};
-pub use rules::{rule_by_name, Rule, Scope, ANALYSIS_RULES, RULES};
+pub use rules::{rule_by_name, Rule, ANALYSIS_RULES, RULES};

@@ -16,7 +16,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-// wmcs-audit: allow(nondeterminism-source): wall-clock here is a stderr diagnostic only
 use std::time::Instant;
 use wmcs_audit::analyses::panic_path;
 use wmcs_audit::{
@@ -43,11 +42,12 @@ fn main() -> ExitCode {
             "--class" => {
                 i += 1;
                 class = match args.get(i).map(String::as_str) {
+                    // The token rules treat library and binary sources
+                    // alike, so a file is either scanned or exempt.
                     Some("lib") => FileClass::Lib,
-                    Some("bin") => FileClass::Bin,
                     Some("test") => FileClass::Test,
                     other => {
-                        eprintln!("wmcs-audit: bad --class {other:?} (lib|bin|test)");
+                        eprintln!("wmcs-audit: bad --class {other:?} (lib|test)");
                         return ExitCode::from(2);
                     }
                 };
@@ -68,7 +68,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: wmcs-audit [--list-rules] [--json[=PATH]] [--graph] [--root DIR] \
-                     [--write-panic-baseline] [--class lib|bin|test] [FILES…]"
+                     [--write-panic-baseline] [--class lib|test] [FILES…]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -126,8 +126,10 @@ fn main() -> ExitCode {
             .map(Path::to_path_buf)
             .unwrap_or_else(|| PathBuf::from("."))
     });
-    #[allow(clippy::disallowed_methods)]
-    // wmcs-audit: allow(nondeterminism-source): timing goes to stderr, never into verdicts
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timing goes to stderr, never into verdicts"
+    )]
     let t0 = Instant::now();
     let ws = match parse_workspace(&root) {
         Ok(ws) => ws,

@@ -2,26 +2,18 @@
 //!
 //! Every rule is motivated by a concrete reproducibility invariant this
 //! workspace gates in CI (exact budget balance, warm ≡ cold byte-identity,
-//! thread-count-independent sweep tables — see ROADMAP "Verification
-//! posture"). The table here is the single source of truth: the binary's
-//! `--list-rules` output, pragma validation, and README/DESIGN.md rule
-//! documentation all derive from it.
-
-/// Where a rule applies (see `FileClass` in the engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    /// Library sources only (`crates/*/src`, root `src/`), outside
-    /// `#[cfg(test)]` regions.
-    Lib,
-    /// Library and binary sources, outside `#[cfg(test)]` regions.
-    LibAndBin,
-    /// Every audited file, including tests, benches and examples.
-    Everywhere,
-    /// Applied by a workspace-level analysis over the call graph, not by
-    /// the per-file token scanner; file scoping is the analysis's own
-    /// business (see `crate::analyses`).
-    Workspace,
-}
+//! thread-count-independent sweep tables — see DESIGN.md §5). The table
+//! here is the single source of truth for the binary's `--list-rules`
+//! output and for pragma validation. The rule tables in DESIGN.md §5 are
+//! written by hand; `tests/audit_cli.rs` fails when their rows and
+//! `--list-rules` name different rules.
+//!
+//! Invariants that clippy or rustc enforce at least as fully are not
+//! rules here: hashed containers (`clippy::disallowed_types`),
+//! wall-clock and entropy sources (`clippy::disallowed_methods`), bare
+//! unwraps in library code (`clippy::unwrap_used`) and `unsafe`
+//! (`unsafe_code`, forbidden workspace-wide). `tests/lint_backing.rs`
+//! keeps that configuration in place.
 
 /// One statically enforced invariant.
 #[derive(Debug, Clone, Copy)]
@@ -30,27 +22,14 @@ pub struct Rule {
     pub name: &'static str,
     /// One-line statement of the invariant.
     pub summary: &'static str,
-    /// Which files the rule scans.
-    pub scope: Scope,
 }
 
-/// No `HashMap`/`HashSet` in result-affecting code: hashed iteration order
-/// is nondeterministic and has already caused real verdict drift of the
-/// EPS-tie-break class (PR 3).
-pub const NONDETERMINISTIC_ITERATION: &str = "nondeterministic-iteration";
 /// No inline `1e-9`-style epsilon literals: every tolerance is a named,
 /// documented constant in `wmcs_geom::float`.
 pub const FLOAT_TOLERANCE_LITERAL: &str = "float-tolerance-literal";
-/// No bare `.unwrap()` in library crates: use `.expect("invariant …")` or
-/// propagate the error.
-pub const UNWRAP_IN_LIB: &str = "unwrap-in-lib";
 /// No `as` narrowing onto small integer types: use `::try_from` (or a
 /// pragma proving the range) ahead of the u32 node-id memory diet.
 pub const LOSSY_CAST: &str = "lossy-cast";
-/// No wall-clock or entropy sources in result-affecting code paths.
-pub const NONDETERMINISM_SOURCE: &str = "nondeterminism-source";
-/// Every `unsafe` needs an adjacent `// SAFETY:` comment.
-pub const UNSAFE_WITHOUT_SAFETY_COMMENT: &str = "unsafe-without-safety-comment";
 /// Meta rule: malformed, unjustified, unknown-rule or unused
 /// `wmcs-audit:` pragmas are themselves violations.
 pub const AUDIT_PRAGMA: &str = "audit-pragma";
@@ -64,72 +43,46 @@ pub const PANIC_PATH: &str = "panic-path";
 /// `analyses::forbidden_api`).
 pub const FORBIDDEN_API: &str = "forbidden-api";
 
-/// The six content rules, in diagnostic order.
+/// The two token rules, in diagnostic order. Both scan library and
+/// binary sources outside `#[cfg(test)]` modules (see `FileClass` in
+/// the engine).
 pub const RULES: &[Rule] = &[
-    Rule {
-        name: NONDETERMINISTIC_ITERATION,
-        summary: "no HashMap/HashSet in result-affecting crates; use BTreeMap/BTreeSet \
-                  or a sorted Vec so iteration order can never reach a verdict",
-        scope: Scope::LibAndBin,
-    },
     Rule {
         name: FLOAT_TOLERANCE_LITERAL,
         summary: "no inline 1e-9-style tolerance literals outside wmcs_geom::float; \
                   comparisons go through named, documented constants (EPS, VP_TOL, \
                   BB_TOL, SP_TOL, REL_TOL, FEAS_TOL)",
-        scope: Scope::LibAndBin,
-    },
-    Rule {
-        name: UNWRAP_IN_LIB,
-        summary: "no bare .unwrap() in library crates; state the invariant with \
-                  .expect(\"…\") or propagate the error (bins/tests/benches exempt)",
-        scope: Scope::Lib,
     },
     Rule {
         name: LOSSY_CAST,
         summary: "no `as` narrowing onto u8/u16/u32/i8/i16/i32; use ::try_from with \
                   an invariant message (the u32 node-id layer routes through the one \
                   documented NodeId::try_from helper)",
-        scope: Scope::LibAndBin,
-    },
-    Rule {
-        name: NONDETERMINISM_SOURCE,
-        summary: "no thread_rng/from_entropy/Instant/SystemTime in result-affecting \
-                  code; wall-clock and entropy must never flow into verdicts or shares",
-        scope: Scope::LibAndBin,
-    },
-    Rule {
-        name: UNSAFE_WITHOUT_SAFETY_COMMENT,
-        summary: "every `unsafe` carries a `// SAFETY:` comment within the three \
-                  preceding lines (applies everywhere, tests included)",
-        scope: Scope::Everywhere,
     },
 ];
 
-/// The three workspace-level analysis rules, in diagnostic order. Their
-/// summaries live with the analyses themselves (`crate::analyses`); the
-/// entries here exist so `--list-rules` and pragma validation see one
-/// uniform registry.
+/// The three workspace-level analysis rules, in diagnostic order. They
+/// are applied over the call graph, not by the per-file token scanner;
+/// file scoping is each analysis's own business (see `crate::analyses`).
+/// The entries here exist so `--list-rules` and pragma validation see
+/// one uniform registry.
 pub const ANALYSIS_RULES: &[Rule] = &[
     Rule {
         name: PARALLEL_FLOAT_REDUCTION,
         summary: "no order-sensitive float accumulation (fold/sum/reduce, += on float \
                   or lock-guarded state) reachable from a thread-spawn site that does \
                   not place results in per-item OnceLock slots",
-        scope: Scope::Workspace,
     },
     Rule {
         name: PANIC_PATH,
-        summary: "the panic surface reachable from the MulticastService/GroupSession \
-                  public API matches crates/audit/panic_baseline.txt; regenerate with \
-                  --write-panic-baseline",
-        scope: Scope::Workspace,
+        summary: "the panic surface reachable from the public API of MulticastService, \
+                  GroupSession, StreamService and StreamHandle matches \
+                  crates/audit/panic_baseline.txt; regenerate with --write-panic-baseline",
     },
     Rule {
         name: FORBIDDEN_API,
         summary: "no calls to banned symbols (removed substrate constructor shims, \
-                  std hash collections), matched on use-alias-resolved paths",
-        scope: Scope::Workspace,
+                  unbounded channel constructors), matched on use-alias-resolved paths",
     },
 ];
 
@@ -147,9 +100,9 @@ mod tests {
 
     #[test]
     fn registry_is_consistent() {
-        assert_eq!(RULES.len(), 6);
+        assert_eq!(RULES.len(), 2);
         assert_eq!(ANALYSIS_RULES.len(), 3);
-        assert!(rule_by_name(UNWRAP_IN_LIB).is_some());
+        assert!(rule_by_name(LOSSY_CAST).is_some());
         assert!(rule_by_name(PANIC_PATH).is_some());
         assert!(rule_by_name(FORBIDDEN_API).is_some());
         assert!(rule_by_name("no-such-rule").is_none());
@@ -158,9 +111,6 @@ mod tests {
         for (i, r) in all.iter().enumerate() {
             assert!(r.name.chars().all(|c| c.is_ascii_lowercase() || c == '-'));
             assert!(all[i + 1..].iter().all(|s| s.name != r.name));
-        }
-        for r in ANALYSIS_RULES {
-            assert_eq!(r.scope, Scope::Workspace);
         }
     }
 }

@@ -138,8 +138,8 @@ fn forbidden_api_fixture_fails_through_a_renamed_import() {
         "resolved path in diagnostic:\n{stdout}"
     );
     assert!(
-        stdout.contains("SubstrateBuilder"),
-        "diagnostic suggests the replacement API:\n{stdout}"
+        stdout.contains("SubstrateBuilder::new(&net).tree(TreeKind::Mst)"),
+        "diagnostic names the builder call that replaces it:\n{stdout}"
     );
 }
 
@@ -171,13 +171,12 @@ fn unbounded_channel_fixture_fails_but_bounded_stays_legal() {
 
 /// The streaming verdict paths are wall-clock free, by scan not by
 /// convention: the virtual-clock sources feeding T14's latency
-/// percentiles (`wmcs-wireless::stream`, `wmcs-bench::latency`) must
-/// carry no `Instant`/`SystemTime` (nor any other lib-scope violation)
-/// under the real token scanner. Timing may appear in benches and
-/// examples — those are `Test`-class files — but never in these two
-/// libraries.
+/// percentiles (`wmcs-wireless::stream`, `wmcs-bench::latency`) must not
+/// name `Instant` or `SystemTime` in code, not even under an `#[expect]`
+/// that would satisfy clippy's `disallowed_methods`. Prose may name them.
 #[test]
 fn stream_and_latency_sources_carry_no_wall_clock() {
+    use wmcs_audit::lexer::{lex, TokKind};
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for rel in [
         "crates/wireless/src/stream.rs",
@@ -185,10 +184,16 @@ fn stream_and_latency_sources_carry_no_wall_clock() {
     ] {
         let src = std::fs::read_to_string(root.join(rel))
             .unwrap_or_else(|e| panic!("{rel} must exist: {e}"));
-        let violations = wmcs_audit::scan_file(rel, &src, wmcs_audit::FileClass::Lib);
+        let clocks: Vec<u32> = lex(&src)
+            .iter()
+            .filter(|t| {
+                t.kind == TokKind::Ident && matches!(t.text.as_str(), "Instant" | "SystemTime")
+            })
+            .map(|t| t.line)
+            .collect();
         assert!(
-            violations.is_empty(),
-            "{rel} must scan clean as a verdict-path library: {violations:?}"
+            clocks.is_empty(),
+            "{rel} names a wall clock on lines {clocks:?}"
         );
     }
 }

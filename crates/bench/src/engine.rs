@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 // Wall-clock feeds per-cell timings reported as informational metadata only;
 // verdict and share columns never read them (warm ≡ cold byte-identity gates this).
-// wmcs-audit: allow(nondeterminism-source): timings are informational metadata, never verdicts.
 use std::time::Instant;
 use wmcs_geom::Scenario;
 
@@ -124,8 +123,10 @@ pub fn run_sweep(experiments: &[&dyn Experiment], cfg: &SweepConfig) -> SweepRun
 
     let results: Vec<OnceLock<(Obs, f64)>> = (0..cells.len()).map(|_| OnceLock::new()).collect();
     let run_cell = |cell: &Cell, slot: &OnceLock<(Obs, f64)>| {
-        #[allow(clippy::disallowed_methods)]
-        // wmcs-audit: allow(nondeterminism-source): timing is informational.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-cell timing is informational"
+        )]
         let start = Instant::now();
         let obs = experiments[cell.exp].measure(&scenarios[cell.exp][cell.scenario], cell.seed);
         slot.set((obs, start.elapsed().as_secs_f64()))
@@ -165,8 +166,10 @@ pub fn run_sweep(experiments: &[&dyn Experiment], cfg: &SweepConfig) -> SweepRun
     };
     let mut cursor = 0usize;
     for (ei, e) in experiments.iter().enumerate() {
-        #[allow(clippy::disallowed_methods)]
-        // wmcs-audit: allow(nondeterminism-source): timing is informational.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pinned-row timing is informational"
+        )]
         let pinned_start = Instant::now();
         let mut rows = e.pinned();
         let mut seconds = pinned_start.elapsed().as_secs_f64();

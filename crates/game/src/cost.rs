@@ -85,9 +85,8 @@ impl CostFunction for ExplicitGame {
 /// The memo table is a `BTreeMap` rather than a `HashMap`: the cache is
 /// lookup-only today, but a deterministic container guarantees that any
 /// future iteration (debug dumps, eviction, serialisation) can never
-/// introduce order-dependence into results — the workspace-wide
-/// `nondeterministic-iteration` audit rule (see `wmcs-audit`) forbids the
-/// hashed forms in result-affecting crates outright. Lookups are
+/// introduce order-dependence into results — `clippy.toml`'s
+/// `disallowed-types` forbids the hashed forms workspace-wide. Lookups are
 /// `O(log |cache|)` against an oracle call that is exponential in `n`, so
 /// the tree walk is never measurable.
 pub struct CachedCost<C: CostFunction> {

@@ -20,6 +20,9 @@
 // game layer (player indexing, EPS tolerances, mask semantics) must be
 // readable at the definition site.
 #![deny(missing_docs)]
+// Library code states its invariants with `.expect("…")` or propagates
+// the error; only test code may unwrap (clippy.toml).
+#![deny(clippy::unwrap_used)]
 
 pub mod checks;
 pub mod core;

@@ -19,6 +19,9 @@
 // mechanism layers above them, and undocumented invariants become
 // silent contract drift there.
 #![deny(missing_docs)]
+// Library code states its invariants with `.expect("…")` or propagates
+// the error; only test code may unwrap (clippy.toml).
+#![deny(clippy::unwrap_used)]
 
 pub mod churn;
 pub mod float;

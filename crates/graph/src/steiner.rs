@@ -54,9 +54,9 @@ pub fn kmb_steiner(costs: &CostMatrix, terminals: &[usize]) -> SteinerTree {
         }
     }
     // Work in terminal-index space for kruskal. A dense station → terminal
-    // index table keeps the reindexing free of hashed containers (the
-    // `nondeterministic-iteration` audit rule) and is O(n) on graphs whose
-    // cost matrix is already O(n²).
+    // index table keeps the reindexing free of hashed containers (banned
+    // by clippy's `disallowed_types`) and is O(n) on graphs whose cost
+    // matrix is already O(n²).
     let mut tidx = vec![usize::MAX; n];
     for (i, &t) in terminals.iter().enumerate() {
         tidx[t] = i;

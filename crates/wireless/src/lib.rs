@@ -52,6 +52,9 @@
 // layers build mechanisms on, and undocumented invariants here become
 // silent contract drift there.
 #![deny(missing_docs)]
+// Library code states its invariants with `.expect("…")` or propagates
+// the error; only test code may unwrap (clippy.toml).
+#![deny(clippy::unwrap_used)]
 
 pub mod bip;
 pub mod builder;

@@ -141,11 +141,10 @@ pub struct GroupOutcome {
 #[derive(Debug)]
 pub struct MulticastService {
     ut: UniversalTree,
-    mechanisms: Vec<GroupMechanism>,
-    /// Per-group warm sessions. The mutex is an ownership device, never
-    /// contended: a step's work-stealing shard hands each index to
-    /// exactly one worker, and a stream drive keeps at most one epoch
-    /// per group in flight (`crate::stream`).
+    /// Per-group warm sessions; each knows its own mechanism. The mutex
+    /// is an ownership device, never contended: a step's work-stealing
+    /// shard hands each index to exactly one worker, and a stream drive
+    /// keeps at most one epoch per group in flight (`crate::stream`).
     groups: Vec<Mutex<GroupSession>>,
     /// Worker threads per step; 0 = available parallelism.
     threads: usize,
@@ -157,7 +156,6 @@ impl Clone for MulticastService {
     fn clone(&self) -> Self {
         Self {
             ut: self.ut.clone(),
-            mechanisms: self.mechanisms.clone(),
             groups: self
                 .groups
                 .iter()
@@ -181,7 +179,6 @@ impl MulticastService {
     pub fn new(ut: &UniversalTree) -> Self {
         Self {
             ut: ut.clone(),
-            mechanisms: Vec::new(),
             groups: Vec::new(),
             threads: 0,
             steps: 0,
@@ -201,7 +198,6 @@ impl MulticastService {
     /// its members, and the substrate is shared, not copied.
     pub fn add_group(&mut self, mechanism: GroupMechanism) -> usize {
         let state = GroupSession::new(mechanism, &self.ut);
-        self.mechanisms.push(mechanism);
         self.groups.push(Mutex::new(state));
         self.groups.len() - 1
     }
@@ -213,7 +209,10 @@ impl MulticastService {
 
     /// The mechanism group `g` is priced with.
     pub fn mechanism(&self, g: usize) -> GroupMechanism {
-        self.mechanisms[g]
+        self.groups[g]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .mechanism()
     }
 
     /// The shared universal tree every group prices over.

@@ -420,8 +420,8 @@ impl TreeSubstrate {
 /// Building the closure of a member set costs `O(Σ new path)` expected:
 /// the global→local index is a closure-sized open-addressing table of
 /// local ids (a fixed multiplicative hash and no iteration, so it is
-/// deterministic; no `HashMap`, per the audit's determinism rules). The
-/// sentinel for "no local station" is [`Subframe::NONE`].
+/// deterministic; no `HashMap`, which clippy's `disallowed_types` bans).
+/// The sentinel for "no local station" is [`Subframe::NONE`].
 #[derive(Debug, Clone)]
 pub struct Subframe {
     /// Local → global station id; index = local id, `global[0]` = source.

@@ -119,8 +119,10 @@ fn main() {
         .collect();
     let net = WirelessNetwork::euclidean_lazy(pts, PowerModel::free_space(), 0);
 
-    // Build timing is informational; it never flows into a verdict.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "build timing is printed, never asserted"
+    )]
     let t = std::time::Instant::now();
     let ut = SubstrateBuilder::from_owned(net)
         .tree(TreeKind::Spt)
@@ -132,7 +134,10 @@ fn main() {
         peak_rss_note()
     );
     assert_digest("SPT", &ut, SPT_DIGEST);
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "build timing is printed, never asserted"
+    )]
     let t = std::time::Instant::now();
     let mst = SubstrateBuilder::new(ut.network())
         .tree(TreeKind::Mst)
@@ -150,7 +155,10 @@ fn main() {
     // stream would show here. Growing it may raise the process's peak
     // resident set by at most half.
     let before = peak_rss_kb();
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "build timing is printed, never asserted"
+    )]
     let t = std::time::Instant::now();
     let strip = SubstrateBuilder::from_owned(WirelessNetwork::euclidean_lazy(
         strip_points(side),

@@ -36,6 +36,10 @@
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
 //! the paper-vs-measured record of every figure and theorem-backed claim.
 
+// Library code states its invariants with `.expect("…")` or propagates
+// the error; only test code may unwrap (clippy.toml).
+#![deny(clippy::unwrap_used)]
+
 pub use wmcs_game as game;
 pub use wmcs_geom as geom;
 pub use wmcs_graph as graph;
